@@ -4,6 +4,7 @@
 #ifndef SRC_BASE_BYTES_H_
 #define SRC_BASE_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -97,16 +98,35 @@ class ByteReader {
   bool ok_ = true;
 };
 
-// Internet checksum (RFC 1071) over a byte span; used by IPv4/UDP headers.
+// Internet checksum (RFC 1071) over a byte span; used by the IPv4 header and
+// the UDP/TCP/ICMP codecs. `initial` is a sum of big-endian 16-bit words (a
+// pseudo header).
+//
+// The one's-complement sum does not depend on byte order (RFC 1071 §2(B)):
+// the data is summed as native-order 32-bit words into a 64-bit accumulator,
+// folded to 16 bits and byte-swapped once into network order.
 inline uint16_t InternetChecksum(std::span<const uint8_t> data, uint32_t initial = 0) {
-  uint32_t sum = initial;
-  size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<uint32_t>(data[i]) << 8 | data[i + 1];
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  uint64_t sum = 0;
+  for (; n >= 4; p += 4, n -= 4) {
+    uint32_t word;
+    std::memcpy(&word, p, 4);
+    sum += word;
   }
-  if (i < data.size()) {
-    sum += static_cast<uint32_t>(data[i]) << 8;
+  if (n != 0) {
+    // The last 1-3 bytes, zero-padded at the end as RFC 1071 pads an odd byte.
+    uint32_t tail = 0;
+    std::memcpy(&tail, p, n);
+    sum += tail;
   }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    sum = (sum >> 8) | ((sum & 0xff) << 8);
+  }
+  sum += initial;
   while (sum >> 16) {
     sum = (sum & 0xffff) + (sum >> 16);
   }

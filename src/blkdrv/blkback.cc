@@ -499,8 +499,8 @@ void BlkbackInstance::FlushRun(std::vector<ResolvedSeg>* run, BlkOp op) {
     // Gather write payload from the (mapped) guest pages.
     dev.data.reserve(total);
     for (const ResolvedSeg& s : segs) {
-      dev.data.insert(dev.data.end(), s.page->data.begin() + s.page_offset,
-                      s.page->data.begin() + s.page_offset + s.length);
+      const auto src = s.page->bytes().subspan(s.page_offset, s.length);
+      dev.data.insert(dev.data.end(), src.begin(), src.end());
     }
   }
   device_ops_->Inc();
@@ -534,7 +534,8 @@ void BlkbackInstance::CompletePart(std::vector<ResolvedSeg>& segs, BlkOp op, boo
     if (op == BlkOp::kRead && !data.empty() && s.page != nullptr) {
       // Scatter read data into the guest page.
       const size_t n = std::min(s.length, data.size() - data_pos);
-      std::copy_n(data.begin() + data_pos, n, s.page->data.begin() + s.page_offset);
+      std::copy_n(data.begin() + data_pos, n,
+                  s.page->mutable_bytes().begin() + s.page_offset);
     }
     data_pos += s.length;
     // Transient mappings are released here (unmap hypercall charged);

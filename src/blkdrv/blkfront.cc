@@ -357,7 +357,7 @@ bool Blkfront::SubmitChunk(const Chunk& chunk) {
         const size_t avail = chunk.op->data.size() - (chunk.op_offset + chunk_pos);
         const size_t copy_n = std::min(n, avail);
         std::copy_n(chunk.op->data.begin() + chunk.op_offset + chunk_pos, copy_n,
-                    pool_[page_id].page->data.begin());
+                    pool_[page_id].page->mutable_bytes().begin());
       }
       remaining -= n;
       chunk_pos += n;
@@ -446,7 +446,7 @@ void Blkfront::CompleteRequest(uint64_t id, bool ok) {
       size_t copied = 0;
       for (uint16_t page_id : inflight.page_ids) {
         const size_t n = std::min(kPageSize, inflight.length - copied);
-        std::copy_n(pool_[page_id].page->data.begin(), n,
+        std::copy_n(pool_[page_id].page->bytes().begin(), n,
                     inflight.op->out->begin() + inflight.op_offset + copied);
         copied += n;
         if (copied >= inflight.length) {

@@ -439,7 +439,7 @@ bool Hypervisor::GrantCopyToGranted(Domain* caller, DomId owner, GrantRef ref, s
   if (e == nullptr || e->peer != caller->id() || e->readonly) {
     return false;
   }
-  std::copy(src.begin(), src.end(), e->page->data.begin() + offset);
+  std::copy(src.begin(), src.end(), e->page->mutable_bytes().begin() + offset);
   grant_copy_bytes_->Add(src.size());
   return true;
 }
@@ -467,7 +467,7 @@ bool Hypervisor::GrantCopyFromGranted(Domain* caller, DomId owner, GrantRef ref,
   if (e == nullptr || e->peer != caller->id()) {
     return false;
   }
-  std::copy_n(e->page->data.begin() + offset, dst.size(), dst.begin());
+  std::copy_n(e->page->bytes().begin() + offset, dst.size(), dst.begin());
   grant_copy_bytes_->Add(dst.size());
   return true;
 }

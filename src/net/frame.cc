@@ -1,6 +1,8 @@
 #include "src/net/frame.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 
 #include "src/base/log.h"
 
@@ -24,6 +26,41 @@ uint16_t ChecksumWithPseudo(std::span<const uint8_t> l4, Ipv4Addr src, Ipv4Addr 
   // Fold the pseudo header into the initial accumulator (already 16-bit
   // chunks, InternetChecksum folds carries).
   return InternetChecksum(l4, PseudoHeaderSum(src, dst, proto, l4.size()));
+}
+
+// Parses the transport bytes of a complete (unfragmented) datagram into
+// packet->l4; protocols without a structured form stay raw. Returns false when
+// the L4 header or checksum is bad.
+bool ParseL4(std::span<const uint8_t> l4, Ipv4Packet* packet) {
+  switch (packet->proto) {
+    case kIpProtoUdp: {
+      auto udp = ParseUdp(l4, packet->src, packet->dst);
+      if (!udp.has_value()) {
+        return false;
+      }
+      packet->l4 = std::move(*udp);
+      return true;
+    }
+    case kIpProtoIcmp: {
+      auto icmp = ParseIcmp(l4);
+      if (!icmp.has_value()) {
+        return false;
+      }
+      packet->l4 = std::move(*icmp);
+      return true;
+    }
+    case kIpProtoTcp: {
+      auto tcp = ParseTcp(l4, packet->src, packet->dst);
+      if (!tcp.has_value()) {
+        return false;
+      }
+      packet->l4 = std::move(*tcp);
+      return true;
+    }
+    default:
+      packet->l4 = RawL4{Buffer(l4.begin(), l4.end())};
+      return true;
+  }
 }
 
 }  // namespace
@@ -295,34 +332,8 @@ std::optional<Ipv4Packet> ParseIpv4(std::span<const uint8_t> data, bool verify_c
     packet.l4 = RawL4{Buffer(l4.begin(), l4.end())};
     return packet;
   }
-  switch (packet.proto) {
-    case kIpProtoUdp: {
-      auto udp = ParseUdp(l4, packet.src, packet.dst);
-      if (!udp.has_value()) {
-        return std::nullopt;
-      }
-      packet.l4 = std::move(*udp);
-      break;
-    }
-    case kIpProtoIcmp: {
-      auto icmp = ParseIcmp(l4);
-      if (!icmp.has_value()) {
-        return std::nullopt;
-      }
-      packet.l4 = std::move(*icmp);
-      break;
-    }
-    case kIpProtoTcp: {
-      auto tcp = ParseTcp(l4, packet.src, packet.dst);
-      if (!tcp.has_value()) {
-        return std::nullopt;
-      }
-      packet.l4 = std::move(*tcp);
-      break;
-    }
-    default:
-      packet.l4 = RawL4{Buffer(l4.begin(), l4.end())};
-      break;
+  if (!ParseL4(l4, &packet)) {
+    return std::nullopt;
   }
   return packet;
 }
@@ -463,73 +474,96 @@ std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu) {
   return fragments;
 }
 
+std::nullopt_t Ipv4Reassembler::Drop(PendingMap::iterator it, uint64_t* counter) {
+  pending_.erase(it);
+  ++*counter;
+  return std::nullopt;
+}
+
 std::optional<Ipv4Packet> Ipv4Reassembler::Add(const Ipv4Packet& fragment) {
   if (!fragment.IsFragment()) {
     return fragment;
   }
   const RawL4* raw = std::get_if<RawL4>(&fragment.l4);
   KITE_CHECK(raw != nullptr) << "fragments must carry raw L4 bytes";
-  Key key{fragment.src.value, fragment.dst.value, fragment.id, fragment.proto};
-  Partial& part = pending_[key];
-  const size_t end = fragment.frag_offset + raw->bytes.size();
-  if (part.bytes.size() < end) {
-    part.bytes.resize(end);
-    part.have.resize(end);
-  }
-  for (size_t i = 0; i < raw->bytes.size(); ++i) {
-    const size_t pos = fragment.frag_offset + i;
-    if (!part.have[pos]) {
-      part.have[pos] = true;
-      ++part.have_bytes;
+  constexpr size_t kMaxPayload = kMaxIpv4DatagramBytes - kIpv4HeaderBytes;
+  const Key key{fragment.src.value, fragment.dst.value, fragment.id, fragment.proto};
+  const size_t begin = fragment.frag_offset;
+  const size_t end = begin + raw->bytes.size();
+  const bool last = !fragment.more_frags;
+
+  auto it = pending_.find(key);
+  if (end > kMaxPayload || begin == end) {
+    uint64_t* counter = end > kMaxPayload ? &oversized_ : &length_conflicts_;
+    if (it == pending_.end()) {
+      ++*counter;
+      return std::nullopt;
     }
-    part.bytes[pos] = raw->bytes[i];
+    return Drop(it, counter);
   }
-  if (!fragment.more_frags) {
+  if (it == pending_.end()) {
+    if (pending_.size() >= max_pending_) {
+      // At most max_pending_ entries, so this scan is bounded by the cap.
+      auto oldest = std::min_element(
+          pending_.begin(), pending_.end(),
+          [](const auto& a, const auto& b) { return a.second.started < b.second.started; });
+      Drop(oldest, &evicted_);
+    }
+    it = pending_.try_emplace(key).first;
+    it->second.bytes.reserve(kMaxPayload);
+    it->second.started = next_started_++;
+  }
+  Partial& part = it->second;
+
+  // Every fragment must agree with the final length once it is known, and a
+  // last fragment must not end before bytes already held.
+  const size_t held_end = part.bytes.size();
+  if (last ? (part.total_len != 0 && part.total_len != end) || held_end > end
+           : part.total_len != 0 && end > part.total_len) {
+    return Drop(it, &length_conflicts_);
+  }
+
+  // The held fragment starting at or before `begin`, and the one after it.
+  auto next = part.held.upper_bound(begin);
+  if (next != part.held.begin()) {
+    auto prev = std::prev(next);
+    if (prev->first == begin && prev->second == end) {
+      ++duplicates_;
+      return std::nullopt;
+    }
+    if (prev->second > begin) {
+      return Drop(it, &overlaps_);
+    }
+  }
+  if (next != part.held.end() && next->first < end) {
+    return Drop(it, &overlaps_);
+  }
+
+  part.held.emplace_hint(next, begin, end);
+  part.held_bytes += end - begin;
+  if (last) {
     part.total_len = end;
   }
-  if (part.total_len == 0 || part.have_bytes < part.total_len) {
-    if (pending_.size() > max_pending_) {
-      pending_.erase(pending_.begin());  // Crude aging.
-    }
+  if (end > part.bytes.size()) {
+    part.bytes.resize(end);  // Within the reservation: held bytes stay put.
+  }
+  std::memcpy(part.bytes.data() + begin, raw->bytes.data(), end - begin);
+  if (part.total_len == 0 || part.held_bytes < part.total_len) {
     return std::nullopt;
   }
-  // Complete: rebuild the packet with a parsed L4.
-  Buffer l4(part.bytes.begin(), part.bytes.begin() + part.total_len);
-  pending_.erase(key);
+
+  // Complete: the held extents are disjoint and lie in [0, total_len), so
+  // their sizes summing to total_len means they cover it.
+  const Buffer l4 = std::move(part.bytes);
+  pending_.erase(it);
   Ipv4Packet whole;
   whole.src = fragment.src;
   whole.dst = fragment.dst;
   whole.proto = fragment.proto;
   whole.ttl = fragment.ttl;
   whole.id = fragment.id;
-  switch (whole.proto) {
-    case kIpProtoUdp: {
-      auto udp = ParseUdp(l4, whole.src, whole.dst);
-      if (!udp.has_value()) {
-        return std::nullopt;
-      }
-      whole.l4 = std::move(*udp);
-      break;
-    }
-    case kIpProtoIcmp: {
-      auto icmp = ParseIcmp(l4);
-      if (!icmp.has_value()) {
-        return std::nullopt;
-      }
-      whole.l4 = std::move(*icmp);
-      break;
-    }
-    case kIpProtoTcp: {
-      auto tcp = ParseTcp(l4, whole.src, whole.dst);
-      if (!tcp.has_value()) {
-        return std::nullopt;
-      }
-      whole.l4 = std::move(*tcp);
-      break;
-    }
-    default:
-      whole.l4 = RawL4{std::move(l4)};
-      break;
+  if (!ParseL4(l4, &whole)) {
+    return std::nullopt;
   }
   return whole;
 }

@@ -8,6 +8,7 @@
 #ifndef SRC_NET_FRAME_H_
 #define SRC_NET_FRAME_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -167,15 +168,43 @@ std::optional<EthernetFrame> ParseEthernet(std::span<const uint8_t> data);
 // the L4 once, then slices). A packet that fits is returned unchanged.
 std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu = kMtu);
 
+// Largest IPv4 datagram (header included) that the total-length field allows.
+inline constexpr size_t kMaxIpv4DatagramBytes = 65535;
+
 // Reassembler for incoming fragments. Returns the completed packet (with a
 // parsed L4) once all fragments of a datagram have arrived.
+//
+// A datagram is identified by (src, dst, id, proto); each accepted fragment is
+// held as a byte interval and copied once into the datagram's buffer. The
+// rules, in the order they are applied to a fragment:
+//  - A datagram whose 20-byte header plus payload would exceed 65,535 bytes is
+//    dropped (oversized()).
+//  - A datagram whose fragments disagree on its final length is dropped: a
+//    second last fragment with another end, a last fragment ending before
+//    held bytes, or a fragment reaching past the known end. An empty fragment
+//    claims no bytes and is dropped the same way, as Linux does
+//    (length_conflicts()).
+//  - A fragment with the exact extent of a held one is ignored (duplicates()).
+//  - A fragment that overlaps held bytes with a different extent drops the
+//    whole datagram: RFC 5722's rule, which Linux applies to IPv4 as well
+//    (overlaps()).
+// Fragments arriving after their datagram was dropped start a new partial
+// one, which can only age out.
 class Ipv4Reassembler {
  public:
   std::optional<Ipv4Packet> Add(const Ipv4Packet& fragment);
   size_t pending_count() const { return pending_.size(); }
-  // Drops partially reassembled datagrams older than the limit (counted in
-  // Add() calls, a proxy for time that avoids a clock dependency).
-  void set_max_pending(size_t n) { max_pending_ = n; }
+  // Caps the partial datagrams held at once (at least one): a new datagram
+  // past the cap drops the one whose first fragment arrived earliest
+  // (evicted()).
+  void set_max_pending(size_t n) { max_pending_ = std::max<size_t>(n, 1); }
+
+  // Outcome counts: fragments ignored, and datagrams dropped per rule.
+  uint64_t duplicates() const { return duplicates_; }
+  uint64_t overlaps() const { return overlaps_; }
+  uint64_t oversized() const { return oversized_; }
+  uint64_t length_conflicts() const { return length_conflicts_; }
+  uint64_t evicted() const { return evicted_; }
 
  private:
   struct Key {
@@ -186,13 +215,27 @@ class Ipv4Reassembler {
     auto operator<=>(const Key&) const = default;
   };
   struct Partial {
+    // Reserved to the largest payload up front, so it never reallocates.
     Buffer bytes;
-    std::vector<bool> have;
+    // Begin -> end of each accepted fragment; disjoint, never empty.
+    std::map<size_t, size_t> held;
+    size_t held_bytes = 0;
     size_t total_len = 0;  // 0 until the last fragment arrives.
-    size_t have_bytes = 0;
+    uint64_t started = 0;  // Creation order, for FIFO aging.
   };
-  std::map<Key, Partial> pending_;
+  using PendingMap = std::map<Key, Partial>;
+
+  // Removes a partial datagram that broke a rule and counts it.
+  std::nullopt_t Drop(PendingMap::iterator it, uint64_t* counter);
+
+  PendingMap pending_;
   size_t max_pending_ = 256;
+  uint64_t next_started_ = 0;
+  uint64_t duplicates_ = 0;
+  uint64_t overlaps_ = 0;
+  uint64_t oversized_ = 0;
+  uint64_t length_conflicts_ = 0;
+  uint64_t evicted_ = 0;
 };
 
 }  // namespace kite

@@ -340,7 +340,7 @@ bool NetbackInstance::CopyFromGuest(GrantRef gref, uint16_t offset, std::span<ui
   if (!map.valid()) {
     return false;
   }
-  std::copy_n(map.page()->data.begin() + offset, out.size(), out.begin());
+  std::copy_n(map.page()->bytes().begin() + offset, out.size(), out.begin());
   return true;  // map's destructor unmaps (charging the unmap hypercall).
 }
 
@@ -357,7 +357,7 @@ bool NetbackInstance::CopyToGuest(GrantRef gref, std::span<const uint8_t> data) 
   if (!map.valid()) {
     return false;
   }
-  std::copy(data.begin(), data.end(), map.page()->data.begin());
+  std::copy(data.begin(), data.end(), map.page()->mutable_bytes().begin());
   return true;
 }
 

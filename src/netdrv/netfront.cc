@@ -231,7 +231,7 @@ void Netfront::Output(const EthernetFrame& frame) {
   bytes.clear();
   SerializeEthernetInto(frame, &bytes);
   KITE_CHECK(bytes.size() <= kPageSize) << "frame exceeds page";
-  std::copy(bytes.begin(), bytes.end(), slot.page->data.begin());
+  std::copy(bytes.begin(), bytes.end(), slot.page->mutable_bytes().begin());
 
   const SimTime now = hv_->executor()->Now();
   slot.submit_ns = now.ns();
@@ -318,8 +318,8 @@ void Netfront::ProcessRxResponses() {
         CpuScope cpu_scope(KITE_CPU_CATEGORY("netfront/io"));
         guest_->vcpu(0)->Charge(frame_cost_);
       }
-      auto frame = ParseEthernet(std::span<const uint8_t>(
-          slot.page->data.data() + rsp.offset, static_cast<size_t>(rsp.size)));
+      auto frame = ParseEthernet(
+          slot.page->bytes().subspan(rsp.offset, static_cast<size_t>(rsp.size)));
       if (!frame.has_value()) {
         rx_errors_->Inc();
         continue;

@@ -211,6 +211,88 @@ TEST(BytesTest, ChecksumOddLength) {
   EXPECT_EQ(InternetChecksum(data), InternetChecksum(data));
 }
 
+// One's-complement fold of a wide sum, complemented: the checksum's last step.
+uint16_t FoldComplement(uint64_t sum) {
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum);
+}
+
+// The byte-pair RFC 1071 sum that the word-wise InternetChecksum replaced;
+// kept as the reference it must match bit for bit. Byte i is the high half
+// of a big-endian word when i is even.
+uint64_t ReferenceByteValue(std::span<const uint8_t> data, size_t i) {
+  return i % 2 == 0 ? static_cast<uint64_t>(data[i]) << 8 : data[i];
+}
+
+uint16_t ReferenceChecksum(std::span<const uint8_t> data, uint32_t initial) {
+  uint64_t sum = initial;
+  for (size_t i = 0; i < data.size(); ++i) {
+    sum += ReferenceByteValue(data, i);
+  }
+  return FoldComplement(sum);
+}
+
+TEST(BytesTest, InternetChecksumMatchesBytewiseReference) {
+  constexpr size_t kMaxLen = 65535;
+  constexpr size_t kMaxShift = 7;  // Start offsets 0..7: every alignment.
+  Rng rng(1071);
+  Buffer random(kMaxLen + kMaxShift);
+  for (auto& b : random) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  const Buffer zeros(kMaxLen + kMaxShift, 0x00);
+  const Buffer ones(kMaxLen + kMaxShift, 0xff);
+  // 0x2a0e5 is a UDP pseudo-header sum: wider than 16 bits, as callers pass.
+  const uint32_t initials[] = {0, 1, 0xffff, 0x2a0e5, 0xffffffff};
+
+  EXPECT_EQ(InternetChecksum(Buffer{}), 0xffff);  // No bytes, null data().
+
+  // Every length 0..65,535 from an odd start, against a running reference
+  // sum over the growing prefix.
+  const auto unaligned = std::span<const uint8_t>(random).subspan(3, kMaxLen);
+  uint64_t prefix = 0;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    if (len > 0) {
+      prefix += ReferenceByteValue(unaligned, len - 1);
+    }
+    ASSERT_EQ(InternetChecksum(unaligned.first(len), 0x2a0e5), FoldComplement(prefix + 0x2a0e5))
+        << "length " << len;
+  }
+
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 1500; ++len) {
+    lengths.push_back(len);
+  }
+  for (size_t len = 1501; len < kMaxLen - 2; len += 509) {
+    lengths.push_back(len);
+  }
+  for (size_t len : {kMaxLen - 2, kMaxLen - 1, kMaxLen}) {
+    lengths.push_back(len);
+  }
+  for (size_t len : lengths) {
+    const size_t shift = len % (kMaxShift + 1);
+    const uint32_t initial = initials[len % std::size(initials)];
+    const auto span = std::span<const uint8_t>(random).subspan(shift, len);
+    ASSERT_EQ(InternetChecksum(span, initial), ReferenceChecksum(span, initial))
+        << "random data, length " << len << ", shift " << shift << ", initial " << initial;
+  }
+  for (const Buffer* fill : {&zeros, &ones}) {
+    for (size_t len : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{8},
+                       size_t{1499}, kMaxLen - 1, kMaxLen}) {
+      for (size_t shift = 0; shift <= kMaxShift; ++shift) {
+        for (uint32_t initial : initials) {
+          const auto span = std::span<const uint8_t>(*fill).subspan(shift, len);
+          ASSERT_EQ(InternetChecksum(span, initial), ReferenceChecksum(span, initial))
+              << "fill " << int{(*fill)[0]} << ", length " << len << ", shift " << shift
+              << ", initial " << initial;
+        }
+      }
+    }
+  }
+}
+
 TEST(BytesTest, Fnv1aDistinguishes) {
   Buffer a = {1, 2, 3};
   Buffer b = {1, 2, 4};

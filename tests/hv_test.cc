@@ -2,6 +2,8 @@
 // xenstore (permissions + watches), xenbus, PCI/IOMMU.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/base/bytes.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/xenbus.h"
@@ -48,12 +50,12 @@ TEST_F(HvTest, GrantMapRespectsOwnership) {
   Domain* peer = hv_.CreateDomain("peer", 1, 512);
   Domain* other = hv_.CreateDomain("other", 1, 512);
   PageRef page = AllocPage();
-  page->data[0] = 0x42;
+  page->mutable_bytes()[0] = 0x42;
   GrantRef ref = owner->grant_table().GrantAccess(peer->id(), page, false);
 
   MappedGrant good = hv_.GrantMap(peer, owner->id(), ref, true);
   ASSERT_TRUE(good.valid());
-  EXPECT_EQ(good.page()->data[0], 0x42);
+  EXPECT_EQ(good.page()->bytes()[0], 0x42);
 
   // A third domain may not map someone else's grant.
   MappedGrant bad = hv_.GrantMap(other, owner->id(), ref, false);
@@ -97,8 +99,8 @@ TEST_F(HvTest, GrantCopyMovesBytesAndChecksBounds) {
 
   Buffer src = {1, 2, 3, 4, 5};
   EXPECT_TRUE(hv_.GrantCopyToGranted(peer, owner->id(), ref, 100, src));
-  EXPECT_EQ(page->data[100], 1);
-  EXPECT_EQ(page->data[104], 5);
+  EXPECT_EQ(page->bytes()[100], 1);
+  EXPECT_EQ(page->bytes()[104], 5);
 
   Buffer dst(5);
   EXPECT_TRUE(hv_.GrantCopyFromGranted(peer, owner->id(), ref, 100, dst));
@@ -107,6 +109,50 @@ TEST_F(HvTest, GrantCopyMovesBytesAndChecksBounds) {
   // Out of bounds.
   Buffer big(kPageSize);
   EXPECT_FALSE(hv_.GrantCopyToGranted(peer, owner->id(), ref, 1, big));
+}
+
+// --- Lazily backed pages. ---
+
+TEST_F(HvTest, UntouchedPageReadsZerosWithoutStorage) {
+  Domain* owner = hv_.CreateDomain("owner", 1, 512);
+  Domain* peer = hv_.CreateDomain("peer", 1, 512);
+  PageRef page = AllocPage();
+  EXPECT_FALSE(page->backed());
+  EXPECT_EQ(page->bytes().size(), kPageSize);
+  EXPECT_TRUE(std::all_of(page->bytes().begin(), page->bytes().end(),
+                          [](uint8_t b) { return b == 0; }));
+
+  GrantRef ref = owner->grant_table().GrantAccess(peer->id(), page, false);
+  Buffer dst(kPageSize, 0xee);
+  ASSERT_TRUE(hv_.GrantCopyFromGranted(peer, owner->id(), ref, 0, dst));
+  EXPECT_EQ(dst, Buffer(kPageSize, 0));
+  {
+    MappedGrant map = hv_.GrantMap(peer, owner->id(), ref, /*write_access=*/true);
+    ASSERT_TRUE(map.valid());
+    EXPECT_EQ(map.page()->bytes()[kPageSize - 1], 0);  // A read through a writable map.
+  }
+  EXPECT_FALSE(page->backed());
+}
+
+TEST_F(HvTest, WriteBacksOnlyTheWrittenPage) {
+  Domain* owner = hv_.CreateDomain("owner", 1, 512);
+  Domain* peer = hv_.CreateDomain("peer", 1, 512);
+  PageRef written = AllocPage();
+  PageRef untouched = AllocPage();
+  GrantRef ref = owner->grant_table().GrantAccess(peer->id(), written, false);
+  owner->grant_table().GrantAccess(peer->id(), untouched, false);
+
+  Buffer src = {7, 8, 9};
+  ASSERT_TRUE(hv_.GrantCopyToGranted(peer, owner->id(), ref, 10, src));
+  EXPECT_TRUE(written->backed());
+  EXPECT_FALSE(untouched->backed());
+  // The rest of the newly backed page is still zero.
+  EXPECT_EQ(written->bytes()[9], 0);
+  EXPECT_EQ(written->bytes()[10], 7);
+  EXPECT_EQ(written->bytes()[12], 9);
+  EXPECT_EQ(written->bytes()[13], 0);
+  EXPECT_TRUE(std::all_of(untouched->bytes().begin(), untouched->bytes().end(),
+                          [](uint8_t b) { return b == 0; }));
 }
 
 TEST_F(HvTest, GrantCopyToReadonlyFails) {

@@ -247,6 +247,143 @@ TEST(FragmentTest, InterleavedDatagramsKeptApart) {
   EXPECT_EQ(reasm.pending_count(), 0u);
 }
 
+// --- Reassembly rules: one case per rule, each a script of fragments. ---
+
+// One fragment, cut as the byte range [begin, end) of the case's serialized
+// UDP datagram (zeros past its end).
+struct FragStep {
+  uint16_t id;
+  size_t begin;
+  size_t end;
+  bool more;
+};
+
+// Fragments a datagram of `l4_bytes` the way FragmentIpv4 does.
+std::vector<FragStep> Split(uint16_t id, size_t l4_bytes) {
+  std::vector<FragStep> steps;
+  for (size_t off = 0; off < l4_bytes; off += 1480) {
+    const size_t end = std::min(off + 1480, l4_bytes);
+    steps.push_back({id, off, end, end < l4_bytes});
+  }
+  return steps;
+}
+
+struct ReassemblyCase {
+  const char* name;
+  size_t udp_payload;  // Every id carries the same datagram.
+  std::vector<FragStep> steps;
+  size_t max_pending;
+  std::vector<uint16_t> delivered;  // Ids completed, in order.
+  uint64_t duplicates;
+  uint64_t overlaps;
+  uint64_t oversized;
+  uint64_t length_conflicts;
+  uint64_t evicted;
+  size_t pending;  // Partial datagrams left at the end.
+};
+
+void PrintTo(const ReassemblyCase& c, std::ostream* os) { *os << c.name; }
+
+// A 4,000-byte UDP payload is 4,008 L4 bytes: fragments [0,1480), [1480,2960)
+// and the last one [2960,4008).
+const ReassemblyCase kReassemblyCases[] = {
+    {"in_order", 4000, Split(1, 4008), 256, {1}, 0, 0, 0, 0, 0, 0},
+    {"overlap_with_earlier_fragment_drops_datagram", 4000,
+     {{1, 0, 1480, true}, {1, 1000, 2000, true}, {1, 1480, 2960, true}, {1, 2960, 4008, false}},
+     256, {}, 0, 1, 0, 0, 0, 1},
+    {"overlap_with_later_fragment_drops_datagram", 4000,
+     {{1, 1480, 2960, true}, {1, 0, 1488, true}, {1, 2960, 4008, false}},
+     256, {}, 0, 1, 0, 0, 0, 1},
+    {"fragment_inside_held_one_drops_datagram", 4000,
+     {{1, 0, 1480, true}, {1, 8, 16, true}, {1, 1480, 2960, true}},
+     256, {}, 0, 1, 0, 0, 0, 1},
+    {"exact_duplicate_delivered_once", 4000,
+     {{1, 0, 1480, true}, {1, 1480, 2960, true}, {1, 0, 1480, true}, {1, 2960, 4008, false}},
+     256, {1}, 1, 0, 0, 0, 0, 0},
+    {"duplicate_last_fragment_delivered_once", 4000,
+     {{1, 2960, 4008, false}, {1, 2960, 4008, false}, {1, 0, 1480, true},
+      {1, 1480, 2960, true}},
+     256, {1}, 1, 0, 0, 0, 0, 0},
+    // 20 header bytes + 65,515 L4 bytes = 65,535: the largest datagram.
+    {"max_size_accepted", 65507, Split(1, 65515), 256, {1}, 0, 0, 0, 0, 0, 0},
+    // One byte more: the last fragment ends at 65,516 and the datagram goes.
+    {"one_byte_over_max_rejected", 65508, Split(1, 65516), 256, {}, 0, 0, 1, 0, 0, 0},
+    {"offset_past_max_rejected", 4000, {{1, 0, 1480, true}, {1, 65528, 65536, true}},
+     256, {}, 0, 0, 1, 0, 0, 0},
+    {"conflicting_last_fragments_drop_datagram", 4000,
+     {{1, 0, 1480, true}, {1, 2960, 4008, false}, {1, 2960, 4000, false},
+      {1, 1480, 2960, true}},
+     256, {}, 0, 0, 0, 1, 0, 1},
+    {"last_fragment_before_held_bytes_drops_datagram", 4000,
+     {{1, 2960, 4008, true}, {1, 1480, 2960, false}, {1, 0, 1480, true}},
+     256, {}, 0, 0, 0, 1, 0, 1},
+    {"fragment_past_final_length_drops_datagram", 4000,
+     {{1, 2960, 4008, false}, {1, 4008, 4016, true}, {1, 0, 1480, true}},
+     256, {}, 0, 0, 0, 1, 0, 1},
+    {"empty_fragment_drops_datagram", 4000,
+     {{1, 0, 1480, true}, {1, 1480, 1480, true}, {1, 1480, 2960, true}},
+     256, {}, 0, 0, 0, 1, 0, 1},
+    // With room for two, the third datagram evicts the one started first:
+    // id 65535, not id 0, the smallest key after the wrap.
+    {"fifo_eviction_across_id_wrap", 4000,
+     {{65535, 0, 1480, true}, {0, 0, 1480, true}, {1, 0, 1480, true},
+      {0, 1480, 2960, true}, {0, 2960, 4008, false},
+      {1, 1480, 2960, true}, {1, 2960, 4008, false},
+      {65535, 1480, 2960, true}, {65535, 2960, 4008, false}},
+     2, {0, 1}, 0, 0, 0, 0, 1, 1},
+};
+
+class ReassemblyRules : public ::testing::TestWithParam<ReassemblyCase> {};
+
+TEST_P(ReassemblyRules, Outcome) {
+  const ReassemblyCase& c = GetParam();
+  UdpDatagram udp;
+  udp.src_port = 7;
+  udp.dst_port = 9;
+  udp.payload.resize(c.udp_payload);
+  for (size_t i = 0; i < udp.payload.size(); ++i) {
+    udp.payload[i] = static_cast<uint8_t>(i * 131 + 17);
+  }
+  const Buffer l4 = SerializeUdp(udp, kIpA, kIpB);
+
+  Ipv4Reassembler reasm;
+  reasm.set_max_pending(c.max_pending);
+  std::vector<uint16_t> delivered;
+  for (const FragStep& step : c.steps) {
+    Ipv4Packet frag;
+    frag.src = kIpA;
+    frag.dst = kIpB;
+    frag.proto = kIpProtoUdp;
+    frag.id = step.id;
+    frag.frag_offset = static_cast<uint16_t>(step.begin);
+    frag.more_frags = step.more;
+    Buffer bytes(step.end - step.begin, 0);
+    for (size_t i = step.begin; i < std::min(step.end, l4.size()); ++i) {
+      bytes[i - step.begin] = l4[i];
+    }
+    frag.l4 = RawL4{std::move(bytes)};
+    auto whole = reasm.Add(frag);
+    EXPECT_LE(reasm.pending_count(), c.max_pending);
+    if (whole.has_value()) {
+      const UdpDatagram* out = std::get_if<UdpDatagram>(&whole->l4);
+      ASSERT_NE(out, nullptr);
+      EXPECT_EQ(out->payload, udp.payload);
+      EXPECT_LE(whole->ByteSize(), kMaxIpv4DatagramBytes);
+      delivered.push_back(whole->id);
+    }
+  }
+  EXPECT_EQ(delivered, c.delivered);
+  EXPECT_EQ(reasm.duplicates(), c.duplicates);
+  EXPECT_EQ(reasm.overlaps(), c.overlaps);
+  EXPECT_EQ(reasm.oversized(), c.oversized);
+  EXPECT_EQ(reasm.length_conflicts(), c.length_conflicts);
+  EXPECT_EQ(reasm.evicted(), c.evicted);
+  EXPECT_EQ(reasm.pending_count(), c.pending);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fragments, ReassemblyRules, ::testing::ValuesIn(kReassemblyCases),
+                         [](const auto& info) { return std::string(info.param.name); });
+
 // --- NIC + link. ---
 
 class NicPairTest : public ::testing::Test {

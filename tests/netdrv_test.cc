@@ -59,6 +59,38 @@ TEST(NetdrvTest, OutputBeforeConnectIsDropped) {
   ex.RunUntilIdle();
 }
 
+TEST(NetdrvTest, RxParseOfUntouchedPageLeavesItUnbacked) {
+  Executor ex;
+  Hypervisor hv(&ex);
+  Domain* guest = hv.CreateDomain("g", 1, 512);
+  Domain* backend = hv.CreateDomain("be", 1, 512);
+  guest->set_online(true);
+  backend->set_online(true);
+  Netfront front(guest, backend->id(), /*devid=*/0, MacAddr::FromId(9));
+  // Play a backend that answers the first Rx request without copying a frame
+  // into its page: the frontend parses the page's zero bytes.
+  const std::string fe = FrontendPath(guest->id(), "vif", 0);
+  const auto rx_ring_ref = hv.store().ReadInt(kDom0, fe + "/rx-ring-ref");
+  const auto port = hv.store().ReadInt(kDom0, fe + "/event-channel");
+  ASSERT_TRUE(rx_ring_ref.has_value() && port.has_value());
+  MappedGrant ring_map =
+      hv.GrantMap(backend, guest->id(), static_cast<GrantRef>(*rx_ring_ref), true);
+  ASSERT_TRUE(ring_map.valid());
+  NetRxBackRing ring(ring_map.page()->As<NetRxSharedRing>());
+  ASSERT_TRUE(ring.HasUnconsumedRequests());
+  const NetRxRequest req = ring.ConsumeRequest();
+  ring.ProduceResponse(NetRxResponse{req.id, /*offset=*/0, /*size=*/64});
+  ring.PushResponses();
+  const EvtPort local =
+      hv.EventBindInterdomain(backend, guest->id(), static_cast<EvtPort>(*port));
+  hv.EventSend(backend, local);
+  ex.RunUntilIdle();
+  EXPECT_EQ(front.rx_errors(), 1u);  // 64 zero bytes are not an Ethernet frame.
+  MappedGrant data = hv.GrantMap(backend, guest->id(), req.gref, false);
+  ASSERT_TRUE(data.valid());
+  EXPECT_FALSE(data.page()->backed());
+}
+
 TEST(NetdrvTest, NotificationAvoidanceBatchesEvents) {
   KiteSystem sys;
   NetworkDomain* nd = sys.CreateNetworkDomain();

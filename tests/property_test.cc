@@ -235,6 +235,127 @@ TEST_P(FragFuzz, FragmentReassembleIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FragFuzz, ::testing::Range(1, FuzzSeedEnd(5)));
 
+// --- Hostile fragments interleaved with clean datagrams. ---
+
+class FragAbuseFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(FragAbuseFuzz, CleanDatagramsSurviveHostileFragments) {
+  constexpr size_t kMaxPending = 16;
+  // Fewer new partial datagrams than the cap while a clean one is in flight,
+  // so FIFO aging can never evict it: only hostile datagrams age out.
+  constexpr size_t kHostilePerClean = kMaxPending - 2;
+  const Ipv4Addr clean_src = Ipv4Addr::FromOctets(10, 0, 0, 1);
+  const Ipv4Addr hostile_src = Ipv4Addr::FromOctets(10, 0, 0, 66);
+  const Ipv4Addr dst = Ipv4Addr::FromOctets(10, 0, 0, 2);
+  Rng rng(GetParam());
+  Ipv4Reassembler reasm;
+  reasm.set_max_pending(kMaxPending);
+  std::vector<Ipv4Packet> hostile_sent;
+
+  auto make_hostile = [&]() {
+    const uint64_t kind = rng.NextBelow(4);
+    if (kind == 0 && !hostile_sent.empty()) {
+      return hostile_sent[rng.NextBelow(hostile_sent.size())];  // Exact duplicate.
+    }
+    Ipv4Packet f;
+    f.src = hostile_src;
+    f.dst = dst;
+    f.proto = rng.NextBool(0.8) ? kIpProtoUdp : static_cast<uint8_t>(rng.NextBelow(256));
+    // Twice as many ids as the cap: partial datagrams must age out.
+    f.id = static_cast<uint16_t>(rng.NextBelow(2 * kMaxPending));
+    size_t offset = 0;
+    size_t len = 0;
+    if (kind == 1) {  // Ends past the 65,535-byte datagram.
+      offset = 65528 - 8 * rng.NextBelow(8);
+      len = 44 + rng.NextBelow(1480);
+    } else if (kind == 2) {  // Piles up near the start: overlaps.
+      offset = 8 * rng.NextBelow(4);
+      len = rng.NextBelow(2000);
+    } else {  // Anywhere in the datagram, sometimes past its end.
+      offset = 8 * rng.NextBelow(8192);
+      len = rng.NextBelow(1480);
+    }
+    f.frag_offset = static_cast<uint16_t>(offset);
+    f.more_frags = rng.NextBool(0.7);
+    Buffer bytes(len);
+    for (auto& b : bytes) {
+      b = static_cast<uint8_t>(rng.NextU64());
+    }
+    f.l4 = RawL4{std::move(bytes)};
+    if (hostile_sent.size() < 64) {
+      hostile_sent.push_back(f);
+    } else {
+      hostile_sent[rng.NextBelow(hostile_sent.size())] = f;
+    }
+    return f;
+  };
+
+  for (int i = 0; i < 50; ++i) {
+    Ipv4Packet p;
+    p.src = clean_src;
+    p.dst = dst;
+    p.proto = kIpProtoUdp;
+    p.id = static_cast<uint16_t>(i);
+    UdpDatagram u;
+    u.src_port = 1;
+    u.dst_port = 2;
+    u.payload.resize(1 + rng.NextBelow(20000));
+    for (auto& b : u.payload) {
+      b = static_cast<uint8_t>(rng.NextU64());
+    }
+    const Buffer payload = u.payload;
+    p.l4 = std::move(u);
+
+    // The clean fragments shuffled, then exact copies of a few of them placed
+    // before the final one: the datagram completes on its final fragment
+    // with every copy already seen. Hostile fragments go anywhere.
+    std::vector<Ipv4Packet> script = FragmentIpv4(p);
+    for (size_t k = script.size(); k > 1; --k) {
+      std::swap(script[k - 1], script[rng.NextBelow(k)]);
+    }
+    std::vector<Ipv4Packet> copies;
+    for (size_t k = 0; k + 1 < script.size(); ++k) {
+      if (rng.NextBool(0.2)) {
+        copies.push_back(script[k]);
+      }
+    }
+    for (Ipv4Packet& copy : copies) {
+      script.insert(script.begin() + static_cast<std::ptrdiff_t>(rng.NextBelow(script.size())),
+                    std::move(copy));
+    }
+    for (size_t k = 0; k < kHostilePerClean; ++k) {
+      script.insert(script.begin() + static_cast<std::ptrdiff_t>(rng.NextBelow(script.size() + 1)),
+                    make_hostile());
+    }
+
+    int delivered = 0;
+    for (const Ipv4Packet& frag : script) {
+      auto out = reasm.Add(frag);
+      ASSERT_LE(reasm.pending_count(), kMaxPending);
+      if (!out.has_value()) {
+        continue;
+      }
+      ASSERT_LE(out->ByteSize(), kMaxIpv4DatagramBytes);
+      if (out->src == clean_src) {
+        ++delivered;
+        const UdpDatagram* udp = std::get_if<UdpDatagram>(&out->l4);
+        ASSERT_NE(udp, nullptr);
+        ASSERT_EQ(out->id, p.id);
+        ASSERT_EQ(udp->payload, payload) << "datagram " << i;
+      }
+    }
+    ASSERT_EQ(delivered, 1) << "datagram " << i << " of " << payload.size() << " bytes";
+  }
+  // Every rule fired at least once.
+  EXPECT_GT(reasm.duplicates(), 0u);
+  EXPECT_GT(reasm.overlaps(), 0u);
+  EXPECT_GT(reasm.oversized(), 0u);
+  EXPECT_GT(reasm.length_conflicts(), 0u);
+  EXPECT_GT(reasm.evicted(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FragAbuseFuzz, ::testing::Range(1, FuzzSeedEnd(5)));
+
 // --- ROP scanner determinism and monotonicity. ---
 
 TEST(RopPropertyTest, ScanIsDeterministic) {
