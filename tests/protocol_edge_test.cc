@@ -176,6 +176,12 @@ struct NetAblation {
   bool use_hv_copy;
 };
 
+// gtest lists each test with its printed parameter, and CTest's discovered
+// test names include that text. Without this gtest would dump the struct's
+// bytes — the name pointer, which ASLR moves on every run, and uninitialised
+// padding — so the names would change from one build to the next.
+void PrintTo(const NetAblation& ablation, std::ostream* os) { *os << ablation.name; }
+
 class MisbehavingNetFrontend : public ::testing::TestWithParam<NetAblation> {
  protected:
   static constexpr int kDevid = 0;
