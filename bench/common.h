@@ -15,10 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/histogram.h"
 #include "src/base/stats.h"
 #include "src/base/strings.h"
 #include "src/core/kite.h"
-#include "src/obs/latency.h"
 #include "src/workloads/fs.h"
 
 namespace kite {
@@ -132,26 +132,6 @@ inline const char* PersLabel(OsKind os) { return os == OsKind::kKiteRumprun ? "K
 // topology, and the git SHA of the tree that produced the numbers, so CI and
 // regression tooling parse JSON instead of scraping stdout.
 
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Commit the numbers were produced at: $KITE_GIT_SHA / $GITHUB_SHA when set
 // (CI), else `git rev-parse HEAD`, else "unknown".
 inline std::string BenchGitSha() {
@@ -185,9 +165,9 @@ inline LatencyHistogram HistogramFromMsSamples(const Stats& s) {
   return h;
 }
 
-// Writes an auxiliary machine-readable artifact (e.g. BENCH_profile.json,
-// already-serialized JSON) next to the BenchReport output, honouring
-// $KITE_BENCH_DIR the same way Write() does.
+// Writes a machine-readable artifact (BENCH_<figure>.json, or an auxiliary
+// one such as BENCH_profile.json) into $KITE_BENCH_DIR when set, else the
+// working directory, and prints the path.
 inline bool WriteBenchArtifact(const std::string& filename, const std::string& content) {
   std::string path = filename;
   if (const char* dir = std::getenv("KITE_BENCH_DIR"); dir != nullptr && dir[0] != '\0') {
@@ -290,10 +270,6 @@ class BenchReport {
 
   // Writes BENCH_<figure>.json; prints the path so humans can find it too.
   bool Write() const {
-    std::string path = "BENCH_" + figure_ + ".json";
-    if (const char* dir = std::getenv("KITE_BENCH_DIR"); dir != nullptr && dir[0] != '\0') {
-      path = std::string(dir) + "/" + path;
-    }
     std::string json = "{\n";
     json += StrFormat("  \"figure\": \"%s\",\n", JsonEscape(figure_).c_str());
     json += StrFormat("  \"title\": \"%s\",\n", JsonEscape(title_).c_str());
@@ -314,15 +290,8 @@ class BenchReport {
       AppendArray(&json, "timelines", timelines_, /*trailing_comma=*/false);
     }
     json += "}\n";
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "BENCH: cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path.c_str());
-    return true;
+    std::printf("\n");
+    return WriteBenchArtifact("BENCH_" + figure_ + ".json", json);
   }
 
  private:

@@ -75,12 +75,41 @@ int64_t ParseDecimal(std::string_view s) {
     if (c < '0' || c > '9') {
       return -1;
     }
-    value = value * 10 + (c - '0');
-    if (value < 0) {
-      return -1;  // Overflow.
+    const int digit = c - '0';
+    if (value > (INT64_MAX - digit) / 10) {
+      return -1;  // value * 10 + digit would overflow.
     }
+    value = value * 10 + digit;
   }
   return value;
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace kite

@@ -1,9 +1,11 @@
 // Small string utilities (libstdc++ 12 lacks std::format, so we provide a
-// printf-style StrFormat plus path/split helpers used by the xenstore).
+// printf-style StrFormat plus path/split helpers used by the xenstore, and
+// the one JSON string escaper every exporter shares).
 #ifndef SRC_BASE_STRINGS_H_
 #define SRC_BASE_STRINGS_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,8 +28,13 @@ bool HasPrefix(std::string_view s, std::string_view prefix);
 // terms ("/a/b" is under "/a" but "/ab" is not).
 bool PathIsUnder(std::string_view path, std::string_view prefix);
 
-// Parses a non-negative decimal integer; returns -1 on malformed input.
+// Parses a non-negative decimal integer; returns -1 on malformed input or
+// when the value does not fit in an int64_t.
 int64_t ParseDecimal(std::string_view s);
+
+// Escapes `s` for use inside a JSON string literal: quote, backslash, \n and
+// \t get their short escapes, other control bytes become \u00XX.
+std::string JsonEscape(const std::string& s);
 
 }  // namespace kite
 

@@ -12,6 +12,24 @@
 #include "src/obs/profile.h"
 
 namespace kite {
+namespace {
+
+// Writes one env-requested export (KITE_TIMELINE, KITE_PROFILE, KITE_CPU) at
+// teardown, or warns; an empty path means the variable was unset.
+template <typename Render>
+void WriteEnvArtifact(const std::string& path, const char* what, Render render) {
+  if (path.empty()) {
+    return;
+  }
+  std::ofstream out(path);
+  if (out) {
+    out << render();
+  } else {
+    KITE_LOG(Warning) << "cannot write " << what << " to " << path;
+  }
+}
+
+}  // namespace
 
 KiteSystem::KiteSystem(Params params)
     : params_(params),
@@ -26,8 +44,9 @@ KiteSystem::KiteSystem(Params params)
   faults_.set_recorder(&recorder_);
   // Health verdicts are published into xenstore next to the device state, so
   // a stalled backend is visible to the same tooling that watches xenbus.
-  health_.set_publisher([this](int32_t dom, const std::string& device,
-                               HealthState state) {
+  // Subscribing first puts this ahead of every other subscriber.
+  health_.Subscribe([this](int32_t dom, const std::string& device, HealthState,
+                           HealthState state) {
     if (hv_->domain(static_cast<DomId>(dom)) == nullptr) {
       return;  // Transition raced with domain teardown.
     }
@@ -73,30 +92,10 @@ KiteSystem::~KiteSystem() {
   if (!trace_env_path_.empty()) {
     DumpTrace(trace_env_path_);
   }
-  if (!timeline_env_path_.empty()) {
-    std::ofstream out(timeline_env_path_);
-    if (out) {
-      out << sampler_.ToJson();
-    } else {
-      KITE_LOG(Warning) << "cannot write timeline to " << timeline_env_path_;
-    }
-  }
-  if (!profile_env_path_.empty()) {
-    std::ofstream out(profile_env_path_);
-    if (out) {
-      out << DispatchProfileJson(executor_);
-    } else {
-      KITE_LOG(Warning) << "cannot write dispatch profile to " << profile_env_path_;
-    }
-  }
-  if (!cpu_env_path_.empty()) {
-    std::ofstream out(cpu_env_path_);
-    if (out) {
-      out << CpuReportJson();
-    } else {
-      KITE_LOG(Warning) << "cannot write cpu report to " << cpu_env_path_;
-    }
-  }
+  WriteEnvArtifact(timeline_env_path_, "timeline", [this] { return sampler_.ToJson(); });
+  WriteEnvArtifact(profile_env_path_, "dispatch profile",
+                   [this] { return DispatchProfileJson(executor_); });
+  WriteEnvArtifact(cpu_env_path_, "cpu report", [this] { return CpuReportJson(); });
 }
 
 void KiteSystem::EnableCpuAttribution() {

@@ -82,7 +82,7 @@ std::string FormatCpuAttribution(const std::vector<CpuActor>& actors, SimTime no
       continue;
     }
     const CpuLedger& ledger = *cpu.ledger();
-    const CpuWaitHistogram& wait = ledger.wait_hist;
+    const LatencyHistogram& wait = ledger.wait_hist;
     out += StrFormat(
         "  wait p50 %s p99 %s max %s (n=%llu)\n",
         FormatUs(wait.Percentile(50)).c_str(), FormatUs(wait.Percentile(99)).c_str(),
@@ -135,7 +135,7 @@ std::string CpuReportJson(const std::vector<CpuActor>& actors, SimTime now) {
         static_cast<unsigned long long>(cpu.busy_total().ns()), util);
     if (cpu.attribution_enabled()) {
       const CpuLedger& ledger = *cpu.ledger();
-      const CpuWaitHistogram& wait = ledger.wait_hist;
+      const LatencyHistogram& wait = ledger.wait_hist;
       json += StrFormat(
           ",\n     \"wait\": {\"count\": %llu, \"total_ns\": %llu, "
           "\"max_ns\": %llu, \"p50_ns\": %llu, \"p90_ns\": %llu, "

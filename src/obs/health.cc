@@ -137,9 +137,6 @@ void HealthMonitor::ProbeInstance(Instance& inst) {
     }
     const HealthState old = inst.state;
     inst.state = next;
-    if (publisher_) {
-      publisher_(inst.dom, inst.device, next);
-    }
     if (!subscribers_.empty()) {
       // Snapshot so an Unsubscribe posted (not executed) by a callback can
       // never invalidate the iteration; ids keep dispatch order stable.

@@ -11,12 +11,12 @@
 //
 // that collapses back to healthy the moment progress resumes or the backlog
 // drains. Transitions are counted in the MetricRegistry, recorded in the
-// flight recorder, and published (via a callback KiteSystem wires to
-// xenstore) so a wedged ring is visible long before a WaitUntil timeout
-// fires. Thresholds are multiples of the probe period; defaults are generous
-// enough that normal device latency never trips them (the CI watchdog job
-// proves a full explore lifecycle stays silent even with pathologically
-// tight values).
+// flight recorder, and dispatched to subscribers (KiteSystem's, which
+// publishes into xenstore, comes first) so a wedged ring is visible long
+// before a WaitUntil timeout fires. Thresholds are multiples of the probe
+// period; defaults are generous enough that normal device latency never
+// trips them (the CI watchdog job proves a full explore lifecycle stays
+// silent even with pathologically tight values).
 #ifndef SRC_OBS_HEALTH_H_
 #define SRC_OBS_HEALTH_H_
 
@@ -61,10 +61,7 @@ struct HealthParams {
 class HealthMonitor {
  public:
   using Sampler = std::function<HealthSample()>;
-  // (backend dom, device, new state) — KiteSystem publishes into xenstore.
-  using Publisher = std::function<void(int32_t dom, const std::string& device,
-                                       HealthState state)>;
-  // Transition subscribers additionally see the state being left, which is
+  // (backend dom, device, state being left, new state). The old state is
   // what a policy engine needs for hysteresis decisions.
   using Subscriber = std::function<void(int32_t dom, const std::string& device,
                                         HealthState old_state, HealthState new_state)>;
@@ -75,13 +72,11 @@ class HealthMonitor {
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  void set_publisher(Publisher publisher) { publisher_ = std::move(publisher); }
-
-  // Observes every state transition without displacing the publisher or any
-  // other subscriber. Dispatch order is deterministic: the publisher first,
-  // then subscribers in subscription order. Callbacks run inside the probe —
-  // they must not Register/Unregister/Subscribe synchronously; defer any
-  // reaction through the executor. The returned id unsubscribes.
+  // Observes every state transition without displacing any other
+  // subscriber. Dispatch order is deterministic: subscription order, and
+  // KiteSystem subscribes first in its constructor. Callbacks run inside the
+  // probe — they must not Register/Unregister/Subscribe synchronously; defer
+  // any reaction through the executor. The returned id unsubscribes.
   int64_t Subscribe(Subscriber subscriber);
   void Unsubscribe(int64_t id);
   int subscriber_count() const { return static_cast<int>(subscribers_.size()); }
@@ -151,7 +146,6 @@ class HealthMonitor {
   MetricRegistry* metrics_;
   FlightRecorder* recorder_;
   HealthParams params_;
-  Publisher publisher_;
   // Subscription order == dispatch order (std::map iterates ids ascending).
   std::map<int64_t, Subscriber> subscribers_;
   int64_t next_subscriber_id_ = 1;

@@ -17,9 +17,6 @@ MetricRegistry::Cell* MetricRegistry::GetOrCreate(const MetricKey& key, Kind kin
       case Kind::kGauge:
         cell.gauge = std::make_unique<Gauge>();
         break;
-      case Kind::kHistogram:
-        cell.histogram = std::make_unique<Histogram>();
-        break;
       case Kind::kLatency:
         cell.latency = std::make_unique<LatencyHistogram>();
         break;
@@ -40,11 +37,6 @@ Counter* MetricRegistry::counter(const std::string& domain, const std::string& d
 Gauge* MetricRegistry::gauge(const std::string& domain, const std::string& device,
                              const std::string& name) {
   return GetOrCreate({domain, device, name}, Kind::kGauge)->gauge.get();
-}
-
-Histogram* MetricRegistry::histogram(const std::string& domain, const std::string& device,
-                                     const std::string& name) {
-  return GetOrCreate({domain, device, name}, Kind::kHistogram)->histogram.get();
 }
 
 LatencyHistogram* MetricRegistry::latency(const std::string& domain,
@@ -68,12 +60,6 @@ std::vector<MetricRegistry::Sample> MetricRegistry::Snapshot(bool skip_zero) con
         break;
       case Kind::kGauge:
         s.value = cell.gauge->value();
-        break;
-      case Kind::kHistogram:
-        s.value = cell.histogram->mean();
-        s.count = cell.histogram->count();
-        s.min = cell.histogram->min();
-        s.max = cell.histogram->max();
         break;
       case Kind::kLatency:
         s.value = cell.latency->mean();
@@ -109,10 +95,6 @@ std::string MetricRegistry::FormatTable(bool skip_zero, const std::string& prefi
         break;
       case Kind::kGauge:
         out += StrFormat("  %-52s %12.2f\n", label.c_str(), s.value);
-        break;
-      case Kind::kHistogram:
-        out += StrFormat("  %-52s n=%llu mean=%.2f min=%.2f max=%.2f\n", label.c_str(),
-                         static_cast<unsigned long long>(s.count), s.value, s.min, s.max);
         break;
       case Kind::kLatency:
         out += StrFormat(

@@ -4,9 +4,10 @@
 // a bespoke accessor; bugs like "failed RX copies still counted as
 // delivered" were invisible because nothing exported the numbers uniformly.
 // The registry gives each metric a stable (domain, device, name) key and a
-// stable-address handle (`Counter*`, `Gauge*`, `Histogram*`) so hot paths
-// pay exactly one pointer-chase per update — the same cost as the old
-// member increments.
+// stable-address handle (`Counter*`, `Gauge*`, `LatencyHistogram*`) so hot
+// paths pay exactly one pointer-chase per update — the same cost as the old
+// member increments. The latency kind is the shared log-bucket histogram of
+// src/base/histogram.h.
 //
 // Conventions (DESIGN.md §8):
 //   domain  — who owns the number ("hv", "fault", or a domain name such as
@@ -23,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/latency.h"
+#include "src/base/histogram.h"
 
 namespace kite {
 
@@ -51,34 +52,6 @@ class Gauge {
   double value_ = 0;
 };
 
-// Streaming summary: count / sum / min / max. Enough for batch sizes and
-// request sizes without bucketing policy; full distributions belong in the
-// tracer.
-class Histogram {
- public:
-  void Record(double v) {
-    if (count_ == 0 || v < min_) {
-      min_ = v;
-    }
-    if (count_ == 0 || v > max_) {
-      max_ = v;
-    }
-    ++count_;
-    sum_ += v;
-  }
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ == 0 ? 0 : min_; }
-  double max() const { return count_ == 0 ? 0 : max_; }
-  double mean() const { return count_ == 0 ? 0 : sum_ / static_cast<double>(count_); }
-
- private:
-  uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
-
 struct MetricKey {
   std::string domain;
   std::string device;
@@ -95,27 +68,25 @@ class MetricRegistry {
 
   // Get-or-create: the same key always returns the same handle, and handles
   // stay valid for the registry's lifetime. A key may not change kind
-  // (counter vs gauge vs histogram); doing so aborts.
+  // (counter vs gauge vs latency); doing so aborts.
   Counter* counter(const std::string& domain, const std::string& device,
                    const std::string& name);
   Gauge* gauge(const std::string& domain, const std::string& device,
                const std::string& name);
-  Histogram* histogram(const std::string& domain, const std::string& device,
-                       const std::string& name);
   // Log-bucketed nanosecond distribution with percentile extraction; by
   // convention the metric name ends in `_ns`.
   LatencyHistogram* latency(const std::string& domain, const std::string& device,
                             const std::string& name);
 
-  enum class Kind { kCounter, kGauge, kHistogram, kLatency };
+  enum class Kind { kCounter, kGauge, kLatency };
 
   struct Sample {
     MetricKey key;
     Kind kind;
-    double value;     // Counter/gauge value; histogram/latency mean.
-    uint64_t count;   // Histogram/latency observation count; 0 otherwise.
-    double min = 0;   // Histogram/latency only.
-    double max = 0;   // Histogram/latency only.
+    double value;     // Counter/gauge value; latency mean.
+    uint64_t count;   // Latency observation count; 0 otherwise.
+    double min = 0;   // Latency only.
+    double max = 0;   // Latency only.
     uint64_t p50 = 0;   // Latency only (ns).
     uint64_t p90 = 0;   // Latency only (ns).
     uint64_t p99 = 0;   // Latency only (ns).
@@ -140,7 +111,6 @@ class MetricRegistry {
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<LatencyHistogram> latency;
   };
 

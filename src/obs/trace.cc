@@ -6,41 +6,6 @@
 
 namespace kite {
 
-namespace {
-
-// The trace uses compile-time category/name literals and domain names from
-// CreateDomain; escaping still keeps the JSON well-formed if a domain name
-// ever contains a quote or backslash.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 bool EventTracer::Admit(int pid, int tid, int64_t ts_ns) {
   if (events_.size() >= max_events_) {
     if (dropped_ == 0) {

@@ -1,6 +1,5 @@
 #include "src/sim/cpu.h"
 
-#include <cmath>
 #include <cstring>
 #include <mutex>
 
@@ -66,36 +65,6 @@ CpuScope::CpuScope(const CpuCategory* category) : saved_(g_current_category) {
 CpuScope::~CpuScope() { g_current_category = saved_; }
 
 uint32_t CurrentCpuCategory() { return g_current_category; }
-
-uint64_t CpuWaitHistogram::Percentile(double p) const {
-  if (count_ == 0) {
-    return 0;
-  }
-  if (p > 100) {
-    p = 100;
-  }
-  // Nearest rank: the smallest rank r (1-based) with r >= p% of count
-  // (identical to LatencyHistogram::Percentile so the two report alike).
-  uint64_t rank = static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(count_)));
-  if (rank < 1) {
-    rank = 1;
-  }
-  if (rank > count_) {
-    rank = count_;
-  }
-  // Implied zero bucket first (Record never stores zeros — see cpu.h).
-  uint64_t cumulative = count_ - nonzero_;
-  if (cumulative >= rank) {
-    return 0;
-  }
-  for (int i = 0; i < kNumBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= rank) {
-      return BucketLowerBound(i);
-    }
-  }
-  return max_;  // Unreachable: cumulative reaches count_.
-}
 
 SimTime Vcpu::Charge(SimDuration cost) {
   if (cost < SimDuration(0)) {

@@ -35,20 +35,18 @@
 // (BmkSched::Run(cost, category) does this internally for driver threads).
 //
 // Charge also measures the *run-queue wait* — the gap between requesting the
-// vCPU and the busy horizon granting it — into a log-linear histogram (same
-// bucket geometry as the obs LatencyHistogram), making vCPU contention
-// visible, not just occupancy. src/sim cannot depend on src/obs, so the raw
-// ledger lives here and src/obs/cpuattr.h renders it.
+// vCPU and the busy horizon granting it — into the shared LatencyHistogram
+// (src/base/histogram.h), making vCPU contention visible, not just
+// occupancy. The raw ledger lives here and src/obs/cpuattr.h renders it.
 #ifndef SRC_SIM_CPU_H_
 #define SRC_SIM_CPU_H_
 
-#include <array>
-#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/base/histogram.h"
 #include "src/sim/executor.h"
 #include "src/sim/time.h"
 
@@ -99,68 +97,6 @@ class CpuScope {
 // any scope).
 uint32_t CurrentCpuCategory();
 
-// Run-queue wait distribution: HdrHistogram-style log-linear buckets over
-// nanoseconds, the same geometry as the obs LatencyHistogram (32 sub-buckets
-// per octave, ≤ ~3.1% relative error) so renderers can treat the two
-// interchangeably. Lives in src/sim because Vcpu records into it and src/sim
-// cannot depend on src/obs.
-class CpuWaitHistogram {
- public:
-  static constexpr int kSubBucketBits = 5;
-  static constexpr int kSubBuckets = 1 << kSubBucketBits;  // 32
-  static constexpr int kNumBuckets =
-      (63 - kSubBucketBits) * kSubBuckets + 2 * kSubBuckets;
-
-  static int BucketIndex(uint64_t v) {
-    if (v < 2 * kSubBuckets) {
-      return static_cast<int>(v);
-    }
-    const int msb = 63 - std::countl_zero(v);
-    const int shift = msb - kSubBucketBits;
-    return (msb - kSubBucketBits) * kSubBuckets + static_cast<int>(v >> shift);
-  }
-
-  static uint64_t BucketLowerBound(int index) {
-    if (index < 2 * kSubBuckets) {
-      return static_cast<uint64_t>(index);
-    }
-    const int octave = index / kSubBuckets;  // >= 2
-    const int sub = index % kSubBuckets;
-    return static_cast<uint64_t>(sub + kSubBuckets) << (octave - 1);
-  }
-
-  void Record(uint64_t value_ns) {
-    // Zero waits — the uncontended common case — are only counted, never
-    // bucketed: Percentile() derives the implied zero bucket from
-    // count_ - nonzero_, keeping the Charge hot path at one increment.
-    ++count_;
-    if (value_ns == 0) {
-      return;
-    }
-    ++nonzero_;
-    if (value_ns > max_) {
-      max_ = value_ns;
-    }
-    sum_ += value_ns;
-    ++buckets_[BucketIndex(value_ns)];
-  }
-
-  uint64_t count() const { return count_; }
-  uint64_t sum() const { return sum_; }
-  uint64_t max() const { return max_; }
-
-  // Nearest-rank percentile (p in [0,100]) reported as the lower bound of the
-  // bucket holding that rank. Empty histogram → 0.
-  uint64_t Percentile(double p) const;
-
- private:
-  uint64_t count_ = 0;
-  uint64_t nonzero_ = 0;
-  uint64_t sum_ = 0;
-  uint64_t max_ = 0;
-  std::array<uint64_t, kNumBuckets> buckets_{};
-};
-
 // Per-vCPU attribution state: busy nanoseconds by category index (grows on
 // demand as categories register), plus the vCPU-wide run-queue wait
 // distribution. Read via Vcpu accessors or directly by src/obs/cpuattr.
@@ -169,7 +105,7 @@ class CpuWaitHistogram {
 // (bench_engine bounds the overhead in CI).
 struct CpuLedger {
   std::vector<uint64_t> busy_ns;  // Indexed by category.
-  CpuWaitHistogram wait_hist;
+  LatencyHistogram wait_hist;
 };
 
 class Vcpu {

@@ -161,6 +161,10 @@ TEST(StringsTest, ParseDecimal) {
   EXPECT_EQ(ParseDecimal(""), -1);
   EXPECT_EQ(ParseDecimal("12a"), -1);
   EXPECT_EQ(ParseDecimal("-5"), -1);
+  EXPECT_EQ(ParseDecimal("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseDecimal("9223372036854775808"), -1);
+  EXPECT_EQ(ParseDecimal("18446744073709551626"), -1);
+  EXPECT_EQ(ParseDecimal("99999999999999999999"), -1);
 }
 
 TEST(BytesTest, WriterReaderRoundTrip) {

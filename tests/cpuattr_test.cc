@@ -133,7 +133,7 @@ TEST(CpuAttributionTest, YieldChargesNothingButRecordsWait) {
             Nanos(0));
   EXPECT_EQ(cpu.busy_total(), Nanos(100));
   EXPECT_EQ(resumed_at, SimTime() + Nanos(100));
-  const CpuWaitHistogram& hist = cpu.ledger()->wait_hist;
+  const LatencyHistogram& hist = cpu.ledger()->wait_hist;
   EXPECT_EQ(hist.count(), 2u);
   EXPECT_EQ(hist.max(), 100u);  // The yielder's queue wait.
 }
@@ -150,9 +150,9 @@ TEST(CpuWaitHistogramTest, TwoThreadPinnedWaits) {
   EXPECT_EQ(cpu.Charge(Nanos(48)), SimTime() + Nanos(48));  // Wait 0.
   EXPECT_EQ(cpu.Charge(Nanos(16)), SimTime() + Nanos(64));  // Wait 48.
 
-  const CpuWaitHistogram& hist = cpu.ledger()->wait_hist;
+  const LatencyHistogram& hist = cpu.ledger()->wait_hist;
   EXPECT_EQ(hist.count(), 2u);
-  EXPECT_EQ(hist.sum(), 48u);  // Zero waits are counted, never summed.
+  EXPECT_EQ(hist.sum(), 48u);  // The zero wait adds nothing.
   EXPECT_EQ(hist.max(), 48u);
   EXPECT_EQ(hist.Percentile(50), 0u);   // Rank 1 of 2: the zero wait.
   EXPECT_EQ(hist.Percentile(99), 48u);  // Rank 2 of 2: the queued charge.
@@ -160,7 +160,7 @@ TEST(CpuWaitHistogramTest, TwoThreadPinnedWaits) {
 }
 
 TEST(CpuWaitHistogramTest, EmptyAndAllZeroHistograms) {
-  CpuWaitHistogram hist;
+  LatencyHistogram hist;
   EXPECT_EQ(hist.Percentile(99), 0u);
   for (int i = 0; i < 10; ++i) {
     hist.Record(0);
@@ -168,7 +168,7 @@ TEST(CpuWaitHistogramTest, EmptyAndAllZeroHistograms) {
   EXPECT_EQ(hist.count(), 10u);
   EXPECT_EQ(hist.sum(), 0u);
   EXPECT_EQ(hist.max(), 0u);
-  EXPECT_EQ(hist.Percentile(100), 0u);  // Implied zero bucket holds all.
+  EXPECT_EQ(hist.Percentile(100), 0u);  // Bucket 0 holds all.
 }
 
 // --- End-to-end: no perturbation, deterministic reports. ------------------

@@ -12,11 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "src/base/histogram.h"
 #include "src/base/strings.h"
 #include "src/core/system.h"
 #include "src/obs/flow.h"
 #include "src/obs/health.h"
-#include "src/obs/latency.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/obs/trace.h"
@@ -66,15 +66,15 @@ TEST(MetricRegistryTest, CounterGaugeHistogramSemantics) {
   g->Add(-1.5);
   EXPECT_DOUBLE_EQ(g->value(), 2.5);
 
-  Histogram* h = reg.histogram("d", "-", "batch");
+  LatencyHistogram* h = reg.latency("d", "-", "batch_ns");
   EXPECT_EQ(h->count(), 0u);
   EXPECT_DOUBLE_EQ(h->mean(), 0.0);
-  h->Record(3.0);
-  h->Record(9.0);
-  h->Record(6.0);
+  h->Record(3);
+  h->Record(9);
+  h->Record(6);
   EXPECT_EQ(h->count(), 3u);
-  EXPECT_DOUBLE_EQ(h->min(), 3.0);
-  EXPECT_DOUBLE_EQ(h->max(), 9.0);
+  EXPECT_EQ(h->min(), 3u);
+  EXPECT_EQ(h->max(), 9u);
   EXPECT_DOUBLE_EQ(h->mean(), 6.0);
 }
 
@@ -96,7 +96,7 @@ TEST(MetricRegistryTest, SnapshotSkipZeroOmitsUntouchedMetrics) {
   MetricRegistry reg;
   reg.counter("d", "dev", "touched")->Inc();
   reg.counter("d", "dev", "untouched");
-  reg.histogram("d", "dev", "empty_hist");
+  reg.latency("d", "dev", "empty_ns");
   EXPECT_EQ(reg.Snapshot(/*skip_zero=*/false).size(), 3u);
   auto samples = reg.Snapshot(/*skip_zero=*/true);
   ASSERT_EQ(samples.size(), 1u);
@@ -551,7 +551,7 @@ TEST(HealthMonitorTest, StateMachineWalksThresholdsAndCollapsesOnProgress) {
   hp.stalled_after = Millis(20);
   HealthMonitor hm(&ex, &metrics, &rec, hp);
   std::vector<std::string> published;
-  hm.set_publisher([&](int32_t dom, const std::string& device, HealthState state) {
+  hm.Subscribe([&](int32_t dom, const std::string& device, HealthState, HealthState state) {
     published.push_back(StrFormat("%d/%s=%s", dom, device.c_str(), HealthStateName(state)));
   });
 
@@ -634,11 +634,12 @@ TEST(HealthMonitorTest, SubscribersDispatchInDeterministicOrder) {
   hp.stalled_after = Millis(100);
   HealthMonitor hm(&ex, &metrics, &rec, hp);
 
-  // The publisher and every subscriber see each transition; dispatch order is
-  // publisher first, then subscribers in subscription order — the Rebalancer
-  // relies on this determinism across schedule-shuffled explore runs.
+  // Every subscriber sees each transition, in subscription order — the
+  // Rebalancer relies on this determinism across schedule-shuffled explore
+  // runs, and KiteSystem's xenstore publisher subscribes first.
   std::vector<std::string> order;
-  hm.set_publisher([&](int32_t dom, const std::string& device, HealthState state) {
+  hm.Subscribe([&](int32_t dom, const std::string& device, HealthState,
+                   HealthState state) {
     order.push_back(StrFormat("pub:%d/%s=%s", dom, device.c_str(),
                               HealthStateName(state)));
   });
@@ -653,7 +654,7 @@ TEST(HealthMonitorTest, SubscribersDispatchInDeterministicOrder) {
                               HealthStateName(old_state), HealthStateName(new_state)));
   });
   EXPECT_NE(a, b);
-  EXPECT_EQ(hm.subscriber_count(), 2);
+  EXPECT_EQ(hm.subscriber_count(), 3);
 
   HealthSample s;
   s.connected = true;
@@ -667,7 +668,7 @@ TEST(HealthMonitorTest, SubscribersDispatchInDeterministicOrder) {
   EXPECT_EQ(order[2], "b:9/dev2 healthy->degraded");
 
   // Unsubscribing one leaves the other: progress collapses back to healthy
-  // and only `b` (plus the publisher) observes it.
+  // and only `b` (after the publisher) observes it.
   hm.Unsubscribe(a);
   order.clear();
   s.req_cons = 1;
@@ -676,7 +677,7 @@ TEST(HealthMonitorTest, SubscribersDispatchInDeterministicOrder) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "pub:9/dev2=healthy");
   EXPECT_EQ(order[1], "b:9/dev2 degraded->healthy");
-  EXPECT_EQ(hm.subscriber_count(), 1);
+  EXPECT_EQ(hm.subscriber_count(), 2);
 }
 
 }  // namespace

@@ -390,6 +390,9 @@ struct BlkAblation {
   bool indirect_segments;
 };
 
+// Stable test names, as for NetAblation above.
+void PrintTo(const BlkAblation& ablation, std::ostream* os) { *os << ablation.name; }
+
 class MisbehavingBlkFrontend : public ::testing::TestWithParam<BlkAblation> {
  protected:
   static constexpr int kDevid = 51712;  // xvda.
