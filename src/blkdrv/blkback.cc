@@ -22,8 +22,8 @@ BlkbackInstance::BlkbackInstance(Domain* backend, BmkSched* sched,
       frontend_dom_(frontend_dom),
       devid_(devid),
       wake_(sched->executor()) {
-  backend_path_ = BackendPath(backend->id(), "vbd", frontend_dom, devid);
-  frontend_path_ = FrontendPath(frontend_dom, "vbd", devid);
+  backend_path_ = BackendPath(backend->id(), kType, frontend_dom, devid);
+  frontend_path_ = FrontendPath(frontend_dom, kType, devid);
   MetricRegistry* reg = hv_->metrics();
   const std::string dev = StrFormat("vbd%d.%d", frontend_dom_, devid_);
   requests_handled_ = reg->counter(backend->name(), dev, "requests_handled");
@@ -575,293 +575,6 @@ void BlkbackInstance::SendResponse(const std::shared_ptr<ReqState>& req) {
   }
 }
 
-// --- StorageBackendDriver. ---
-
-StorageBackendDriver::StorageBackendDriver(Domain* backend, BmkSched* sched,
-                                           const OsCostProfile* costs, BlockDevice* disk,
-                                           BlkbackParams params)
-    : backend_(backend),
-      hv_(backend->hypervisor()),
-      sched_(sched),
-      costs_(costs),
-      disk_(disk),
-      params_(params),
-      watch_wake_(sched->executor()) {
-  MetricRegistry* reg = hv_->metrics();
-  connect_retries_ = reg->counter(backend->name(), "vbd-driver", "connect_retries");
-  instances_reaped_ = reg->counter(backend->name(), "vbd-driver", "instances_reaped");
-  instances_retired_ = reg->counter(backend->name(), "vbd-driver", "instances_retired");
-  const std::string root = StrFormat("/local/domain/%d/backend/vbd", backend->id());
-  watch_ = backend_->StoreWatch(root, "vbd-backend",
-                                [this, root](const std::string& path, const std::string&) {
-                                  NoteOnlineTouched(root, path);
-                                  watch_wake_.Signal();
-                                });
-  sched_->Spawn("xenwatch-vbd", [this] { return WatchThread(); });
-}
-
-StorageBackendDriver::~StorageBackendDriver() {
-  *alive_ = false;
-  if (watch_ != 0) {
-    hv_->store().RemoveWatch(watch_);
-  }
-  for (const auto& [path, id] : fe_watches_) {
-    hv_->store().RemoveWatch(id);
-  }
-  for (const auto& [key, id] : paired_watches_) {
-    hv_->store().RemoveWatch(id);
-  }
-}
-
-BlkbackInstance* StorageBackendDriver::instance(DomId frontend_dom, int devid) {
-  auto it = instances_.find({frontend_dom, devid});
-  return it == instances_.end() ? nullptr : it->second.get();
-}
-
-Task StorageBackendDriver::WatchThread() {
-  for (;;) {
-    co_await watch_wake_.Wait();
-    co_await sched_->Run(Micros(5), KITE_CPU_CATEGORY("driver/xenwatch"));
-    Scan();
-  }
-}
-
-void StorageBackendDriver::SweepDying() {
-  std::erase_if(dying_, [](const std::unique_ptr<BlkbackInstance>& inst) {
-    return inst->drained();
-  });
-}
-
-void StorageBackendDriver::ReapDeadInstances() {
-  XenbusClient bus(&hv_->store(), backend_->id());
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    const auto key = it->first;
-    const std::string fe_path = FrontendPath(key.first, "vbd", key.second);
-    const XenbusState state = bus.ReadState(fe_path);
-    const bool closed =
-        state == XenbusState::kClosing || state == XenbusState::kClosed;
-    // Unlike netback, instances exist from toolstack attach onward — before
-    // the frontend ever publishes. A missing state node therefore only means
-    // death once the frontend's domain itself is gone.
-    const bool vanished =
-        state == XenbusState::kUnknown && hv_->domain(key.first) == nullptr;
-    if (!closed && !vanished) {
-      ++it;
-      continue;
-    }
-    if (auto wit = paired_watches_.find(key); wit != paired_watches_.end()) {
-      hv_->store().RemoveWatch(wit->second);
-      paired_watches_.erase(wit);
-    }
-    if (auto wit = fe_watches_.find(fe_path); wit != fe_watches_.end()) {
-      hv_->store().RemoveWatch(wit->second);
-      fe_watches_.erase(wit);
-    }
-    std::unique_ptr<BlkbackInstance> inst = std::move(it->second);
-    it = instances_.erase(it);
-    if (on_vbd_gone_) {
-      on_vbd_gone_(inst.get());
-    }
-    hv_->store().RemoveSubtree(
-        kDom0, BackendPath(backend_->id(), "vbd", key.first, key.second));
-    offline_.erase(key);
-    // The request thread's frames may be parked in the shared scheduler;
-    // keep the instance alive until they exit.
-    inst->set_on_drained([this, alive = alive_] {
-      if (*alive) {
-        watch_wake_.Signal();
-      }
-    });
-    inst->BeginShutdown();
-    if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-      fr->Record(backend_->id(), FlightKind::kInstanceReaped, key.second,
-                 static_cast<uint64_t>(key.first));
-    }
-    if (!inst->drained()) {
-      dying_.push_back(std::move(inst));
-    }
-    instances_reaped_->Inc();
-  }
-}
-
-void StorageBackendDriver::NoteOnlineTouched(const std::string& root,
-                                             const std::string& path) {
-  // Event-carried state: the root watch tells us *which* node's online key
-  // the toolstack touched, so the scan pays a xenstore read only for those
-  // rare writes instead of polling every node on every wakeup (that poll
-  // showed up as a measurable fig11 throughput tax).
-  if (path.size() <= root.size() + 1 || path.compare(0, root.size(), root) != 0) {
-    return;
-  }
-  const std::string rest = path.substr(root.size() + 1);  // <fdom>/<devid>/online
-  const size_t a = rest.find('/');
-  const size_t b = a == std::string::npos ? std::string::npos : rest.find('/', a + 1);
-  if (b == std::string::npos || rest.substr(b + 1) != "online") {
-    return;
-  }
-  const int64_t fdom = ParseDecimal(rest.substr(0, a));
-  const int64_t devid = ParseDecimal(rest.substr(a + 1, b - a - 1));
-  if (fdom >= 0 && devid >= 0) {
-    online_dirty_.insert({static_cast<DomId>(fdom), static_cast<int>(devid)});
-  }
-}
-
-void StorageBackendDriver::ProcessDrains() {
-  for (const auto& key : online_dirty_) {
-    const std::string be_path =
-        BackendPath(backend_->id(), "vbd", key.first, key.second);
-    auto online = backend_->StoreReadInt(be_path + "/online");
-    if (online.has_value() && *online == 0) {
-      offline_.insert(key);
-    } else {
-      offline_.erase(key);  // Rewritten to 1, or the node is gone.
-    }
-  }
-  online_dirty_.clear();
-  if (offline_.empty()) {
-    return;
-  }
-  bool pending = false;
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    const auto key = it->first;
-    if (offline_.count(key) == 0) {
-      ++it;
-      continue;
-    }
-    const std::string be_path =
-        BackendPath(backend_->id(), "vbd", key.first, key.second);
-    BlkbackInstance* inst = it->second.get();
-    inst->RequestDrain();
-    if (!inst->ReadyToRetire()) {
-      pending = true;
-      ++it;
-      continue;
-    }
-    KITE_LOG(Info) << StrFormat("blkback: vbd%d.%d drained, retiring", key.first,
-                                key.second);
-    if (auto wit = paired_watches_.find(key); wit != paired_watches_.end()) {
-      hv_->store().RemoveWatch(wit->second);
-      paired_watches_.erase(wit);
-    }
-    const std::string fe_path = FrontendPath(key.first, "vbd", key.second);
-    if (auto wit = fe_watches_.find(fe_path); wit != fe_watches_.end()) {
-      hv_->store().RemoveWatch(wit->second);
-      fe_watches_.erase(wit);
-    }
-    std::unique_ptr<BlkbackInstance> owned = std::move(it->second);
-    it = instances_.erase(it);
-    if (on_vbd_gone_) {
-      on_vbd_gone_(owned.get());
-    }
-    owned->set_on_drained([this, alive = alive_] {
-      if (*alive) {
-        watch_wake_.Signal();
-      }
-    });
-    // Mappings must be released before the subtree goes away (the frontend's
-    // relink path EndAccesses its grants once the node vanishes).
-    owned->RetireGracefully();
-    hv_->store().RemoveSubtree(kDom0, be_path);
-    offline_.erase(key);
-    if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-      fr->Record(backend_->id(), FlightKind::kInstanceRetired, key.second,
-                 static_cast<uint64_t>(key.first));
-    }
-    if (!owned->drained()) {
-      dying_.push_back(std::move(owned));
-    }
-    instances_retired_->Inc();
-  }
-  if (pending) {
-    // Drain in progress: re-poll shortly (in-flight device ops complete on
-    // simulated time, not on watch events).
-    hv_->executor()->PostAfter(Micros(50), KITE_POST_SITE("blkback/drain-poll"),
-                               [this, alive = alive_] {
-      if (*alive) {
-        watch_wake_.Signal();
-      }
-    });
-  }
-}
-
-void StorageBackendDriver::Scan() {
-  SweepDying();
-  ReapDeadInstances();
-  ProcessDrains();
-  const std::string root = StrFormat("/local/domain/%d/backend/vbd", backend_->id());
-  auto fdoms = backend_->StoreList(root);
-  if (!fdoms.has_value()) {
-    return;
-  }
-  XenbusClient bus(&hv_->store(), backend_->id());
-  for (const std::string& fdom_str : *fdoms) {
-    const int64_t fdom = ParseDecimal(fdom_str);
-    if (fdom < 0) {
-      continue;
-    }
-    auto devids = backend_->StoreList(root + "/" + fdom_str);
-    if (!devids.has_value()) {
-      continue;
-    }
-    for (const std::string& devid_str : *devids) {
-      const int64_t devid = ParseDecimal(devid_str);
-      if (devid < 0) {
-        continue;
-      }
-      const auto key = std::make_pair(static_cast<DomId>(fdom), static_cast<int>(devid));
-      // A node marked offline is mid-drain/retire: never advertise or pair
-      // against it — the frontend republishing now is relinking elsewhere.
-      // (offline_ was refreshed by ProcessDrains above; no xenstore read.)
-      if (offline_.count(key) != 0) {
-        continue;
-      }
-      const std::string fe_path =
-          FrontendPath(static_cast<DomId>(fdom), "vbd", static_cast<int>(devid));
-      auto it = instances_.find(key);
-      if (it == instances_.end()) {
-        // New device directory: advertise and wait for the frontend.
-        auto inst = std::make_unique<BlkbackInstance>(backend_, sched_, costs_, params_,
-                                                      disk_, key.first, key.second);
-        inst->Advertise();
-        instances_[key] = std::move(inst);
-        if (fe_watches_.find(fe_path) == fe_watches_.end()) {
-          fe_watches_[fe_path] = backend_->StoreWatch(
-              fe_path + "/state", "fe-state",
-              [this](const std::string&, const std::string&) { watch_wake_.Signal(); });
-        }
-        continue;
-      }
-      BlkbackInstance* inst = it->second.get();
-      if (!inst->connected() && bus.ReadState(fe_path) == XenbusState::kInitialised) {
-        if (inst->Connect()) {
-          // Paired: drop the pre-publication frontend-state watch.
-          if (auto wit = fe_watches_.find(fe_path); wit != fe_watches_.end()) {
-            hv_->store().RemoveWatch(wit->second);
-            fe_watches_.erase(wit);
-          }
-          // Watch for the frontend dying: Closing/Closed, or the node
-          // vanishing when the guest domain is destroyed.
-          paired_watches_[key] = backend_->StoreWatch(
-              fe_path + "/state", "fe-gone",
-              [this](const std::string&, const std::string&) { watch_wake_.Signal(); });
-          if (on_new_vbd_) {
-            on_new_vbd_(inst);
-          }
-        } else {
-          // Transient by assumption (e.g. an injected grant-map failure):
-          // rescan shortly; the frontend watch alone won't fire again.
-          connect_retries_->Inc();
-          KITE_LOG(Warning) << "blkback: failed to connect " << fe_path << ", retrying";
-          hv_->executor()->PostAfter(Millis(1), KITE_POST_SITE("blkback/connect-retry"),
-                                     [this, alive = alive_] {
-            if (*alive) {
-              watch_wake_.Signal();
-            }
-          });
-        }
-      }
-    }
-  }
-}
+template class XenbusBackend<BlkbackInstance>;
 
 }  // namespace kite

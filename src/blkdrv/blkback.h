@@ -14,7 +14,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "src/hv/domain.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/xenbus.h"
+#include "src/hv/xenbus_backend.h"
 #include "src/os/profile.h"
 #include "src/sim/wait.h"
 
@@ -40,6 +40,9 @@ struct BlkbackParams {
 
 class BlkbackInstance {
  public:
+  static constexpr const char* kType = "vbd";
+  static constexpr const char* kName = "blkback";
+
   BlkbackInstance(Domain* backend, BmkSched* sched, const OsCostProfile* costs,
                   BlkbackParams params, BlockDevice* disk, DomId frontend_dom, int devid);
   ~BlkbackInstance();
@@ -186,82 +189,9 @@ class BlkbackInstance {
   LatencyHistogram* device_ns_;
 };
 
-class StorageBackendDriver {
- public:
-  StorageBackendDriver(Domain* backend, BmkSched* sched, const OsCostProfile* costs,
-                       BlockDevice* disk, BlkbackParams params = BlkbackParams{});
-  ~StorageBackendDriver();
-
-  int instance_count() const { return static_cast<int>(instances_.size()); }
-  // Reaped instances still draining their request thread.
-  int dying_instance_count() const { return static_cast<int>(dying_.size()); }
-  BlkbackInstance* instance(DomId frontend_dom, int devid);
-  // Live instances in deterministic (frontend, devid) order (checker).
-  std::vector<BlkbackInstance*> live_instances() const {
-    std::vector<BlkbackInstance*> out;
-    out.reserve(instances_.size());
-    for (const auto& [key, inst] : instances_) {
-      out.push_back(inst.get());
-    }
-    return out;
-  }
-  void SetOnNewVbd(std::function<void(BlkbackInstance*)> fn) { on_new_vbd_ = std::move(fn); }
-  // Called when a vbd's frontend died and the instance is being reaped.
-  void SetOnVbdGone(std::function<void(BlkbackInstance*)> fn) { on_vbd_gone_ = std::move(fn); }
-
-  uint64_t connect_retries() const { return connect_retries_->value(); }
-  uint64_t instances_reaped() const { return instances_reaped_->value(); }
-  // Instances retired via the graceful drain handshake (be/online = 0).
-  uint64_t instances_retired() const { return instances_retired_->value(); }
-  int pending_fe_watch_count() const { return static_cast<int>(fe_watches_.size()); }
-  // Frontend-death watches held for paired instances (one per connected vbd).
-  int paired_fe_watch_count() const { return static_cast<int>(paired_watches_.size()); }
-
- private:
-  Task WatchThread();
-  void Scan();
-  // Tears down instances whose frontend closed or whose frontend domain was
-  // destroyed.
-  void ReapDeadInstances();
-  // Drives the graceful drain handshake for instances whose backend node
-  // carries online = 0 (set by the toolstack before a migration).
-  void ProcessDrains();
-  // Root-watch helper: records nodes whose online key changed so the next
-  // scan reads only those (keeps the no-migration path free of xenstore ops).
-  void NoteOnlineTouched(const std::string& root, const std::string& path);
-  void SweepDying();
-
-  Domain* backend_;
-  Hypervisor* hv_;
-  BmkSched* sched_;
-  const OsCostProfile* costs_;
-  BlockDevice* disk_;
-  BlkbackParams params_;
-  std::function<void(BlkbackInstance*)> on_new_vbd_;
-  std::function<void(BlkbackInstance*)> on_vbd_gone_;
-
-  WatchId watch_ = 0;
-  WakeFlag watch_wake_;
-  std::map<std::pair<DomId, int>, std::unique_ptr<BlkbackInstance>> instances_;
-  // Frontend state paths watched until their instance connects; removed on
-  // connect so the watch table stays bounded (mirrors netback).
-  std::map<std::string, WatchId> fe_watches_;
-  // Post-pairing frontend-death watches, one per connected instance (kept
-  // apart from fe_watches_, whose emptiness tests assert after pairing).
-  std::map<std::pair<DomId, int>, WatchId> paired_watches_;
-  // Nodes whose online key the toolstack touched since the last scan
-  // (paths carried by the root watch); read — and charged — only for these.
-  std::set<std::pair<DomId, int>> online_dirty_;
-  // Nodes currently marked online = 0: mid-drain/retire.
-  std::set<std::pair<DomId, int>> offline_;
-  // Reaped but not yet drained; swept on scan wakeups.
-  std::vector<std::unique_ptr<BlkbackInstance>> dying_;
-  Counter* connect_retries_;
-  Counter* instances_reaped_;
-  Counter* instances_retired_;
-  // Outlives `this` so posted retries can detect destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-};
+// Backend invocation (paper §4.1) for vbds: the xenbus backend bus.
+using StorageBackendDriver = XenbusBackend<BlkbackInstance>;
+extern template class XenbusBackend<BlkbackInstance>;
 
 }  // namespace kite
 

@@ -271,6 +271,14 @@ ExploreReport RunExploreSeed(const ExploreOptions& opts) {
     sys.DestroyGuest(g2);
     g2 = nullptr;
   }
+  // On some seeds a guest dies in the step that attaches it, before either
+  // backend pairs its devices: their instances must be reaped all the same.
+  if (plan.NextBool(0.5)) {
+    GuestVm* stillborn = sys.CreateGuest("explore-stillborn");
+    sys.AttachVif(stillborn, netdom, Ipv4Addr::FromOctets(10, 0, 0, 12));
+    sys.AttachVbd(stillborn, stordom);
+    sys.DestroyGuest(stillborn);
+  }
   sys.RunFor(Millis(50));  // Backends reap the orphaned instances.
 
   phase("restart");

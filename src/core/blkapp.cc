@@ -11,13 +11,13 @@ BlockStatusApp::BlockStatusApp(BmkSched* sched, StorageBackendDriver* driver,
       driver_(driver),
       physical_bdf_(std::move(physical_bdf)),
       vbd_wake_(sched->executor()) {
-  driver_->SetOnNewVbd([this](BlkbackInstance* vbd) {
+  driver_->SetOnNew([this](BlkbackInstance* vbd) {
     pending_.push_back(vbd);
     vbd_wake_.Signal();
   });
   // Drop reaped instances from the status view and the hotplug queue — the
   // pointer is about to go away.
-  driver_->SetOnVbdGone([this](BlkbackInstance* vbd) {
+  driver_->SetOnGone([this](BlkbackInstance* vbd) {
     std::erase(pending_, vbd);
     std::erase_if(status_, [vbd](const VbdStatus& s) {
       return s.frontend_dom == vbd->frontend_dom() && s.devid == vbd->devid();

@@ -18,6 +18,7 @@ std::vector<Violation> InvariantChecker::Check() {
   CheckEventLedger();
   CheckBoundPorts();
   CheckXenstoreDomains();
+  CheckBackendOrphans();
   CheckGraveyards();
   CheckNetInstances();
   CheckBlkInstances();
@@ -117,6 +118,31 @@ void InvariantChecker::CheckXenstoreDomains() {
     if (id < 0 || hv.domain(static_cast<DomId>(id)) == nullptr) {
       Fail("xenstore-orphan",
            StrFormat("/local/domain/%s exists but no such live domain", child.c_str()));
+    }
+  }
+}
+
+void InvariantChecker::CheckBackendOrphans() {
+  // A backend reaps every device whose frontend domain was destroyed and
+  // removes its node; a node left behind is listed again by every scan. The
+  // emptied backend/<type>/<fe> directory itself may stay.
+  Hypervisor& hv = sys_->hv();
+  const std::vector<std::string> none;
+  for (DomId id : hv.live_domains()) {
+    for (const char* type : {"vif", "vbd"}) {
+      const std::string root = StrFormat("/local/domain/%d/backend/%s", id, type);
+      for (const std::string& fe : hv.store().List(kDom0, root).value_or(none)) {
+        const int64_t fe_id = ParseDecimal(fe);
+        if (fe_id < 0 || hv.domain(static_cast<DomId>(fe_id)) != nullptr) {
+          continue;
+        }
+        const size_t devices = hv.store().List(kDom0, root + "/" + fe).value_or(none).size();
+        if (devices != 0) {
+          Fail("backend-orphan",
+               StrFormat("%s/%s holds %zu device(s) of destroyed domain %s", root.c_str(),
+                         fe.c_str(), devices, fe.c_str()));
+        }
+      }
     }
   }
 }

@@ -44,9 +44,11 @@ class InvariantChecker {
   // The hypervisor-wide conservation ledgers.
   void CheckGrantLedger();
   void CheckEventLedger();
-  // Teardown hygiene: ports, xenstore, and backend graveyards.
+  // Teardown hygiene: ports, xenstore, backend nodes and graveyards.
   void CheckBoundPorts();
   void CheckXenstoreDomains();
+  // No live domain keeps a backend device node for a destroyed frontend.
+  void CheckBackendOrphans();
   void CheckGraveyards();
   // Per-instance ring quiescence and request-resolution conservation.
   void CheckNetInstances();

@@ -54,13 +54,13 @@ NetworkApp::NetworkApp(BmkSched* sched, NetworkBackendDriver* driver, NetIf* phy
   bridge_ = brconfig_.CreateBridge("xenbr0");
   ifconfig_.AssignIp(physical_if, gateway_ip);
   brconfig_.AddIf(bridge_.get(), physical_if);
-  driver_->SetOnNewVif([this](NetbackInstance* vif) {
+  driver_->SetOnNew([this](NetbackInstance* vif) {
     pending_vifs_.push_back(vif);
     vif_wake_.Signal();
   });
   // A reaped VIF must leave the bridge before its pointer dies; it may also
   // still be sitting in the hotplug queue if the guest died mid-pairing.
-  driver_->SetOnVifGone([this](NetbackInstance* vif) {
+  driver_->SetOnGone([this](NetbackInstance* vif) {
     bridge_->RemoveIf(vif);
     std::erase(pending_vifs_, vif);
   });

@@ -305,8 +305,13 @@ void KiteSystem::StartNetworkDomainServices(NetworkDomain* nd, DriverDomainConfi
   for (auto& s : nd->scheds_) {
     scheds.push_back(s.get());
   }
-  nd->driver_ = std::make_unique<NetworkBackendDriver>(nd->domain_, std::move(scheds),
-                                                       &nd->os_->costs, config.netback);
+  nd->driver_ = std::make_unique<NetworkBackendDriver>(
+      nd->domain_, std::move(scheds),
+      [dom = nd->domain_, costs = &nd->os_->costs, params = config.netback](
+          BmkSched* sched, DomId frontend_dom, int devid) {
+        return std::make_unique<NetbackInstance>(dom, sched, costs, params, frontend_dom,
+                                                 devid);
+      });
   nd->app_ = std::make_unique<NetworkApp>(nd->scheds_.front().get(), nd->driver_.get(),
                                           nd->nic_->netif(), gateway_ip_);
 }
@@ -357,9 +362,13 @@ StorageDomain* KiteSystem::CreateStorageDomainImpl(DriverDomainConfig config,
 }
 
 void KiteSystem::StartStorageDomainServices(StorageDomain* sd, DriverDomainConfig config) {
-  sd->driver_ = std::make_unique<StorageBackendDriver>(sd->domain_, sd->sched_.get(),
-                                                       &sd->os_->costs, sd->disk_.get(),
-                                                       config.blkback);
+  sd->driver_ = std::make_unique<StorageBackendDriver>(
+      sd->domain_, std::vector<BmkSched*>{sd->sched_.get()},
+      [dom = sd->domain_, costs = &sd->os_->costs, disk = sd->disk_.get(),
+       params = config.blkback](BmkSched* sched, DomId frontend_dom, int devid) {
+        return std::make_unique<BlkbackInstance>(dom, sched, costs, params, disk,
+                                                 frontend_dom, devid);
+      });
   sd->app_ = std::make_unique<BlockStatusApp>(sd->sched_.get(), sd->driver_.get(),
                                               sd->disk_->bdf());
 }

@@ -1,0 +1,378 @@
+// XenbusBackend: backend invocation (paper §4.1), shared by netback (vifs)
+// and blkback (vbds). A root watch on the driver domain's backend/<type>
+// directory only wakes a xenwatch thread, which scans the directory. An
+// instance exists from the moment its backend node appears (Advertise()
+// publishes InitWait and any features) and connects once its frontend is
+// Initialised; a failed connect keeps it and rescans on a 1 ms timer. It is
+// reaped when its frontend reaches Closing/Closed or the frontend's domain
+// is destroyed, and retired through the online = 0 drain handshake
+// (migration). Shut-down instances wait in a graveyard until their parked
+// worker threads exit.
+//
+// Header-only: its users (src/netdrv, src/blkdrv) link the BMK scheduler.
+// `Instance` provides kType, kName, Advertise(), Connect() (false: retry),
+// connected(), BeginShutdown(), drained(), set_on_drained(), RequestDrain(),
+// ReadyToRetire() and RetireGracefully().
+#ifndef SRC_HV_XENBUS_BACKEND_H_
+#define SRC_HV_XENBUS_BACKEND_H_
+
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/base/log.h"
+#include "src/base/strings.h"
+#include "src/bmk/sched.h"
+#include "src/hv/domain.h"
+#include "src/hv/hypervisor.h"
+#include "src/hv/xenbus.h"
+#include "src/sim/wait.h"
+
+namespace kite {
+
+template <typename Instance>
+class XenbusBackend {
+ public:
+  // Builds the instance for one device node, on the vCPU chosen for it.
+  using Factory =
+      std::function<std::unique_ptr<Instance>(BmkSched*, DomId frontend_dom, int devid)>;
+  using Hook = std::function<void(Instance*)>;
+
+  // One scheduler per driver-domain vCPU; instances are sharded round-robin
+  // across them (paper §3.1: "several NICs for better I/O scaling since Kite
+  // supports multiple cores"). The xenwatch thread runs on the first.
+  XenbusBackend(Domain* backend, std::vector<BmkSched*> scheds, Factory factory)
+      : backend_(backend),
+        hv_(backend->hypervisor()),
+        scheds_(std::move(scheds)),
+        factory_(std::move(factory)),
+        root_(StrFormat("/local/domain/%d/backend/%s", backend->id(), Instance::kType)),
+        watch_wake_(scheds_.front()->executor()) {
+    const std::string type = Instance::kType;
+    MetricRegistry* reg = hv_->metrics();
+    scans_ = reg->counter(backend->name(), type + "-driver", "scans");
+    connect_retries_ = reg->counter(backend->name(), type + "-driver", "connect_retries");
+    instances_reaped_ = reg->counter(backend->name(), type + "-driver", "instances_reaped");
+    instances_retired_ = reg->counter(backend->name(), type + "-driver", "instances_retired");
+    watch_ = backend_->StoreWatch(root_, type + "-backend",
+                                  [this](const std::string& path, const std::string&) {
+                                    NoteOnlineTouched(path);
+                                    watch_wake_.Signal();
+                                  });
+    scheds_.front()->Spawn("xenwatch-" + type, [this] { return WatchThread(); });
+  }
+
+  ~XenbusBackend() {
+    *alive_ = false;
+    hv_->store().RemoveWatch(watch_);
+    for (const auto& [key, dev] : devices_) {
+      if (dev.fe_watch != 0) {
+        hv_->store().RemoveWatch(dev.fe_watch);
+      }
+    }
+  }
+
+  // Watch callbacks and the xenwatch thread hold `this`.
+  XenbusBackend(const XenbusBackend&) = delete;
+  XenbusBackend& operator=(const XenbusBackend&) = delete;
+
+  // The driver domain's application (paper §4.3). OnNew runs once an
+  // instance connects, to hotplug it (bridge the vif, record the vbd);
+  // OnGone runs before a reaped or retired instance's pointer dies.
+  void SetOnNew(Hook fn) { on_new_ = std::move(fn); }
+  void SetOnGone(Hook fn) { on_gone_ = std::move(fn); }
+
+  int instance_count() const { return static_cast<int>(devices_.size()); }
+  // Reaped or retired instances still draining their worker threads.
+  int dying_instance_count() const { return static_cast<int>(dying_.size()); }
+  Instance* instance(DomId frontend_dom, int devid) const {
+    auto it = devices_.find({frontend_dom, devid});
+    return it == devices_.end() ? nullptr : it->second.inst.get();
+  }
+  // Live instances in deterministic (frontend, devid) order (checker).
+  std::vector<Instance*> live_instances() const {
+    std::vector<Instance*> out;
+    out.reserve(devices_.size());
+    for (const auto& [key, dev] : devices_) {
+      out.push_back(dev.inst.get());
+    }
+    return out;
+  }
+
+  uint64_t connect_retries() const { return connect_retries_->value(); }
+  uint64_t instances_reaped() const { return instances_reaped_->value(); }
+  // Frontend-state watches held for instances still waiting for their
+  // frontend to publish, and for connected ones (leak accounting: each
+  // instance holds at most one, and reaping drops it).
+  int pending_fe_watch_count() const { return CountFeWatches(/*connected=*/false); }
+  int paired_fe_watch_count() const { return CountFeWatches(/*connected=*/true); }
+
+ private:
+  using Key = std::pair<DomId, int>;  // (frontend domain, devid).
+  struct Device {
+    std::unique_ptr<Instance> inst;
+    // Watch on the frontend's state node: before pairing it reruns the scan
+    // when the frontend publishes, after pairing when the frontend closes or
+    // its domain is destroyed.
+    WatchId fe_watch = 0;
+  };
+
+  Task WatchThread() {
+    for (;;) {
+      co_await watch_wake_.Wait();
+      co_await scheds_.front()->Run(Micros(5), KITE_CPU_CATEGORY("driver/xenwatch"));
+      Scan();
+    }
+  }
+
+  void Scan() {
+    scans_->Inc();
+    std::erase_if(dying_, [](const std::unique_ptr<Instance>& inst) { return inst->drained(); });
+    ReapDeadInstances();
+    ProcessDrains();
+    auto fdoms = backend_->StoreList(root_);
+    if (!fdoms.has_value()) {
+      return;
+    }
+    XenbusClient bus(&hv_->store(), backend_->id());
+    for (const std::string& fdom_str : *fdoms) {
+      const int64_t fdom = ParseDecimal(fdom_str);
+      if (fdom < 0) {
+        continue;
+      }
+      auto devids = backend_->StoreList(root_ + "/" + fdom_str);
+      if (!devids.has_value()) {
+        continue;
+      }
+      for (const std::string& devid_str : *devids) {
+        const int64_t devid = ParseDecimal(devid_str);
+        if (devid < 0) {
+          continue;
+        }
+        const Key key{static_cast<DomId>(fdom), static_cast<int>(devid)};
+        // A node marked offline is mid-drain/retire: never advertise or pair
+        // against it — the frontend republishing now is relinking elsewhere.
+        // (offline_ was refreshed by ProcessDrains above; no xenstore read.)
+        if (offline_.count(key) != 0) {
+          continue;
+        }
+        auto it = devices_.find(key);
+        if (it == devices_.end()) {
+          BmkSched* sched = scheds_[next_sched_++ % scheds_.size()];
+          it = devices_.emplace(key, Device{factory_(sched, key.first, key.second)}).first;
+          it->second.inst->Advertise();
+        }
+        Device& dev = it->second;
+        if (dev.inst->connected()) {
+          continue;
+        }
+        const std::string fe_path = FrontendPath(key.first, Instance::kType, key.second);
+        if (bus.ReadState(fe_path) != XenbusState::kInitialised) {
+          if (dev.fe_watch == 0) {
+            dev.fe_watch = WatchFrontend(fe_path, "fe-state");
+          }
+          continue;
+        }
+        if (!dev.inst->Connect()) {
+          // Transient by assumption (e.g. an injected grant-map failure):
+          // stay in InitWait and rescan shortly; the frontend watch alone
+          // won't fire again.
+          connect_retries_->Inc();
+          KITE_LOG(Warning) << Instance::kName << ": failed to connect " << fe_path
+                            << ", retrying";
+          hv_->executor()->PostAfter(Millis(1), KITE_POST_SITE("xenbus/connect-retry"),
+                                     Waker());
+          continue;
+        }
+        if (dev.fe_watch != 0) {
+          hv_->store().RemoveWatch(dev.fe_watch);
+        }
+        dev.fe_watch = WatchFrontend(fe_path, "fe-gone");
+        if (on_new_) {
+          on_new_(dev.inst.get());
+        }
+      }
+    }
+  }
+
+  // Tears down instances whose frontend reached Closing/Closed or whose
+  // frontend domain was destroyed. A missing state node alone is not death:
+  // instances exist before their frontend ever publishes.
+  void ReapDeadInstances() {
+    XenbusClient bus(&hv_->store(), backend_->id());
+    for (auto it = devices_.begin(); it != devices_.end();) {
+      const Key key = it->first;
+      const XenbusState state =
+          bus.ReadState(FrontendPath(key.first, Instance::kType, key.second));
+      const bool closed = state == XenbusState::kClosing || state == XenbusState::kClosed;
+      const bool vanished =
+          state == XenbusState::kUnknown && hv_->domain(key.first) == nullptr;
+      if (!closed && !vanished) {
+        ++it;
+        continue;
+      }
+      std::unique_ptr<Instance> inst = Detach(it++);
+      // Drop the backend's device node so rescans don't see the corpse.
+      hv_->store().RemoveSubtree(kDom0, NodePath(key));
+      inst->BeginShutdown();
+      Bury(std::move(inst), FlightKind::kInstanceReaped, key);
+      instances_reaped_->Inc();
+    }
+  }
+
+  // Drives the graceful drain handshake for instances whose backend node
+  // carries online = 0 (set by the toolstack before a migration).
+  void ProcessDrains() {
+    for (const Key& key : online_dirty_) {
+      auto online = backend_->StoreReadInt(NodePath(key) + "/online");
+      if (online.has_value() && *online == 0) {
+        offline_.insert(key);
+      } else {
+        offline_.erase(key);  // Rewritten to 1, or the node is gone.
+      }
+    }
+    online_dirty_.clear();
+    if (offline_.empty()) {
+      return;
+    }
+    bool pending = false;
+    for (auto it = devices_.begin(); it != devices_.end();) {
+      const Key key = it->first;
+      if (offline_.count(key) == 0) {
+        ++it;
+        continue;
+      }
+      Instance* inst = it->second.inst.get();
+      inst->RequestDrain();
+      if (!inst->ReadyToRetire()) {
+        pending = true;
+        ++it;
+        continue;
+      }
+      std::unique_ptr<Instance> owned = Detach(it++);
+      // Mappings must be released before the node goes away (the frontend's
+      // relink path EndAccesses its grants once the node vanishes).
+      owned->RetireGracefully();
+      hv_->store().RemoveSubtree(kDom0, NodePath(key));
+      Bury(std::move(owned), FlightKind::kInstanceRetired, key);
+      instances_retired_->Inc();
+    }
+    if (pending) {
+      // Drain in progress: re-poll shortly (the worker threads make progress
+      // on simulated time, not on watch events).
+      hv_->executor()->PostAfter(Micros(50), KITE_POST_SITE("xenbus/drain-poll"), Waker());
+    }
+  }
+
+  // Root-watch helper: records nodes whose online key changed so the next
+  // scan reads only those. Event-carried state keeps the no-migration path
+  // free of xenstore ops (polling every node showed up as a fig11 tax).
+  void NoteOnlineTouched(const std::string& path) {
+    if (path.size() <= root_.size() + 1 || path.compare(0, root_.size(), root_) != 0) {
+      return;
+    }
+    const std::string rest = path.substr(root_.size() + 1);  // <fdom>/<devid>/online
+    const size_t a = rest.find('/');
+    const size_t b = a == std::string::npos ? std::string::npos : rest.find('/', a + 1);
+    if (b == std::string::npos || rest.substr(b + 1) != "online") {
+      return;
+    }
+    const int64_t fdom = ParseDecimal(rest.substr(0, a));
+    const int64_t devid = ParseDecimal(rest.substr(a + 1, b - a - 1));
+    if (fdom >= 0 && devid >= 0) {
+      online_dirty_.insert({static_cast<DomId>(fdom), static_cast<int>(devid)});
+    }
+  }
+
+  // Removes a device's instance from the live set: drops its frontend watch,
+  // lets the application forget it, and has its drain prompt a graveyard
+  // sweep. The caller shuts it down.
+  std::unique_ptr<Instance> Detach(typename std::map<Key, Device>::iterator it) {
+    const Key key = it->first;
+    Device dev = std::move(it->second);
+    devices_.erase(it);
+    if (dev.fe_watch != 0) {
+      hv_->store().RemoveWatch(dev.fe_watch);
+    }
+    if (on_gone_) {
+      on_gone_(dev.inst.get());
+    }
+    offline_.erase(key);
+    dev.inst->set_on_drained(Waker());
+    return std::move(dev.inst);
+  }
+
+  // Records the reap or retire in the flight recorder (its one record) and
+  // keeps the shut-down instance until its threads exit.
+  void Bury(std::unique_ptr<Instance> inst, FlightKind kind, const Key& key) {
+    if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
+      fr->Record(backend_->id(), kind, key.second, static_cast<uint64_t>(key.first));
+    }
+    if (!inst->drained()) {
+      dying_.push_back(std::move(inst));
+    }
+  }
+
+  WatchId WatchFrontend(const std::string& fe_path, const char* token) {
+    return backend_->StoreWatch(fe_path + "/state", token,
+                                [this](const std::string&, const std::string&) {
+                                  watch_wake_.Signal();
+                                });
+  }
+
+  // A deferred rescan; a no-op once this driver is gone.
+  auto Waker() {
+    return [this, alive = alive_] {
+      if (*alive) {
+        watch_wake_.Signal();
+      }
+    };
+  }
+
+  int CountFeWatches(bool connected) const {
+    return static_cast<int>(
+        std::count_if(devices_.begin(), devices_.end(), [connected](const auto& entry) {
+          return entry.second.fe_watch != 0 && entry.second.inst->connected() == connected;
+        }));
+  }
+
+  std::string NodePath(const Key& key) const {
+    return BackendPath(backend_->id(), Instance::kType, key.first, key.second);
+  }
+
+  Domain* backend_;
+  Hypervisor* hv_;
+  std::vector<BmkSched*> scheds_;
+  Factory factory_;
+  const std::string root_;  // .../backend/<type>
+  Hook on_new_;
+  Hook on_gone_;
+  size_t next_sched_ = 0;
+
+  WatchId watch_ = 0;
+  WakeFlag watch_wake_;
+  std::map<Key, Device> devices_;
+  // Nodes whose online key the toolstack touched since the last scan
+  // (paths carried by the root watch); read — and charged — only for these.
+  std::set<Key> online_dirty_;
+  // Nodes currently marked online = 0: mid-drain/retire.
+  std::set<Key> offline_;
+  // Reaped or retired but not yet drained (worker frames still parked in the
+  // shared scheduler); swept on scan wakeups.
+  std::vector<std::unique_ptr<Instance>> dying_;
+  Counter* scans_;
+  Counter* connect_retries_;
+  Counter* instances_reaped_;
+  Counter* instances_retired_;
+  // Outlives `this` so posted rescans can detect destruction.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+};
+
+}  // namespace kite
+
+#endif  // SRC_HV_XENBUS_BACKEND_H_

@@ -23,8 +23,8 @@ NetbackInstance::NetbackInstance(Domain* backend, BmkSched* sched,
       devid_(devid),
       tx_wake_(sched->executor()),
       rx_wake_(sched->executor()) {
-  backend_path_ = BackendPath(backend->id(), "vif", frontend_dom, devid);
-  frontend_path_ = FrontendPath(frontend_dom, "vif", devid);
+  backend_path_ = BackendPath(backend->id(), kType, frontend_dom, devid);
+  frontend_path_ = FrontendPath(frontend_dom, kType, devid);
   MetricRegistry* reg = hv_->metrics();
   guest_tx_frames_ = reg->counter(backend->name(), ifname(), "guest_tx_frames");
   guest_rx_frames_ = reg->counter(backend->name(), ifname(), "guest_rx_frames");
@@ -131,6 +131,11 @@ NetbackInstance::~NetbackInstance() {
   if (port_ != kInvalidPort) {
     hv_->EventClose(backend_, port_);
   }
+}
+
+void NetbackInstance::Advertise() {
+  XenbusClient bus(&hv_->store(), backend_->id());
+  bus.SwitchState(backend_path_, XenbusState::kInitWait);
 }
 
 void NetbackInstance::CompleteHotplug() {
@@ -555,300 +560,6 @@ Task NetbackInstance::SoftStartThread() {
   ThreadExited();
 }
 
-// --- NetworkBackendDriver. ---
-
-NetworkBackendDriver::NetworkBackendDriver(Domain* backend, std::vector<BmkSched*> scheds,
-                                           const OsCostProfile* costs, NetbackParams params)
-    : backend_(backend),
-      hv_(backend->hypervisor()),
-      scheds_(std::move(scheds)),
-      costs_(costs),
-      params_(params),
-      watch_wake_(scheds_.front()->executor()) {
-  KITE_CHECK(!scheds_.empty());
-  MetricRegistry* reg = hv_->metrics();
-  scans_ = reg->counter(backend->name(), "vif-driver", "scans");
-  connect_retries_ = reg->counter(backend->name(), "vif-driver", "connect_retries");
-  instances_reaped_ = reg->counter(backend->name(), "vif-driver", "instances_reaped");
-  instances_retired_ = reg->counter(backend->name(), "vif-driver", "instances_retired");
-  const std::string root = StrFormat("/local/domain/%d/backend/vif", backend->id());
-  // The watch only wakes the scanning thread (paper §4.1).
-  watch_ = backend_->StoreWatch(root, "vif-backend",
-                                [this, root](const std::string& path, const std::string&) {
-                                  NoteOnlineTouched(root, path);
-                                  watch_wake_.Signal();
-                                });
-  scheds_.front()->Spawn("xenwatch", [this] { return WatchThread(); });
-}
-
-NetworkBackendDriver::~NetworkBackendDriver() {
-  *alive_ = false;
-  if (watch_ != 0) {
-    hv_->store().RemoveWatch(watch_);
-  }
-  for (const auto& [path, id] : fe_watches_) {
-    hv_->store().RemoveWatch(id);
-  }
-  for (const auto& [key, id] : paired_watches_) {
-    hv_->store().RemoveWatch(id);
-  }
-}
-
-NetbackInstance* NetworkBackendDriver::instance(DomId frontend_dom, int devid) {
-  auto it = instances_.find({frontend_dom, devid});
-  return it == instances_.end() ? nullptr : it->second.get();
-}
-
-Task NetworkBackendDriver::WatchThread() {
-  for (;;) {
-    co_await watch_wake_.Wait();
-    // Query xenbus for unpaired frontends.
-    co_await scheds_.front()->Run(Micros(5), KITE_CPU_CATEGORY("driver/xenwatch"));
-    ScanForFrontends();
-  }
-}
-
-void NetworkBackendDriver::SweepDying() {
-  std::erase_if(dying_, [](const std::unique_ptr<NetbackInstance>& inst) {
-    return inst->drained();
-  });
-}
-
-void NetworkBackendDriver::ReapDeadInstances() {
-  XenbusClient bus(&hv_->store(), backend_->id());
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    const auto key = it->first;
-    const std::string fe_path = FrontendPath(key.first, "vif", key.second);
-    const XenbusState state = bus.ReadState(fe_path);
-    // An instance only exists once its frontend reached Initialised, so a
-    // missing state node means the frontend domain was destroyed — not
-    // "hasn't published yet".
-    const bool vanished =
-        state == XenbusState::kUnknown && !hv_->store().Exists(fe_path + "/state");
-    if (state != XenbusState::kClosing && state != XenbusState::kClosed && !vanished) {
-      ++it;
-      continue;
-    }
-    KITE_LOG(Info) << "netback: frontend for " << it->second->ifname()
-                   << " is gone (" << XenbusStateName(state) << "), reaping";
-    if (auto wit = paired_watches_.find(key); wit != paired_watches_.end()) {
-      hv_->store().RemoveWatch(wit->second);
-      paired_watches_.erase(wit);
-    }
-    if (on_vif_gone_) {
-      on_vif_gone_(it->second.get());  // Unbridge before the pointer dies.
-    }
-    // Drop the backend's device nodes so rescans don't re-watch the corpse.
-    hv_->store().RemoveSubtree(kDom0,
-                               BackendPath(backend_->id(), "vif", key.first, key.second));
-    offline_.erase(key);
-    std::unique_ptr<NetbackInstance> inst = std::move(it->second);
-    it = instances_.erase(it);
-    inst->set_on_drained([alive = alive_, this] {
-      if (*alive) {
-        watch_wake_.Signal();  // Prompt a sweep once the threads exit.
-      }
-    });
-    inst->BeginShutdown();
-    if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-      fr->Record(backend_->id(), FlightKind::kInstanceReaped, key.second,
-                 static_cast<uint64_t>(key.first));
-    }
-    if (!inst->drained()) {
-      dying_.push_back(std::move(inst));
-    }
-    instances_reaped_->Inc();
-  }
-}
-
-void NetworkBackendDriver::NoteOnlineTouched(const std::string& root,
-                                             const std::string& path) {
-  // Event-carried state: the root watch tells us *which* node's online key
-  // the toolstack touched, so the scan pays a xenstore read only for those
-  // rare writes instead of polling every node on every wakeup (polling
-  // taxes the no-migration data path — see the blkback twin).
-  if (path.size() <= root.size() + 1 || path.compare(0, root.size(), root) != 0) {
-    return;
-  }
-  const std::string rest = path.substr(root.size() + 1);  // <fdom>/<devid>/online
-  const size_t a = rest.find('/');
-  const size_t b = a == std::string::npos ? std::string::npos : rest.find('/', a + 1);
-  if (b == std::string::npos || rest.substr(b + 1) != "online") {
-    return;
-  }
-  const int64_t fdom = ParseDecimal(rest.substr(0, a));
-  const int64_t devid = ParseDecimal(rest.substr(a + 1, b - a - 1));
-  if (fdom >= 0 && devid >= 0) {
-    online_dirty_.insert({static_cast<DomId>(fdom), static_cast<int>(devid)});
-  }
-}
-
-void NetworkBackendDriver::ProcessDrains() {
-  for (const auto& key : online_dirty_) {
-    const std::string be_path =
-        BackendPath(backend_->id(), "vif", key.first, key.second);
-    auto online = backend_->StoreReadInt(be_path + "/online");
-    if (online.has_value() && *online == 0) {
-      offline_.insert(key);
-    } else {
-      offline_.erase(key);  // Rewritten to 1, or the node is gone.
-    }
-  }
-  online_dirty_.clear();
-  if (offline_.empty()) {
-    return;
-  }
-  bool pending = false;
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    const auto key = it->first;
-    if (offline_.count(key) == 0) {
-      ++it;
-      continue;
-    }
-    const std::string be_path =
-        BackendPath(backend_->id(), "vif", key.first, key.second);
-    NetbackInstance* inst = it->second.get();
-    inst->RequestDrain();
-    if (!inst->ReadyToRetire()) {
-      pending = true;
-      ++it;
-      continue;
-    }
-    KITE_LOG(Info) << "netback: " << inst->ifname() << " drained, retiring";
-    if (auto wit = paired_watches_.find(key); wit != paired_watches_.end()) {
-      hv_->store().RemoveWatch(wit->second);
-      paired_watches_.erase(wit);
-    }
-    if (on_vif_gone_) {
-      on_vif_gone_(inst);  // Unbridge before the pointer dies.
-    }
-    std::unique_ptr<NetbackInstance> owned = std::move(it->second);
-    it = instances_.erase(it);
-    owned->set_on_drained([alive = alive_, this] {
-      if (*alive) {
-        watch_wake_.Signal();
-      }
-    });
-    // Mappings must be released before the subtree goes away (the frontend's
-    // relink path EndAccesses its ring grants once the node vanishes).
-    owned->RetireGracefully();
-    hv_->store().RemoveSubtree(kDom0, be_path);
-    offline_.erase(key);
-    if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-      fr->Record(backend_->id(), FlightKind::kInstanceRetired, key.second,
-                 static_cast<uint64_t>(key.first));
-    }
-    if (!owned->drained()) {
-      dying_.push_back(std::move(owned));
-    }
-    instances_retired_->Inc();
-  }
-  if (pending) {
-    // Drain in progress: re-poll shortly (the worker threads make progress
-    // on simulated time, not on watch events).
-    hv_->executor()->PostAfter(Micros(50), KITE_POST_SITE("netback/drain-poll"),
-                               [this, alive = alive_] {
-      if (*alive) {
-        watch_wake_.Signal();
-      }
-    });
-  }
-}
-
-void NetworkBackendDriver::ScanForFrontends() {
-  scans_->Inc();
-  SweepDying();
-  ReapDeadInstances();
-  ProcessDrains();
-  const std::string root = StrFormat("/local/domain/%d/backend/vif", backend_->id());
-  auto fdoms = backend_->StoreList(root);
-  if (!fdoms.has_value()) {
-    return;
-  }
-  XenbusClient bus(&hv_->store(), backend_->id());
-  for (const std::string& fdom_str : *fdoms) {
-    const int64_t fdom = ParseDecimal(fdom_str);
-    if (fdom < 0) {
-      continue;
-    }
-    auto devids = backend_->StoreList(root + "/" + fdom_str);
-    if (!devids.has_value()) {
-      continue;
-    }
-    for (const std::string& devid_str : *devids) {
-      const int64_t devid = ParseDecimal(devid_str);
-      if (devid < 0 || instances_.count({static_cast<DomId>(fdom), static_cast<int>(devid)})) {
-        continue;
-      }
-      // A node marked offline is mid-drain/retire: never pair against it —
-      // the frontend republishing at this moment is relinking elsewhere.
-      // (offline_ was refreshed by ProcessDrains above; no xenstore read.)
-      if (offline_.count({static_cast<DomId>(fdom), static_cast<int>(devid)}) != 0) {
-        continue;
-      }
-      // Pair only once the frontend has published its parameters.
-      const std::string fe_path =
-          FrontendPath(static_cast<DomId>(fdom), "vif", static_cast<int>(devid));
-      if (bus.ReadState(fe_path) != XenbusState::kInitialised) {
-        // Not published yet: watch the frontend's state so the scan reruns
-        // when it advances (avoids a pairing race).
-        if (fe_watches_.find(fe_path) == fe_watches_.end()) {
-          fe_watches_[fe_path] = backend_->StoreWatch(
-              fe_path + "/state", "fe-state",
-              [this](const std::string&, const std::string&) { watch_wake_.Signal(); });
-        }
-        continue;
-      }
-      // Shard instances across the domain's vCPUs for I/O scaling.
-      BmkSched* sched = scheds_[next_sched_++ % scheds_.size()];
-      auto inst = std::make_unique<NetbackInstance>(backend_, sched, costs_, params_,
-                                                    static_cast<DomId>(fdom),
-                                                    static_cast<int>(devid));
-      const std::string be_path = BackendPath(backend_->id(), "vif",
-                                              static_cast<DomId>(fdom),
-                                              static_cast<int>(devid));
-      bus.SwitchState(be_path, XenbusState::kInitWait);
-      if (!inst->Connect()) {
-        // Transient by assumption (e.g. an injected grant-map failure): keep
-        // the backend in InitWait and rescan shortly instead of declaring
-        // the device dead with kClosed.
-        connect_retries_->Inc();
-        KITE_LOG(Warning) << "netback: failed to connect " << fe_path << ", retrying";
-        hv_->executor()->PostAfter(Millis(1), KITE_POST_SITE("netback/connect-retry"),
-                                   [this, alive = alive_] {
-          if (*alive) {
-            watch_wake_.Signal();
-          }
-        });
-        continue;
-      }
-      NetbackInstance* raw = inst.get();
-      instances_[{static_cast<DomId>(fdom), static_cast<int>(devid)}] = std::move(inst);
-      // Paired: the pre-publication frontend-state watch has served its
-      // purpose; dropping it here is what keeps the watch table bounded.
-      if (auto wit = fe_watches_.find(fe_path); wit != fe_watches_.end()) {
-        hv_->store().RemoveWatch(wit->second);
-        fe_watches_.erase(wit);
-      }
-      // Watch the frontend's state for the rest of the pairing's life: if
-      // the guest closes the device or its domain is destroyed, the scan
-      // must run again to reap this instance.
-      paired_watches_[{static_cast<DomId>(fdom), static_cast<int>(devid)}] =
-          backend_->StoreWatch(fe_path + "/state", "fe-gone",
-                               [this](const std::string&, const std::string&) {
-                                 watch_wake_.Signal();
-                               });
-      // Hotplug gates the Connected switch: with an application attached the
-      // vif must be bridged first (the app calls CompleteHotplug after
-      // AddIf), otherwise the frontend could start transmitting into a
-      // bridge that doesn't forward for it yet.
-      if (on_new_vif_) {
-        on_new_vif_(raw);
-      } else {
-        raw->CompleteHotplug();
-      }
-    }
-  }
-}
+template class XenbusBackend<NetbackInstance>;
 
 }  // namespace kite

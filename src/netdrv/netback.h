@@ -9,16 +9,13 @@
 //   - `soft_start` — feeds guest Rx responses (world → guest).
 // The event handler and the VIF output callback only *wake* these threads.
 //
-// NetworkBackendDriver implements backend invocation (paper §4.1): a
-// dedicated thread woken by a xenstore watch scans for unpaired frontends
-// and instantiates backends for them.
+// NetworkBackendDriver is the xenbus backend bus (src/hv/xenbus_backend.h)
+// over NetbackInstance: it creates, connects and reaps one per vif node.
 #ifndef SRC_NETDRV_NETBACK_H_
 #define SRC_NETDRV_NETBACK_H_
 
 #include <deque>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +24,7 @@
 #include "src/hv/domain.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/xenbus.h"
+#include "src/hv/xenbus_backend.h"
 #include "src/net/netif.h"
 #include "src/net/queue.h"
 #include "src/netdrv/netif_ring.h"
@@ -53,10 +51,15 @@ struct NetbackParams {
 
 class NetbackInstance : public NetIf {
  public:
+  static constexpr const char* kType = "vif";
+  static constexpr const char* kName = "netback";
+
   NetbackInstance(Domain* backend, BmkSched* sched, const OsCostProfile* costs,
                   NetbackParams params, DomId frontend_dom, int devid);
   ~NetbackInstance() override;
 
+  // Advertises InitWait in xenstore when the vif's backend node appears.
+  void Advertise();
   // Reads the frontend's published parameters, maps the rings, binds the
   // event channel, and starts the threads. Returns false if the frontend's
   // entries are missing or invalid.
@@ -72,8 +75,7 @@ class NetbackInstance : public NetIf {
   // Advertises Connected in xenstore. As on real Xen, where the hotplug
   // script must bridge the vif before the state switch, the network
   // application calls this after AddIf; the frontend therefore never sees
-  // Connected while its traffic would still bypass the bridge. Without an
-  // application the driver calls it at pairing time.
+  // Connected while its traffic would still bypass the bridge.
   void CompleteHotplug();
 
   // Frontend death (paper §6: guests may crash at any time): stop accepting
@@ -210,97 +212,9 @@ class NetbackInstance : public NetIf {
   uint64_t tx_unparseable_base_ = 0;
 };
 
-class NetworkBackendDriver {
- public:
-  // One scheduler per driver-domain vCPU; netback instances are sharded
-  // round-robin across them (paper 3.1: "several NICs for better I/O
-  // scaling since Kite supports multiple cores").
-  NetworkBackendDriver(Domain* backend, std::vector<BmkSched*> scheds,
-                       const OsCostProfile* costs,
-                       NetbackParams params = NetbackParams{});
-  ~NetworkBackendDriver();
-
-  // The network application registers this to connect new VIFs to the
-  // bridge (paper §4.3).
-  void SetOnNewVif(std::function<void(NetbackInstance*)> fn) { on_new_vif_ = std::move(fn); }
-  // Called when a vif's frontend died and the instance is being reaped, so
-  // the application can unbridge it before the pointer goes away.
-  void SetOnVifGone(std::function<void(NetbackInstance*)> fn) { on_vif_gone_ = std::move(fn); }
-
-  int instance_count() const { return static_cast<int>(instances_.size()); }
-  // Reaped instances still draining their worker threads.
-  int dying_instance_count() const { return static_cast<int>(dying_.size()); }
-  NetbackInstance* instance(DomId frontend_dom, int devid);
-  // Live instances in deterministic (frontend, devid) order (checker).
-  std::vector<NetbackInstance*> live_instances() const {
-    std::vector<NetbackInstance*> out;
-    out.reserve(instances_.size());
-    for (const auto& [key, inst] : instances_) {
-      out.push_back(inst.get());
-    }
-    return out;
-  }
-
-  uint64_t scans() const { return scans_->value(); }
-  uint64_t connect_retries() const { return connect_retries_->value(); }
-  uint64_t instances_reaped() const { return instances_reaped_->value(); }
-  // Instances retired via the graceful drain handshake (be/online = 0).
-  uint64_t instances_retired() const { return instances_retired_->value(); }
-  // Frontend-state watches currently held while waiting for publication
-  // (leak accounting: must drop back to zero once everything is paired).
-  int pending_fe_watch_count() const { return static_cast<int>(fe_watches_.size()); }
-  // Frontend-death watches held for paired instances (one per live instance).
-  int paired_fe_watch_count() const { return static_cast<int>(paired_watches_.size()); }
-
- private:
-  Task WatchThread();
-  void ScanForFrontends();
-  // Tears down instances whose frontend reached Closing/Closed or vanished
-  // from xenstore (frontend domain destroyed).
-  void ReapDeadInstances();
-  // Drives the graceful drain handshake for instances whose backend node
-  // carries online = 0 (set by the toolstack before a migration).
-  void ProcessDrains();
-  // Root-watch helper: records nodes whose online key changed so the next
-  // scan reads only those (keeps the no-migration path free of xenstore ops).
-  void NoteOnlineTouched(const std::string& root, const std::string& path);
-  // Frees reaped instances whose worker threads have exited.
-  void SweepDying();
-
-  Domain* backend_;
-  Hypervisor* hv_;
-  std::vector<BmkSched*> scheds_;
-  const OsCostProfile* costs_;
-  NetbackParams params_;
-  std::function<void(NetbackInstance*)> on_new_vif_;
-  std::function<void(NetbackInstance*)> on_vif_gone_;
-  size_t next_sched_ = 0;
-
-  WatchId watch_ = 0;
-  WakeFlag watch_wake_;
-  std::map<std::pair<DomId, int>, std::unique_ptr<NetbackInstance>> instances_;
-  // Frontend state paths we watch while waiting for them to publish; each
-  // watch is removed as soon as its frontend pairs (they used to accumulate
-  // forever).
-  std::map<std::string, WatchId> fe_watches_;
-  // Post-pairing frontend-death watches, one per live instance (kept apart
-  // from fe_watches_, whose emptiness tests assert after pairing).
-  std::map<std::pair<DomId, int>, WatchId> paired_watches_;
-  // Nodes whose online key the toolstack touched since the last scan
-  // (paths carried by the root watch); read — and charged — only for these.
-  std::set<std::pair<DomId, int>> online_dirty_;
-  // Nodes currently marked online = 0: mid-drain/retire.
-  std::set<std::pair<DomId, int>> offline_;
-  // Reaped but not yet drained (worker frames still parked in the shared
-  // scheduler); swept on scan wakeups.
-  std::vector<std::unique_ptr<NetbackInstance>> dying_;
-  Counter* scans_;
-  Counter* connect_retries_;
-  Counter* instances_reaped_;
-  Counter* instances_retired_;
-  // Outlives `this` so posted retries can detect destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-};
+// Backend invocation (paper §4.1) for vifs: the xenbus backend bus.
+using NetworkBackendDriver = XenbusBackend<NetbackInstance>;
+extern template class XenbusBackend<NetbackInstance>;
 
 }  // namespace kite
 

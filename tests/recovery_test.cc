@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/bytes.h"
+#include "src/core/invariants.h"
 #include "src/core/kite.h"
 
 namespace kite {
@@ -438,6 +439,85 @@ TEST_P(RecoveryTest, GuestDeathBeforePairingReapsBlkbackInstance) {
   }));
   EXPECT_EQ(driver->pending_fe_watch_count(), 0);
   EXPECT_EQ(driver->paired_fe_watch_count(), 0);
+}
+
+TEST_P(RecoveryTest, GuestDeathBeforePairingReapsNetbackInstance) {
+  // The netback twin: the toolstack attached a vif but no Netfront ever
+  // published. The instance exists from the moment its backend node appears,
+  // so the guest's death must reap it, its frontend watch and its node.
+  KiteSystem::Params params;
+  sys_ = std::make_unique<KiteSystem>(params);
+  DriverDomainConfig config;
+  config.os = GetParam();
+  netdom_ = sys_->CreateNetworkDomain(config);
+  GuestVm* doomed = sys_->CreateGuest("doomed-vm");
+  const DomId gid = doomed->domain()->id();
+  const DomId bid = netdom_->domain()->id();
+  XenStore& store = sys_->hv().store();
+  // Toolstack half of AttachVif only — no Netfront is ever constructed.
+  const std::string fe = FrontendPath(gid, "vif", 0);
+  const std::string be = BackendPath(bid, "vif", gid, 0);
+  store.Write(kDom0, fe + "/backend", be);
+  store.WriteInt(kDom0, fe + "/backend-id", bid);
+  store.WriteInt(kDom0, fe + "/state", static_cast<int>(XenbusState::kInitialising));
+  store.Write(kDom0, be + "/frontend", fe);
+  store.WriteInt(kDom0, be + "/frontend-id", gid);
+  store.WriteInt(kDom0, be + "/online", 1);
+  store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
+  store.SetPermission(kDom0, fe, bid);
+  store.SetPermission(kDom0, be, gid);
+  NetworkBackendDriver* driver = netdom_->driver();
+  ASSERT_TRUE(sys_->WaitUntil([&] { return driver->pending_fe_watch_count() == 1; }));
+  EXPECT_EQ(driver->instance_count(), 1);
+
+  sys_->DestroyGuest(doomed);
+  ASSERT_TRUE(sys_->WaitUntil([&] {
+    return driver->instance_count() == 0 && driver->dying_instance_count() == 0;
+  }));
+  EXPECT_EQ(driver->instances_reaped(), 1u);
+  EXPECT_EQ(driver->pending_fe_watch_count(), 0);
+  EXPECT_EQ(driver->paired_fe_watch_count(), 0);
+  EXPECT_FALSE(store.Exists(be + "/state"));
+  sys_->RunUntilIdle();
+  const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
+  EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+}
+
+TEST_P(RecoveryTest, ConnectRetryIsPacedByTimerForBothKinds) {
+  // While every grant map fails, both backends keep their unconnected
+  // instance and rescan on the 1 ms retry timer — not on their own xenstore
+  // writes — then connect once the fault clears.
+  KiteSystem::Params params;
+  sys_ = std::make_unique<KiteSystem>(params);
+  DriverDomainConfig config;
+  config.os = GetParam();
+  netdom_ = sys_->CreateNetworkDomain(config);
+  stordom_ = sys_->CreateStorageDomain(config);
+  guest_ = sys_->CreateGuest("app-vm");
+  sys_->faults().set_rate(FaultSite::kGrantMap, 1.0);
+  sys_->AttachVif(guest_, netdom_, kGuestIp);
+  sys_->AttachVbd(guest_, stordom_);
+  sys_->RunFor(Millis(5));
+  EXPECT_GE(netdom_->driver()->connect_retries(), 1u);
+  EXPECT_LE(netdom_->driver()->connect_retries(), 12u);
+  EXPECT_GE(stordom_->driver()->connect_retries(), 1u);
+  EXPECT_LE(stordom_->driver()->connect_retries(), 12u);
+
+  sys_->faults().set_rate(FaultSite::kGrantMap, 0.0);
+  ASSERT_TRUE(sys_->WaitConnected(guest_));
+  EXPECT_EQ(netdom_->driver()->instance_count(), 1);
+  EXPECT_EQ(netdom_->driver()->pending_fe_watch_count(), 0);
+  EXPECT_EQ(netdom_->driver()->paired_fe_watch_count(), 1);
+  EXPECT_EQ(stordom_->driver()->instance_count(), 1);
+  EXPECT_EQ(stordom_->driver()->pending_fe_watch_count(), 0);
+  EXPECT_EQ(stordom_->driver()->paired_fe_watch_count(), 1);
+  EXPECT_TRUE(PingGuest());
+  bool read_ok = false;
+  guest_->blkfront()->Read(0, 4096, nullptr, [&](bool ok) { read_ok = ok; });
+  EXPECT_TRUE(sys_->WaitUntil([&] { return read_ok; }));
+  sys_->RunUntilIdle();
+  const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
+  EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
 }
 
 INSTANTIATE_TEST_SUITE_P(Personalities, RecoveryTest,
