@@ -56,10 +56,10 @@ int main() {
 
   DomainPool pool(&sys);
   for (int i = 0; i < kNetShards; ++i) {
-    pool.AddNetworkShard(sys.CreateNetworkDomain());
+    pool.AddShard(sys.CreateNetworkDomain());
   }
   for (int i = 0; i < kStorShards; ++i) {
-    pool.AddStorageShard(sys.CreateStorageDomain());
+    pool.AddShard(sys.CreateStorageDomain());
   }
   RebalancerParams rp;
   rp.degraded_hysteresis = Seconds(1);  // The stalled path owns the wedge.

@@ -1,6 +1,7 @@
 #include "src/blk/disk.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -113,6 +114,15 @@ void BlockDevice::ReleaseHungIo() {
     executor_->Post(KITE_POST_SITE("disk/hung-io-release"),
                     [this, req = std::move(req)]() mutable { Complete(std::move(req)); });
   }
+}
+
+void BlockDevice::AbortHungIo() {
+  for (DiskRequest& req : std::exchange(hung_, {})) {
+    --active_;
+    ++io_errors_;
+    req.done(false, Buffer{});  // No content effect.
+  }
+  TryStart();
 }
 
 void BlockDevice::WriteRaw(int64_t offset, std::span<const uint8_t> data) {

@@ -85,6 +85,11 @@ class BlockDevice : public PciDevice {
   // Revives every parked completion (each re-rolls the fault sites, so clear
   // the kDiskHang rate first unless re-parking is intended).
   void ReleaseHungIo();
+  // Fails every parked completion instead: each counts as an I/O error with
+  // no content effect and frees its queue-depth slot. A driver-domain
+  // restart does this when it hands the device over, so a stale op of the
+  // dead domain can never land after the frontend's requeued copy.
+  void AbortHungIo();
   int hung_io_count() const { return static_cast<int>(hung_.size()); }
 
   // Direct (out-of-band) access for tests and for pre-populating content.

@@ -328,14 +328,18 @@ ExploreReport RunFailoverSeed(const ExploreOptions& opts) {
   report.seed = opts.seed;
   report.failover = true;
 
-  // Scenario choices (pool sizes, victim, drain-vs-evacuate) come from a
-  // generator distinct from the shuffle/fault streams, as in RunExploreSeed.
+  // Scenario choices (pool sizes, victim, drain-vs-evacuate, wedged kind)
+  // come from a generator distinct from the shuffle/fault streams, as in
+  // RunExploreSeed.
   Rng plan(opts.seed * 0x9e3779b97f4a7c15ULL + 2);
 
   // Evacuation seeds set the stalled threshold inside the run; drain seeds
   // push it out of reach so the wedge stays degraded and the Rebalancer must
   // take the graceful path.
   const bool evacuate = plan.NextBool(0.5);
+  // Half the evacuation seeds wedge a storage shard (a hung write) instead
+  // of a network one (a swallowed kick).
+  const bool wedge_storage = evacuate && plan.NextBool(0.5);
 
   KiteSystem::Params params;
   params.fault_seed = opts.seed ^ 0xfa170e4ULL;
@@ -371,10 +375,10 @@ ExploreReport RunFailoverSeed(const ExploreOptions& opts) {
   const int num_guests = 6 + static_cast<int>(plan.NextBelow(11));  // 6..16
   DomainPool pool(&sys);
   for (int i = 0; i < net_shards; ++i) {
-    pool.AddNetworkShard(sys.CreateNetworkDomain());
+    pool.AddShard(sys.CreateNetworkDomain());
   }
-  pool.AddStorageShard(sys.CreateStorageDomain());
-  pool.AddStorageShard(sys.CreateStorageDomain());
+  pool.AddShard(sys.CreateStorageDomain());
+  pool.AddShard(sys.CreateStorageDomain());
   RebalancerParams rp;
   // In evacuation seeds the hysteresis outlasts the stall threshold, so the
   // stalled path always wins the race against the degraded drain.
@@ -438,21 +442,34 @@ ExploreReport RunFailoverSeed(const ExploreOptions& opts) {
   }
 
   phase("wedge");
-  // Victim: the shard hosting a randomly chosen guest. Swallow the one TX
-  // kick that crosses req_event (the stall-demo technique) — that netback
+  // Victim: the shard hosting a randomly chosen guest's VIF or VBD. Either
+  // swallow the one TX kick that crosses req_event (the stall-demo
+  // technique), or hang one write in the disk controller — that backend
   // instance stops making progress and only the watchdog can tell.
-  GuestVm* trigger = guests[plan.NextBelow(static_cast<uint64_t>(num_guests))];
-  const DomId victim = trigger->netfront()->backend_dom();
+  const size_t trigger_index = plan.NextBelow(static_cast<uint64_t>(num_guests));
+  GuestVm* trigger = guests[trigger_index];
+  const DeviceKind victim_kind = wedge_storage ? DeviceKind::kVbd : DeviceKind::kVif;
+  const DomId victim = trigger->frontend(victim_kind)->backend;
   std::vector<GuestVm*> displaced;
   for (GuestVm* g : guests) {
-    if (g->netfront()->backend_dom() == victim) {
+    if (g->frontend(victim_kind)->backend == victim) {
       displaced.push_back(g);
     }
   }
-  sys.faults().set_rate(FaultSite::kEventNotify, 1.0);
-  trigger->stack()->Ping(sys.client_ip(), 56, [](bool, SimDuration) {});
+  // The hung write lands beside the guest's verified block; once the shard
+  // is evacuated, blkfront requeues it and a survivor must acknowledge it.
+  bool wedged_acked = !wedge_storage;
+  const FaultSite wedge = wedge_storage ? FaultSite::kDiskHang : FaultSite::kEventNotify;
+  sys.faults().set_rate(wedge, 1.0);
+  if (wedge_storage) {
+    trigger->blkfront()->Write(static_cast<int64_t>(trigger_index) * kSlab + 64 * 1024,
+                               Buffer(4096, 0xee),
+                               [&wedged_acked](bool ok) { wedged_acked = ok; });
+  } else {
+    trigger->stack()->Ping(sys.client_ip(), 56, [](bool, SimDuration) {});
+  }
   sys.RunFor(Millis(5));
-  sys.faults().set_rate(FaultSite::kEventNotify, 0.0);
+  sys.faults().set_rate(wedge, 0.0);
 
   phase(evacuate ? "evacuate" : "drain");
   if (evacuate) {
@@ -464,11 +481,13 @@ ExploreReport RunFailoverSeed(const ExploreOptions& opts) {
   }
   if (!sys.WaitUntil(
           [&] {
-            if (sys.migrations_in_flight() != 0 || reb.pending_moves() != 0) {
+            if (sys.migrations_in_flight() != 0 || reb.pending_moves() != 0 ||
+                !wedged_acked) {
               return false;
             }
             for (GuestVm* g : displaced) {
-              if (!g->netfront()->connected() || g->netfront()->backend_dom() == victim) {
+              const auto fe = g->frontend(victim_kind);
+              if (!fe->connected || fe->backend == victim) {
                 return false;
               }
             }
@@ -478,7 +497,7 @@ ExploreReport RunFailoverSeed(const ExploreOptions& opts) {
     return live_fail(StrFormat("displaced guests (%d) never settled off dom%d",
                                static_cast<int>(displaced.size()), victim));
   }
-  if (evacuate && pool.HasNetworkShard(victim)) {
+  if (evacuate && pool.HasShard(victim)) {
     return live_fail("evacuated shard still in the pool under its old id");
   }
 

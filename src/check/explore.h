@@ -54,8 +54,10 @@ ExploreReport RunExploreSeed(const ExploreOptions& opts);
 // *drain* path (graceful migrations) or the stalled *evacuation* path
 // (forced restart), so sweeping seeds explores migration/restart races under
 // live traffic. The wedge itself is the stall-demo technique: swallow the
-// one TX kick that crosses req_event. Audited like RunExploreSeed — packet
-// conservation, per-guest write read-back, and the full invariant checker.
+// one TX kick that crosses req_event; half the evacuation seeds instead hang
+// one write of the guest's VBD in the disk controller. Audited like
+// RunExploreSeed — packet conservation, per-guest write read-back, and the
+// full invariant checker.
 ExploreReport RunFailoverSeed(const ExploreOptions& opts);
 
 // Failure reports end with the exact replay command line.

@@ -1,5 +1,6 @@
 #include "src/core/migrate.h"
 
+#include <optional>
 #include <string>
 
 #include "src/base/log.h"
@@ -28,14 +29,6 @@ MigrationEngine::MigrationEngine(KiteSystem* sys) : sys_(sys) {
 
 MigrationEngine::~MigrationEngine() { *alive_ = false; }
 
-void MigrationEngine::MigrateVif(DomId guest, DomId to, Mode mode, Done done) {
-  Enqueue(guest, /*vif=*/true, to, mode, std::move(done));
-}
-
-void MigrationEngine::MigrateVbd(DomId guest, DomId to, Mode mode, Done done) {
-  Enqueue(guest, /*vif=*/false, to, mode, std::move(done));
-}
-
 int MigrationEngine::in_flight() const {
   int n = 0;
   for (const auto& [key, q] : queues_) {
@@ -44,13 +37,12 @@ int MigrationEngine::in_flight() const {
   return n;
 }
 
-void MigrationEngine::Enqueue(DomId guest, bool vif, DomId to, Mode mode, Done done) {
-  const Key key{guest, vif};
+void MigrationEngine::Migrate(DomId guest, DeviceKind kind, DomId to, Done done) {
+  const Key key{guest, kind};
   Move m;
   m.gid = guest;
-  m.vif = vif;
+  m.kind = kind;
   m.to = to;
-  m.mode = mode;
   m.done = std::move(done);
   std::deque<Move>& q = queues_[key];
   q.push_back(std::move(m));
@@ -76,91 +68,50 @@ void MigrationEngine::StartFront(const Key& key) {
       Finish(key, true);
       return;
     case StartResult::kPolling:
-      SchedulePoll(key);
+      // Polled at once: a source whose node is already gone is relinked
+      // synchronously.
+      Poll(key);
       return;
   }
 }
 
 MigrationEngine::StartResult MigrationEngine::Begin(Move* m) {
   GuestVm* guest = sys_->FindGuest(m->gid);
-  if (guest == nullptr) {
+  const std::optional<GuestVm::Frontend> fe =
+      guest == nullptr ? std::nullopt : guest->frontend(m->kind);
+  if (!fe.has_value()) {
     return StartResult::kFail;
   }
-  const char* kind = m->vif ? "vif" : "vbd";
-  bool connected = false;
-  DomId fe_backend = 0;
-  if (m->vif) {
-    if (guest->netfront() == nullptr) {
-      return StartResult::kFail;
-    }
-    m->devid = guest->netfront()->devid();
-    connected = guest->netfront()->connected();
-    fe_backend = guest->netfront()->backend_dom();
-  } else {
-    if (guest->blkfront() == nullptr) {
-      return StartResult::kFail;
-    }
-    m->devid = guest->blkfront()->devid();
-    connected = guest->blkfront()->connected();
-    fe_backend = guest->blkfront()->backend_dom();
-  }
-  XenStore& store = sys_->hv().store();
-  const std::string fe = FrontendPath(m->gid, kind, m->devid);
+  m->devid = fe->devid;
   // The toolstack's own record is the source of truth for where the device
   // is linked; the frontend's view lags it by a posted watch.
-  auto cur = store.ReadInt(kDom0, fe + "/backend-id");
-  m->from = cur.has_value() ? static_cast<DomId>(*cur) : fe_backend;
+  m->from = *sys_->LinkedBackend(guest, m->kind);
   sys_->recorder().Record(m->gid, FlightKind::kMigrateStart, m->devid,
                           static_cast<uint64_t>(m->from),
                           static_cast<uint64_t>(m->to));
-  const SimTime now = sys_->executor().Now();
-  if (m->from == m->to && connected && fe_backend == m->to) {
+  if (m->from == m->to && fe->connected && fe->backend == m->to) {
     return StartResult::kDone;  // Already where it should be.
   }
-  // The mode documents the caller's intent (restart vs live move), but what
-  // actually decides drain-vs-relink is the *current* state of the source: a
-  // forced move that waited in the queue may start after the device settled
-  // on a live backend (the restart's relink raced a concurrent move), and
-  // relinking away from a live, mapped backend would strand its grant
-  // mappings. Only a source whose node is gone is safe to relink outright.
-  const std::string be = BackendPath(m->from, kind, m->gid, m->devid);
-  if (!store.Exists(be + "/frontend-id")) {
-    // Old backend node already gone (dead domain or already retired): no
-    // live mappings to wait out.
-    if (!Relink(m)) {
-      return StartResult::kFail;
-    }
-    m->step = Step::kConnect;
-    m->deadline = now + ConnectTimeout();
-    return StartResult::kPolling;
-  }
-  // Graceful drain: mark the node offline; the backend driver's root watch
-  // picks it up, drains the instance, and retires the node.
-  store.WriteInt(kDom0, be + "/online", 0);
-  m->step = Step::kDrain;
-  m->deadline = now + DrainTimeout();
+  DrainSource(m);
   return StartResult::kPolling;
 }
 
-bool MigrationEngine::Relink(Move* m) {
-  GuestVm* guest = sys_->FindGuest(m->gid);
-  if (guest == nullptr) {
-    return false;
+void MigrationEngine::DrainSource(Move* m) {
+  // What decides drain-vs-relink is the *current* state of the source, not
+  // whether the caller was a restart or a live move: a restart's move that
+  // waited in the queue may start after the device settled on a live backend
+  // (the restart's relink raced a concurrent move), and relinking away from
+  // a live, mapped backend would strand its grant mappings. Only a source
+  // whose node is gone is safe to relink outright; the drain poll does that.
+  XenStore& store = sys_->hv().store();
+  const std::string be = BackendPath(m->from, DeviceTypeName(m->kind), m->gid, m->devid);
+  if (store.Exists(be + "/frontend-id")) {
+    // Graceful drain: mark the node offline; the backend driver's root watch
+    // picks it up, drains the instance, and retires the node.
+    store.WriteInt(kDom0, be + "/online", 0);
   }
-  if (m->vif) {
-    NetworkDomain* nd = sys_->FindNetworkDomain(m->to);
-    if (nd == nullptr) {
-      return false;  // Target vanished (destroyed mid-queue).
-    }
-    sys_->RelinkVif(guest, nd);
-  } else {
-    StorageDomain* sd = sys_->FindStorageDomain(m->to);
-    if (sd == nullptr) {
-      return false;
-    }
-    sys_->RelinkVbd(guest, sd);
-  }
-  return true;
+  m->step = Step::kDrain;
+  m->deadline = sys_->executor().Now() + DrainTimeout();
 }
 
 void MigrationEngine::SchedulePoll(const Key& key) {
@@ -179,19 +130,16 @@ void MigrationEngine::Poll(const Key& key) {
   }
   Move& m = qit->second.front();
   GuestVm* guest = sys_->FindGuest(m.gid);
-  if (guest == nullptr ||
-      (m.vif ? guest->netfront() == nullptr : guest->blkfront() == nullptr)) {
+  const std::optional<GuestVm::Frontend> fe =
+      guest == nullptr ? std::nullopt : guest->frontend(m.kind);
+  if (!fe.has_value()) {
     Finish(key, false);  // Device destroyed mid-move.
     return;
   }
-  const char* kind = m.vif ? "vif" : "vbd";
-  const bool connected =
-      m.vif ? guest->netfront()->connected() : guest->blkfront()->connected();
-  const DomId fe_backend =
-      m.vif ? guest->netfront()->backend_dom() : guest->blkfront()->backend_dom();
+  const char* kind = DeviceTypeName(m.kind);
   XenStore& store = sys_->hv().store();
-  const std::string fe = FrontendPath(m.gid, kind, m.devid);
-  auto cur_opt = store.ReadInt(kDom0, fe + "/backend-id");
+  // Where the toolstack points now; without the key, the move's source.
+  auto cur_opt = store.ReadInt(kDom0, FrontendPath(m.gid, kind, m.devid) + "/backend-id");
   const DomId cur = cur_opt.has_value() ? static_cast<DomId>(*cur_opt) : m.from;
   const SimTime now = sys_->executor().Now();
 
@@ -202,18 +150,14 @@ void MigrationEngine::Poll(const Key& key) {
         // beat this move). Wait for the frontend to settle on the new
         // backend, then drain from there — relinking away from a live,
         // mapped backend would strand its grant mappings.
-        if (connected && fe_backend == cur) {
+        if (fe->connected && fe->backend == cur) {
           if (++m.hops > kMaxHops) {
             Finish(key, false);
             return;
           }
           hops_->Inc();
           m.from = cur;
-          const std::string be = BackendPath(m.from, kind, m.gid, m.devid);
-          if (store.Exists(be + "/frontend-id")) {
-            store.WriteInt(kDom0, be + "/online", 0);
-          }
-          m.deadline = now + DrainTimeout();
+          DrainSource(&m);
         } else if (now > m.deadline) {
           Finish(key, false);
           return;
@@ -223,9 +167,9 @@ void MigrationEngine::Poll(const Key& key) {
       }
       const std::string be = BackendPath(m.from, kind, m.gid, m.devid);
       if (!store.Exists(be + "/frontend-id")) {
-        // Drained and retired (or the domain died): no backend holds our
-        // grants any more — safe to relink.
-        if (!Relink(&m)) {
+        // Drained and retired (or the domain died, or was gone already): no
+        // backend holds our grants any more — safe to relink.
+        if (!sys_->Relink(m.gid, m.kind, m.devid, m.to)) {
           Finish(key, false);
           return;
         }
@@ -257,7 +201,7 @@ void MigrationEngine::Poll(const Key& key) {
         m.to = cur;
         m.deadline = now + ConnectTimeout();
       }
-      if (connected && fe_backend == m.to) {
+      if (fe->connected && fe->backend == m.to) {
         Finish(key, true);
         return;
       }

@@ -40,6 +40,7 @@
 #include <utility>
 
 #include "src/hv/grant_table.h"
+#include "src/hv/xenbus.h"
 #include "src/obs/metrics.h"
 #include "src/sim/executor.h"
 
@@ -49,14 +50,6 @@ class KiteSystem;
 
 class MigrationEngine {
  public:
-  enum class Mode {
-    kGraceful,  // Live move: the caller expects the source to drain.
-    kForced,    // Restart/evacuation: the caller believes the source is dead.
-  };
-  // The mode records intent only. Safety is decided from the source's actual
-  // state when the (possibly queued) move starts: a source whose backend node
-  // still exists is always drained first, because relinking away from a live,
-  // mapped backend would strand its grant mappings.
   using Done = std::function<void(bool ok)>;
 
   explicit MigrationEngine(KiteSystem* sys);
@@ -65,12 +58,15 @@ class MigrationEngine {
   MigrationEngine(const MigrationEngine&) = delete;
   MigrationEngine& operator=(const MigrationEngine&) = delete;
 
-  // Queues a move of the guest's VIF/VBD onto driver domain `to`. The source
-  // is re-resolved from the toolstack's own record (xenstore backend-id) when
-  // the move starts, so queued moves compose with restarts. `done` (optional)
-  // fires with the outcome once the device settles.
-  void MigrateVif(DomId guest, DomId to, Mode mode, Done done = {});
-  void MigrateVbd(DomId guest, DomId to, Mode mode, Done done = {});
+  // Queues a move of the guest's `kind` device onto driver domain `to`: a
+  // live move or a restart's forced one alike. The source is re-resolved
+  // from the toolstack's own record (xenstore backend-id) when the move
+  // starts, so queued moves compose with restarts, and its actual state
+  // decides the protocol: a source whose backend node still exists is
+  // always drained first, because relinking away from a live, mapped backend
+  // would strand its grant mappings. `done` (optional) fires with the
+  // outcome once the device settles.
+  void Migrate(DomId guest, DeviceKind kind, DomId to, Done done = {});
 
   // Active plus queued moves; 0 once every migration settled (the invariant
   // checker asserts this at quiesce).
@@ -89,12 +85,11 @@ class MigrationEngine {
     kConnect,  // Relinked; waiting for the frontend to reconnect.
   };
   // One device of each kind per guest, so (guest, kind) identifies a device.
-  using Key = std::pair<DomId, bool>;  // (guest dom, is_vif)
+  using Key = std::pair<DomId, DeviceKind>;
   struct Move {
     DomId gid = 0;
-    bool vif = true;
+    DeviceKind kind = DeviceKind::kVif;
     DomId to = 0;
-    Mode mode = Mode::kGraceful;
     Done done;
     Step step = Step::kDrain;
     DomId from = 0;
@@ -104,10 +99,11 @@ class MigrationEngine {
   };
   enum class StartResult { kFail, kDone, kPolling };
 
-  void Enqueue(DomId guest, bool vif, DomId to, Mode mode, Done done);
   void StartFront(const Key& key);
   StartResult Begin(Move* m);
-  bool Relink(Move* m);
+  // Drains from m->from: a live backend node is marked offline; a gone one
+  // leaves nothing to wait out, and the next poll relinks.
+  void DrainSource(Move* m);
   void Poll(const Key& key);
   void SchedulePoll(const Key& key);
   void Finish(const Key& key, bool ok);

@@ -5,129 +5,66 @@
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/core/system.h"
-#include "src/hv/xenbus.h"
 
 namespace kite {
 
-namespace {
-
-// Toolstack truth for where a guest device is linked; falls back to the
-// frontend's (possibly lagging) view when the key is missing.
-DomId LinkedBackend(KiteSystem* sys, const GuestVm* g, bool vif) {
-  const int devid = vif ? g->netfront()->devid() : g->blkfront()->devid();
-  const std::string fe =
-      FrontendPath(g->domain()->id(), vif ? "vif" : "vbd", devid);
-  auto cur = sys->hv().store().ReadInt(kDom0, fe + "/backend-id");
-  if (cur.has_value()) {
-    return static_cast<DomId>(*cur);
-  }
-  return vif ? g->netfront()->backend_dom() : g->blkfront()->backend_dom();
-}
-
-}  // namespace
-
 DomainPool::DomainPool(KiteSystem* sys) : sys_(sys) {}
 
-void DomainPool::AddNetworkShard(NetworkDomain* nd) {
+void DomainPool::AddShard(NetworkDomain* nd) {
   KITE_CHECK(nd != nullptr);
-  net_shards_.push_back(Shard{nd->domain()->id(), true});
+  shards_.push_back(Shard{nd->domain()->id(), DeviceKind::kVif, true});
 }
 
-void DomainPool::AddStorageShard(StorageDomain* sd) {
+void DomainPool::AddShard(StorageDomain* sd) {
   KITE_CHECK(sd != nullptr);
-  stor_shards_.push_back(Shard{sd->domain()->id(), true});
+  shards_.push_back(Shard{sd->domain()->id(), DeviceKind::kVbd, true});
 }
 
-void DomainPool::RemoveNetworkShard(DomId dom) {
-  for (auto it = net_shards_.begin(); it != net_shards_.end(); ++it) {
+const DomainPool::Shard* DomainPool::Find(DomId dom) const {
+  for (const Shard& s : shards_) {
+    if (s.dom == dom) {
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+void DomainPool::RemoveShard(DomId dom) {
+  for (auto it = shards_.begin(); it != shards_.end(); ++it) {
     if (it->dom == dom) {
-      net_shards_.erase(it);
+      shards_.erase(it);
       return;
     }
   }
 }
 
-void DomainPool::RemoveStorageShard(DomId dom) {
-  for (auto it = stor_shards_.begin(); it != stor_shards_.end(); ++it) {
-    if (it->dom == dom) {
-      stor_shards_.erase(it);
-      return;
-    }
-  }
-}
-
-void DomainPool::SetNetworkShardOpen(DomId dom, bool open) {
-  for (Shard& s : net_shards_) {
+void DomainPool::SetShardOpen(DomId dom, bool open) {
+  for (Shard& s : shards_) {
     if (s.dom == dom) {
       s.open = open;
     }
   }
 }
 
-void DomainPool::SetStorageShardOpen(DomId dom, bool open) {
-  for (Shard& s : stor_shards_) {
-    if (s.dom == dom) {
-      s.open = open;
-    }
-  }
+bool DomainPool::IsShardOpen(DomId dom) const {
+  const Shard* s = Find(dom);
+  return s != nullptr && s->open;
 }
 
-bool DomainPool::IsNetworkShardOpen(DomId dom) const {
-  for (const Shard& s : net_shards_) {
-    if (s.dom == dom) {
-      return s.open;
-    }
-  }
-  return false;
+bool DomainPool::HasShard(DomId dom) const { return Find(dom) != nullptr; }
+
+std::optional<DeviceKind> DomainPool::KindOf(DomId dom) const {
+  const Shard* s = Find(dom);
+  return s == nullptr ? std::nullopt : std::optional<DeviceKind>(s->kind);
 }
 
-bool DomainPool::IsStorageShardOpen(DomId dom) const {
-  for (const Shard& s : stor_shards_) {
-    if (s.dom == dom) {
-      return s.open;
-    }
-  }
-  return false;
-}
-
-bool DomainPool::HasNetworkShard(DomId dom) const {
-  for (const Shard& s : net_shards_) {
-    if (s.dom == dom) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool DomainPool::HasStorageShard(DomId dom) const {
-  for (const Shard& s : stor_shards_) {
-    if (s.dom == dom) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void DomainPool::ReplaceNetworkShard(DomId old_dom, DomId new_dom) {
-  for (Shard& s : net_shards_) {
+void DomainPool::ReplaceShard(DomId old_dom, DomId new_dom) {
+  for (Shard& s : shards_) {
     if (s.dom == old_dom) {
       s.dom = new_dom;
     }
   }
-  for (auto& [guest, dom] : vif_pins_) {
-    if (dom == old_dom) {
-      dom = new_dom;
-    }
-  }
-}
-
-void DomainPool::ReplaceStorageShard(DomId old_dom, DomId new_dom) {
-  for (Shard& s : stor_shards_) {
-    if (s.dom == old_dom) {
-      s.dom = new_dom;
-    }
-  }
-  for (auto& [guest, dom] : vbd_pins_) {
+  for (auto& [device, dom] : pins_) {
     if (dom == old_dom) {
       dom = new_dom;
     }
@@ -140,62 +77,30 @@ size_t DomainPool::HashSlot(DomId guest, size_t open_count) {
   return static_cast<size_t>((h >> 32) % open_count);
 }
 
-const DomainPool::Shard* DomainPool::ResolveNet(DomId guest) const {
-  auto pin = vif_pins_.find(guest);
-  if (pin != vif_pins_.end()) {
-    for (const Shard& s : net_shards_) {
-      if (s.dom == pin->second) {
-        return &s;
-      }
+std::optional<DomId> DomainPool::PickShard(DomId guest, DeviceKind kind) const {
+  auto pin = pins_.find({guest, kind});
+  if (pin != pins_.end()) {
+    const Shard* s = Find(pin->second);
+    if (s == nullptr || s->kind != kind) {
+      return std::nullopt;  // Pinned to a departed shard, or one of the other kind.
     }
-    return nullptr;  // Pinned to a shard that left the pool.
+    return s->dom;
   }
-  std::vector<const Shard*> open;
-  for (const Shard& s : net_shards_) {
-    if (s.open) {
-      open.push_back(&s);
-    }
-  }
-  if (open.empty()) {
-    return nullptr;
-  }
-  return open[HashSlot(guest, open.size())];
-}
-
-const DomainPool::Shard* DomainPool::ResolveStor(DomId guest) const {
-  auto pin = vbd_pins_.find(guest);
-  if (pin != vbd_pins_.end()) {
-    for (const Shard& s : stor_shards_) {
-      if (s.dom == pin->second) {
-        return &s;
-      }
-    }
-    return nullptr;
-  }
-  std::vector<const Shard*> open;
-  for (const Shard& s : stor_shards_) {
-    if (s.open) {
-      open.push_back(&s);
+  std::vector<DomId> open;
+  for (const Shard& s : shards_) {
+    if (s.kind == kind && s.open) {
+      open.push_back(s.dom);
     }
   }
   if (open.empty()) {
-    return nullptr;
+    return std::nullopt;
   }
   return open[HashSlot(guest, open.size())];
-}
-
-NetworkDomain* DomainPool::PickNetworkShard(DomId guest) const {
-  const Shard* s = ResolveNet(guest);
-  return s == nullptr ? nullptr : sys_->FindNetworkDomain(s->dom);
-}
-
-StorageDomain* DomainPool::PickStorageShard(DomId guest) const {
-  const Shard* s = ResolveStor(guest);
-  return s == nullptr ? nullptr : sys_->FindStorageDomain(s->dom);
 }
 
 NetworkDomain* DomainPool::AttachVif(GuestVm* guest, Ipv4Addr ip) {
-  NetworkDomain* nd = PickNetworkShard(guest->domain()->id());
+  const std::optional<DomId> dom = PickShard(guest->domain()->id(), DeviceKind::kVif);
+  NetworkDomain* nd = dom.has_value() ? sys_->FindNetworkDomain(*dom) : nullptr;
   if (nd == nullptr) {
     return nullptr;
   }
@@ -204,7 +109,8 @@ NetworkDomain* DomainPool::AttachVif(GuestVm* guest, Ipv4Addr ip) {
 }
 
 StorageDomain* DomainPool::AttachVbd(GuestVm* guest) {
-  StorageDomain* sd = PickStorageShard(guest->domain()->id());
+  const std::optional<DomId> dom = PickShard(guest->domain()->id(), DeviceKind::kVbd);
+  StorageDomain* sd = dom.has_value() ? sys_->FindStorageDomain(*dom) : nullptr;
   if (sd == nullptr) {
     return nullptr;
   }
@@ -212,73 +118,32 @@ StorageDomain* DomainPool::AttachVbd(GuestVm* guest) {
   return sd;
 }
 
-int DomainPool::VifLoad(DomId dom) const {
-  int n = 0;
-  for (const auto& g : sys_->guests()) {
-    if (g->netfront() != nullptr && LinkedBackend(sys_, g.get(), true) == dom) {
-      ++n;
-    }
-  }
-  return n;
+int DomainPool::Load(DomId dom, DeviceKind kind) const {
+  return static_cast<int>(sys_->LinkedGuests(kind, dom).size());
 }
 
-int DomainPool::VbdLoad(DomId dom) const {
-  int n = 0;
-  for (const auto& g : sys_->guests()) {
-    if (g->blkfront() != nullptr && LinkedBackend(sys_, g.get(), false) == dom) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-NetworkDomain* DomainPool::LeastLoadedNetworkShard(DomId exclude) const {
-  const Shard* best = nullptr;
+std::optional<DomId> DomainPool::LeastLoadedShard(DeviceKind kind, DomId exclude) const {
+  std::optional<DomId> best;
   int best_load = 0;
-  for (const Shard& s : net_shards_) {
-    if (!s.open || s.dom == exclude) {
+  for (const Shard& s : shards_) {
+    if (s.kind != kind || !s.open || s.dom == exclude) {
       continue;
     }
-    const int load = VifLoad(s.dom);
-    if (best == nullptr || load < best_load) {
-      best = &s;
+    const int load = Load(s.dom, kind);
+    if (!best.has_value() || load < best_load) {
+      best = s.dom;
       best_load = load;
     }
   }
-  return best == nullptr ? nullptr : sys_->FindNetworkDomain(best->dom);
+  return best;
 }
 
-StorageDomain* DomainPool::LeastLoadedStorageShard(DomId exclude) const {
-  const Shard* best = nullptr;
-  int best_load = 0;
-  for (const Shard& s : stor_shards_) {
-    if (!s.open || s.dom == exclude) {
-      continue;
-    }
-    const int load = VbdLoad(s.dom);
-    if (best == nullptr || load < best_load) {
-      best = &s;
-      best_load = load;
-    }
-  }
-  return best == nullptr ? nullptr : sys_->FindStorageDomain(best->dom);
-}
-
-std::vector<DomainPool::ShardInfo> DomainPool::NetworkShards() const {
+std::vector<DomainPool::ShardInfo> DomainPool::Shards(DeviceKind kind) const {
   std::vector<ShardInfo> out;
-  out.reserve(net_shards_.size());
-  for (const Shard& s : net_shards_) {
-    out.push_back(ShardInfo{s.dom, s.open, VifLoad(s.dom)});
-  }
-  PublishGauges();
-  return out;
-}
-
-std::vector<DomainPool::ShardInfo> DomainPool::StorageShards() const {
-  std::vector<ShardInfo> out;
-  out.reserve(stor_shards_.size());
-  for (const Shard& s : stor_shards_) {
-    out.push_back(ShardInfo{s.dom, s.open, VbdLoad(s.dom)});
+  for (const Shard& s : shards_) {
+    if (s.kind == kind) {
+      out.push_back(ShardInfo{s.dom, s.open, Load(s.dom, kind)});
+    }
   }
   PublishGauges();
   return out;
@@ -286,13 +151,11 @@ std::vector<DomainPool::ShardInfo> DomainPool::StorageShards() const {
 
 void DomainPool::PublishGauges() const {
   MetricRegistry& reg = sys_->metric_registry();
-  for (const Shard& s : net_shards_) {
-    reg.gauge("pool", StrFormat("net%d", s.dom), "vif_load")->Set(VifLoad(s.dom));
-    reg.gauge("pool", StrFormat("net%d", s.dom), "open")->Set(s.open ? 1 : 0);
-  }
-  for (const Shard& s : stor_shards_) {
-    reg.gauge("pool", StrFormat("stor%d", s.dom), "vbd_load")->Set(VbdLoad(s.dom));
-    reg.gauge("pool", StrFormat("stor%d", s.dom), "open")->Set(s.open ? 1 : 0);
+  for (const Shard& s : shards_) {
+    const bool vif = s.kind == DeviceKind::kVif;
+    const std::string device = StrFormat(vif ? "net%d" : "stor%d", s.dom);
+    reg.gauge("pool", device, vif ? "vif_load" : "vbd_load")->Set(Load(s.dom, s.kind));
+    reg.gauge("pool", device, "open")->Set(s.open ? 1 : 0);
   }
 }
 

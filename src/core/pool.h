@@ -4,15 +4,15 @@
 // lightweight Kite netback domains and M blkback domains; each guest VIF/VBD
 // is served by exactly one shard. The pool is the placement policy:
 //
-//   - Membership is an ordered list of shards (registration order, so
-//     placement is deterministic across runs). A shard can be *closed*
+//   - Membership is one ordered list of shards of both kinds (registration
+//     order, so placement is deterministic across runs). A shard can be *closed*
 //     (draining, unhealthy) without leaving the pool: closed shards receive
 //     no new placements but keep serving what they already host until the
 //     Rebalancer moves it away.
 //   - Default placement hashes the guest's domain id over the open shards
-//     (Fibonacci multiplicative hash), so a guest lands on the same shard
-//     every run. An explicit Pin overrides the hash — for experiments that
-//     need a known victim/survivor split.
+//     of the device's kind (Fibonacci multiplicative hash), so a guest lands
+//     on the same shard every run. An explicit Pin overrides the hash — for
+//     experiments that need a known victim/survivor split.
 //   - Load is derived, not tracked: a shard's load is the number of guest
 //     devices whose toolstack link (xenstore backend-id) points at it. That
 //     makes the pool agree with reality across migrations and restarts
@@ -26,9 +26,12 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/hv/grant_table.h"
+#include "src/hv/xenbus.h"
 #include "src/net/tcp.h"
 
 namespace kite {
@@ -52,33 +55,28 @@ class DomainPool {
   DomainPool& operator=(const DomainPool&) = delete;
 
   // --- Membership. Registration order is placement order. ---
-  void AddNetworkShard(NetworkDomain* nd);
-  void AddStorageShard(StorageDomain* sd);
-  void RemoveNetworkShard(DomId dom);
-  void RemoveStorageShard(DomId dom);
+  // A network domain serves VIFs, a storage domain VBDs.
+  void AddShard(NetworkDomain* nd);
+  void AddShard(StorageDomain* sd);
+  void RemoveShard(DomId dom);
   // Closed shards host but don't accept new placements.
-  void SetNetworkShardOpen(DomId dom, bool open);
-  void SetStorageShardOpen(DomId dom, bool open);
-  bool IsNetworkShardOpen(DomId dom) const;
-  bool IsStorageShardOpen(DomId dom) const;
-  bool HasNetworkShard(DomId dom) const;
-  bool HasStorageShard(DomId dom) const;
+  void SetShardOpen(DomId dom, bool open);
+  bool IsShardOpen(DomId dom) const;
+  bool HasShard(DomId dom) const;
+  // The device kind a member shard serves; nullopt for non-members.
+  std::optional<DeviceKind> KindOf(DomId dom) const;
   // A restart replaces the domain (new id) but not the shard: the successor
-  // inherits the slot's position and open flag.
-  void ReplaceNetworkShard(DomId old_dom, DomId new_dom);
-  void ReplaceStorageShard(DomId old_dom, DomId new_dom);
+  // inherits the slot's position, open flag and pins.
+  void ReplaceShard(DomId old_dom, DomId new_dom);
 
   // --- Placement. ---
-  // Deterministic hash over open shards, unless the guest is pinned.
-  // Nullptr when the pool has no open shard of that kind.
-  NetworkDomain* PickNetworkShard(DomId guest) const;
-  StorageDomain* PickStorageShard(DomId guest) const;
+  // Deterministic hash over the open shards of `kind`, unless the guest's
+  // device is pinned. Nullopt when no such shard exists.
+  std::optional<DomId> PickShard(DomId guest, DeviceKind kind) const;
   // Pins override the hash (and win even if the pinned shard is closed —
   // an explicit pin is an operator decision).
-  void PinVif(DomId guest, DomId dom) { vif_pins_[guest] = dom; }
-  void PinVbd(DomId guest, DomId dom) { vbd_pins_[guest] = dom; }
-  void UnpinVif(DomId guest) { vif_pins_.erase(guest); }
-  void UnpinVbd(DomId guest) { vbd_pins_.erase(guest); }
+  void Pin(DomId guest, DeviceKind kind, DomId dom) { pins_[{guest, kind}] = dom; }
+  void Unpin(DomId guest, DeviceKind kind) { pins_.erase({guest, kind}); }
 
   // Convenience: pick a shard and attach through the toolstack. Returns the
   // chosen shard (nullptr if none open — nothing attached).
@@ -86,32 +84,30 @@ class DomainPool {
   StorageDomain* AttachVbd(GuestVm* guest);
 
   // --- Load and introspection. ---
-  int VifLoad(DomId dom) const;
-  int VbdLoad(DomId dom) const;
-  // Open shard with the fewest linked devices (ties: pool order); `exclude`
-  // skips the shard being drained. Nullptr when no candidate exists.
-  NetworkDomain* LeastLoadedNetworkShard(DomId exclude = -1) const;
-  StorageDomain* LeastLoadedStorageShard(DomId exclude = -1) const;
-  // Pool order, with live load counts. Also refreshes the per-shard gauges.
-  std::vector<ShardInfo> NetworkShards() const;
-  std::vector<ShardInfo> StorageShards() const;
+  // Guest `kind` devices toolstack-linked to `dom`.
+  int Load(DomId dom, DeviceKind kind) const;
+  // Open shard of `kind` with the fewest linked devices (ties: pool order);
+  // `exclude` skips the shard being drained. Nullopt when no candidate
+  // exists.
+  std::optional<DomId> LeastLoadedShard(DeviceKind kind, DomId exclude = -1) const;
+  // The shards of `kind` in pool order, with live load counts. Also
+  // refreshes every shard's gauges.
+  std::vector<ShardInfo> Shards(DeviceKind kind) const;
 
  private:
   struct Shard {
     DomId dom = 0;
+    DeviceKind kind = DeviceKind::kVif;
     bool open = true;
   };
 
   static size_t HashSlot(DomId guest, size_t open_count);
-  const Shard* ResolveNet(DomId guest) const;
-  const Shard* ResolveStor(DomId guest) const;
+  const Shard* Find(DomId dom) const;
   void PublishGauges() const;
 
   KiteSystem* sys_;
-  std::vector<Shard> net_shards_;
-  std::vector<Shard> stor_shards_;
-  std::map<DomId, DomId> vif_pins_;  // guest dom -> shard dom
-  std::map<DomId, DomId> vbd_pins_;
+  std::vector<Shard> shards_;
+  std::map<std::pair<DomId, DeviceKind>, DomId> pins_;  // (guest, kind) -> shard
 };
 
 }  // namespace kite

@@ -1,11 +1,13 @@
 #include "src/core/rebalancer.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/base/log.h"
 #include "src/base/strings.h"
+#include "src/core/migrate.h"
 #include "src/core/pool.h"
 #include "src/core/system.h"
 #include "src/hv/xenbus.h"
@@ -14,17 +16,13 @@ namespace kite {
 
 namespace {
 
-// Toolstack truth for where a guest device is linked (same convention as the
-// pool's load derivation).
-DomId LinkedBackend(KiteSystem* sys, const GuestVm* g, bool vif) {
-  const int devid = vif ? g->netfront()->devid() : g->blkfront()->devid();
-  const std::string fe =
-      FrontendPath(g->domain()->id(), vif ? "vif" : "vbd", devid);
-  auto cur = sys->hv().store().ReadInt(kDom0, fe + "/backend-id");
-  if (cur.has_value()) {
-    return static_cast<DomId>(*cur);
-  }
-  return vif ? g->netfront()->backend_dom() : g->blkfront()->backend_dom();
+// Evacuation backoff: the n-th forced restart of the same shard must wait
+// kBackoffBase * 2^min(n-1, kBackoffMaxExp) after the previous one.
+constexpr SimDuration kBackoffBase = Millis(100);
+constexpr int kBackoffMaxExp = 6;
+
+const char* ShardLabel(DeviceKind kind) {
+  return kind == DeviceKind::kVif ? "network" : "storage";
 }
 
 }  // namespace
@@ -39,8 +37,9 @@ Rebalancer::Rebalancer(KiteSystem* sys, DomainPool* pool, RebalancerParams param
   moves_failed_ = reg.counter("core", "rebalance", "moves_failed");
   backoff_defers_ = reg.counter("core", "rebalance", "backoff_defers");
   sub_id_ = sys_->health().Subscribe(
-      [this](int32_t dom, const std::string& device, HealthState old_state,
-             HealthState new_state) { OnTransition(dom, device, old_state, new_state); });
+      [this](int32_t dom, const std::string&, HealthState, HealthState new_state) {
+        OnTransition(dom, new_state);
+      });
 }
 
 Rebalancer::~Rebalancer() {
@@ -48,28 +47,26 @@ Rebalancer::~Rebalancer() {
   sys_->health().Unsubscribe(sub_id_);
 }
 
-void Rebalancer::OnTransition(int32_t dom, const std::string& device,
-                              HealthState old_state, HealthState new_state) {
-  (void)old_state;
+void Rebalancer::OnTransition(int32_t dom, HealthState new_state) {
   // Transitions for backends that aren't pool shards (a topology can mix
   // pooled and standalone domains) are not ours to manage.
-  const bool net = device.rfind("vif", 0) == 0;
-  if (net ? !pool_->HasNetworkShard(dom) : !pool_->HasStorageShard(dom)) {
+  const std::optional<DeviceKind> kind = pool_->KindOf(dom);
+  if (!kind.has_value()) {
     return;
   }
   // The callback runs inside the monitor's probe: defer every reaction, and
   // re-verify state at fire time (it may have changed again by then).
   sys_->executor().Post(KITE_POST_SITE("rebalance/health-react"),
-                        [this, alive = alive_, dom, net, new_state] {
+                        [this, alive = alive_, dom, kind = *kind, new_state] {
     if (!*alive) {
       return;
     }
     switch (new_state) {
       case HealthState::kDegraded:
-        HandleDegraded(dom, net);
+        HandleDegraded(dom, kind);
         return;
       case HealthState::kStalled:
-        HandleStalled(dom);
+        HandleStalled(dom, kind);
         return;
       case HealthState::kHealthy:
         HandleHealthy(dom);
@@ -88,9 +85,9 @@ HealthState Rebalancer::WorstState(DomId dom) const {
   return worst;
 }
 
-void Rebalancer::HandleDegraded(DomId dom, bool net) {
+void Rebalancer::HandleDegraded(DomId dom, DeviceKind kind) {
   ShardCtl& ctl = shards_[dom];
-  ctl.net = net;
+  ctl.kind = kind;
   if (ctl.hysteresis_armed || ctl.draining) {
     return;
   }
@@ -129,23 +126,12 @@ void Rebalancer::StartDrain(DomId dom) {
   ShardCtl& ctl = shards_[dom];
   ctl.draining = true;
   drains_->Inc();
-  if (ctl.net) {
-    pool_->SetNetworkShardOpen(dom, false);
-  } else {
-    pool_->SetStorageShardOpen(dom, false);
-  }
-  KITE_LOG(Info) << StrFormat("rebalance: draining %s shard dom%d",
-                              ctl.net ? "network" : "storage", dom);
-  for (const auto& g : sys_->guests()) {
-    if (ctl.net && g->netfront() != nullptr &&
-        LinkedBackend(sys_, g.get(), true) == dom) {
-      pending_.push_back(PendingMove{g->domain()->id(), true, dom});
-      ++ctl.outstanding;
-    } else if (!ctl.net && g->blkfront() != nullptr &&
-               LinkedBackend(sys_, g.get(), false) == dom) {
-      pending_.push_back(PendingMove{g->domain()->id(), false, dom});
-      ++ctl.outstanding;
-    }
+  pool_->SetShardOpen(dom, false);
+  KITE_LOG(Info) << StrFormat("rebalance: draining %s shard dom%d", ShardLabel(ctl.kind),
+                              dom);
+  for (GuestVm* g : sys_->LinkedGuests(ctl.kind, dom)) {
+    pending_.push_back(PendingMove{g->domain()->id(), ctl.kind, dom});
+    ++ctl.outstanding;
   }
   if (ctl.outstanding == 0) {
     TryReadmit(dom);
@@ -159,53 +145,30 @@ void Rebalancer::PumpMoves() {
     PendingMove m = pending_.front();
     pending_.pop_front();
     GuestVm* guest = sys_->FindGuest(m.gid);
-    const bool gone = guest == nullptr ||
-                      (m.vif ? guest->netfront() == nullptr
-                             : guest->blkfront() == nullptr);
-    if (gone || LinkedBackend(sys_, guest, m.vif) != m.from) {
+    if (guest == nullptr || sys_->LinkedBackend(guest, m.kind) != m.from) {
       // Destroyed, or already moved (an evacuation beat the drain to it).
       OnMoveDone(m.from);
       continue;
     }
-    if (m.vif) {
-      NetworkDomain* target = pool_->LeastLoadedNetworkShard(m.from);
-      if (target == nullptr) {
-        moves_failed_->Inc();
-        OnMoveDone(m.from);
-        continue;
-      }
-      ++active_moves_;
-      moves_started_->Inc();
-      sys_->MigrateVif(guest, sys_->FindNetworkDomain(m.from), target,
-                       [this, alive = alive_, from = m.from](bool ok) {
-                         if (*alive) {
-                           --active_moves_;
-                           if (!ok) {
-                             moves_failed_->Inc();
-                           }
-                           OnMoveDone(from);
-                         }
-                       });
-    } else {
-      StorageDomain* target = pool_->LeastLoadedStorageShard(m.from);
-      if (target == nullptr) {
-        moves_failed_->Inc();
-        OnMoveDone(m.from);
-        continue;
-      }
-      ++active_moves_;
-      moves_started_->Inc();
-      sys_->MigrateVbd(guest, sys_->FindStorageDomain(m.from), target,
-                       [this, alive = alive_, from = m.from](bool ok) {
-                         if (*alive) {
-                           --active_moves_;
-                           if (!ok) {
-                             moves_failed_->Inc();
-                           }
-                           OnMoveDone(from);
-                         }
-                       });
+    // No open shard left, or the least loaded one's domain died unreplaced.
+    const std::optional<DomId> target = pool_->LeastLoadedShard(m.kind, m.from);
+    if (!target.has_value() || sys_->hv().domain(*target) == nullptr) {
+      moves_failed_->Inc();
+      OnMoveDone(m.from);
+      continue;
     }
+    ++active_moves_;
+    moves_started_->Inc();
+    sys_->migrator().Migrate(m.gid, m.kind, *target,
+                             [this, alive = alive_, from = m.from](bool ok) {
+                               if (*alive) {
+                                 --active_moves_;
+                                 if (!ok) {
+                                   moves_failed_->Inc();
+                                 }
+                                 OnMoveDone(from);
+                               }
+                             });
   }
 }
 
@@ -233,11 +196,7 @@ void Rebalancer::TryReadmit(DomId dom) {
     return;  // Stay closed; a later healthy transition re-admits.
   }
   ctl.draining = false;
-  if (ctl.net) {
-    pool_->SetNetworkShardOpen(dom, true);
-  } else {
-    pool_->SetStorageShardOpen(dom, true);
-  }
+  pool_->SetShardOpen(dom, true);
   readmissions_->Inc();
   KITE_LOG(Info) << StrFormat("rebalance: re-admitted shard dom%d", dom);
 }
@@ -251,12 +210,11 @@ void Rebalancer::HandleHealthy(DomId dom) {
   TryReadmit(dom);
 }
 
-void Rebalancer::HandleStalled(DomId dom) {
+void Rebalancer::HandleStalled(DomId dom, DeviceKind kind) {
   auto it = shards_.find(dom);
   if (it == shards_.end()) {
     // First signal from this shard is already a stall (hard wedge).
-    const bool net = pool_->HasNetworkShard(dom);
-    shards_[dom].net = net;
+    shards_[dom].kind = kind;
     it = shards_.find(dom);
   }
   ShardCtl& ctl = it->second;
@@ -287,11 +245,11 @@ void Rebalancer::Evacuate(DomId dom) {
   ShardCtl ctl = it->second;
   const SimTime now = sys_->executor().Now();
   ++ctl.fail_count;
-  const int exp = std::min(ctl.fail_count - 1, params_.backoff_max_exp);
-  ctl.next_allowed = now + params_.backoff_base * (int64_t{1} << exp);
+  const int exp = std::min(ctl.fail_count - 1, kBackoffMaxExp);
+  ctl.next_allowed = now + kBackoffBase * (int64_t{1} << exp);
   evacuations_->Inc();
   KITE_LOG(Info) << StrFormat("rebalance: evacuating stalled %s shard dom%d",
-                              ctl.net ? "network" : "storage", dom);
+                              ShardLabel(ctl.kind), dom);
 
   // Pending graceful drain moves off this shard are obsolete: the forced
   // restart below migrates every attached guest itself.
@@ -306,35 +264,35 @@ void Rebalancer::Evacuate(DomId dom) {
   ctl.draining = false;
   ctl.hysteresis_armed = false;
 
+  // Scatter the guests onto the least-loaded healthy shards of the kind;
+  // the restart falls back to the replacement when there is none.
   DomId fresh_id = 0;
-  if (ctl.net) {
+  if (ctl.kind == DeviceKind::kVif) {
     NetworkDomain* nd = sys_->FindNetworkDomain(dom);
     if (nd == nullptr) {
       return;  // Already gone (e.g. the scenario restarted it by hand).
     }
-    NetworkDomain* fresh = sys_->RestartNetworkDomain(
-        nd, [this, dom](GuestVm*) { return pool_->LeastLoadedNetworkShard(dom); });
-    fresh_id = fresh->domain()->id();
-    pool_->ReplaceNetworkShard(dom, fresh_id);
-    pool_->SetNetworkShardOpen(fresh_id, params_.readmit_evacuated);
+    fresh_id = sys_->RestartNetworkDomain(nd, [&](GuestVm*) {
+      const std::optional<DomId> t = pool_->LeastLoadedShard(DeviceKind::kVif, dom);
+      return t.has_value() ? sys_->FindNetworkDomain(*t) : nullptr;
+    })->domain()->id();
   } else {
     StorageDomain* sd = sys_->FindStorageDomain(dom);
     if (sd == nullptr) {
       return;
     }
-    StorageDomain* fresh = sys_->RestartStorageDomain(
-        sd, [this, dom](GuestVm*) { return pool_->LeastLoadedStorageShard(dom); });
-    fresh_id = fresh->domain()->id();
-    pool_->ReplaceStorageShard(dom, fresh_id);
-    pool_->SetStorageShardOpen(fresh_id, params_.readmit_evacuated);
+    fresh_id = sys_->RestartStorageDomain(sd, [&](GuestVm*) {
+      const std::optional<DomId> t = pool_->LeastLoadedShard(DeviceKind::kVbd, dom);
+      return t.has_value() ? sys_->FindStorageDomain(*t) : nullptr;
+    })->domain()->id();
   }
+  pool_->ReplaceShard(dom, fresh_id);
+  pool_->SetShardOpen(fresh_id, true);
   // The replacement inherits the slot's failure streak (backoff survives the
   // restart: a domain that wedges on every boot slows down, not speeds up).
   shards_.erase(dom);
   shards_[fresh_id] = ctl;
-  if (params_.readmit_evacuated) {
-    readmissions_->Inc();
-  }
+  readmissions_->Inc();
 }
 
 }  // namespace kite

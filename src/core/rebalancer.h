@@ -14,8 +14,9 @@
 //              a forced restart (KiteSystem::Restart…Domain) that scatters
 //              the guests across healthy shards, then boots a replacement.
 //              Repeated evacuations of the same shard back off
-//              exponentially — a domain that wedges every time it boots must
-//              not dominate the simulation with restart churn.
+//              exponentially (100 ms, doubling up to 6.4 s) — a domain that
+//              wedges every time it boots must not dominate the simulation
+//              with restart churn.
 //   healthy  — the shard recovered: its failure streak resets and, once any
 //              in-flight drain has finished, it is re-admitted for placement.
 //
@@ -31,9 +32,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
+#include <memory>
 
 #include "src/hv/grant_table.h"
+#include "src/hv/xenbus.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/sim/time.h"
@@ -48,13 +50,6 @@ struct RebalancerParams {
   SimDuration degraded_hysteresis = Millis(10);
   // Graceful migrations in flight at once across the whole pool.
   int max_concurrent_migrations = 2;
-  // Evacuation backoff: the n-th forced restart of the same shard must wait
-  // backoff_base * 2^min(n-1, backoff_max_exp) after the previous one.
-  SimDuration backoff_base = Millis(100);
-  int backoff_max_exp = 6;
-  // When false an evacuated shard's replacement boots but stays closed
-  // (quarantined) instead of being re-admitted for placement.
-  bool readmit_evacuated = true;
 };
 
 class Rebalancer {
@@ -80,7 +75,7 @@ class Rebalancer {
   // Failure-handling state for one shard, keyed by its *current* domain id
   // and carried across restarts (ReplaceShard renames the key).
   struct ShardCtl {
-    bool net = true;
+    DeviceKind kind = DeviceKind::kVif;
     bool hysteresis_armed = false;
     bool draining = false;
     int fail_count = 0;       // Consecutive evacuations; reset on healthy.
@@ -89,16 +84,15 @@ class Rebalancer {
   };
   struct PendingMove {
     DomId gid = 0;
-    bool vif = true;
+    DeviceKind kind = DeviceKind::kVif;
     DomId from = 0;
   };
 
-  void OnTransition(int32_t dom, const std::string& device, HealthState old_state,
-                    HealthState new_state);
+  void OnTransition(int32_t dom, HealthState new_state);
   // Deferred reactions (posted from OnTransition).
-  void HandleDegraded(DomId dom, bool net);
+  void HandleDegraded(DomId dom, DeviceKind kind);
   void ConfirmDegraded(DomId dom);
-  void HandleStalled(DomId dom);
+  void HandleStalled(DomId dom, DeviceKind kind);
   void HandleHealthy(DomId dom);
 
   void StartDrain(DomId dom);

@@ -1,5 +1,6 @@
 #include "src/core/system.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -26,6 +27,43 @@ void WriteEnvArtifact(const std::string& path, const char* what, Render render) 
     out << render();
   } else {
     KITE_LOG(Warning) << "cannot write " << what << " to " << path;
+  }
+}
+
+// The guest or driver domain in `owned` whose VM is `id`, or nullptr.
+template <typename T>
+T* FindById(const std::vector<std::unique_ptr<T>>& owned, DomId id) {
+  for (const auto& p : owned) {
+    if (p->domain()->id() == id) {
+      return p.get();
+    }
+  }
+  return nullptr;
+}
+
+// Drops (and destroys) `victim` from `owned`.
+template <typename T>
+void EraseOwned(std::vector<std::unique_ptr<T>>* owned, const T* victim) {
+  auto it = std::find_if(owned->begin(), owned->end(),
+                         [victim](const auto& p) { return p.get() == victim; });
+  if (it != owned->end()) {
+    owned->erase(it);
+  }
+}
+
+// Restart is "migrate everyone off the corpse": forced moves (the old
+// backend is gone) onto the caller's placement, defaulting to the
+// replacement. The engine serializes per device, so a restart landing
+// mid-migration waits for the move to settle instead of double-relinking.
+template <typename DriverDomain>
+void ForceMoves(MigrationEngine* migrate, DeviceKind kind, const std::vector<GuestVm*>& guests,
+                DriverDomain* fresh, const std::function<DriverDomain*(GuestVm*)>& place) {
+  for (GuestVm* guest : guests) {
+    DriverDomain* target = place ? place(guest) : fresh;
+    if (target == nullptr) {
+      target = fresh;
+    }
+    migrate->Migrate(guest->domain()->id(), kind, target->domain()->id());
   }
 }
 
@@ -396,12 +434,7 @@ void KiteSystem::DestroyGuest(GuestVm* guest) {
   guest->netfront_.reset();
   guest->blkfront_.reset();
   hv_->DestroyDomain(gid);
-  for (auto it = guests_.begin(); it != guests_.end(); ++it) {
-    if (it->get() == guest) {
-      guests_.erase(it);
-      break;
-    }
-  }
+  EraseOwned(&guests_, guest);
 }
 
 void KiteSystem::EnsureClient() {
@@ -453,31 +486,38 @@ void KiteSystem::WritePlacement(const char* kind, DomId gid, int devid, DomId bi
                         bid);
 }
 
-GuestVm* KiteSystem::FindGuest(DomId id) {
-  for (auto& g : guests_) {
-    if (g->domain_->id() == id) {
-      return g.get();
-    }
-  }
-  return nullptr;
-}
+GuestVm* KiteSystem::FindGuest(DomId id) { return FindById(guests_, id); }
 
 NetworkDomain* KiteSystem::FindNetworkDomain(DomId id) {
-  for (auto& nd : network_domains_) {
-    if (nd->domain_->id() == id) {
-      return nd.get();
-    }
-  }
-  return nullptr;
+  return FindById(network_domains_, id);
 }
 
 StorageDomain* KiteSystem::FindStorageDomain(DomId id) {
-  for (auto& sd : storage_domains_) {
-    if (sd->domain_->id() == id) {
-      return sd.get();
+  return FindById(storage_domains_, id);
+}
+
+std::optional<GuestVm::Frontend> GuestVm::frontend(DeviceKind kind) const {
+  if (kind == DeviceKind::kVif) {
+    if (netfront_ == nullptr) {
+      return std::nullopt;
     }
+    return Frontend{netfront_->devid(), netfront_->backend_dom(), netfront_->connected()};
   }
-  return nullptr;
+  if (blkfront_ == nullptr) {
+    return std::nullopt;
+  }
+  return Frontend{blkfront_->devid(), blkfront_->backend_dom(), blkfront_->connected()};
+}
+
+std::optional<DomId> KiteSystem::LinkedBackend(const GuestVm* guest, DeviceKind kind) const {
+  const std::optional<GuestVm::Frontend> fe = guest->frontend(kind);
+  if (!fe.has_value()) {
+    return std::nullopt;
+  }
+  auto cur = hv_->store().ReadInt(
+      kDom0, FrontendPath(guest->domain_->id(), DeviceTypeName(kind), fe->devid) +
+                 "/backend-id");
+  return cur.has_value() ? static_cast<DomId>(*cur) : fe->backend;
 }
 
 void KiteSystem::AttachVif(GuestVm* guest, NetworkDomain* netdom, Ipv4Addr ip) {
@@ -580,8 +620,8 @@ void KiteSystem::MigrateVif(GuestVm* guest, NetworkDomain* from, NetworkDomain* 
   KITE_CHECK(guest != nullptr && guest->netfront() != nullptr) << "guest has no VIF";
   KITE_CHECK(to != nullptr);
   (void)from;  // Documentation of intent; the engine re-resolves the source.
-  migrate_->MigrateVif(guest->domain_->id(), to->domain_->id(),
-                       MigrationEngine::Mode::kGraceful, std::move(done));
+  migrate_->Migrate(guest->domain_->id(), DeviceKind::kVif, to->domain_->id(),
+                    std::move(done));
 }
 
 void KiteSystem::MigrateVbd(GuestVm* guest, StorageDomain* from, StorageDomain* to,
@@ -589,35 +629,27 @@ void KiteSystem::MigrateVbd(GuestVm* guest, StorageDomain* from, StorageDomain* 
   KITE_CHECK(guest != nullptr && guest->blkfront() != nullptr) << "guest has no VBD";
   KITE_CHECK(to != nullptr);
   (void)from;
-  migrate_->MigrateVbd(guest->domain_->id(), to->domain_->id(),
-                       MigrationEngine::Mode::kGraceful, std::move(done));
+  migrate_->Migrate(guest->domain_->id(), DeviceKind::kVbd, to->domain_->id(),
+                    std::move(done));
 }
 
 int KiteSystem::migrations_in_flight() const { return migrate_->in_flight(); }
+
+std::vector<GuestVm*> KiteSystem::LinkedGuests(DeviceKind kind, DomId dom) const {
+  std::vector<GuestVm*> linked;
+  for (const auto& g : guests_) {
+    if (LinkedBackend(g.get(), kind) == dom) {
+      linked.push_back(g.get());
+    }
+  }
+  return linked;
+}
 
 NetworkDomain* KiteSystem::RestartNetworkDomain(
     NetworkDomain* netdom, std::function<NetworkDomain*(GuestVm*)> place) {
   const DomId old_id = netdom->domain_->id();
   const DriverDomainConfig config = netdom->config_;
-
-  // Guests whose VIF is toolstack-linked to the dead backend; migrated below
-  // once the replacement exists. The xenstore record — not the frontend's
-  // possibly-lagging view — decides membership, so back-to-back restarts
-  // collect the right set even before the relink watches fire.
-  std::vector<GuestVm*> attached;
-  for (auto& g : guests_) {
-    if (g->netfront_ == nullptr) {
-      continue;
-    }
-    const std::string fe =
-        FrontendPath(g->domain_->id(), "vif", g->netfront_->devid());
-    auto cur = hv_->store().ReadInt(kDom0, fe + "/backend-id");
-    const DomId linked =
-        cur.has_value() ? static_cast<DomId>(*cur) : g->netfront_->backend_dom();
-    if (linked == old_id) {
-      attached.push_back(g.get());
-    }
-  }
+  const std::vector<GuestVm*> attached = LinkedGuests(DeviceKind::kVif, old_id);
 
   // Tear down: services first, then the VM itself. The physical NIC is
   // detached and survives the domain (it stays cabled to the client).
@@ -626,26 +658,10 @@ NetworkDomain* KiteSystem::RestartNetworkDomain(
   std::unique_ptr<Nic> nic = std::move(netdom->nic_);
   hv_->UnassignPci(nic.get());
   hv_->DestroyDomain(old_id);
-  for (auto it = network_domains_.begin(); it != network_domains_.end(); ++it) {
-    if (it->get() == netdom) {
-      network_domains_.erase(it);
-      break;
-    }
-  }
+  EraseOwned(&network_domains_, netdom);
 
   NetworkDomain* fresh = CreateNetworkDomainImpl(config, std::move(nic));
-  // Restart is "migrate everyone off the corpse": forced moves (the old
-  // backend is gone) onto the caller's placement, defaulting to the
-  // replacement. The engine serializes per device, so a restart landing
-  // mid-migration waits for the move to settle instead of double-relinking.
-  for (GuestVm* guest : attached) {
-    NetworkDomain* target = place ? place(guest) : fresh;
-    if (target == nullptr) {
-      target = fresh;
-    }
-    migrate_->MigrateVif(guest->domain_->id(), target->domain_->id(),
-                         MigrationEngine::Mode::kForced);
-  }
+  ForceMoves(migrate_.get(), DeviceKind::kVif, attached, fresh, place);
   return fresh;
 }
 
@@ -653,83 +669,48 @@ StorageDomain* KiteSystem::RestartStorageDomain(
     StorageDomain* stordom, std::function<StorageDomain*(GuestVm*)> place) {
   const DomId old_id = stordom->domain_->id();
   const DriverDomainConfig config = stordom->config_;
-
-  std::vector<GuestVm*> attached;
-  for (auto& g : guests_) {
-    if (g->blkfront_ == nullptr) {
-      continue;
-    }
-    const std::string fe =
-        FrontendPath(g->domain_->id(), "vbd", g->blkfront_->devid());
-    auto cur = hv_->store().ReadInt(kDom0, fe + "/backend-id");
-    const DomId linked =
-        cur.has_value() ? static_cast<DomId>(*cur) : g->blkfront_->backend_dom();
-    if (linked == old_id) {
-      attached.push_back(g.get());
-    }
-  }
+  const std::vector<GuestVm*> attached = LinkedGuests(DeviceKind::kVbd, old_id);
 
   stordom->app_.reset();
   stordom->driver_.reset();
   std::unique_ptr<BlockDevice> disk = std::move(stordom->disk_);
   hv_->UnassignPci(disk.get());
+  // A completion the controller parked belongs to the dead domain: the
+  // frontend requeues that request through the replacement, so the stale
+  // op must never land after it.
+  disk->AbortHungIo();
   hv_->DestroyDomain(old_id);
-  for (auto it = storage_domains_.begin(); it != storage_domains_.end(); ++it) {
-    if (it->get() == stordom) {
-      storage_domains_.erase(it);
-      break;
-    }
-  }
+  EraseOwned(&storage_domains_, stordom);
 
   StorageDomain* fresh = CreateStorageDomainImpl(config, std::move(disk));
-  for (GuestVm* guest : attached) {
-    StorageDomain* target = place ? place(guest) : fresh;
-    if (target == nullptr) {
-      target = fresh;
-    }
-    migrate_->MigrateVbd(guest->domain_->id(), target->domain_->id(),
-                         MigrationEngine::Mode::kForced);
-  }
+  ForceMoves(migrate_.get(), DeviceKind::kVbd, attached, fresh, place);
   return fresh;
 }
 
-void KiteSystem::RelinkVif(GuestVm* guest, NetworkDomain* netdom) {
-  const int devid = guest->netfront_->devid();
-  const DomId gid = guest->domain_->id();
-  const DomId bid = netdom->domain_->id();
+bool KiteSystem::Relink(DomId gid, DeviceKind kind, int devid, DomId bid) {
+  const bool vif = kind == DeviceKind::kVif;
+  if (vif ? FindNetworkDomain(bid) == nullptr : FindStorageDomain(bid) == nullptr) {
+    return false;  // Target vanished (destroyed mid-queue).
+  }
+  const char* type = DeviceTypeName(kind);
   XenStore& store = hv_->store();
-
-  const std::string fe = FrontendPath(gid, "vif", devid);
-  const std::string be = BackendPath(bid, "vif", gid, devid);
+  const std::string fe = FrontendPath(gid, type, devid);
+  const std::string be = BackendPath(bid, type, gid, devid);
   store.Write(kDom0, be + "/frontend", fe);
   store.WriteInt(kDom0, be + "/frontend-id", gid);
   store.WriteInt(kDom0, be + "/online", 1);
-  store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
+  if (vif) {
+    // As AttachVif does; a vbd's backend node starts without a state.
+    store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
+  }
   store.SetPermission(kDom0, be, gid);
   store.SetPermission(kDom0, fe, bid);
   store.Write(kDom0, fe + "/backend", be);
   // Written last: the frontend's relink watch keys on backend-id, and by
   // then the rest of the toolstack state must already be in place.
   store.WriteInt(kDom0, fe + "/backend-id", bid);
-  WritePlacement("vif", gid, devid, bid);
-}
-
-void KiteSystem::RelinkVbd(GuestVm* guest, StorageDomain* stordom) {
-  const int devid = guest->blkfront_->devid();
-  const DomId gid = guest->domain_->id();
-  const DomId bid = stordom->domain_->id();
-  XenStore& store = hv_->store();
-
-  const std::string fe = FrontendPath(gid, "vbd", devid);
-  const std::string be = BackendPath(bid, "vbd", gid, devid);
-  store.Write(kDom0, be + "/frontend", fe);
-  store.WriteInt(kDom0, be + "/frontend-id", gid);
-  store.WriteInt(kDom0, be + "/online", 1);
-  store.SetPermission(kDom0, be, gid);
-  store.SetPermission(kDom0, fe, bid);
-  store.Write(kDom0, fe + "/backend", be);
-  store.WriteInt(kDom0, fe + "/backend-id", bid);
-  WritePlacement("vbd", gid, devid, bid);
+  WritePlacement(type, gid, devid, bid);
+  return true;
 }
 
 }  // namespace kite

@@ -12,6 +12,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/core/blkapp.h"
 #include "src/core/netapp.h"
 #include "src/hv/hypervisor.h"
+#include "src/hv/xenbus.h"
 #include "src/net/nic.h"
 #include "src/net/stack.h"
 #include "src/net/switch.h"
@@ -109,6 +111,16 @@ class GuestVm {
   EtherStack* stack() const { return stack_.get(); }
   Blkfront* blkfront() const { return blkfront_.get(); }
   Ipv4Addr ip() const { return stack_ ? stack_->ip() : Ipv4Addr{}; }
+
+  // The frontend's side of the guest's `kind` device: its devid, the
+  // backend it last linked to (which lags the toolstack by a posted watch),
+  // and whether it is connected. Nullopt when the guest has no such device.
+  struct Frontend {
+    int devid = 0;
+    DomId backend = 0;
+    bool connected = false;
+  };
+  std::optional<Frontend> frontend(DeviceKind kind) const;
 
  private:
   friend class KiteSystem;
@@ -259,6 +271,15 @@ class KiteSystem {
   GuestVm* FindGuest(DomId id);
   NetworkDomain* FindNetworkDomain(DomId id);
   StorageDomain* FindStorageDomain(DomId id);
+  // Where the guest's `kind` device is linked: Dom0's xenstore backend-id
+  // record, which the toolstack rewrites first, or the frontend's view when
+  // the key is missing. Nullopt when the guest has no such device.
+  std::optional<DomId> LinkedBackend(const GuestVm* guest, DeviceKind kind) const;
+  // Guests whose `kind` device is linked to `dom`, in creation order. A
+  // restart collects them before the teardown; the xenstore record, not the
+  // frontends' lagging view, decides, so back-to-back restarts find the
+  // right set even before the relink watches fire.
+  std::vector<GuestVm*> LinkedGuests(DeviceKind kind, DomId dom) const;
   // The server-side fabric. Null while at most one network domain exists
   // (direct cable, the paper's testbed); created pay-for-use the moment a
   // second uplink is needed.
@@ -341,12 +362,12 @@ class KiteSystem {
                                          std::unique_ptr<Nic> reuse_nic);
   StorageDomain* CreateStorageDomainImpl(DriverDomainConfig config,
                                          std::unique_ptr<BlockDevice> reuse_disk);
-  // Re-points an existing guest device at a freshly booted driver domain by
-  // rewriting the toolstack xenstore keys (what `xl network-attach` leaves
-  // in place after a backend respawn). The frontend's relink watch does the
-  // rest.
-  void RelinkVif(GuestVm* guest, NetworkDomain* netdom);
-  void RelinkVbd(GuestVm* guest, StorageDomain* stordom);
+  // Re-points an existing guest device at driver domain `bid` by rewriting
+  // the toolstack xenstore keys (what `xl network-attach` leaves in place
+  // after a backend respawn). The frontend's relink watch does the rest.
+  // False, with nothing written, when `bid` is no live driver domain of the
+  // device's kind.
+  bool Relink(DomId gid, DeviceKind kind, int devid, DomId bid);
 
   Params params_;
   Executor executor_;

@@ -34,6 +34,14 @@ std::string BackendPath(DomId backend_dom, const std::string& type, DomId fronte
 // .../device/<type>/<devid>
 std::string FrontendPath(DomId frontend_dom, const std::string& type, int devid);
 
+// The two paravirtual device classes a guest links to a driver domain.
+enum class DeviceKind { kVif, kVbd };
+
+// The <type> path component of a device kind: "vif" or "vbd".
+constexpr const char* DeviceTypeName(DeviceKind kind) {
+  return kind == DeviceKind::kVif ? "vif" : "vbd";
+}
+
 // Typed state accessors over a xenstore device directory.
 class XenbusClient {
  public:

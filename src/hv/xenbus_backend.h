@@ -4,10 +4,10 @@
 // instance exists from the moment its backend node appears (Advertise()
 // publishes InitWait and any features) and connects once its frontend is
 // Initialised; a failed connect keeps it and rescans on a 1 ms timer. It is
-// reaped when its frontend reaches Closing/Closed or the frontend's domain
-// is destroyed, and retired through the online = 0 drain handshake
-// (migration). Shut-down instances wait in a graveyard until their parked
-// worker threads exit.
+// reaped when its frontend's domain is destroyed or, once paired, when its
+// frontend reaches Closing/Closed, and retired through the online = 0 drain
+// handshake (migration). Shut-down instances wait in a graveyard until their
+// parked worker threads exit.
 //
 // Header-only: its users (src/netdrv, src/blkdrv) link the BMK scheduler.
 // `Instance` provides kType, kName, Advertise(), Connect() (false: retry),
@@ -200,9 +200,12 @@ class XenbusBackend {
     }
   }
 
-  // Tears down instances whose frontend reached Closing/Closed or whose
-  // frontend domain was destroyed. A missing state node alone is not death:
-  // instances exist before their frontend ever publishes.
+  // Tears down paired instances whose frontend reached Closing/Closed, and
+  // any instance whose frontend domain was destroyed. An unpaired instance
+  // outlives a Closed frontend: a relinking frontend shows the Closed its
+  // dead backend left until its relink watch fires (Linux netback likewise
+  // keeps an online device when its frontend closes). A missing state node
+  // alone is not death: instances exist before their frontend publishes.
   void ReapDeadInstances() {
     XenbusClient bus(&hv_->store(), backend_->id());
     for (auto it = devices_.begin(); it != devices_.end();) {
@@ -212,7 +215,7 @@ class XenbusBackend {
       const bool closed = state == XenbusState::kClosing || state == XenbusState::kClosed;
       const bool vanished =
           state == XenbusState::kUnknown && hv_->domain(key.first) == nullptr;
-      if (!closed && !vanished) {
+      if (!(closed && it->second.inst->connected()) && !vanished) {
         ++it;
         continue;
       }

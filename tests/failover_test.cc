@@ -5,6 +5,7 @@
 // shard and evacuate a stalled one without operator intervention.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -202,18 +203,18 @@ TEST(FailoverTest, RebalancerDrainsDegradedShard) {
   NetworkDomain* a = sys.CreateNetworkDomain();
   NetworkDomain* b = sys.CreateNetworkDomain();
   DomainPool pool(&sys);
-  pool.AddNetworkShard(a);
-  pool.AddNetworkShard(b);
+  pool.AddShard(a);
+  pool.AddShard(b);
   RebalancerParams rp;
   rp.degraded_hysteresis = Millis(10);
   Rebalancer reb(&sys, &pool, rp);
 
   GuestVm* guest = sys.CreateGuest("app-vm");
-  pool.PinVif(guest->domain()->id(), a->domain()->id());  // Known victim.
+  pool.Pin(guest->domain()->id(), DeviceKind::kVif, a->domain()->id());  // Known victim.
   ASSERT_EQ(pool.AttachVif(guest, kGuestIp), a);
   ASSERT_TRUE(sys.WaitConnected(guest));
-  EXPECT_EQ(pool.VifLoad(a->domain()->id()), 1);
-  pool.UnpinVif(guest->domain()->id());  // Let the drain re-place it freely.
+  EXPECT_EQ(pool.Load(a->domain()->id(), DeviceKind::kVif), 1);
+  pool.Unpin(guest->domain()->id(), DeviceKind::kVif);  // Let the drain re-place it freely.
 
   // Swallow the one kick that matters: netback never learns about the
   // request, the stall age grows, and the shard goes degraded (never
@@ -234,11 +235,11 @@ TEST(FailoverTest, RebalancerDrainsDegradedShard) {
       Seconds(10)));
   EXPECT_GE(reb.drains_started(), 1u);
   EXPECT_GE(reb.moves_started(), 1u);
-  EXPECT_EQ(pool.VifLoad(b->domain()->id()), 1);
+  EXPECT_EQ(pool.Load(b->domain()->id(), DeviceKind::kVif), 1);
 
   // Once empty and healthy again, the shard is re-admitted for placement.
   ASSERT_TRUE(sys.WaitUntil([&] { return reb.readmissions() >= 1; }, Seconds(10)));
-  EXPECT_TRUE(pool.IsNetworkShardOpen(a->domain()->id()));
+  EXPECT_TRUE(pool.IsShardOpen(a->domain()->id()));
   EXPECT_TRUE(PingFrom(&sys, guest));
   ExpectCoherent(&sys);
 }
@@ -253,8 +254,8 @@ TEST(FailoverTest, RebalancerEvacuatesStalledShard) {
   NetworkDomain* b = sys.CreateNetworkDomain();
   const DomId a_id = a->domain()->id();
   DomainPool pool(&sys);
-  pool.AddNetworkShard(a);
-  pool.AddNetworkShard(b);
+  pool.AddShard(a);
+  pool.AddShard(b);
   RebalancerParams rp;
   // Hysteresis longer than the stall threshold: the degraded drain never
   // confirms, so the stalled path (forced evacuation) must handle it.
@@ -262,10 +263,10 @@ TEST(FailoverTest, RebalancerEvacuatesStalledShard) {
   Rebalancer reb(&sys, &pool, rp);
 
   GuestVm* guest = sys.CreateGuest("app-vm");
-  pool.PinVif(guest->domain()->id(), a_id);
+  pool.Pin(guest->domain()->id(), DeviceKind::kVif, a_id);
   ASSERT_EQ(pool.AttachVif(guest, kGuestIp), a);
   ASSERT_TRUE(sys.WaitConnected(guest));
-  pool.UnpinVif(guest->domain()->id());
+  pool.Unpin(guest->domain()->id(), DeviceKind::kVif);
 
   sys.faults().set_rate(FaultSite::kEventNotify, 1.0);
   guest->stack()->Ping(sys.client_ip(), 56, [](bool, SimDuration) {});
@@ -283,8 +284,185 @@ TEST(FailoverTest, RebalancerEvacuatesStalledShard) {
       Seconds(10)));
   EXPECT_EQ(reb.evacuations(), 1u);
   EXPECT_EQ(guest->netfront()->backend_dom(), b->domain()->id());
-  EXPECT_FALSE(pool.HasNetworkShard(a_id));  // Old id replaced...
-  EXPECT_EQ(pool.NetworkShards().size(), 2u);  // ...but the slot survives.
+  EXPECT_FALSE(pool.HasShard(a_id));  // Old id replaced...
+  EXPECT_EQ(pool.Shards(DeviceKind::kVif).size(), 2u);  // ...but the slot survives.
+  EXPECT_TRUE(PingFrom(&sys, guest));
+  ExpectCoherent(&sys);
+}
+
+// Hangs one 4 KB write of `pattern` at `offset` in the disk controller, so
+// the blkback instance serving it stops answering; `acked` flips once the
+// write is finally acknowledged.
+void HangOneWrite(KiteSystem* sys, GuestVm* guest, StorageDomain* shard, int64_t offset,
+                  uint8_t pattern, bool* acked) {
+  sys->faults().set_rate(FaultSite::kDiskHang, 1.0);
+  guest->blkfront()->Write(offset, Buffer(4096, pattern), [acked](bool ok) { *acked = ok; });
+  ASSERT_TRUE(sys->WaitUntil([&] { return shard->disk()->hung_io_count() == 1; }));
+  sys->faults().set_rate(FaultSite::kDiskHang, 0.0);
+}
+
+void ExpectReadBack(KiteSystem* sys, GuestVm* guest, int64_t offset, uint8_t pattern) {
+  Buffer readback;
+  bool read_done = false;
+  guest->blkfront()->Read(offset, 4096, &readback, [&](bool ok) { read_done = ok; });
+  ASSERT_TRUE(sys->WaitUntil([&] { return read_done; }, Seconds(5)));
+  EXPECT_EQ(Fnv1a(readback), Fnv1a(Buffer(4096, pattern)));
+}
+
+TEST(FailoverTest, RebalancerDrainsDegradedStorageShard) {
+  KiteSystem::Params params;
+  params.disk_store_data = true;
+  params.health.probe_period = Millis(1);
+  params.health.degraded_after = Millis(5);
+  params.health.stalled_after = Seconds(10);  // Degraded-only in this test.
+  KiteSystem sys(params);
+  StorageDomain* a = sys.CreateStorageDomain();
+  StorageDomain* b = sys.CreateStorageDomain();
+  DomainPool pool(&sys);
+  pool.AddShard(a);
+  pool.AddShard(b);
+  RebalancerParams rp;
+  rp.degraded_hysteresis = Millis(10);
+  Rebalancer reb(&sys, &pool, rp);
+
+  GuestVm* guest = sys.CreateGuest("db-vm");
+  pool.Pin(guest->domain()->id(), DeviceKind::kVbd, a->domain()->id());
+  ASSERT_EQ(pool.AttachVbd(guest), a);
+  ASSERT_TRUE(sys.WaitConnected(guest));
+  pool.Unpin(guest->domain()->id(), DeviceKind::kVbd);
+
+  // A hung write leaves the shard slow, not dead. The drain cannot retire
+  // the instance while the write is outstanding; once the controller
+  // answers, the write is acked and the VBD moves to the healthy shard.
+  bool acked = false;
+  HangOneWrite(&sys, guest, a, 0, 0x33, &acked);
+  ASSERT_TRUE(sys.WaitUntil([&] { return reb.drains_started() >= 1; }, Seconds(10)));
+  a->disk()->ReleaseHungIo();
+  ASSERT_TRUE(sys.WaitUntil(
+      [&] {
+        return sys.migrations_in_flight() == 0 && guest->blkfront()->connected() &&
+               guest->blkfront()->backend_dom() == b->domain()->id();
+      },
+      Seconds(10)));
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(reb.moves_failed(), 0u);
+  EXPECT_EQ(pool.Load(b->domain()->id(), DeviceKind::kVbd), 1);
+  ASSERT_TRUE(sys.WaitUntil([&] { return reb.readmissions() >= 1; }, Seconds(10)));
+  EXPECT_TRUE(pool.IsShardOpen(a->domain()->id()));
+  ExpectReadBack(&sys, guest, 0, 0x33);
+  ExpectCoherent(&sys);
+}
+
+TEST(FailoverTest, RebalancerEvacuatesStalledStorageShard) {
+  KiteSystem::Params params;
+  params.disk_store_data = true;
+  params.health.probe_period = Millis(1);
+  params.health.degraded_after = Millis(5);
+  params.health.stalled_after = Millis(20);
+  KiteSystem sys(params);
+  StorageDomain* a = sys.CreateStorageDomain();
+  StorageDomain* b = sys.CreateStorageDomain();
+  const DomId a_id = a->domain()->id();
+  DomainPool pool(&sys);
+  pool.AddShard(a);
+  pool.AddShard(b);
+  RebalancerParams rp;
+  rp.degraded_hysteresis = Seconds(1);  // The stalled path owns the wedge.
+  Rebalancer reb(&sys, &pool, rp);
+
+  GuestVm* guest = sys.CreateGuest("db-vm");
+  pool.Pin(guest->domain()->id(), DeviceKind::kVbd, a_id);
+  ASSERT_EQ(pool.AttachVbd(guest), a);
+  ASSERT_TRUE(sys.WaitConnected(guest));
+  pool.Unpin(guest->domain()->id(), DeviceKind::kVbd);
+
+  // The controller never answers: the shard is evacuated, its parked
+  // completion dies with it, and blkfront requeues the write through the
+  // survivor.
+  bool acked = false;
+  HangOneWrite(&sys, guest, a, 0, 0x44, &acked);
+  ASSERT_TRUE(sys.WaitUntil([&] { return reb.evacuations() >= 1; }, Seconds(10)));
+  ASSERT_TRUE(sys.WaitUntil(
+      [&] {
+        return sys.migrations_in_flight() == 0 && guest->blkfront()->connected() && acked;
+      },
+      Seconds(10)));
+  EXPECT_EQ(reb.evacuations(), 1u);
+  EXPECT_EQ(guest->blkfront()->backend_dom(), b->domain()->id());
+  EXPECT_FALSE(pool.HasShard(a_id));
+  EXPECT_EQ(pool.Shards(DeviceKind::kVbd).size(), 2u);
+  ExpectReadBack(&sys, guest, 0, 0x44);
+  ExpectCoherent(&sys);
+}
+
+TEST(FailoverTest, MixedPoolKeepsDeviceKindsApart) {
+  KiteSystem sys;
+  NetworkDomain* n1 = sys.CreateNetworkDomain();
+  StorageDomain* s1 = sys.CreateStorageDomain();
+  NetworkDomain* n2 = sys.CreateNetworkDomain();
+  StorageDomain* s2 = sys.CreateStorageDomain();
+  const DomId n1_id = n1->domain()->id();
+  const DomId n2_id = n2->domain()->id();
+  const DomId s1_id = s1->domain()->id();
+  const DomId s2_id = s2->domain()->id();
+  DomainPool pool(&sys);
+  pool.AddShard(n1);
+  pool.AddShard(s1);
+  pool.AddShard(n2);
+  pool.AddShard(s2);
+
+  // One list, two kinds: each listing keeps its own registration order.
+  auto doms = [](const std::vector<DomainPool::ShardInfo>& shards) {
+    std::vector<DomId> out;
+    for (const auto& info : shards) {
+      out.push_back(info.dom);
+    }
+    return out;
+  };
+  EXPECT_EQ(doms(pool.Shards(DeviceKind::kVif)), (std::vector<DomId>{n1_id, n2_id}));
+  EXPECT_EQ(doms(pool.Shards(DeviceKind::kVbd)), (std::vector<DomId>{s1_id, s2_id}));
+  EXPECT_EQ(pool.KindOf(n1_id), DeviceKind::kVif);
+  EXPECT_EQ(pool.KindOf(s2_id), DeviceKind::kVbd);
+  EXPECT_FALSE(pool.KindOf(0).has_value());
+
+  constexpr DomId kFirstGuest = 100;
+  constexpr int kGuests = 16;
+  std::vector<std::optional<DomId>> storage_before;
+  for (DomId g = kFirstGuest; g < kFirstGuest + kGuests; ++g) {
+    storage_before.push_back(pool.PickShard(g, DeviceKind::kVbd));
+  }
+
+  // Closing a network shard moves network placement only.
+  pool.SetShardOpen(n1_id, false);
+  EXPECT_FALSE(pool.IsShardOpen(n1_id));
+  EXPECT_TRUE(pool.IsShardOpen(s1_id));
+  for (DomId g = kFirstGuest; g < kFirstGuest + kGuests; ++g) {
+    EXPECT_EQ(pool.PickShard(g, DeviceKind::kVbd), storage_before[g - kFirstGuest]);
+    EXPECT_EQ(pool.PickShard(g, DeviceKind::kVif), n2_id);
+  }
+  EXPECT_EQ(pool.LeastLoadedShard(DeviceKind::kVif), n2_id);
+  EXPECT_FALSE(pool.LeastLoadedShard(DeviceKind::kVif, n2_id).has_value());
+
+  // A domain of the other kind is no shard for this device.
+  pool.Pin(kFirstGuest, DeviceKind::kVbd, n2_id);
+  EXPECT_FALSE(pool.PickShard(kFirstGuest, DeviceKind::kVbd).has_value());
+  pool.Unpin(kFirstGuest, DeviceKind::kVbd);
+
+  GuestVm* guest = sys.CreateGuest("app-vm");
+  ASSERT_EQ(pool.AttachVif(guest, kGuestIp), n2);
+  ASSERT_NE(pool.AttachVbd(guest), nullptr);
+  ASSERT_TRUE(sys.WaitConnected(guest));
+  const DomId stor = guest->blkfront()->backend_dom();
+  EXPECT_EQ(pool.Load(n2_id, DeviceKind::kVif), 1);
+  EXPECT_EQ(pool.Load(n2_id, DeviceKind::kVbd), 0);
+  EXPECT_EQ(pool.Load(stor, DeviceKind::kVbd), 1);
+  EXPECT_EQ(pool.Load(stor, DeviceKind::kVif), 0);
+
+  // Leaving the pool is per domain too: the storage list stays whole.
+  pool.RemoveShard(n1_id);
+  EXPECT_FALSE(pool.HasShard(n1_id));
+  EXPECT_EQ(doms(pool.Shards(DeviceKind::kVif)), (std::vector<DomId>{n2_id}));
+  EXPECT_EQ(doms(pool.Shards(DeviceKind::kVbd)), (std::vector<DomId>{s1_id, s2_id}));
   EXPECT_TRUE(PingFrom(&sys, guest));
   ExpectCoherent(&sys);
 }
@@ -308,10 +486,10 @@ TEST(FailoverTest, HeadlineSixtyFourGuestsSurviveStalledShard) {
   std::vector<NetworkDomain*> netdoms;
   for (int i = 0; i < kNetShards; ++i) {
     netdoms.push_back(sys.CreateNetworkDomain());
-    pool.AddNetworkShard(netdoms.back());
+    pool.AddShard(netdoms.back());
   }
   for (int i = 0; i < kStorShards; ++i) {
-    pool.AddStorageShard(sys.CreateStorageDomain());
+    pool.AddShard(sys.CreateStorageDomain());
   }
   RebalancerParams rp;
   rp.degraded_hysteresis = Seconds(1);  // Stall wins: evacuation path.
@@ -328,7 +506,7 @@ TEST(FailoverTest, HeadlineSixtyFourGuestsSurviveStalledShard) {
     ASSERT_TRUE(sys.WaitConnected(g));
   }
   // The hash spread every shard some guests.
-  for (const auto& info : pool.NetworkShards()) {
+  for (const auto& info : pool.Shards(DeviceKind::kVif)) {
     EXPECT_GT(info.load, 0) << "empty shard dom" << info.dom;
   }
 
@@ -388,8 +566,8 @@ TEST(FailoverTest, HeadlineSixtyFourGuestsSurviveStalledShard) {
         return true;
       },
       Seconds(30)));
-  EXPECT_FALSE(pool.HasNetworkShard(victim));
-  EXPECT_EQ(pool.NetworkShards().size(), static_cast<size_t>(kNetShards));
+  EXPECT_FALSE(pool.HasShard(victim));
+  EXPECT_EQ(pool.Shards(DeviceKind::kVif).size(), static_cast<size_t>(kNetShards));
 
   // Phase 2: service restored across the rebuilt pool.
   blast();

@@ -148,6 +148,41 @@ TEST_P(RecoveryTest, StorageRestartRequeuesInFlightWrites) {
   EXPECT_GT(guest_->blkfront()->requests_requeued(), 0u);
 }
 
+TEST_P(RecoveryTest, StorageRestartAbortsHungCompletions) {
+  BuildStorage();
+  // The controller parks the completion of one write; the backend dies
+  // with it outstanding.
+  sys_->faults().set_rate(FaultSite::kDiskHang, 1.0);
+  bool first_acked = false;
+  guest_->blkfront()->Write(0, Buffer(4096, 0x11), [&](bool ok) { first_acked = ok; });
+  ASSERT_TRUE(sys_->WaitUntil([&] { return stordom_->disk()->hung_io_count() == 1; }));
+  sys_->faults().set_rate(FaultSite::kDiskHang, 0.0);
+
+  // The hand-over fails the parked op (an I/O error that frees its slot);
+  // blkfront requeues the write, and the replacement acks it.
+  StorageDomain* fresh = sys_->RestartStorageDomain(stordom_);
+  ASSERT_TRUE(WaitBlkRecovered(1));
+  ASSERT_TRUE(sys_->WaitUntil([&] { return first_acked; }));
+  EXPECT_EQ(fresh->disk()->hung_io_count(), 0);
+  EXPECT_EQ(fresh->disk()->io_errors(), 1u);
+
+  // Every op the backends submitted has completed, the aborted one as an
+  // error, and the stale op must never land over a later acknowledged write.
+  bool second_acked = false;
+  guest_->blkfront()->Write(0, Buffer(4096, 0x22), [&](bool ok) { second_acked = ok; });
+  ASSERT_TRUE(sys_->WaitUntil([&] { return second_acked; }));
+  sys_->RunUntilIdle();
+  const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
+  EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+  fresh->disk()->ReleaseHungIo();
+  sys_->RunUntilIdle();
+  Buffer readback;
+  bool read_done = false;
+  guest_->blkfront()->Read(0, 4096, &readback, [&](bool ok) { read_done = ok; });
+  ASSERT_TRUE(sys_->WaitUntil([&] { return read_done; }));
+  EXPECT_EQ(Fnv1a(readback), Fnv1a(Buffer(4096, 0x22)));
+}
+
 TEST_P(RecoveryTest, TenCyclesLeakNothing) {
   BuildNet();
   ASSERT_TRUE(PingGuest());
@@ -518,6 +553,49 @@ TEST_P(RecoveryTest, ConnectRetryIsPacedByTimerForBothKinds) {
   sys_->RunUntilIdle();
   const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
   EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+}
+
+// A relinking frontend keeps the Closed state its dead backend left until
+// its relink watch reads the new backend-id. Fail that one read: the retry
+// is 1 ms away, and meanwhile the replacement's InitWait write rescans the
+// bus. The new, unpaired instance must survive that scan.
+TEST_P(RecoveryTest, FailedRelinkReadDoesNotStrandNetworkGuest) {
+  BuildNet();
+  ASSERT_TRUE(PingGuest());
+  const DomId old_backend = guest_->netfront()->backend_dom();
+  sys_->faults().set_rate(FaultSite::kXenstoreRead, 1.0);
+  NetworkDomain* fresh = sys_->RestartNetworkDomain(netdom_);
+  ASSERT_TRUE(sys_->WaitUntil(
+      [&] { return sys_->faults().trips(FaultSite::kXenstoreRead) == 1; }));
+  sys_->faults().set_rate(FaultSite::kXenstoreRead, 0.0);
+  EXPECT_EQ(guest_->netfront()->backend_dom(), old_backend);
+  EXPECT_EQ(guest_->netfront()->recoveries(), 0u);
+
+  ASSERT_TRUE(WaitNetRecovered(1));
+  EXPECT_EQ(guest_->netfront()->backend_dom(), fresh->domain()->id());
+  EXPECT_EQ(fresh->driver()->instances_reaped(), 0u);
+  EXPECT_EQ(sys_->migrator().failed(), 0u);
+  EXPECT_TRUE(PingGuest());
+}
+
+TEST_P(RecoveryTest, FailedRelinkReadDoesNotStrandStorageGuest) {
+  BuildStorage();
+  const DomId old_backend = guest_->blkfront()->backend_dom();
+  sys_->faults().set_rate(FaultSite::kXenstoreRead, 1.0);
+  StorageDomain* fresh = sys_->RestartStorageDomain(stordom_);
+  ASSERT_TRUE(sys_->WaitUntil(
+      [&] { return sys_->faults().trips(FaultSite::kXenstoreRead) == 1; }));
+  sys_->faults().set_rate(FaultSite::kXenstoreRead, 0.0);
+  EXPECT_EQ(guest_->blkfront()->backend_dom(), old_backend);
+  EXPECT_EQ(guest_->blkfront()->recoveries(), 0u);
+
+  ASSERT_TRUE(WaitBlkRecovered(1));
+  EXPECT_EQ(guest_->blkfront()->backend_dom(), fresh->domain()->id());
+  EXPECT_EQ(fresh->driver()->instances_reaped(), 0u);
+  EXPECT_EQ(sys_->migrator().failed(), 0u);
+  bool wrote = false;
+  guest_->blkfront()->Write(0, Buffer(4096, 0x5a), [&](bool ok) { wrote = ok; });
+  EXPECT_TRUE(sys_->WaitUntil([&] { return wrote; }));
 }
 
 INSTANTIATE_TEST_SUITE_P(Personalities, RecoveryTest,
