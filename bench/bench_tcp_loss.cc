@@ -44,7 +44,7 @@ class PatchIf : public NetIf {
     SetUp(true);
   }
   void SetPeer(NetIf* peer) { peer_ = peer; }
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     CountTx(frame);
     if (peer_ != nullptr) {
       peer_->InjectInput(frame);

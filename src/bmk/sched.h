@@ -5,10 +5,13 @@
 // "thread" is a coroutine Task scheduled on the domain's single executor and
 // serialized through the domain's Vcpu.
 //
-// Every timed suspension (Sleep/Run/Yield) goes through a *cancellable timer
-// slot* owned by this scheduler: destroying the scheduler (e.g. when a
-// driver domain is destroyed for restart) destroys all parked coroutine
-// frames instead of leaving dangling resumptions in the executor.
+// Every timed suspension (Sleep/Run/Yield) parks on a *cancellable timer*
+// owned by this scheduler: destroying the scheduler (e.g. when a driver
+// domain is destroyed for restart) destroys all parked coroutine frames
+// instead of leaving dangling resumptions in the executor. A park allocates
+// nothing: the awaiter, which lives in the suspended coroutine frame, is the
+// node of the scheduler's intrusive list of parked threads, and the wake
+// event's captures fit the executor's inline callback slot.
 #ifndef SRC_BMK_SCHED_H_
 #define SRC_BMK_SCHED_H_
 
@@ -16,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -42,23 +44,30 @@ class BmkSched {
   // immediately (eager task) and runs cooperatively forever or until return.
   void Spawn(const std::string& name, const std::function<Task()>& body);
 
-  struct TimerSlot {
-    std::coroutine_handle<> handle;
-    bool cancelled = false;
-  };
-
   // Awaitable that resumes at an absolute time, cancellable by scheduler
-  // destruction.
+  // destruction. While suspended it is linked into the scheduler's list of
+  // parked threads, so it must not move: it is only ever created as the
+  // operand of co_await.
   class TimedAwaiter {
    public:
     TimedAwaiter(BmkSched* sched, SimTime at) : sched_(sched), at_(at) {}
+    TimedAwaiter(const TimedAwaiter&) = delete;
+    TimedAwaiter& operator=(const TimedAwaiter&) = delete;
+
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> handle) { sched_->Park(handle, at_); }
+    void await_suspend(std::coroutine_handle<> handle) {
+      handle_ = handle;
+      sched_->Park(this);
+    }
     void await_resume() const noexcept {}
 
    private:
+    friend class BmkSched;
     BmkSched* sched_;
     SimTime at_;
+    std::coroutine_handle<> handle_;
+    TimedAwaiter* prev_ = nullptr;
+    TimedAwaiter* next_ = nullptr;
   };
 
   // Consume CPU work: resumes once `cost` has executed on the vCPU.
@@ -88,15 +97,22 @@ class BmkSched {
   const std::vector<std::string>& thread_names() const { return thread_names_; }
   int thread_count() const { return static_cast<int>(thread_names_.size()); }
   uint64_t yield_count() const { return yields_; }
-  size_t parked_timers() const { return slots_.size(); }
+  size_t parked_timers() const { return parked_; }
 
  private:
-  void Park(std::coroutine_handle<> handle, SimTime at);
+  // Links the awaiter and posts its wake at awaiter->at_.
+  void Park(TimedAwaiter* awaiter);
+  void Unlink(TimedAwaiter* awaiter);
 
   Executor* executor_;
   Vcpu* vcpu_;
   std::vector<std::string> thread_names_;
-  std::set<std::shared_ptr<TimerSlot>> slots_;
+  // Parked threads, most recently parked first.
+  TimedAwaiter* parked_head_ = nullptr;
+  size_t parked_ = 0;
+  // Wake events capture this flag; a destroyed scheduler (whose parked
+  // frames, awaiters included, are gone) turns them into no-ops.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   uint64_t yields_ = 0;
 };
 

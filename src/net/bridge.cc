@@ -1,6 +1,7 @@
 #include "src/net/bridge.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -9,7 +10,8 @@ namespace kite {
 void Bridge::AddIf(NetIf* netif) {
   KITE_CHECK(!HasIf(netif));
   ports_.push_back(netif);
-  netif->SetInputHandler([this, netif](const EthernetFrame& frame) { Input(netif, frame); });
+  netif->SetInputHandler(
+      [this, netif](EthernetFrame&& frame) { Input(netif, std::move(frame)); });
 }
 
 void Bridge::RemoveIf(NetIf* netif) {
@@ -40,11 +42,9 @@ NetIf* Bridge::LookupFdb(MacAddr mac) const {
 }
 
 void Bridge::EnablePortQueue(Executor* executor, NetIf* port,
-                             EgressQueueParams params,
-                             std::unique_ptr<DropPolicy> policy) {
+                             EgressQueueParams params) {
   KITE_CHECK(HasIf(port));
-  queues_[port] =
-      std::make_unique<EgressQueue>(executor, port, params, std::move(policy));
+  queues_[port] = std::make_unique<EgressQueue>(executor, port, params);
 }
 
 EgressQueue* Bridge::port_queue(NetIf* port) const {
@@ -60,16 +60,16 @@ uint64_t Bridge::queue_drops() const {
   return drops;
 }
 
-bool Bridge::SendOut(NetIf* port, const EthernetFrame& frame) {
+bool Bridge::SendOut(NetIf* port, EthernetFrame&& frame) {
   auto it = queues_.find(port);
   if (it == queues_.end()) {
-    port->Output(frame);
+    port->Output(std::move(frame));
     return true;
   }
-  return it->second->Offer(frame);
+  return it->second->Offer(std::move(frame));
 }
 
-void Bridge::Input(NetIf* ingress, const EthernetFrame& frame) {
+void Bridge::Input(NetIf* ingress, EthernetFrame&& frame) {
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/bridge"));
     vcpu_->Charge(forward_cost_);
@@ -90,7 +90,7 @@ void Bridge::Input(NetIf* ingress, const EthernetFrame& frame) {
         // Count only frames the egress queue admitted: a drop-tail rejection
         // already shows up in queue_drops(), and a frame must not appear in
         // both tallies.
-        if (SendOut(it->second, frame)) {
+        if (SendOut(it->second, std::move(frame))) {
           ++forwarded_;
         }
       }
@@ -105,7 +105,7 @@ void Bridge::Input(NetIf* ingress, const EthernetFrame& frame) {
   }
   for (NetIf* port : ports_) {
     if (port != ingress && port->up()) {
-      SendOut(port, frame);
+      SendOut(port, EthernetFrame(frame));  // Each port gets its own copy.
     }
   }
 }

@@ -43,17 +43,16 @@ class Bridge {
   }
 
   // Attaches a bounded egress queue to a member port: frames the bridge
-  // forwards out `port` pass the queue's DropPolicy and serialize at its
-  // drain rate instead of being delivered synchronously. Ports without a
-  // queue (the default) keep the synchronous model. Re-enabling replaces
-  // the old queue.
-  void EnablePortQueue(Executor* executor, NetIf* port, EgressQueueParams params,
-                       std::unique_ptr<DropPolicy> policy = nullptr);
+  // forwards out `port` pass the queue's drop-tail admission and serialize
+  // at its drain rate instead of being delivered synchronously. Ports
+  // without a queue (the default) keep the synchronous model. Re-enabling
+  // replaces the old queue.
+  void EnablePortQueue(Executor* executor, NetIf* port, EgressQueueParams params);
   // The port's egress queue, or nullptr if none was enabled.
   EgressQueue* port_queue(NetIf* port) const;
 
   // Unicast frames actually admitted toward their egress port; frames a
-  // port queue's DropPolicy rejects count in queue_drops() instead.
+  // full port queue rejects count in queue_drops() instead.
   uint64_t forwarded() const { return forwarded_; }
   uint64_t flooded() const { return flooded_; }
   // Frames dropped at port egress queues (all ports).
@@ -64,9 +63,10 @@ class Bridge {
   NetIf* LookupFdb(MacAddr mac) const;
 
  private:
-  void Input(NetIf* ingress, const EthernetFrame& frame);
+  // Unicast moves the frame to its egress port; only flooding copies it.
+  void Input(NetIf* ingress, EthernetFrame&& frame);
   // Returns false if the port's egress queue dropped the frame.
-  bool SendOut(NetIf* port, const EthernetFrame& frame);
+  bool SendOut(NetIf* port, EthernetFrame&& frame);
 
   std::string name_;
   Vcpu* vcpu_;

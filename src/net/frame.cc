@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -432,10 +433,13 @@ std::optional<EthernetFrame> ParseEthernet(std::span<const uint8_t> data) {
 
 // --- Fragmentation. ---
 
-std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu) {
+std::vector<Ipv4Packet> FragmentIpv4(Ipv4Packet packet, size_t mtu) {
   const size_t max_l4 = mtu - kIpv4HeaderBytes;
+  std::vector<Ipv4Packet> fragments;
   if (packet.L4Bytes() <= max_l4) {
-    return {packet};
+    // Not `return {packet}`: an initializer list would copy the payload.
+    fragments.push_back(std::move(packet));
+    return fragments;
   }
   // Serialize the transport payload once, then slice into 8-byte-aligned
   // fragments (the IP fragment-offset unit).
@@ -457,7 +461,7 @@ std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu) {
       packet.l4);
 
   const size_t chunk = max_l4 & ~size_t{7};
-  std::vector<Ipv4Packet> fragments;
+  fragments.reserve((l4.size() + chunk - 1) / chunk);
   for (size_t off = 0; off < l4.size(); off += chunk) {
     const size_t len = std::min(chunk, l4.size() - off);
     Ipv4Packet frag;
@@ -475,9 +479,15 @@ std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu) {
 }
 
 std::nullopt_t Ipv4Reassembler::Drop(PendingMap::iterator it, uint64_t* counter) {
-  pending_.erase(it);
+  Erase(it);
   ++*counter;
   return std::nullopt;
+}
+
+void Ipv4Reassembler::Erase(PendingMap::iterator it) {
+  spare_ = std::move(it->second.bytes);
+  spare_.clear();
+  pending_.erase(it);
 }
 
 std::optional<Ipv4Packet> Ipv4Reassembler::Add(const Ipv4Packet& fragment) {
@@ -510,6 +520,7 @@ std::optional<Ipv4Packet> Ipv4Reassembler::Add(const Ipv4Packet& fragment) {
       Drop(oldest, &evicted_);
     }
     it = pending_.try_emplace(key).first;
+    it->second.bytes = std::exchange(spare_, Buffer());
     it->second.bytes.reserve(kMaxPayload);
     it->second.started = next_started_++;
   }
@@ -553,16 +564,17 @@ std::optional<Ipv4Packet> Ipv4Reassembler::Add(const Ipv4Packet& fragment) {
   }
 
   // Complete: the held extents are disjoint and lie in [0, total_len), so
-  // their sizes summing to total_len means they cover it.
-  const Buffer l4 = std::move(part.bytes);
-  pending_.erase(it);
+  // their sizes summing to total_len means they cover it. The L4 parse
+  // copies what it keeps, so the buffer can go back to spare_ afterwards.
   Ipv4Packet whole;
   whole.src = fragment.src;
   whole.dst = fragment.dst;
   whole.proto = fragment.proto;
   whole.ttl = fragment.ttl;
   whole.id = fragment.id;
-  if (!ParseL4(l4, &whole)) {
+  const bool parsed = ParseL4(part.bytes, &whole);
+  Erase(it);
+  if (!parsed) {
     return std::nullopt;
   }
   return whole;

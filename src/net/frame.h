@@ -165,8 +165,9 @@ std::optional<EthernetFrame> ParseEthernet(std::span<const uint8_t> data);
 // --- IP fragmentation. ---
 
 // Splits a packet whose L4 payload exceeds the MTU into fragments (serializes
-// the L4 once, then slices). A packet that fits is returned unchanged.
-std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu = kMtu);
+// the L4 once, then slices). A packet that fits is moved, not copied, into
+// the single-element result.
+std::vector<Ipv4Packet> FragmentIpv4(Ipv4Packet packet, size_t mtu = kMtu);
 
 // Largest IPv4 datagram (header included) that the total-length field allows.
 inline constexpr size_t kMaxIpv4DatagramBytes = 65535;
@@ -175,8 +176,11 @@ inline constexpr size_t kMaxIpv4DatagramBytes = 65535;
 // parsed L4) once all fragments of a datagram have arrived.
 //
 // A datagram is identified by (src, dst, id, proto); each accepted fragment is
-// held as a byte interval and copied once into the datagram's buffer. The
-// rules, in the order they are applied to a fragment:
+// held as a byte interval and copied once into the datagram's buffer. That
+// buffer is reserved to the largest payload; the buffer of the last datagram
+// to finish or drop is kept and reused by the next one, so a steady stream of
+// datagrams reserves it once. The rules, in the order they are applied to a
+// fragment:
 //  - A datagram whose 20-byte header plus payload would exceed 65,535 bytes is
 //    dropped (oversized()).
 //  - A datagram whose fragments disagree on its final length is dropped: a
@@ -227,8 +231,14 @@ class Ipv4Reassembler {
 
   // Removes a partial datagram that broke a rule and counts it.
   std::nullopt_t Drop(PendingMap::iterator it, uint64_t* counter);
+  // Removes a partial datagram, keeping its buffer in spare_.
+  void Erase(PendingMap::iterator it);
 
   PendingMap pending_;
+  // The buffer of the last datagram removed, emptied but still reserved;
+  // the next new datagram takes it. With it, memory still peaks at
+  // max_pending_ reserved buffers: it is held only while fewer are pending.
+  Buffer spare_;
   size_t max_pending_ = 256;
   uint64_t next_started_ = 0;
   uint64_t duplicates_ = 0;

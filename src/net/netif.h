@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "src/net/frame.h"
 
@@ -27,19 +28,21 @@ class NetIf {
   bool up() const { return up_; }
   void SetUp(bool up) { up_ = up; }
 
-  // Transmits a frame out of this interface. Implementations deliver to the
-  // wire (NIC), to the peer ring (VIF/netfront), etc.
-  virtual void Output(const EthernetFrame& frame) = 0;
+  // Transmits a frame out of this interface, which takes ownership of it.
+  // Implementations deliver to the wire (NIC), to the peer ring
+  // (VIF/netfront), etc., moving the frame rather than copying its payload.
+  virtual void Output(EthernetFrame frame) = 0;
 
-  // The attached consumer (stack or bridge) receives inbound frames here.
-  void SetInputHandler(std::function<void(const EthernetFrame&)> fn) {
+  // The attached consumer (stack or bridge) receives inbound frames here and
+  // may keep them: the handler owns the frame it is given.
+  void SetInputHandler(std::function<void(EthernetFrame&&)> fn) {
     input_handler_ = std::move(fn);
   }
   bool has_input_handler() const { return input_handler_ != nullptr; }
 
   // Feeds a frame into this interface as if it arrived from the medium
   // (used by tests and by software devices).
-  void InjectInput(const EthernetFrame& frame) { DeliverInput(frame); }
+  void InjectInput(EthernetFrame frame) { DeliverInput(std::move(frame)); }
 
   uint64_t tx_frames() const { return tx_frames_; }
   uint64_t tx_bytes() const { return tx_bytes_; }
@@ -53,12 +56,13 @@ class NetIf {
   }
 
   // Called by implementations when an inbound frame is ready for the
-  // consumer. Dropped (counted by callers where relevant) if no handler.
-  void DeliverInput(const EthernetFrame& frame) {
+  // consumer, which receives it by move. Dropped (counted by callers where
+  // relevant) if no handler.
+  void DeliverInput(EthernetFrame&& frame) {
     ++rx_frames_;
     rx_bytes_ += frame.PayloadBytes() + kEthernetHeaderBytes;
     if (input_handler_) {
-      input_handler_(frame);
+      input_handler_(std::move(frame));
     }
   }
 
@@ -66,7 +70,7 @@ class NetIf {
   std::string ifname_;
   MacAddr mac_;
   bool up_ = false;
-  std::function<void(const EthernetFrame&)> input_handler_;
+  std::function<void(EthernetFrame&&)> input_handler_;
   uint64_t tx_frames_ = 0;
   uint64_t tx_bytes_ = 0;
   uint64_t rx_frames_ = 0;

@@ -5,9 +5,9 @@
 
 namespace kite {
 
-void NicNetIf::Output(const EthernetFrame& frame) {
+void NicNetIf::Output(EthernetFrame frame) {
   CountTx(frame);
-  nic_->Transmit(frame);
+  nic_->Transmit(std::move(frame));
 }
 
 Nic::Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac,
@@ -40,26 +40,15 @@ void Nic::OnAssigned(Domain* owner) { vcpu_ = owner->vcpu(0); }
 
 void Nic::OnUnassigned() { vcpu_ = nullptr; }
 
-void Nic::SetTxDropPolicy(std::unique_ptr<DropPolicy> policy) {
-  tx_policy_ = policy != nullptr ? std::move(policy)
-                                 : std::make_unique<DropTailPolicy>();
-}
-
-void Nic::SetRxDropPolicy(std::unique_ptr<DropPolicy> policy) {
-  rx_policy_ = policy != nullptr ? std::move(policy)
-                                 : std::make_unique<DropTailPolicy>();
-}
-
-void Nic::Transmit(const EthernetFrame& frame) {
+void Nic::Transmit(EthernetFrame frame) {
   if (peer_ == nullptr) {
     ++tx_dropped_;
     return;
   }
-  // Bounded transmit queue: if the policy rejects the frame (drop-tail: the
-  // backlog exceeds the ring), drop — what a real NIC does under overload.
+  // Bounded transmit queue: when the backlog fills the ring, drop the tail —
+  // what a real NIC does under overload.
   const SimTime now = executor_->Now();
-  if (tx_policy_->ShouldDrop(tx_inflight_, params_.tx_queue_frames,
-                             frame.WireBytes())) {
+  if (QueueFull(wire_.size(), params_.tx_queue_frames)) {
     ++tx_dropped_;
     return;
   }
@@ -71,16 +60,19 @@ void Nic::Transmit(const EthernetFrame& frame) {
   const SimDuration wire_time = Nanos(static_cast<int64_t>(bits / params_.gbps));
   SimTime start = tx_free_at_ > now ? tx_free_at_ : now;
   tx_free_at_ = start + wire_time;
-  ++tx_inflight_;
-  const SimTime arrival = tx_free_at_ + params_.propagation;
-  Nic* peer = peer_;
-  executor_->PostAt(arrival, KITE_POST_SITE("nic/wire-arrival"), [this, peer, frame] {
-    --tx_inflight_;
-    peer->Arrive(frame);
-  });
+  wire_.emplace_back(peer_, std::move(frame));
+  executor_->PostAt(tx_free_at_ + params_.propagation, KITE_POST_SITE("nic/wire-arrival"),
+                    [this] { LandOnPeer(); });
 }
 
-void Nic::Arrive(EthernetFrame frame) {
+void Nic::LandOnPeer() {
+  // Arrive only queues on the peer's side, so the front stays put until the
+  // frame has moved out of it.
+  wire_.front().peer->Arrive(std::move(wire_.front().frame));
+  wire_.pop_front();
+}
+
+void Nic::Arrive(EthernetFrame&& frame) {
   if (faults_ != nullptr) {
     if (faults_->ShouldFail(FaultSite::kNicLoss)) {
       ++rx_lost_;  // Lost on the wire: the receive side never sees it.
@@ -91,8 +83,7 @@ void Nic::Arrive(EthernetFrame frame) {
       return;
     }
   }
-  if (rx_policy_->ShouldDrop(rx_queue_.size(), params_.rx_queue_frames,
-                             frame.WireBytes())) {
+  if (QueueFull(rx_queue_.size(), params_.rx_queue_frames)) {
     ++rx_dropped_;
     return;
   }
@@ -121,7 +112,7 @@ void Nic::DrainRx() {
       vcpu_->Charge(params_.rx_frame_cost);
     }
     ++rx_delivered_;
-    netif_.DeliverInput(frame);
+    netif_.DeliverInput(std::move(frame));
   }
 }
 

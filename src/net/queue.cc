@@ -4,13 +4,8 @@
 
 namespace kite {
 
-EgressQueue::EgressQueue(Executor* executor, NetIf* port, EgressQueueParams params,
-                         std::unique_ptr<DropPolicy> policy)
-    : executor_(executor),
-      port_(port),
-      params_(params),
-      policy_(policy != nullptr ? std::move(policy)
-                                : std::make_unique<DropTailPolicy>()) {
+EgressQueue::EgressQueue(Executor* executor, NetIf* port, EgressQueueParams params)
+    : executor_(executor), port_(port), params_(params) {
   if (params_.metrics != nullptr) {
     const std::string device =
         params_.metrics_device.empty() ? port_->ifname() : params_.metrics_device;
@@ -21,21 +16,21 @@ EgressQueue::EgressQueue(Executor* executor, NetIf* port, EgressQueueParams para
 
 EgressQueue::~EgressQueue() { *alive_ = false; }
 
-bool EgressQueue::Offer(const EthernetFrame& frame) {
+bool EgressQueue::Offer(EthernetFrame frame) {
   if (params_.limit_frames == 0) {
     // Bypass: the unqueued synchronous model.
     ++forwarded_;
-    port_->Output(frame);
+    port_->Output(std::move(frame));
     return true;
   }
-  if (policy_->ShouldDrop(queue_.size(), params_.limit_frames, frame.WireBytes())) {
+  if (QueueFull(queue_.size(), params_.limit_frames)) {
     ++dropped_;
     if (drop_counter_ != nullptr) {
       drop_counter_->Inc();
     }
     return false;
   }
-  queue_.push_back(frame);
+  queue_.push_back(std::move(frame));
   if (depth_gauge_ != nullptr) {
     depth_gauge_->Set(static_cast<double>(queue_.size()));
   }
@@ -70,7 +65,7 @@ void EgressQueue::ScheduleDrain(SimTime at) {
     // first would let that reentrant Offer start a second drain chain and
     // the port would serialize above its line rate.
     if (port_->up()) {
-      port_->Output(frame);
+      port_->Output(std::move(frame));
     }
     if (!queue_.empty()) {
       ScheduleDrain(busy_until_);

@@ -1,14 +1,12 @@
-// Bounded L2 queue models (drop-tail today, RED-ready by construction).
+// Bounded L2 queue models (drop-tail).
 //
 // Real switches and NICs drop frames at finite queues; the transport's
 // congestion response (src/net/tcp.h) is only honest if loss happens at the
 // same places. This header provides the two pieces every queueing point
 // shares:
 //
-//   - DropPolicy: the admission decision, separated from the queue itself so
-//     a RED/ECN policy can be swapped in without touching device code. The
-//     hook sees instantaneous depth, the configured limit, and the arriving
-//     frame's wire size — everything RED's EWMA needs.
+//   - QueueFull: the drop-tail admission test, used by the NIC rings,
+//     netback's Rx queue and EgressQueue alike.
 //   - EgressQueue: a depth-bounded FIFO in front of a NetIf that serializes
 //     frames out at a configured line rate. The bridge attaches one per
 //     bottleneck port; with limit 0 it bypasses entirely (synchronous
@@ -26,25 +24,12 @@
 
 namespace kite {
 
-// Admission decision for a bounded frame queue. Stateless for drop-tail;
-// a RED implementation would carry its average-depth EWMA here.
-class DropPolicy {
- public:
-  virtual ~DropPolicy() = default;
-  // Called once per arriving frame, before it is queued. `limit_frames == 0`
-  // means unbounded (never drop). Returning true drops the frame.
-  virtual bool ShouldDrop(size_t depth_frames, size_t limit_frames,
-                          size_t frame_wire_bytes) = 0;
-};
-
-// Classic drop-tail: admit until the queue is full.
-class DropTailPolicy : public DropPolicy {
- public:
-  bool ShouldDrop(size_t depth_frames, size_t limit_frames,
-                  size_t /*frame_wire_bytes*/) override {
-    return limit_frames != 0 && depth_frames >= limit_frames;
-  }
-};
+// Drop-tail admission: true when a queue holding `depth_frames` must drop an
+// arriving frame. `limit_frames == 0` means unbounded (never drop), not
+// "drop everything".
+inline bool QueueFull(size_t depth_frames, size_t limit_frames) {
+  return limit_frames != 0 && depth_frames >= limit_frames;
+}
 
 struct EgressQueueParams {
   // Queue depth in frames. 0 = bypass: frames forward synchronously with no
@@ -61,22 +46,20 @@ struct EgressQueueParams {
   std::string metrics_device;  // Defaults to the port's name.
 };
 
-// A bounded egress queue in front of a NetIf. Frames admitted by the policy
-// serialize out one at a time at drain_gbps; arrivals the policy rejects are
-// counted and discarded — where a real switch drops under overload.
+// A bounded egress queue in front of a NetIf. Admitted frames serialize out
+// one at a time at drain_gbps; arrivals that find the queue full are counted
+// and discarded — where a real switch drops under overload.
 class EgressQueue {
  public:
-  // `policy` may be null: drop-tail.
-  EgressQueue(Executor* executor, NetIf* port, EgressQueueParams params,
-              std::unique_ptr<DropPolicy> policy = nullptr);
+  EgressQueue(Executor* executor, NetIf* port, EgressQueueParams params);
   ~EgressQueue();
 
   EgressQueue(const EgressQueue&) = delete;
   EgressQueue& operator=(const EgressQueue&) = delete;
 
-  // Queues (or, with limit 0, directly forwards) the frame.
-  // Returns false if the policy dropped it.
-  bool Offer(const EthernetFrame& frame);
+  // Queues (or, with limit 0, directly forwards) the frame, taking ownership.
+  // Returns false if the full queue dropped it.
+  bool Offer(EthernetFrame frame);
 
   NetIf* port() const { return port_; }
   size_t depth() const { return queue_.size(); }
@@ -90,7 +73,6 @@ class EgressQueue {
   Executor* executor_;
   NetIf* port_;
   EgressQueueParams params_;
-  std::unique_ptr<DropPolicy> policy_;
   std::deque<EthernetFrame> queue_;
   SimTime busy_until_;
   bool drain_scheduled_ = false;

@@ -151,17 +151,17 @@ void EtherStack::SendIp(Ipv4Packet&& packet) {
   frame.ethertype = kEtherTypeArp;
   frame.payload = arp;
   ++arp_requests_;
-  netif_->Output(frame);
+  netif_->Output(std::move(frame));
 }
 
 void EtherStack::Transmit(MacAddr dst, Ipv4Packet&& packet) {
-  for (Ipv4Packet& frag : FragmentIpv4(packet)) {
+  for (Ipv4Packet& frag : FragmentIpv4(std::move(packet))) {
     EthernetFrame frame;
     frame.dst = dst;
     frame.src = mac();
     frame.ethertype = kEtherTypeIpv4;
     frame.payload = std::move(frag);
-    netif_->Output(frame);
+    netif_->Output(std::move(frame));
   }
 }
 
@@ -219,7 +219,7 @@ void EtherStack::HandleArp(const ArpPacket& arp) {
     frame.src = mac();
     frame.ethertype = kEtherTypeArp;
     frame.payload = reply;
-    netif_->Output(frame);
+    netif_->Output(std::move(frame));
   }
 }
 

@@ -430,7 +430,7 @@ Task NetbackInstance::PusherThread() {
           if (frame.has_value()) {
             guest_tx_frames_->Inc();
             // Hand the frame to the network stack/bridge through the VIF.
-            DeliverInput(*frame);
+            DeliverInput(std::move(*frame));
           } else {
             tx_unparseable_->Inc();
           }
@@ -457,24 +457,18 @@ Task NetbackInstance::PusherThread() {
   ThreadExited();
 }
 
-void NetbackInstance::Output(const EthernetFrame& frame) {
+void NetbackInstance::Output(EthernetFrame frame) {
   if (!connected_ || draining_) {
     return;
   }
-  if (rx_policy_->ShouldDrop(rx_pending_.size(), params_.rx_queue_cap,
-                             frame.WireBytes())) {
+  if (QueueFull(rx_pending_.size(), params_.rx_queue_cap)) {
     rx_queue_drops_->Inc();
     return;
   }
-  rx_pending_.push_back({frame, sched_->executor()->Now().ns()});
+  rx_pending_.push_back({std::move(frame), sched_->executor()->Now().ns()});
   // The stack callback only wakes soft_start (paper §4.2 "Multiple
   // Threads"); the copy work happens on the thread.
   rx_wake_.Signal();
-}
-
-void NetbackInstance::SetRxDropPolicy(std::unique_ptr<DropPolicy> policy) {
-  rx_policy_ = policy != nullptr ? std::move(policy)
-                                 : std::make_unique<DropTailPolicy>();
 }
 
 Task NetbackInstance::SoftStartThread() {

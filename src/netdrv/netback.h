@@ -43,9 +43,9 @@ struct NetbackParams {
   bool dedicated_threads = true;
   // Packets processed per CPU quantum before yielding.
   int batch_limit = 64;
-  // Backend-side queue toward a guest; overflow drops (observable as UDP
-  // loss in the nuttcp benchmark). Per the DropPolicy convention
-  // (src/net/queue.h), 0 means unbounded — never drop.
+  // Backend-side queue toward a guest; overflow drops the tail (observable
+  // as UDP loss in the nuttcp benchmark). As for every queue in
+  // src/net/queue.h, 0 means unbounded — never drop.
   size_t rx_queue_cap = 512;
 };
 
@@ -65,12 +65,8 @@ class NetbackInstance : public NetIf {
   // entries are missing or invalid.
   bool Connect();
 
-  // NetIf: bridge → guest direction (enqueue for soft_start).
-  void Output(const EthernetFrame& frame) override;
-
-  // Replaces the admission policy of the backend-side Rx queue (drop-tail at
-  // rx_queue_cap by default). Passing null restores drop-tail.
-  void SetRxDropPolicy(std::unique_ptr<DropPolicy> policy);
+  // NetIf: bridge → guest direction (moves the frame onto soft_start's queue).
+  void Output(EthernetFrame frame) override;
 
   // Advertises Connected in xenstore. As on real Xen, where the hotplug
   // script must bridge the vif before the state switch, the network
@@ -180,7 +176,6 @@ class NetbackInstance : public NetIf {
     int64_t arrival_ns;
   };
   std::deque<PendingRx> rx_pending_;
-  std::unique_ptr<DropPolicy> rx_policy_ = std::make_unique<DropTailPolicy>();
 
   // Per-thread scratch buffers (pusher owns tx_scratch_, soft_start owns
   // rx_scratch_): packet bytes are staged here instead of allocating a fresh

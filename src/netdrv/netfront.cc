@@ -211,7 +211,7 @@ void Netfront::PostRxBuffers() {
   }
 }
 
-void Netfront::Output(const EthernetFrame& frame) {
+void Netfront::Output(EthernetFrame frame) {
   if (!connected_ || tx_free_ids_.empty() || tx_ring_->Full()) {
     tx_dropped_->Inc();
     return;
@@ -324,7 +324,7 @@ void Netfront::ProcessRxResponses() {
         rx_errors_->Inc();
         continue;
       }
-      DeliverInput(*frame);
+      DeliverInput(std::move(*frame));
     }
   } while (rx_ring_->FinalCheckForResponses());
   // Refill the Rx ring with the freed buffers.

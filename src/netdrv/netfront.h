@@ -30,7 +30,7 @@ class Netfront : public NetIf {
   ~Netfront() override;
 
   // NetIf: transmit a frame from the guest stack toward the backend.
-  void Output(const EthernetFrame& frame) override;
+  void Output(EthernetFrame frame) override;
 
   bool connected() const { return connected_; }
   int devid() const { return devid_; }

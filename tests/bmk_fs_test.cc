@@ -45,6 +45,46 @@ TEST(BmkSchedTest, DestructionCancelsParkedTimers) {
   EXPECT_LE(wakes, 4);
 }
 
+// Sleeps through each of `naps`, counting every wake, then parks for a
+// second.
+Task Napper(BmkSched* sched, std::vector<SimDuration> naps, int* wakes) {
+  for (SimDuration nap : naps) {
+    co_await sched->Sleep(nap);
+    ++*wakes;
+  }
+  co_await sched->Sleep(Seconds(1));
+  ++*wakes;
+}
+
+TEST(BmkSchedTest, DestructionCancelsThreadsParkedOutOfOrder) {
+  Executor ex;
+  Vcpu cpu(&ex);
+  int wakes = 0;
+  {
+    BmkSched sched(&ex, &cpu);
+    // The newest park heads the list: c (3 ms), b (1 ms), a (2 ms).
+    sched.Spawn("a", [&] { return Napper(&sched, {Millis(2)}, &wakes); });
+    sched.Spawn("b", [&] { return Napper(&sched, {Millis(1), Micros(500)}, &wakes); });
+    sched.Spawn("c", [&] { return Napper(&sched, {Millis(3)}, &wakes); });
+    EXPECT_EQ(sched.parked_timers(), 3u);
+    // b wakes first, from the middle of the list, and parks again at its
+    // head; its second wake takes it off the head.
+    ex.RunFor(Micros(1250));
+    EXPECT_EQ(wakes, 1);
+    EXPECT_EQ(sched.parked_timers(), 3u);
+    ex.RunFor(Micros(500));
+    EXPECT_EQ(wakes, 2);
+    EXPECT_EQ(sched.parked_timers(), 3u);
+    // a and c wake from the tail, each behind a relinked neighbour.
+    ex.RunFor(Micros(1750));
+    EXPECT_EQ(wakes, 4);
+    // Torn down with b (1.0015 s), a (1.002 s) and c (1.003 s) parked.
+    EXPECT_EQ(sched.parked_timers(), 3u);
+  }
+  ex.RunFor(Seconds(2));  // Their wake events must be harmless no-ops.
+  EXPECT_EQ(wakes, 4);
+}
+
 Task CpuHog(BmkSched* sched, int* iterations, int n) {
   for (int i = 0; i < n; ++i) {
     co_await sched->Run(Micros(100));

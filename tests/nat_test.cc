@@ -25,7 +25,7 @@ class PipeIf : public NetIf {
     SetUp(true);
   }
   void Connect(PipeIf* peer) { peer_ = peer; }
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     CountTx(frame);
     ex_->Post([peer = peer_, frame] { peer->InjectInput(frame); });
   }

@@ -454,14 +454,34 @@ TEST_F(NicPairTest, UnconnectedNicDropsTx) {
   EXPECT_EQ(lone.tx_dropped(), 1u);
 }
 
+// The UDP payload of a frame: the bytes a hop must move, not copy.
+const Buffer& UdpPayload(const EthernetFrame& frame) {
+  return std::get<UdpDatagram>(frame.ip()->l4).payload;
+}
+
+// The no-copy tests compare the payload buffer's address before and after a
+// hop: when every step moves the frame, the buffer that arrives is the one
+// the sender filled; a step that copied it would hand on a new allocation.
+TEST_F(NicPairTest, WireMovesThePayload) {
+  EthernetFrame got;
+  b_->netif()->SetInputHandler([&](EthernetFrame&& frame) { got = std::move(frame); });
+  EthernetFrame sent = MakeFrame(1400);
+  const uint8_t* bytes = UdpPayload(sent).data();
+  a_->netif()->Output(std::move(sent));
+  ex_.RunUntilIdle();
+  ASSERT_EQ(b_->rx_delivered(), 1u);
+  EXPECT_EQ(UdpPayload(got).data(), bytes);
+  EXPECT_EQ(UdpPayload(got).size(), 1400u);
+}
+
 // --- Bridge. ---
 
 class StubIf : public NetIf {
  public:
   StubIf(std::string name, MacAddr mac) : NetIf(std::move(name), mac) { SetUp(true); }
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     ++out_count;
-    last = frame;
+    last = std::move(frame);
   }
   int out_count = 0;
   EthernetFrame last;
@@ -509,6 +529,57 @@ TEST(BridgeTest, LearnsAndForwards) {
   EXPECT_EQ(bridge.forwarded(), 2u);
 }
 
+EthernetFrame PayloadFrameBetween(MacAddr src, MacAddr dst) {
+  EthernetFrame f = FrameBetween(src, dst);
+  std::get<UdpDatagram>(f.ip()->l4).payload.assign(1000, 0x5a);
+  return f;
+}
+
+TEST(BridgeTest, UnicastMovesThePayloadToTheLearnedPort) {
+  for (size_t limit_frames : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE(limit_frames == 0 ? "bypass" : "port queue");
+    Executor ex;
+    Bridge bridge("br0", nullptr);
+    StubIf p1("p1", MacAddr::FromId(1));
+    StubIf p2("p2", MacAddr::FromId(2));
+    bridge.AddIf(&p1);
+    bridge.AddIf(&p2);
+    if (limit_frames != 0) {
+      EgressQueueParams qp;
+      qp.limit_frames = limit_frames;
+      bridge.EnablePortQueue(&ex, &p2, qp);
+    }
+    const MacAddr h1 = MacAddr::FromId(0x11);
+    const MacAddr h2 = MacAddr::FromId(0x22);
+    p2.InjectInput(FrameBetween(h2, h1));  // Learn h2 behind p2.
+    EthernetFrame sent = PayloadFrameBetween(h1, h2);
+    const uint8_t* bytes = UdpPayload(sent).data();
+    p1.InjectInput(std::move(sent));
+    ex.RunUntilIdle();
+    ASSERT_EQ(p2.out_count, 1);
+    EXPECT_EQ(bridge.forwarded(), 1u);
+    EXPECT_EQ(UdpPayload(p2.last).data(), bytes);
+  }
+}
+
+TEST(BridgeTest, FloodGivesEachPortItsOwnCopy) {
+  Bridge bridge("br0", nullptr);
+  StubIf p1("p1", MacAddr::FromId(1));
+  StubIf p2("p2", MacAddr::FromId(2));
+  StubIf p3("p3", MacAddr::FromId(3));
+  bridge.AddIf(&p1);
+  bridge.AddIf(&p2);
+  bridge.AddIf(&p3);
+  EthernetFrame sent = PayloadFrameBetween(MacAddr::FromId(0x11), MacAddr::Broadcast());
+  const Buffer original = UdpPayload(sent);
+  p1.InjectInput(std::move(sent));
+  ASSERT_EQ(p2.out_count, 1);
+  ASSERT_EQ(p3.out_count, 1);
+  EXPECT_EQ(UdpPayload(p2.last), original);
+  EXPECT_EQ(UdpPayload(p3.last), original);
+  EXPECT_NE(UdpPayload(p2.last).data(), UdpPayload(p3.last).data());
+}
+
 TEST(BridgeTest, BroadcastFloods) {
   Bridge bridge("br0", nullptr);
   StubIf p1("p1", MacAddr::FromId(1));
@@ -543,6 +614,21 @@ TEST(BridgeTest, DownPortNotFloodedTo) {
   p2.SetUp(false);
   p1.InjectInput(FrameBetween(MacAddr::FromId(0x11), MacAddr::Broadcast()));
   EXPECT_EQ(p2.out_count, 0);
+}
+
+TEST(StackTest, UdpSendToHandsTheCallersBufferToOutput) {
+  Executor ex;
+  StubIf wire("wire0", MacAddr::FromId(1));
+  EtherStack stack(&ex, nullptr, &wire);
+  stack.ConfigureIp(kIpA);
+  stack.AddArpEntry(kIpB, MacAddr::FromId(2));
+  auto sock = stack.OpenUdp();
+  Buffer payload(1000, 0x5a);
+  const uint8_t* bytes = payload.data();
+  sock->SendTo(kIpB, 9, std::move(payload));
+  ASSERT_EQ(wire.out_count, 1);
+  EXPECT_EQ(UdpPayload(wire.last).data(), bytes);
+  EXPECT_EQ(UdpPayload(wire.last).size(), 1000u);
 }
 
 // --- Stack: ARP, ping, UDP, TCP over a direct NIC pair. ---

@@ -33,7 +33,7 @@ class ScriptIf : public NetIf {
  public:
   ScriptIf() : NetIf("script0", MacAddr::FromId(1)) { SetUp(true); }
 
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     CountTx(frame);
     const Ipv4Packet* ip = frame.ip();
     ASSERT_NE(ip, nullptr) << "stack emitted a non-IP frame (ARP not seeded?)";

@@ -23,21 +23,21 @@ class LossyIf : public NetIf {
         loss_(loss),
         rng_(seed) {
     SetUp(true);
-    inner_->SetInputHandler([this](const EthernetFrame& frame) {
+    inner_->SetInputHandler([this](EthernetFrame&& frame) {
       if (rng_.NextBool(loss_)) {
         ++dropped_;
         return;
       }
-      DeliverInput(frame);
+      DeliverInput(std::move(frame));
     });
   }
 
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     if (rng_.NextBool(loss_)) {
       ++dropped_;
       return;
     }
-    inner_->Output(frame);
+    inner_->Output(std::move(frame));
   }
 
   uint64_t dropped() const { return dropped_; }
