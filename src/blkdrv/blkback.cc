@@ -7,25 +7,28 @@
 #include "src/obs/flow.h"
 
 namespace kite {
+namespace {
+
+// Indirect segments a request may carry (the frontend's own cap).
+constexpr int kMaxIndirect = kBlkMaxIndirectSegments;
+// Cap for a coalesced device op.
+constexpr size_t kMaxBatchBytes = 1024 * 1024;
+// Requests per CPU quantum.
+constexpr int kRingBatchLimit = 32;
+
+}  // namespace
 
 // --- BlkbackInstance. ---
 
 BlkbackInstance::BlkbackInstance(Domain* backend, BmkSched* sched,
                                  const OsCostProfile* costs, BlkbackParams params,
                                  BlockDevice* disk, DomId frontend_dom, int devid)
-    : backend_(backend),
-      hv_(backend->hypervisor()),
-      sched_(sched),
-      costs_(costs),
+    : XenbusBackendInstance(backend, sched, costs, kType, frontend_dom, devid),
       params_(params),
       disk_(disk),
-      frontend_dom_(frontend_dom),
-      devid_(devid),
       wake_(sched->executor()) {
-  backend_path_ = BackendPath(backend->id(), kType, frontend_dom, devid);
-  frontend_path_ = FrontendPath(frontend_dom, kType, devid);
   MetricRegistry* reg = hv_->metrics();
-  const std::string dev = StrFormat("vbd%d.%d", frontend_dom_, devid_);
+  const std::string& dev = name_;
   requests_handled_ = reg->counter(backend->name(), dev, "requests_handled");
   device_ops_ = reg->counter(backend->name(), dev, "device_ops");
   segments_handled_ = reg->counter(backend->name(), dev, "segments_handled");
@@ -38,46 +41,11 @@ BlkbackInstance::BlkbackInstance(Domain* backend, BmkSched* sched,
   device_ns_ = reg->latency(backend->name(), dev, "device_ns");
 }
 
-BlkbackInstance::~BlkbackInstance() {
-  *alive_ = false;
-  // Normally BeginShutdown already unregistered; the driver-destructor path
-  // tears instances down without it, and a stale sampler would dangle.
-  if (health_id_ != 0 && hv_->health() != nullptr) {
-    hv_->health()->Unregister(health_id_);
-    health_id_ = 0;
-  }
-  if (port_ != kInvalidPort) {
-    hv_->EventClose(backend_, port_);
-  }
-}
+BlkbackInstance::~BlkbackInstance() { *alive_ = false; }
 
 bool BlkbackInstance::RingQuiescent(std::string* detail) const {
-  if (ring_ == nullptr) {
-    // Never connected: nothing to audit.
-    return true;
-  }
-  if (ring_->UnconsumedRequests() != 0) {
-    if (detail != nullptr) {
-      *detail = StrFormat("vbd%d.%d: %u published request(s) never consumed",
-                          frontend_dom_, devid_, ring_->UnconsumedRequests());
-    }
-    return false;
-  }
-  if (ring_->rsp_prod_pvt() != ring_->req_cons()) {
-    if (detail != nullptr) {
-      *detail = StrFormat("vbd%d.%d: consumed %u request(s) but produced %u response(s)",
-                          frontend_dom_, devid_, ring_->req_cons(), ring_->rsp_prod_pvt());
-    }
-    return false;
-  }
-  if (ring_->unpushed_responses() != 0) {
-    if (detail != nullptr) {
-      *detail = StrFormat("vbd%d.%d: %u staged response(s) never pushed",
-                          frontend_dom_, devid_, ring_->unpushed_responses());
-    }
-    return false;
-  }
-  return true;
+  return ring_ == nullptr ||  // Never connected.
+         AuditRing(*ring_, "blk", /*requests_may_wait=*/false, detail);
 }
 
 void BlkbackInstance::Advertise() {
@@ -89,9 +57,8 @@ void BlkbackInstance::Advertise() {
   backend_->StoreWriteInt(backend_path_ + "/feature-persistent",
                           params_.persistent_grants ? 1 : 0);
   backend_->StoreWriteInt(backend_path_ + "/feature-max-indirect-segments",
-                          params_.indirect_segments ? params_.max_indirect : 0);
-  XenbusClient bus(&hv_->store(), backend_->id());
-  bus.SwitchState(backend_path_, XenbusState::kInitWait);
+                          params_.indirect_segments ? kMaxIndirect : 0);
+  SwitchState(XenbusState::kInitWait);
 }
 
 bool BlkbackInstance::Connect() {
@@ -103,94 +70,37 @@ bool BlkbackInstance::Connect() {
   frontend_persistent_ =
       backend_->StoreReadInt(frontend_path_ + "/feature-persistent").value_or(0) == 1;
 
-  ring_map_ = hv_->GrantMap(backend_, frontend_dom_, static_cast<GrantRef>(*ring_ref),
-                            /*write_access=*/true);
-  if (!ring_map_.valid()) {
-    return false;
-  }
-  auto* shared = ring_map_.page()->As<BlkSharedRing>();
+  auto* shared = MapRing<BlkSharedRing>(*ring_ref, &ring_map_);
   if (shared == nullptr) {
     return false;
   }
   ring_ = std::make_unique<BlkBackRing>(shared);
 
-  port_ = hv_->EventBindInterdomain(backend_, frontend_dom_, static_cast<EvtPort>(*evt));
-  if (port_ == kInvalidPort) {
+  // The handler only wakes the request thread (paper §3.3).
+  if (!BindPort(*evt)) {
     return false;
   }
-  // Handler only wakes the request thread (paper §3.3).
-  hv_->EventSetHandler(backend_, port_, [this] { wake_.Signal(); });
 
   last_active_ = sched_->executor()->Now();
-  threads_running_ = 1;
-  sched_->Spawn(StrFormat("blkback.%d.%d", frontend_dom_, devid_),
-                [this] { return RequestThread(); });
-  connected_ = true;
-  XenbusClient bus(&hv_->store(), backend_->id());
-  bus.SwitchState(backend_path_, XenbusState::kConnected);
+  SpawnThread(StrFormat("blkback.%d.%d", frontend_dom_, devid_),
+              [this] { return RequestThread(); });
+  SwitchState(XenbusState::kConnected);
   // Watchdog sampler. queue_depth counts requests consumed off the ring but
   // not yet answered — exactly the in-flight disk work. A hung controller
   // freezes rsp_prod while queue_depth stays positive, which is the stall
   // signature the monitor keys on.
-  if (HealthMonitor* hm = hv_->health(); hm != nullptr) {
-    health_id_ = hm->Register(backend_->id(), backend_->name(),
-                              StrFormat("vbd%d.%d", frontend_dom_, devid_), devid_,
-                              [this] {
-                                HealthSample s;
-                                s.connected = connected_;
-                                if (ring_ != nullptr) {
-                                  s.req_cons = ring_->req_cons();
-                                  s.req_prod = s.req_cons + ring_->UnconsumedRequests();
-                                  s.rsp_prod = ring_->rsp_prod_pvt();
-                                  s.queue_depth = static_cast<int>(
-                                      ring_->req_cons() - ring_->rsp_prod_pvt());
-                                }
-                                return s;
-                              });
-  }
+  MarkConnected([this] {
+    HealthSample s;
+    s.connected = connected_;
+    if (ring_ != nullptr) {
+      s.req_cons = ring_->req_cons();
+      s.req_prod = s.req_cons + ring_->UnconsumedRequests();
+      s.rsp_prod = ring_->rsp_prod_pvt();
+      s.queue_depth = static_cast<int>(ring_->req_cons() - ring_->rsp_prod_pvt());
+    }
+    return s;
+  });
   return true;
-}
-
-void BlkbackInstance::BeginShutdown() {
-  if (stopping_) {
-    return;
-  }
-  stopping_ = true;
-  connected_ = false;
-  // Deregister from the watchdog before the ring goes away: a dead
-  // frontend's frozen ring must not read as a stall.
-  if (health_id_ != 0 && hv_->health() != nullptr) {
-    hv_->health()->Unregister(health_id_);
-    health_id_ = 0;
-  }
-  if (port_ != kInvalidPort) {
-    hv_->EventClose(backend_, port_);
-    port_ = kInvalidPort;
-  }
-  // The request thread observes stopping_ at its next resumption and exits.
-  wake_.Signal();
-}
-
-void BlkbackInstance::RequestDrain() {
-  if (draining_ || stopping_) {
-    return;
-  }
-  draining_ = true;
-  wake_.Signal();
-}
-
-bool BlkbackInstance::ReadyToRetire() const {
-  if (!draining_) {
-    return false;
-  }
-  if (ring_ == nullptr) {
-    return true;  // Never connected: nothing mapped, nothing owed.
-  }
-  // Every consumed request must have completed on the device and been
-  // answered; unconsumed requests are unacknowledged and survive the move on
-  // the frontend side (requeued by its relink path).
-  return ring_->rsp_prod_pvt() == ring_->req_cons() &&
-         ring_->unpushed_responses() == 0;
 }
 
 void BlkbackInstance::RetireGracefully() {
@@ -202,12 +112,6 @@ void BlkbackInstance::RetireGracefully() {
   persistent_.clear();
   ring_.reset();
   ring_map_.Unmap();
-}
-
-void BlkbackInstance::ThreadExited() {
-  if (--threads_running_ == 0 && on_drained_) {
-    on_drained_();
-  }
 }
 
 Page* BlkbackInstance::ResolvePage(GrantRef gref, bool write_access,
@@ -244,17 +148,9 @@ Task BlkbackInstance::RequestThread() {
     if (stopping_) {
       break;
     }
-    SimDuration latency = costs_->blkback_pass_latency;
-    const SimTime now = sched_->executor()->Now();
-    if (now - last_active_ > costs_->cold_threshold) {
-      latency += costs_->cold_penalty;
-    }
-    last_active_ = now;
-    if (latency > SimDuration(0)) {
-      co_await sched_->Sleep(latency);
-      if (stopping_) {
-        break;
-      }
+    co_await SleepAfterWake(costs_->blkback_pass_latency, &last_active_);
+    if (stopping_) {
+      break;
     }
     for (;;) {
       int batch = 0;
@@ -280,7 +176,7 @@ Task BlkbackInstance::RequestThread() {
           break;
         }
         ProcessRequest(req, &run, &run_op, ring_index, popped.ns());
-        if (++batch >= params_.ring_batch_limit) {
+        if (++batch >= kRingBatchLimit) {
           FlushRun(&run, run_op);
           batch = 0;
           co_await sched_->Yield();
@@ -355,7 +251,7 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
     Page* ind_page = ResolvePage(req.indirect_gref, /*write_access=*/false, &ind_transient);
     auto* seg_page = ind_page != nullptr ? ind_page->As<IndirectSegmentPage>() : nullptr;
     if (seg_page == nullptr ||
-        req.nr_indirect_segments > static_cast<uint16_t>(params_.max_indirect) ||
+        req.nr_indirect_segments > static_cast<uint16_t>(kMaxIndirect) ||
         req.nr_indirect_segments > seg_page->size()) {
       if (seg_page != nullptr) {
         // The descriptor mapped fine but the count is impossible.
@@ -444,7 +340,7 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
       size_t run_bytes = static_cast<size_t>(
           run_end - run->front().disk_offset);
       extends = run_end == resolved.disk_offset &&
-                run_bytes + resolved.length <= params_.max_batch_bytes;
+                run_bytes + resolved.length <= kMaxBatchBytes;
     }
     if (!extends) {
       FlushRun(run, *run_op);

@@ -33,19 +33,16 @@ struct BlkbackParams {
   bool persistent_grants = true;   // Ablation: per-request map/unmap when off.
   bool indirect_segments = true;   // Ablation: 11-segment (44 KB) cap when off.
   bool batching = true;            // Ablation: one device op per segment run off.
-  int max_indirect = kBlkMaxIndirectSegments;
-  size_t max_batch_bytes = 1024 * 1024;  // Cap for a coalesced device op.
-  int ring_batch_limit = 32;             // Requests per CPU quantum.
 };
 
-class BlkbackInstance {
+class BlkbackInstance : public XenbusBackendInstance {
  public:
   static constexpr const char* kType = "vbd";
   static constexpr const char* kName = "blkback";
 
   BlkbackInstance(Domain* backend, BmkSched* sched, const OsCostProfile* costs,
                   BlkbackParams params, BlockDevice* disk, DomId frontend_dom, int devid);
-  ~BlkbackInstance();
+  ~BlkbackInstance() override;
 
   // Phase 1 (paper §4.4): advertise device properties and features in
   // xenstore, then wait in InitWait for the frontend.
@@ -53,31 +50,16 @@ class BlkbackInstance {
   // Phase 2: after the frontend publishes, map the ring and connect.
   bool Connect();
 
-  // Frontend death: stop the request thread (it exits at its next
-  // resumption), close the port, and refuse further work. The instance must
-  // stay allocated until drained().
-  void BeginShutdown();
-  bool drained() const { return threads_running_ == 0; }
-  void set_on_drained(std::function<void()> fn) { on_drained_ = std::move(fn); }
-
-  // Graceful drain (toolstack-initiated migration): stop consuming new ring
-  // requests but let every in-flight device op complete and answer.
-  // Unconsumed requests stay on the ring — unacknowledged, the frontend
-  // requeues and resubmits them after relink, so no acked write is lost.
-  void RequestDrain();
-  bool draining() const { return draining_; }
-  // True once every consumed request has a pushed response (all disk
-  // completions landed and were answered).
-  bool ReadyToRetire() const;
+  // Once draining: true when every consumed request has a pushed response
+  // (all disk completions landed and were answered). Unconsumed requests
+  // are unacknowledged; the frontend requeues and resubmits them after
+  // relink, so no acked write is lost.
+  bool ReadyToRetire() const { return draining_ && (ring_ == nullptr || AllAnswered(*ring_)); }
   // BeginShutdown plus synchronous release of the ring mapping and the
   // persistent-grant cache. Must run *before* the backend's xenstore subtree
   // is removed: the live frontend's EndAccess on its grants only succeeds
   // once this side holds no active maps.
   void RetireGracefully();
-
-  bool connected() const { return connected_; }
-  DomId frontend_dom() const { return frontend_dom_; }
-  int devid() const { return devid_; }
 
   uint64_t requests_handled() const { return requests_handled_->value(); }
   uint64_t device_ops() const { return device_ops_->value(); }
@@ -119,8 +101,8 @@ class BlkbackInstance {
     size_t page_offset = 0;
   };
 
+  void WakeThreads() override { wake_.Signal(); }
   Task RequestThread();
-  void ThreadExited();
   // Validates guest-controlled geometry before any page or disk access.
   bool ValidateRequest(const BlkRequest& req, const std::vector<BlkSegment>& segments);
   void ProcessRequest(const BlkRequest& req, std::vector<ResolvedSeg>* run,
@@ -135,30 +117,11 @@ class BlkbackInstance {
   std::vector<ResolvedSeg> TakeRun();
   void RecycleRun(std::vector<ResolvedSeg>&& run);
 
-  Domain* backend_;
-  Hypervisor* hv_;
-  BmkSched* sched_;
-  const OsCostProfile* costs_;
   BlkbackParams params_;
   BlockDevice* disk_;
-  DomId frontend_dom_;
-  int devid_;
-  bool connected_ = false;
-  // Drain protocol: the request thread stops consuming new requests.
-  bool draining_ = false;
-  // Shutdown protocol: checked by the request thread after every co_await.
-  bool stopping_ = false;
-  int threads_running_ = 0;
-  std::function<void()> on_drained_;
-
-  std::string backend_path_;
-  std::string frontend_path_;
 
   MappedGrant ring_map_;
   std::unique_ptr<BlkBackRing> ring_;
-  EvtPort port_ = kInvalidPort;
-  // Watchdog registration (0 = never registered / already unregistered).
-  int64_t health_id_ = 0;
   WakeFlag wake_;
   SimTime last_active_;
   bool frontend_persistent_ = false;

@@ -16,87 +16,16 @@ constexpr size_t kIndirectPoolPages = kBlkRingSize;
 
 }  // namespace
 
-Blkfront::Blkfront(Domain* guest, DomId backend_dom, int devid,
-                   std::function<void()> on_connected)
-    : guest_(guest),
-      hv_(guest->hypervisor()),
-      backend_dom_(backend_dom),
-      devid_(devid),
-      on_connected_(std::move(on_connected)) {
-  frontend_path_ = FrontendPath(guest->id(), "vbd", devid);
-  backend_path_ = BackendPath(backend_dom, "vbd", guest->id(), devid);
+Blkfront::Blkfront(Domain* guest, DomId backend_dom, int devid)
+    : XenbusFrontend(guest, backend_dom, DeviceKind::kVbd, devid) {
   MetricRegistry* reg = hv_->metrics();
   const std::string dev = StrFormat("xvd%d", devid);
   req_ring_ns_ = reg->latency(guest->name(), dev, "req_ring_ns");
   op_complete_ns_ = reg->latency(guest->name(), dev, "op_complete_ns");
-  XenbusClient bus(&hv_->store(), guest_->id());
-  bus.SwitchState(frontend_path_, XenbusState::kInitialising);
-  WatchBackendState();
-  // Watch our own backend-id link: rewritten by the toolstack when the
-  // device is handed to a replacement backend domain after a crash.
-  relink_watch_ = guest_->StoreWatch(frontend_path_ + "/backend-id", "relink",
-                                     [this](const std::string&, const std::string&) {
-                                       OnToolstackRelink();
-                                     });
+  Start();
 }
 
-Blkfront::~Blkfront() {
-  *alive_ = false;
-  if (backend_watch_ != 0) {
-    hv_->store().RemoveWatch(backend_watch_);
-  }
-  if (relink_watch_ != 0) {
-    hv_->store().RemoveWatch(relink_watch_);
-  }
-  if (port_ != kInvalidPort) {
-    hv_->EventClose(guest_, port_);
-  }
-}
-
-void Blkfront::WatchBackendState() {
-  backend_watch_ = guest_->StoreWatch(backend_path_ + "/state", "backend-state",
-                                      [this](const std::string&, const std::string&) {
-                                        OnBackendStateChange();
-                                      });
-}
-
-void Blkfront::OnBackendStateChange() {
-  XenbusClient bus(&hv_->store(), guest_->id());
-  const XenbusState state = bus.ReadState(backend_path_);
-  if (state == XenbusState::kInitWait || state == XenbusState::kInitialised ||
-      state == XenbusState::kConnected) {
-    backend_was_live_ = true;
-  }
-  if (state == XenbusState::kInitWait && !published_) {
-    PublishAndInitialise();
-    return;
-  }
-  if (state == XenbusState::kConnected && !connected_) {
-    connected_ = true;
-    bus.SwitchState(frontend_path_, XenbusState::kConnected);
-    if (on_connected_) {
-      on_connected_();
-    }
-    PumpQueue();
-  }
-  // Backend death: an explicit Closing/Closed transition, or its state node
-  // vanishing after it had been live (domain destruction).
-  const bool gone = state == XenbusState::kUnknown && backend_was_live_ &&
-                    !hv_->store().Exists(backend_path_ + "/state");
-  if (state == XenbusState::kClosing || state == XenbusState::kClosed || gone) {
-    HandleBackendDeath();
-  }
-}
-
-void Blkfront::HandleBackendDeath() {
-  connected_ = false;
-  backend_was_live_ = false;
-  if (!published_) {
-    return;  // Nothing granted yet; relink alone will restart the handshake.
-  }
-  published_ = false;
-  XenbusClient bus(&hv_->store(), guest_->id());
-  bus.SwitchState(frontend_path_, XenbusState::kClosed);
+void Blkfront::ReleaseBackend() {
   // Requeue every unacknowledged request at the FRONT of the chunk queue in
   // original submission order (the in_flight_ map is keyed by monotonically
   // increasing ids, so reverse iteration + push_front preserves order).
@@ -117,9 +46,8 @@ void Blkfront::HandleBackendDeath() {
     queue_.push_front(std::move(chunk));
   }
   in_flight_.clear();
-  // Reclaim every granted page (EndAccess succeeds because DestroyDomain
-  // force-dropped the dead backend's mappings), then drop the ring and pools;
-  // they are rebuilt against the replacement backend's feature set.
+  // Reclaim every granted page, then drop the ring and pools; they are
+  // rebuilt against the replacement backend's feature set.
   for (PoolPage& p : pool_) {
     guest_->grant_table().EndAccess(p.gref);
   }
@@ -135,47 +63,9 @@ void Blkfront::HandleBackendDeath() {
   ring_.reset();
   shared_.reset();
   ring_page_.reset();
-  hv_->EventClose(guest_, port_);
-  port_ = kInvalidPort;
-  if (backend_watch_ != 0) {
-    hv_->store().RemoveWatch(backend_watch_);
-    backend_watch_ = 0;
-  }
 }
 
-void Blkfront::OnToolstackRelink() {
-  auto id = guest_->StoreReadInt(frontend_path_ + "/backend-id");
-  if (!id.has_value()) {
-    if (!hv_->store().Exists(frontend_path_ + "/backend-id")) {
-      return;  // No toolstack link yet; the watch fires again when written.
-    }
-    // The key exists but the read failed (fault injection): a missed relink
-    // would strand the guest, so retry until the write is visible.
-    hv_->executor()->PostAfter(Millis(1), KITE_POST_SITE("blkfront/relink-retry"),
-                               [this, alive = alive_] {
-      if (*alive) {
-        OnToolstackRelink();
-      }
-    });
-    return;
-  }
-  if (static_cast<DomId>(*id) == backend_dom_) {
-    return;  // Registration fire, or a rewrite of the same link.
-  }
-  HandleBackendDeath();  // No-op if the death watch already cleaned up.
-  backend_dom_ = static_cast<DomId>(*id);
-  backend_path_ = BackendPath(backend_dom_, "vbd", guest_->id(), devid_);
-  ++recoveries_;
-  XenbusClient bus(&hv_->store(), guest_->id());
-  bus.SwitchState(frontend_path_, XenbusState::kInitialising);
-  // The new watch fires once on registration: if the replacement backend is
-  // already advertising InitWait we publish immediately, otherwise when it
-  // gets there. Queued + requeued chunks drain once it reports Connected.
-  WatchBackendState();
-}
-
-void Blkfront::PublishAndInitialise() {
-  published_ = true;
+void Blkfront::Publish() {
   // Read the backend's advertised properties (paper §4.4 "Initialization").
   capacity_bytes_ =
       guest_->StoreReadInt(backend_path_ + "/sectors").value_or(0) *
@@ -209,18 +99,12 @@ void Blkfront::PublishAndInitialise() {
     free_indirect_.push_back(i);
   }
 
-  port_ = hv_->EventAllocUnbound(guest_, backend_dom_);
-  hv_->EventSetHandler(guest_, port_, [this] { OnIrq(); });
+  OpenEventChannel();
 
   guest_->StoreWriteInt(frontend_path_ + "/ring-ref", ring_gref_);
   guest_->StoreWriteInt(frontend_path_ + "/event-channel", port_);
   guest_->StoreWrite(frontend_path_ + "/protocol", "x86_64-abi");
   guest_->StoreWriteInt(frontend_path_ + "/feature-persistent", persistent_ ? 1 : 0);
-
-  XenbusClient bus(&hv_->store(), guest_->id());
-  bus.SwitchState(frontend_path_, XenbusState::kInitialised);
-  // Note: backend_watch_ stays as registered by the constructor / relink;
-  // it is the same backend directory that advertised InitWait.
 }
 
 void Blkfront::Read(int64_t offset, size_t length, Buffer* out, IoCallback cb) {

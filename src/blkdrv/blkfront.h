@@ -17,20 +17,18 @@
 #include "src/blk/blkif.h"
 #include "src/hv/domain.h"
 #include "src/hv/hypervisor.h"
-#include "src/hv/xenbus.h"
+#include "src/hv/xenbus_frontend.h"
 
 namespace kite {
 
-class Blkfront {
+class Blkfront : public XenbusFrontend {
  public:
   using IoCallback = std::function<void(bool ok)>;
 
-  Blkfront(Domain* guest, DomId backend_dom, int devid,
-           std::function<void()> on_connected = nullptr);
-  ~Blkfront();
-
-  Blkfront(const Blkfront&) = delete;
-  Blkfront& operator=(const Blkfront&) = delete;
+  // The xenstore device directories must already exist (created by the
+  // toolstack, see core/system.h). The device publishes once its backend
+  // advertises InitWait.
+  Blkfront(Domain* guest, DomId backend_dom, int devid);
 
   // offset/length must be sector-aligned. `out` may be null when the caller
   // does not need the bytes (cost accounting still applies); when non-null
@@ -39,11 +37,7 @@ class Blkfront {
   void Write(int64_t offset, Buffer data, IoCallback cb);
   void Flush(IoCallback cb);
 
-  bool connected() const { return connected_; }
   int64_t capacity_bytes() const { return capacity_bytes_; }
-  int devid() const { return devid_; }
-  Domain* guest() const { return guest_; }
-  DomId backend_dom() const { return backend_dom_; }
   bool indirect_supported() const { return max_indirect_ > 0; }
   bool persistent_supported() const { return persistent_; }
 
@@ -51,8 +45,6 @@ class Blkfront {
   uint64_t indirect_requests() const { return indirect_requests_; }
   uint64_t ops_completed() const { return ops_completed_; }
   size_t queued_chunks() const { return queue_.size(); }
-  // Completed reconnects to a fresh backend after the old one died.
-  uint64_t recoveries() const { return recoveries_; }
   // Unacknowledged ring requests requeued across a backend death. Unlike
   // netfront, blkfront never drops: a write that was never acknowledged must
   // eventually execute, or the caller would see success-after-timeout races.
@@ -91,33 +83,18 @@ class Blkfront {
     uint32_t ring_index = 0;   // Free-running producer index (flow id).
   };
 
-  void OnBackendStateChange();
-  void HandleBackendDeath();
-  void OnToolstackRelink();
-  void WatchBackendState();
-  void PublishAndInitialise();
-  void OnIrq();
+  // XenbusFrontend: read the backend's features, then publish the ring and
+  // both page pools; on backend death requeue the in-flight requests in
+  // submission order; once connected, pump the queue.
+  void Publish() override;
+  void ReleaseBackend() override;
+  void OnConnected() override { PumpQueue(); }
+  void OnIrq() override;
   void EnqueueOp(std::shared_ptr<PendingOp> op, bool is_flush);
   void PumpQueue();
   bool SubmitChunk(const Chunk& chunk);
   void CompleteRequest(uint64_t id, bool ok);
   void FinishOpPart(const std::shared_ptr<PendingOp>& op, bool ok);
-
-  Domain* guest_;
-  Hypervisor* hv_;
-  DomId backend_dom_;
-  int devid_;
-  std::function<void()> on_connected_;
-  bool connected_ = false;
-  bool published_ = false;
-
-  std::string frontend_path_;
-  std::string backend_path_;
-  WatchId backend_watch_ = 0;
-  WatchId relink_watch_ = 0;
-  bool backend_was_live_ = false;
-  // Outlives `this` so posted retries can detect destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   // Negotiated backend features.
   int64_t capacity_bytes_ = 0;
@@ -129,7 +106,6 @@ class Blkfront {
   std::shared_ptr<BlkSharedRing> shared_;
   std::unique_ptr<BlkFrontRing> ring_;
   GrantRef ring_gref_ = kInvalidGrantRef;
-  EvtPort port_ = kInvalidPort;
 
   // Persistent data-page pool.
   struct PoolPage {
@@ -151,7 +127,6 @@ class Blkfront {
   uint64_t requests_sent_ = 0;
   uint64_t indirect_requests_ = 0;
   uint64_t ops_completed_ = 0;
-  uint64_t recoveries_ = 0;
   uint64_t requests_requeued_ = 0;
 
   // Registry-backed under (guest domain, xvdN, <name>), ns values:

@@ -449,10 +449,10 @@ ExploreReport RunFailoverSeed(const ExploreOptions& opts) {
   const size_t trigger_index = plan.NextBelow(static_cast<uint64_t>(num_guests));
   GuestVm* trigger = guests[trigger_index];
   const DeviceKind victim_kind = wedge_storage ? DeviceKind::kVbd : DeviceKind::kVif;
-  const DomId victim = trigger->frontend(victim_kind)->backend;
+  const DomId victim = trigger->frontend(victim_kind)->backend_dom();
   std::vector<GuestVm*> displaced;
   for (GuestVm* g : guests) {
-    if (g->frontend(victim_kind)->backend == victim) {
+    if (g->frontend(victim_kind)->backend_dom() == victim) {
       displaced.push_back(g);
     }
   }
@@ -486,8 +486,8 @@ ExploreReport RunFailoverSeed(const ExploreOptions& opts) {
               return false;
             }
             for (GuestVm* g : displaced) {
-              const auto fe = g->frontend(victim_kind);
-              if (!fe->connected || fe->backend == victim) {
+              const XenbusFrontend* fe = g->frontend(victim_kind);
+              if (!fe->connected() || fe->backend_dom() == victim) {
                 return false;
               }
             }

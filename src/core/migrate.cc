@@ -77,19 +77,18 @@ void MigrationEngine::StartFront(const Key& key) {
 
 MigrationEngine::StartResult MigrationEngine::Begin(Move* m) {
   GuestVm* guest = sys_->FindGuest(m->gid);
-  const std::optional<GuestVm::Frontend> fe =
-      guest == nullptr ? std::nullopt : guest->frontend(m->kind);
-  if (!fe.has_value()) {
+  const XenbusFrontend* fe = guest == nullptr ? nullptr : guest->frontend(m->kind);
+  if (fe == nullptr) {
     return StartResult::kFail;
   }
-  m->devid = fe->devid;
+  m->devid = fe->devid();
   // The toolstack's own record is the source of truth for where the device
   // is linked; the frontend's view lags it by a posted watch.
   m->from = *sys_->LinkedBackend(guest, m->kind);
   sys_->recorder().Record(m->gid, FlightKind::kMigrateStart, m->devid,
                           static_cast<uint64_t>(m->from),
                           static_cast<uint64_t>(m->to));
-  if (m->from == m->to && fe->connected && fe->backend == m->to) {
+  if (m->from == m->to && fe->connected() && fe->backend_dom() == m->to) {
     return StartResult::kDone;  // Already where it should be.
   }
   DrainSource(m);
@@ -130,9 +129,8 @@ void MigrationEngine::Poll(const Key& key) {
   }
   Move& m = qit->second.front();
   GuestVm* guest = sys_->FindGuest(m.gid);
-  const std::optional<GuestVm::Frontend> fe =
-      guest == nullptr ? std::nullopt : guest->frontend(m.kind);
-  if (!fe.has_value()) {
+  const XenbusFrontend* fe = guest == nullptr ? nullptr : guest->frontend(m.kind);
+  if (fe == nullptr) {
     Finish(key, false);  // Device destroyed mid-move.
     return;
   }
@@ -150,7 +148,7 @@ void MigrationEngine::Poll(const Key& key) {
         // beat this move). Wait for the frontend to settle on the new
         // backend, then drain from there — relinking away from a live,
         // mapped backend would strand its grant mappings.
-        if (fe->connected && fe->backend == cur) {
+        if (fe->connected() && fe->backend_dom() == cur) {
           if (++m.hops > kMaxHops) {
             Finish(key, false);
             return;
@@ -201,7 +199,7 @@ void MigrationEngine::Poll(const Key& key) {
         m.to = cur;
         m.deadline = now + ConnectTimeout();
       }
-      if (fe->connected && fe->backend == m.to) {
+      if (fe->connected() && fe->backend_dom() == m.to) {
         Finish(key, true);
         return;
       }

@@ -75,7 +75,7 @@ KiteSystem::KiteSystem(Params params)
       recorder_(&executor_),
       health_(&executor_, &metrics_, &recorder_, params_.health),
       faults_(params_.fault_seed, &metrics_) {
-  hv_ = std::make_unique<Hypervisor>(&executor_, params_.hv_costs, &metrics_, &tracer_);
+  hv_ = std::make_unique<Hypervisor>(&executor_, &metrics_, &tracer_);
   hv_->set_fault_injector(&faults_);
   hv_->set_recorder(&recorder_);
   hv_->set_health(&health_);
@@ -496,28 +496,22 @@ StorageDomain* KiteSystem::FindStorageDomain(DomId id) {
   return FindById(storage_domains_, id);
 }
 
-std::optional<GuestVm::Frontend> GuestVm::frontend(DeviceKind kind) const {
+const XenbusFrontend* GuestVm::frontend(DeviceKind kind) const {
   if (kind == DeviceKind::kVif) {
-    if (netfront_ == nullptr) {
-      return std::nullopt;
-    }
-    return Frontend{netfront_->devid(), netfront_->backend_dom(), netfront_->connected()};
+    return netfront_.get();
   }
-  if (blkfront_ == nullptr) {
-    return std::nullopt;
-  }
-  return Frontend{blkfront_->devid(), blkfront_->backend_dom(), blkfront_->connected()};
+  return blkfront_.get();
 }
 
 std::optional<DomId> KiteSystem::LinkedBackend(const GuestVm* guest, DeviceKind kind) const {
-  const std::optional<GuestVm::Frontend> fe = guest->frontend(kind);
-  if (!fe.has_value()) {
+  const XenbusFrontend* fe = guest->frontend(kind);
+  if (fe == nullptr) {
     return std::nullopt;
   }
   auto cur = hv_->store().ReadInt(
-      kDom0, FrontendPath(guest->domain_->id(), DeviceTypeName(kind), fe->devid) +
+      kDom0, FrontendPath(guest->domain_->id(), DeviceTypeName(kind), fe->devid()) +
                  "/backend-id");
-  return cur.has_value() ? static_cast<DomId>(*cur) : fe->backend;
+  return cur.has_value() ? static_cast<DomId>(*cur) : fe->backend_dom();
 }
 
 void KiteSystem::AttachVif(GuestVm* guest, NetworkDomain* netdom, Ipv4Addr ip) {

@@ -112,15 +112,9 @@ class GuestVm {
   Blkfront* blkfront() const { return blkfront_.get(); }
   Ipv4Addr ip() const { return stack_ ? stack_->ip() : Ipv4Addr{}; }
 
-  // The frontend's side of the guest's `kind` device: its devid, the
-  // backend it last linked to (which lags the toolstack by a posted watch),
-  // and whether it is connected. Nullopt when the guest has no such device.
-  struct Frontend {
-    int devid = 0;
-    DomId backend = 0;
-    bool connected = false;
-  };
-  std::optional<Frontend> frontend(DeviceKind kind) const;
+  // The guest's `kind` device as its frontend sees it (its backend_dom()
+  // lags the toolstack by a posted watch). Null when there is none.
+  const XenbusFrontend* frontend(DeviceKind kind) const;
 
  private:
   friend class KiteSystem;
@@ -149,7 +143,6 @@ class ClientMachine {
 class KiteSystem {
  public:
   struct Params {
-    HvCosts hv_costs;
     NicParams nic;
     DiskParams disk;
     bool disk_store_data = false;

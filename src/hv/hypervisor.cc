@@ -7,9 +7,8 @@
 
 namespace kite {
 
-Hypervisor::Hypervisor(Executor* executor, HvCosts costs, MetricRegistry* metrics,
-                       EventTracer* tracer)
-    : executor_(executor), costs_(costs), store_(executor), tracer_(tracer) {
+Hypervisor::Hypervisor(Executor* executor, MetricRegistry* metrics, EventTracer* tracer)
+    : executor_(executor), store_(executor), tracer_(tracer) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricRegistry>();
     metrics = owned_metrics_.get();
@@ -29,7 +28,7 @@ Hypervisor::Hypervisor(Executor* executor, HvCosts costs, MetricRegistry* metric
   events_coalesced_ = metrics_->counter("hv", "evtchn", "coalesced");
   events_vanished_ = metrics_->counter("hv", "evtchn", "vanished");
   pci_irqs_delivered_ = metrics_->counter("hv", "evtchn", "pci_irq_delivered");
-  store_.set_op_latency(costs_.xenstore_op);
+  store_.set_op_latency(kHvCosts.xenstore_op);
   // Dom0: the privileged administrative VM (runs xenstored).
   domains_.push_back(std::make_unique<Domain>(this, 0, "Domain-0", 1, 8192));
   domains_[0]->set_online(true);
@@ -224,7 +223,7 @@ Domain::PortInfo* Hypervisor::PortOf(Domain* dom, EvtPort port) {
 
 EvtPort Hypervisor::EventAllocUnbound(Domain* caller, DomId remote) {
   CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/evtchn_ctl"));
-  Charge(caller, costs_.hypercall, nullptr, "evtchn_alloc_unbound");
+  Charge(caller, kHvCosts.hypercall, nullptr, "evtchn_alloc_unbound");
   EvtPort port = static_cast<EvtPort>(caller->ports_.size());
   caller->ports_.emplace_back();
   Domain::PortInfo& info = caller->ports_.back();
@@ -236,7 +235,7 @@ EvtPort Hypervisor::EventAllocUnbound(Domain* caller, DomId remote) {
 EvtPort Hypervisor::EventBindInterdomain(Domain* caller, DomId remote_dom,
                                          EvtPort remote_port) {
   CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/evtchn_ctl"));
-  Charge(caller, costs_.hypercall, nullptr, "evtchn_bind_interdomain");
+  Charge(caller, kHvCosts.hypercall, nullptr, "evtchn_bind_interdomain");
   Domain* remote = domain(remote_dom);
   Domain::PortInfo* rinfo = PortOf(remote, remote_port);
   if (rinfo == nullptr || rinfo->unbound_for != caller->id() ||
@@ -267,7 +266,7 @@ bool Hypervisor::EventSend(Domain* caller, EvtPort port, Vcpu* caller_vcpu) {
   }
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/evtchn_send"));
-    Charge(caller, costs_.event_send, caller_vcpu, "evtchn_send");
+    Charge(caller, kHvCosts.event_send, caller_vcpu, "evtchn_send");
   }
   events_sent_->Inc();
   Domain* peer = domain(info->peer_dom);
@@ -312,7 +311,7 @@ bool Hypervisor::EventSend(Domain* caller, EvtPort port, Vcpu* caller_vcpu) {
   pinfo->pending = true;
   DomId peer_id = peer->id();
   EvtPort peer_port = info->peer_port;
-  executor_->PostAfter(costs_.event_delivery, KITE_POST_SITE("hv/evtchn-notify"),
+  executor_->PostAfter(kHvCosts.event_delivery, KITE_POST_SITE("hv/evtchn-notify"),
                        [this, peer_id, peer_port] {
     Domain* d = domain(peer_id);
     Domain::PortInfo* pi = PortOf(d, peer_port);
@@ -333,7 +332,7 @@ bool Hypervisor::EventSend(Domain* caller, EvtPort port, Vcpu* caller_vcpu) {
       // Scoped to the dispatch charge only: the handler body below sets its
       // own categories (netback/rx, blkfront/io, ...).
       CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/irq_dispatch"));
-      d->vcpu(0)->Charge(costs_.irq_dispatch);
+      d->vcpu(0)->Charge(kHvCosts.irq_dispatch);
     }
     if (pi->handler) {
       pi->handler();
@@ -366,7 +365,7 @@ MappedGrant Hypervisor::GrantMap(Domain* mapper, DomId owner, GrantRef ref,
                                  bool write_access, Vcpu* caller_vcpu) {
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/grant_map"));
-    Charge(mapper, costs_.grant_map, caller_vcpu, "gnttab_map");
+    Charge(mapper, kHvCosts.grant_map, caller_vcpu, "gnttab_map");
   }
   grant_maps_->Inc();
   auto record_fail = [&] {
@@ -396,7 +395,7 @@ MappedGrant Hypervisor::GrantMap(Domain* mapper, DomId owner, GrantRef ref,
                       static_cast<uint64_t>(ref));
   }
   Vcpu* mapper_vcpu = caller_vcpu != nullptr ? caller_vcpu : mapper->vcpu(0);
-  SimDuration unmap_cost = costs_.grant_unmap;
+  SimDuration unmap_cost = kHvCosts.grant_unmap;
   DomId mapper_id = mapper->id();
   auto on_unmap = [this, mapper_vcpu, mapper_id, owner, ref, unmap_cost] {
     grant_unmaps_->Inc();
@@ -420,8 +419,8 @@ bool Hypervisor::GrantCopyToGranted(Domain* caller, DomId owner, GrantRef ref, s
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/grant_copy"));
     Charge(caller,
-           costs_.grant_copy_base +
-               Nanos(static_cast<int64_t>(costs_.copy_ns_per_byte * src.size())),
+           kHvCosts.grant_copy_base +
+               Nanos(static_cast<int64_t>(kHvCosts.copy_ns_per_byte * src.size())),
            caller_vcpu, "gnttab_copy");
   }
   grant_copies_->Inc();
@@ -450,8 +449,8 @@ bool Hypervisor::GrantCopyFromGranted(Domain* caller, DomId owner, GrantRef ref,
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/grant_copy"));
     Charge(caller,
-           costs_.grant_copy_base +
-               Nanos(static_cast<int64_t>(costs_.copy_ns_per_byte * dst.size())),
+           kHvCosts.grant_copy_base +
+               Nanos(static_cast<int64_t>(kHvCosts.copy_ns_per_byte * dst.size())),
            caller_vcpu, "gnttab_copy");
   }
   grant_copies_->Inc();
@@ -500,7 +499,7 @@ void Hypervisor::DeliverPciIrq(PciDevice* device) {
     return;
   }
   DomId owner_id = owner->id();
-  executor_->PostAfter(costs_.event_delivery, KITE_POST_SITE("hv/pci-irq"),
+  executor_->PostAfter(kHvCosts.event_delivery, KITE_POST_SITE("hv/pci-irq"),
                        [this, device, owner_id] {
     Domain* d = domain(owner_id);
     if (d == nullptr || device->owner_ != d) {
@@ -508,7 +507,7 @@ void Hypervisor::DeliverPciIrq(PciDevice* device) {
     }
     {
       CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/irq_dispatch"));
-      d->vcpu(0)->Charge(costs_.irq_dispatch);
+      d->vcpu(0)->Charge(kHvCosts.irq_dispatch);
     }
     events_delivered_->Inc();
     pci_irqs_delivered_->Inc();
@@ -520,7 +519,7 @@ void Hypervisor::DeliverPciIrq(PciDevice* device) {
 
 void Hypervisor::ChargeXenstoreOp(Domain* caller) {
   CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/xenstore_op"));
-  Charge(caller, costs_.xenstore_op, nullptr, "xenstore_op");
+  Charge(caller, kHvCosts.xenstore_op, nullptr, "xenstore_op");
 }
 
 // --- PciDevice methods that need the hypervisor (defined here to keep pci.h

@@ -39,18 +39,19 @@ struct HvCosts {
   double copy_ns_per_byte = 0.11;            // ~9 GB/s hypervisor-mediated copy.
   SimDuration xenstore_op = Micros(15);      // One xenstored round trip.
 };
+inline constexpr HvCosts kHvCosts{};
 
 class Hypervisor {
  public:
   // `metrics` hosts the hypervisor's counters under ("hv", <device>, <name>);
   // when null (standalone hv tests) the hypervisor owns a private registry.
   // `tracer` is optional and may also be attached later via set_tracer.
-  explicit Hypervisor(Executor* executor, HvCosts costs = HvCosts{},
-                      MetricRegistry* metrics = nullptr, EventTracer* tracer = nullptr);
+  explicit Hypervisor(Executor* executor, MetricRegistry* metrics = nullptr,
+                      EventTracer* tracer = nullptr);
   ~Hypervisor();
 
   Executor* executor() const { return executor_; }
-  const HvCosts& costs() const { return costs_; }
+  const HvCosts& costs() const { return kHvCosts; }
   XenStore& store() { return store_; }
 
   // The registry hosting hypervisor metrics; device drivers reach the
@@ -171,7 +172,6 @@ class Hypervisor {
   Domain::PortInfo* PortOf(Domain* dom, EvtPort port);
 
   Executor* executor_;
-  HvCosts costs_;
   XenStore store_;
   bool cpu_attribution_ = false;
   FaultInjector* faults_ = nullptr;

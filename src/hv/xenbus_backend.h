@@ -9,14 +9,19 @@
 // handshake (migration). Shut-down instances wait in a graveyard until their
 // parked worker threads exit.
 //
+// Each device is one Instance, a XenbusBackendInstance below that owns the
+// lifecycle both kinds share: identity and paths, the event channel, the
+// worker-thread count, the watchdog registration, shutdown and drain. The
+// Instance itself provides only what differs by kind: kType, kName,
+// Advertise(), Connect() (false: retry), ReadyToRetire() and
+// RetireGracefully().
+//
 // Header-only: its users (src/netdrv, src/blkdrv) link the BMK scheduler.
-// `Instance` provides kType, kName, Advertise(), Connect() (false: retry),
-// connected(), BeginShutdown(), drained(), set_on_drained(), RequestDrain(),
-// ReadyToRetire() and RetireGracefully().
 #ifndef SRC_HV_XENBUS_BACKEND_H_
 #define SRC_HV_XENBUS_BACKEND_H_
 
 #include <algorithm>
+#include <coroutine>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,9 +36,218 @@
 #include "src/hv/domain.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/xenbus.h"
+#include "src/os/profile.h"
 #include "src/sim/wait.h"
 
 namespace kite {
+
+// The backend half of one xenbus device, shared by NetbackInstance and
+// BlkbackInstance. Its worker threads are BMK coroutines parked in the
+// driver domain's scheduler, so a shut-down instance must stay allocated
+// until drained(); XenbusBackend keeps it in a graveyard until then.
+class XenbusBackendInstance {
+ public:
+  XenbusBackendInstance(const XenbusBackendInstance&) = delete;
+  XenbusBackendInstance& operator=(const XenbusBackendInstance&) = delete;
+
+  DomId frontend_dom() const { return frontend_dom_; }
+  int devid() const { return devid_; }
+  bool connected() const { return connected_; }
+  bool drained() const { return threads_running_ == 0; }
+  void set_on_drained(std::function<void()> fn) { on_drained_ = std::move(fn); }
+
+  // Frontend death (paper §6: guests may crash at any time): stop accepting
+  // work, deregister from the watchdog (a dead frontend's frozen ring must
+  // not read as a stall), close the port (the dead frontend can't notify us,
+  // and we must not notify into its recycled port number), and wake the
+  // worker threads so they exit at their next resumption.
+  void BeginShutdown() {
+    if (stopping_) {
+      return;
+    }
+    stopping_ = true;
+    connected_ = false;
+    StopIntake(/*shutdown=*/true);
+    UnregisterHealth();
+    if (port_ != kInvalidPort) {
+      hv_->EventClose(backend_, port_);
+      port_ = kInvalidPort;
+    }
+    WakeThreads();
+  }
+
+  // Graceful drain (toolstack-initiated migration): stop consuming new ring
+  // requests but finish the work already accepted. Unconsumed requests stay
+  // on the ring, unacknowledged, for the frontend to resubmit after relink.
+  void RequestDrain() {
+    if (draining_ || stopping_) {
+      return;
+    }
+    draining_ = true;
+    StopIntake(/*shutdown=*/false);
+    WakeThreads();
+  }
+
+ protected:
+  XenbusBackendInstance(Domain* backend, BmkSched* sched, const OsCostProfile* costs,
+                        const char* type, DomId frontend_dom, int devid)
+      : backend_(backend),
+        hv_(backend->hypervisor()),
+        sched_(sched),
+        costs_(costs),
+        frontend_dom_(frontend_dom),
+        devid_(devid),
+        name_(StrFormat("%s%d.%d", type, frontend_dom, devid)),
+        backend_path_(BackendPath(backend->id(), type, frontend_dom, devid)),
+        frontend_path_(FrontendPath(frontend_dom, type, devid)) {}
+
+  // Normally BeginShutdown already unregistered; the driver-destructor path
+  // tears instances down without it, and a stale sampler would dangle.
+  virtual ~XenbusBackendInstance() {
+    UnregisterHealth();
+    if (port_ != kInvalidPort) {
+      hv_->EventClose(backend_, port_);
+    }
+  }
+
+  // Wakes every worker thread. The event handler does only this (paper
+  // §3.2: no hypercall work in the notification path), as do drain and
+  // shutdown.
+  virtual void WakeThreads() = 0;
+  // Stops taking new work from the driver domain's side; on shutdown also
+  // drops what was queued but not yet accepted by the frontend.
+  virtual void StopIntake(bool shutdown) {}
+
+  void SwitchState(XenbusState state) {
+    XenbusClient(&hv_->store(), backend_->id()).SwitchState(backend_path_, state);
+  }
+
+  // Maps the frontend's ring page `ref` into `map`: the shared ring on it,
+  // or null when the map fails or the page holds no such ring.
+  template <typename SharedRing>
+  SharedRing* MapRing(int64_t ref, MappedGrant* map) {
+    *map = hv_->GrantMap(backend_, frontend_dom_, static_cast<GrantRef>(ref),
+                         /*write_access=*/true);
+    return map->valid() ? map->page()->As<SharedRing>() : nullptr;
+  }
+
+  // Binds the frontend's published port to WakeThreads.
+  bool BindPort(int64_t remote_port) {
+    port_ = hv_->EventBindInterdomain(backend_, frontend_dom_, static_cast<EvtPort>(remote_port));
+    if (port_ == kInvalidPort) {
+      return false;
+    }
+    hv_->EventSetHandler(backend_, port_, [this] { WakeThreads(); });
+    return true;
+  }
+
+  void SpawnThread(const std::string& name, const std::function<Task()>& body) {
+    ++threads_running_;
+    sched_->Spawn(name, body);
+  }
+
+  // Every worker thread calls this as it returns.
+  void ThreadExited() {
+    if (--threads_running_ == 0 && on_drained_) {
+      on_drained_();
+    }
+  }
+
+  // Marks the instance connected and registers its watchdog sampler.
+  void MarkConnected(HealthMonitor::Sampler sample) {
+    connected_ = true;
+    if (HealthMonitor* hm = hv_->health(); hm != nullptr) {
+      health_id_ = hm->Register(backend_->id(), backend_->name(), name_, devid_,
+                                std::move(sample));
+    }
+  }
+
+  // The awaitable of SleepAfterWake: a BMK sleep that does not suspend at all
+  // when its delay is zero.
+  class WakeDelay {
+   public:
+    WakeDelay(BmkSched* sched, SimDuration delay)
+        : timer_(sched, sched->executor()->Now() + delay), skip_(delay <= SimDuration(0)) {}
+    bool await_ready() const noexcept { return skip_; }
+    void await_suspend(std::coroutine_handle<> handle) { timer_.await_suspend(handle); }
+    void await_resume() const noexcept {}
+
+   private:
+    BmkSched::TimedAwaiter timer_;
+    bool skip_;
+  };
+
+  // co_await in a worker thread that a wakeup just resumed: sleeps the OS
+  // pass latency, plus a cold-path penalty after an idle spell.
+  WakeDelay SleepAfterWake(SimDuration pass_latency, SimTime* last_active) const {
+    const SimTime now = sched_->executor()->Now();
+    if (now - *last_active > costs_->cold_threshold) {
+      pass_latency += costs_->cold_penalty;
+    }
+    *last_active = now;
+    return WakeDelay(sched_, pass_latency);
+  }
+
+  // Every consumed request has a response, and every response is pushed.
+  template <typename BackRing>
+  static bool AllAnswered(const BackRing& ring) {
+    return ring.rsp_prod_pvt() == ring.req_cons() && ring.unpushed_responses() == 0;
+  }
+
+  // The ring-quiescence audit: every published request consumed (skipped
+  // when `requests_may_wait`: posted Rx buffers legitimately sit unused),
+  // then AllAnswered. On false, `detail` (if non-null) names the leg.
+  template <typename BackRing>
+  bool AuditRing(const BackRing& ring, const char* ring_name, bool requests_may_wait,
+                 std::string* detail) const {
+    std::string leg;
+    if (!requests_may_wait && ring.UnconsumedRequests() != 0) {
+      leg = StrFormat("%u unconsumed request(s)", ring.UnconsumedRequests());
+    } else if (ring.rsp_prod_pvt() != ring.req_cons()) {
+      leg = StrFormat("consumed %u request(s) but produced %u response(s)", ring.req_cons(),
+                      ring.rsp_prod_pvt());
+    } else if (ring.unpushed_responses() != 0) {
+      leg = StrFormat("%u unpushed response(s)", ring.unpushed_responses());
+    } else {
+      return true;
+    }
+    if (detail != nullptr) {
+      *detail = StrFormat("%s %s ring: %s", name_.c_str(), ring_name, leg.c_str());
+    }
+    return false;
+  }
+
+  Domain* const backend_;
+  Hypervisor* const hv_;
+  BmkSched* const sched_;
+  const OsCostProfile* const costs_;
+  const DomId frontend_dom_;
+  const int devid_;
+  // <type><frontend>.<devid> ("vif3.0", "vbd3.51712"): the registry device
+  // and the watchdog row.
+  const std::string name_;
+  const std::string backend_path_;
+  const std::string frontend_path_;
+  bool connected_ = false;
+  // Drain protocol: the worker threads stop consuming new requests.
+  bool draining_ = false;
+  // Shutdown protocol: checked by the worker threads after every co_await.
+  bool stopping_ = false;
+  EvtPort port_ = kInvalidPort;
+
+ private:
+  void UnregisterHealth() {
+    if (health_id_ != 0 && hv_->health() != nullptr) {
+      hv_->health()->Unregister(health_id_);
+      health_id_ = 0;
+    }
+  }
+
+  int threads_running_ = 0;
+  std::function<void()> on_drained_;
+  // Watchdog registration (0 = never registered / already unregistered).
+  int64_t health_id_ = 0;
+};
 
 template <typename Instance>
 class XenbusBackend {

@@ -5,6 +5,15 @@
 #include "src/obs/flow.h"
 
 namespace kite {
+namespace {
+
+// Packets processed per CPU quantum before yielding.
+constexpr int kBatchLimit = 64;
+// Backend-side queue toward a guest; overflow drops the tail (observable as
+// UDP loss in the nuttcp benchmark).
+constexpr size_t kRxQueueCap = 512;
+
+}  // namespace
 
 // --- NetbackInstance. ---
 
@@ -14,17 +23,10 @@ NetbackInstance::NetbackInstance(Domain* backend, BmkSched* sched,
     : NetIf(StrFormat("vif%d.%d", frontend_dom, devid),
             MacAddr::FromId(0xba0000u | static_cast<uint32_t>(frontend_dom) << 8 |
                             static_cast<uint32_t>(devid))),
-      backend_(backend),
-      hv_(backend->hypervisor()),
-      sched_(sched),
-      costs_(costs),
+      XenbusBackendInstance(backend, sched, costs, kType, frontend_dom, devid),
       params_(params),
-      frontend_dom_(frontend_dom),
-      devid_(devid),
       tx_wake_(sched->executor()),
       rx_wake_(sched->executor()) {
-  backend_path_ = BackendPath(backend->id(), kType, frontend_dom, devid);
-  frontend_path_ = FrontendPath(frontend_dom, kType, devid);
   MetricRegistry* reg = hv_->metrics();
   guest_tx_frames_ = reg->counter(backend->name(), ifname(), "guest_tx_frames");
   guest_rx_frames_ = reg->counter(backend->name(), ifname(), "guest_rx_frames");
@@ -76,72 +78,14 @@ uint64_t NetbackInstance::tx_requests_consumed() const {
 }
 
 bool NetbackInstance::RingsQuiescent(std::string* detail) const {
-  if (tx_ring_ == nullptr || rx_ring_ == nullptr) {
-    return true;  // Never connected: nothing to audit.
-  }
-  if (tx_ring_->UnconsumedRequests() != 0) {
-    if (detail != nullptr) {
-      *detail = StrFormat("%s: %u unconsumed tx request(s)", ifname().c_str(),
-                          tx_ring_->UnconsumedRequests());
-    }
-    return false;
-  }
-  if (tx_ring_->rsp_prod_pvt() != tx_ring_->req_cons()) {
-    if (detail != nullptr) {
-      *detail = StrFormat("%s: consumed %u tx request(s) but produced %u response(s)",
-                          ifname().c_str(), tx_ring_->req_cons(),
-                          tx_ring_->rsp_prod_pvt());
-    }
-    return false;
-  }
-  if (tx_ring_->unpushed_responses() != 0) {
-    if (detail != nullptr) {
-      *detail = StrFormat("%s: %u unpushed tx response(s)", ifname().c_str(),
-                          tx_ring_->unpushed_responses());
-    }
-    return false;
-  }
-  // Rx: posted guest buffers may legitimately sit unconsumed, but every
-  // consumed buffer must have produced a pushed response.
-  if (rx_ring_->rsp_prod_pvt() != rx_ring_->req_cons()) {
-    if (detail != nullptr) {
-      *detail = StrFormat("%s: consumed %u rx buffer(s) but produced %u response(s)",
-                          ifname().c_str(), rx_ring_->req_cons(),
-                          rx_ring_->rsp_prod_pvt());
-    }
-    return false;
-  }
-  if (rx_ring_->unpushed_responses() != 0) {
-    if (detail != nullptr) {
-      *detail = StrFormat("%s: %u unpushed rx response(s)", ifname().c_str(),
-                          rx_ring_->unpushed_responses());
-    }
-    return false;
-  }
-  return true;
+  return tx_ring_ == nullptr || rx_ring_ == nullptr ||  // Never connected.
+         (AuditRing(*tx_ring_, "tx", /*requests_may_wait=*/false, detail) &&
+          AuditRing(*rx_ring_, "rx", /*requests_may_wait=*/true, detail));
 }
 
-NetbackInstance::~NetbackInstance() {
-  // Normally BeginShutdown already unregistered; the driver-destructor path
-  // tears instances down without it, and a stale sampler would dangle.
-  if (health_id_ != 0 && hv_->health() != nullptr) {
-    hv_->health()->Unregister(health_id_);
-    health_id_ = 0;
-  }
-  if (port_ != kInvalidPort) {
-    hv_->EventClose(backend_, port_);
-  }
-}
+void NetbackInstance::Advertise() { SwitchState(XenbusState::kInitWait); }
 
-void NetbackInstance::Advertise() {
-  XenbusClient bus(&hv_->store(), backend_->id());
-  bus.SwitchState(backend_path_, XenbusState::kInitWait);
-}
-
-void NetbackInstance::CompleteHotplug() {
-  XenbusClient bus(&hv_->store(), backend_->id());
-  bus.SwitchState(backend_path_, XenbusState::kConnected);
-}
+void NetbackInstance::CompleteHotplug() { SwitchState(XenbusState::kConnected); }
 
 bool NetbackInstance::Connect() {
   auto tx_ref = backend_->StoreReadInt(frontend_path_ + "/tx-ring-ref");
@@ -155,37 +99,21 @@ bool NetbackInstance::Connect() {
     KITE_LOG(Warning) << ifname() << ": frontend does not support rx-copy";
   }
 
-  tx_ring_map_ = hv_->GrantMap(backend_, frontend_dom_, static_cast<GrantRef>(*tx_ref),
-                               /*write_access=*/true);
-  rx_ring_map_ = hv_->GrantMap(backend_, frontend_dom_, static_cast<GrantRef>(*rx_ref),
-                               /*write_access=*/true);
-  if (!tx_ring_map_.valid() || !rx_ring_map_.valid()) {
-    return false;
-  }
-  auto* tx_shared = tx_ring_map_.page()->As<NetTxSharedRing>();
-  auto* rx_shared = rx_ring_map_.page()->As<NetRxSharedRing>();
+  auto* tx_shared = MapRing<NetTxSharedRing>(*tx_ref, &tx_ring_map_);
+  auto* rx_shared = MapRing<NetRxSharedRing>(*rx_ref, &rx_ring_map_);
   if (tx_shared == nullptr || rx_shared == nullptr) {
     return false;
   }
   tx_ring_ = std::make_unique<NetTxBackRing>(tx_shared);
   rx_ring_ = std::make_unique<NetRxBackRing>(rx_shared);
 
-  port_ = hv_->EventBindInterdomain(backend_, frontend_dom_, static_cast<EvtPort>(*evt));
-  if (port_ == kInvalidPort) {
+  if (!BindPort(*evt)) {
     return false;
   }
-  // The handler only wakes the worker threads (paper §3.2): never do
-  // hypercall-heavy work in the notification path.
-  hv_->EventSetHandler(backend_, port_, [this] {
-    tx_wake_.Signal();
-    rx_wake_.Signal();
-  });
 
   pusher_last_active_ = soft_start_last_active_ = sched_->executor()->Now();
-  threads_running_ = 2;
-  sched_->Spawn(ifname() + "-pusher", [this] { return PusherThread(); });
-  sched_->Spawn(ifname() + "-soft_start", [this] { return SoftStartThread(); });
-  connected_ = true;
+  SpawnThread(ifname() + "-pusher", [this] { return PusherThread(); });
+  SpawnThread(ifname() + "-soft_start", [this] { return SoftStartThread(); });
   SetUp(true);
   // Watchdog sampler. Pending work is the Tx ring only: Rx buffers posted by
   // the guest legitimately sit unconsumed while no traffic flows toward it,
@@ -195,63 +123,35 @@ bool NetbackInstance::Connect() {
   // is monotonic, so the sum advances iff either side made progress). Under
   // sustained Rx-only traffic the backlog rarely drains to zero at a probe
   // instant, and without the Rx term every busy probe would look stalled.
-  if (HealthMonitor* hm = hv_->health(); hm != nullptr) {
-    health_id_ = hm->Register(backend_->id(), backend_->name(), ifname(), devid_,
-                              [this] {
-                                HealthSample s;
-                                s.connected = connected_;
-                                if (tx_ring_ != nullptr) {
-                                  s.req_cons = tx_ring_->req_cons();
-                                  s.req_prod = s.req_cons + tx_ring_->UnconsumedRequests();
-                                  s.rsp_prod = tx_ring_->rsp_prod_pvt();
-                                }
-                                if (rx_ring_ != nullptr) {
-                                  s.rsp_prod += rx_ring_->rsp_prod_pvt();
-                                }
-                                s.queue_depth = static_cast<int>(rx_pending_.size());
-                                return s;
-                              });
-  }
+  MarkConnected([this] {
+    HealthSample s;
+    s.connected = connected_;
+    if (tx_ring_ != nullptr) {
+      s.req_cons = tx_ring_->req_cons();
+      s.req_prod = s.req_cons + tx_ring_->UnconsumedRequests();
+      s.rsp_prod = tx_ring_->rsp_prod_pvt();
+    }
+    if (rx_ring_ != nullptr) {
+      s.rsp_prod += rx_ring_->rsp_prod_pvt();
+    }
+    s.queue_depth = static_cast<int>(rx_pending_.size());
+    return s;
+  });
   return true;
 }
 
-void NetbackInstance::BeginShutdown() {
-  if (stopping_) {
-    return;
-  }
-  stopping_ = true;
-  connected_ = false;
-  SetUp(false);
-  rx_pending_.clear();
-  // Deregister from the watchdog before the rings go away: a dead frontend's
-  // frozen ring must not read as a stall.
-  if (health_id_ != 0 && hv_->health() != nullptr) {
-    hv_->health()->Unregister(health_id_);
-    health_id_ = 0;
-  }
-  // Close the port now: the dead frontend can't notify us, and we must not
-  // notify into its recycled port number.
-  if (port_ != kInvalidPort) {
-    hv_->EventClose(backend_, port_);
-    port_ = kInvalidPort;
-  }
-  // Wake both threads so they observe stopping_ and exit. Threads parked in
-  // Run/Sleep exit at their next timer resumption instead.
+void NetbackInstance::WakeThreads() {
   tx_wake_.Signal();
   rx_wake_.Signal();
 }
 
-void NetbackInstance::RequestDrain() {
-  if (draining_ || stopping_) {
-    return;
-  }
-  draining_ = true;
-  // Take the vif out of the bridge's forwarding set and refuse new frames;
-  // everything already accepted (rx_pending_, consumed Tx requests) still
-  // flushes to completion.
+void NetbackInstance::StopIntake(bool shutdown) {
+  // Out of the bridge's forwarding set, refusing new frames. A drain still
+  // flushes everything already accepted (rx_pending_, consumed Tx requests).
   SetUp(false);
-  tx_wake_.Signal();
-  rx_wake_.Signal();
+  if (shutdown) {
+    rx_pending_.clear();
+  }
 }
 
 bool NetbackInstance::ReadyToRetire() const {
@@ -261,12 +161,7 @@ bool NetbackInstance::ReadyToRetire() const {
   if (tx_ring_ == nullptr || rx_ring_ == nullptr) {
     return true;  // Never connected: nothing mapped, nothing owed.
   }
-  // Every consumed request must be responded and pushed; unconsumed Tx
-  // requests are unacknowledged and survive the move on the frontend side.
-  return tx_ring_->rsp_prod_pvt() == tx_ring_->req_cons() &&
-         tx_ring_->unpushed_responses() == 0 && rx_pending_.empty() &&
-         rx_ring_->rsp_prod_pvt() == rx_ring_->req_cons() &&
-         rx_ring_->unpushed_responses() == 0;
+  return AllAnswered(*tx_ring_) && rx_pending_.empty() && AllAnswered(*rx_ring_);
 }
 
 void NetbackInstance::RetireGracefully() {
@@ -281,22 +176,8 @@ void NetbackInstance::RetireGracefully() {
   rx_ring_map_.Unmap();
 }
 
-void NetbackInstance::ThreadExited() {
-  --threads_running_;
-  if (threads_running_ == 0 && on_drained_) {
-    on_drained_();
-  }
-}
-
-SimDuration NetbackInstance::WakeLatency(SimTime* last_active) const {
-  SimDuration latency =
-      params_.dedicated_threads ? costs_->netback_pass_latency : SimDuration(0);
-  const SimTime now = sched_->executor()->Now();
-  if (now - *last_active > costs_->cold_threshold) {
-    latency += costs_->cold_penalty;
-  }
-  *last_active = now;
-  return latency;
+SimDuration NetbackInstance::PassLatency() const {
+  return params_.dedicated_threads ? costs_->netback_pass_latency : SimDuration(0);
 }
 
 void NetbackInstance::PushTxResponses() {
@@ -374,12 +255,9 @@ Task NetbackInstance::PusherThread() {
     if (stopping_) {
       break;
     }
-    const SimDuration wake_latency = WakeLatency(&pusher_last_active_);
-    if (wake_latency > SimDuration(0)) {
-      co_await sched_->Sleep(wake_latency);
-      if (stopping_) {
-        break;
-      }
+    co_await SleepAfterWake(PassLatency(), &pusher_last_active_);
+    if (stopping_) {
+      break;
     }
     for (;;) {
       int batch = 0;
@@ -435,7 +313,7 @@ Task NetbackInstance::PusherThread() {
             tx_unparseable_->Inc();
           }
         }
-        if (!params_.dedicated_threads || ++batch >= params_.batch_limit) {
+        if (!params_.dedicated_threads || ++batch >= kBatchLimit) {
           PushTxResponses();
           batch = 0;
           co_await sched_->Yield();
@@ -461,7 +339,7 @@ void NetbackInstance::Output(EthernetFrame frame) {
   if (!connected_ || draining_) {
     return;
   }
-  if (QueueFull(rx_pending_.size(), params_.rx_queue_cap)) {
+  if (QueueFull(rx_pending_.size(), kRxQueueCap)) {
     rx_queue_drops_->Inc();
     return;
   }
@@ -479,12 +357,9 @@ Task NetbackInstance::SoftStartThread() {
     if (stopping_) {
       break;
     }
-    const SimDuration wake_latency = WakeLatency(&soft_start_last_active_);
-    if (wake_latency > SimDuration(0)) {
-      co_await sched_->Sleep(wake_latency);
-      if (stopping_) {
-        break;
-      }
+    co_await SleepAfterWake(PassLatency(), &soft_start_last_active_);
+    if (stopping_) {
+      break;
     }
     int batch = 0;
     while (!rx_pending_.empty()) {
@@ -536,7 +411,7 @@ Task NetbackInstance::SoftStartThread() {
       } else {
         rx_copy_fails_->Inc();
       }
-      if (!params_.dedicated_threads || ++batch >= params_.batch_limit) {
+      if (!params_.dedicated_threads || ++batch >= kBatchLimit) {
         PushRxResponses();
         batch = 0;
         co_await sched_->Yield();

@@ -41,22 +41,15 @@ struct NetbackParams {
   // processed immediately at the event with per-packet response pushes — the
   // naive in-handler structure the paper argues against (ablation).
   bool dedicated_threads = true;
-  // Packets processed per CPU quantum before yielding.
-  int batch_limit = 64;
-  // Backend-side queue toward a guest; overflow drops the tail (observable
-  // as UDP loss in the nuttcp benchmark). As for every queue in
-  // src/net/queue.h, 0 means unbounded — never drop.
-  size_t rx_queue_cap = 512;
 };
 
-class NetbackInstance : public NetIf {
+class NetbackInstance : public NetIf, public XenbusBackendInstance {
  public:
   static constexpr const char* kType = "vif";
   static constexpr const char* kName = "netback";
 
   NetbackInstance(Domain* backend, BmkSched* sched, const OsCostProfile* costs,
                   NetbackParams params, DomId frontend_dom, int devid);
-  ~NetbackInstance() override;
 
   // Advertises InitWait in xenstore when the vif's backend node appears.
   void Advertise();
@@ -74,32 +67,15 @@ class NetbackInstance : public NetIf {
   // Connected while its traffic would still bypass the bridge.
   void CompleteHotplug();
 
-  // Frontend death (paper §6: guests may crash at any time): stop accepting
-  // work, close the event port, and ask the worker threads to exit at their
-  // next resumption. The instance must stay allocated until drained() —
-  // its coroutine frames are parked in the shared scheduler and would
-  // otherwise resume into freed memory.
-  void BeginShutdown();
-  bool drained() const { return threads_running_ == 0; }
-  void set_on_drained(std::function<void()> fn) { on_drained_ = std::move(fn); }
-
-  // Graceful drain (toolstack-initiated migration): stop consuming new Tx
-  // requests and stop accepting new bridge frames, but keep flushing work
-  // already accepted. Unconsumed Tx requests stay on the ring — they are
-  // unacknowledged, so the frontend retransmits them after relink.
-  void RequestDrain();
-  bool draining() const { return draining_; }
-  // True once every consumed request has a pushed response and the Rx
-  // backlog is flushed — nothing acknowledged remains only on this side.
+  // Once draining (RequestDrain also takes the vif off the bridge): true
+  // when every consumed request has a pushed response and the Rx backlog is
+  // flushed — nothing acknowledged remains only on this side. Unconsumed Tx
+  // requests are unacknowledged; the frontend retransmits them after relink.
   bool ReadyToRetire() const;
   // BeginShutdown plus synchronous release of the ring mappings. Must run
   // *before* the backend's xenstore subtree is removed: the live frontend's
   // EndAccess only succeeds once this side holds no active maps.
   void RetireGracefully();
-
-  DomId frontend_dom() const { return frontend_dom_; }
-  int devid() const { return devid_; }
-  bool connected() const { return connected_; }
 
   uint64_t guest_tx_frames() const { return guest_tx_frames_->value(); }
   uint64_t guest_rx_frames() const { return guest_rx_frames_->value(); }
@@ -131,41 +107,24 @@ class NetbackInstance : public NetIf {
   bool TxConservationHolds(std::string* detail) const;
 
  private:
+  void WakeThreads() override;
+  // Takes the vif off the bridge; on shutdown also drops the Rx backlog.
+  void StopIntake(bool shutdown) override;
   Task PusherThread();
   Task SoftStartThread();
-  void ThreadExited();
-  // Pass latency (thread scheduling) plus a cold-path penalty after idle.
-  SimDuration WakeLatency(SimTime* last_active) const;
+  // Netback's pass latency; none in the in-handler (ablation) structure.
+  SimDuration PassLatency() const;
   void PushTxResponses();
   void PushRxResponses();
   bool CopyFromGuest(GrantRef gref, uint16_t offset, std::span<uint8_t> out);
   bool CopyToGuest(GrantRef gref, std::span<const uint8_t> data);
 
-  Domain* backend_;
-  Hypervisor* hv_;
-  BmkSched* sched_;
-  const OsCostProfile* costs_;
   NetbackParams params_;
-  DomId frontend_dom_;
-  int devid_;
-  bool connected_ = false;
-  // Drain protocol: pusher stops consuming, Output stops accepting.
-  bool draining_ = false;
-  // Shutdown protocol: checked by the worker threads after every co_await.
-  bool stopping_ = false;
-  int threads_running_ = 0;
-  std::function<void()> on_drained_;
-
-  std::string backend_path_;
-  std::string frontend_path_;
 
   MappedGrant tx_ring_map_;
   MappedGrant rx_ring_map_;
   std::unique_ptr<NetTxBackRing> tx_ring_;
   std::unique_ptr<NetRxBackRing> rx_ring_;
-  EvtPort port_ = kInvalidPort;
-  // Watchdog registration (0 = never registered / already unregistered).
-  int64_t health_id_ = 0;
 
   WakeFlag tx_wake_;
   WakeFlag rx_wake_;

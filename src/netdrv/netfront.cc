@@ -6,44 +6,26 @@
 
 namespace kite {
 
-Netfront::Netfront(Domain* guest, DomId backend_dom, int devid, MacAddr mac,
-                   std::function<void()> on_connected)
+namespace {
+
+// Per-frame guest-side processing cost (serialize + driver work).
+constexpr SimDuration kFrameCost = Nanos(400);
+
+}  // namespace
+
+Netfront::Netfront(Domain* guest, DomId backend_dom, int devid, MacAddr mac)
     : NetIf(StrFormat("xn%d", devid), mac),
-      guest_(guest),
-      hv_(guest->hypervisor()),
-      backend_dom_(backend_dom),
-      devid_(devid),
-      on_connected_(std::move(on_connected)) {
-  frontend_path_ = FrontendPath(guest->id(), "vif", devid);
-  backend_path_ = BackendPath(backend_dom, "vif", guest->id(), devid);
+      XenbusFrontend(guest, backend_dom, DeviceKind::kVif, devid) {
   MetricRegistry* reg = hv_->metrics();
   tx_dropped_ = reg->counter(guest->name(), ifname(), "tx_dropped");
   rx_errors_ = reg->counter(guest->name(), ifname(), "rx_errors");
-  recoveries_ = reg->counter(guest->name(), ifname(), "recoveries");
   recovery_drops_ = reg->counter(guest->name(), ifname(), "recovery_drops");
   rx_bad_responses_ = reg->counter(guest->name(), ifname(), "rx_bad_response");
   tx_complete_ns_ = reg->latency(guest->name(), ifname(), "tx_complete_ns");
-  PublishAndInitialise();
-  // Watch our own backend-id link: the toolstack rewrites it when it hands
-  // this device to a replacement backend domain after a crash. The
-  // registration fire reads the current id and is a no-op.
-  relink_watch_ = guest_->StoreWatch(frontend_path_ + "/backend-id", "relink",
-                                     [this](const std::string&, const std::string&) {
-                                       OnToolstackRelink();
-                                     });
+  Start();
 }
 
-Netfront::~Netfront() {
-  *alive_ = false;
-  if (backend_watch_ != 0) {
-    hv_->store().RemoveWatch(backend_watch_);
-  }
-  if (relink_watch_ != 0) {
-    hv_->store().RemoveWatch(relink_watch_);
-  }
-}
-
-void Netfront::PublishAndInitialise() {
+void Netfront::Publish() {
   // Allocate rings in shared pages and attach the ring objects to them.
   tx_ring_page_ = AllocPage();
   rx_ring_page_ = AllocPage();
@@ -72,8 +54,7 @@ void Netfront::PublishAndInitialise() {
   }
 
   // Event channel: allocate unbound for the backend to bind.
-  port_ = hv_->EventAllocUnbound(guest_, backend_dom_);
-  hv_->EventSetHandler(guest_, port_, [this] { OnIrq(); });
+  OpenEventChannel();
 
   // Publish connection parameters (paper §4.2 "Initialization").
   guest_->StoreWriteInt(frontend_path_ + "/tx-ring-ref", tx_ring_gref_);
@@ -84,53 +65,10 @@ void Netfront::PublishAndInitialise() {
 
   // Pre-post the full Rx ring so the backend can deliver immediately.
   PostRxBuffers();
-
-  XenbusClient bus(&hv_->store(), guest_->id());
-  bus.SwitchState(frontend_path_, XenbusState::kInitialised);
-
-  // Watch the backend's state; Connected completes the handshake.
-  backend_watch_ = guest_->StoreWatch(backend_path_ + "/state", "backend-state",
-                                      [this](const std::string&, const std::string&) {
-                                        OnBackendStateChange();
-                                      });
-  published_ = true;
 }
 
-void Netfront::OnBackendStateChange() {
-  XenbusClient bus(&hv_->store(), guest_->id());
-  XenbusState state = bus.ReadState(backend_path_);
-  if (state == XenbusState::kInitWait || state == XenbusState::kInitialised ||
-      state == XenbusState::kConnected) {
-    backend_was_live_ = true;
-  }
-  if (state == XenbusState::kConnected && !connected_) {
-    connected_ = true;
-    bus.SwitchState(frontend_path_, XenbusState::kConnected);
-    SetUp(true);
-    if (on_connected_) {
-      on_connected_();
-    }
-  }
-  // Backend death: an explicit Closing/Closed transition, or its state node
-  // vanishing after it had been live (domain destruction removes the
-  // subtree; the watch fires but the read sees nothing).
-  const bool gone = state == XenbusState::kUnknown && backend_was_live_ &&
-                    !hv_->store().Exists(backend_path_ + "/state");
-  if (state == XenbusState::kClosing || state == XenbusState::kClosed || gone) {
-    HandleBackendDeath();
-  }
-}
-
-void Netfront::HandleBackendDeath() {
-  if (!published_) {
-    return;
-  }
-  published_ = false;
-  connected_ = false;
-  backend_was_live_ = false;
+void Netfront::ReleaseBackend() {
   SetUp(false);
-  XenbusClient bus(&hv_->store(), guest_->id());
-  bus.SwitchState(frontend_path_, XenbusState::kClosed);
   // In-flight tx frames die with the backend — acceptable for a NIC (the
   // wire can always lose frames; transport protocols retransmit).
   for (const Slot& slot : tx_slots_) {
@@ -138,8 +76,7 @@ void Netfront::HandleBackendDeath() {
       recovery_drops_->Inc();
     }
   }
-  // Reclaim every granted page. EndAccess succeeds because DestroyDomain
-  // force-dropped the dead backend's mappings.
+  // Reclaim every granted page.
   for (Slot& slot : tx_slots_) {
     guest_->grant_table().EndAccess(slot.gref);
   }
@@ -160,38 +97,6 @@ void Netfront::HandleBackendDeath() {
   rx_shared_.reset();
   tx_ring_page_.reset();
   rx_ring_page_.reset();
-  hv_->EventClose(guest_, port_);
-  port_ = kInvalidPort;
-  if (backend_watch_ != 0) {
-    hv_->store().RemoveWatch(backend_watch_);
-    backend_watch_ = 0;
-  }
-}
-
-void Netfront::OnToolstackRelink() {
-  auto id = guest_->StoreReadInt(frontend_path_ + "/backend-id");
-  if (!id.has_value()) {
-    if (!hv_->store().Exists(frontend_path_ + "/backend-id")) {
-      return;  // No toolstack link yet; the watch fires again when written.
-    }
-    // The key exists but the read failed (fault injection): a missed relink
-    // would strand the guest, so retry until the write is visible.
-    hv_->executor()->PostAfter(Millis(1), KITE_POST_SITE("netfront/relink-retry"),
-                               [this, alive = alive_] {
-      if (*alive) {
-        OnToolstackRelink();
-      }
-    });
-    return;
-  }
-  if (static_cast<DomId>(*id) == backend_dom_) {
-    return;  // Registration fire, or a rewrite of the same link.
-  }
-  HandleBackendDeath();  // No-op if the death watch already cleaned up.
-  backend_dom_ = static_cast<DomId>(*id);
-  backend_path_ = BackendPath(backend_dom_, "vif", guest_->id(), devid_);
-  recoveries_->Inc();
-  PublishAndInitialise();
 }
 
 void Netfront::PostRxBuffers() {
@@ -218,7 +123,7 @@ void Netfront::Output(EthernetFrame frame) {
   }
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("netfront/io"));
-    guest_->vcpu(0)->Charge(frame_cost_);
+    guest_->vcpu(0)->Charge(kFrameCost);
   }
   uint16_t id = tx_free_ids_.back();
   tx_free_ids_.pop_back();
@@ -246,7 +151,7 @@ void Netfront::Output(EthernetFrame frame) {
   if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
     t->FlowBegin(guest_->id(), 0, "net.tx", "tx_submit", now,
                  MakeFlowId(FlowKind::kNetTx, guest_->id(), devid_, ring_index),
-                 frame_cost_);
+                 kFrameCost);
   }
   if (tx_ring_->PushRequests()) {
     hv_->EventSend(guest_, port_);
@@ -297,7 +202,7 @@ void Netfront::ProcessRxResponses() {
       if (tracing) {
         t->FlowEnd(guest_->id(), 0, "net.rx", "rx_deliver", now,
                    MakeFlowId(FlowKind::kNetRx, guest_->id(), devid_, ring_index),
-                   frame_cost_);
+                   kFrameCost);
       }
       Slot& slot = rx_slots_[rsp.id];
       slot.in_use = false;
@@ -316,7 +221,7 @@ void Netfront::ProcessRxResponses() {
       }
       {
         CpuScope cpu_scope(KITE_CPU_CATEGORY("netfront/io"));
-        guest_->vcpu(0)->Charge(frame_cost_);
+        guest_->vcpu(0)->Charge(kFrameCost);
       }
       auto frame = ParseEthernet(
           slot.page->bytes().subspan(rsp.offset, static_cast<size_t>(rsp.size)));

@@ -7,79 +7,45 @@
 #ifndef SRC_NETDRV_NETFRONT_H_
 #define SRC_NETDRV_NETFRONT_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/base/bytes.h"
 #include "src/hv/domain.h"
 #include "src/hv/hypervisor.h"
-#include "src/hv/xenbus.h"
+#include "src/hv/xenbus_frontend.h"
 #include "src/net/netif.h"
 #include "src/netdrv/netif_ring.h"
 
 namespace kite {
 
-class Netfront : public NetIf {
+class Netfront : public NetIf, public XenbusFrontend {
  public:
   // The xenstore device directories must already exist (created by the
-  // toolstack, see core/system.h). Construction starts the xenbus handshake;
-  // `on_connected` fires when the backend reports Connected.
-  Netfront(Domain* guest, DomId backend_dom, int devid, MacAddr mac,
-           std::function<void()> on_connected = nullptr);
-  ~Netfront() override;
+  // toolstack, see core/system.h). Construction publishes the device.
+  Netfront(Domain* guest, DomId backend_dom, int devid, MacAddr mac);
 
   // NetIf: transmit a frame from the guest stack toward the backend.
   void Output(EthernetFrame frame) override;
 
-  bool connected() const { return connected_; }
-  int devid() const { return devid_; }
-  Domain* guest() const { return guest_; }
-  DomId backend_dom() const { return backend_dom_; }
-
   uint64_t tx_dropped() const { return tx_dropped_->value(); }
   uint64_t rx_errors() const { return rx_errors_->value(); }
-  // Completed reconnects to a fresh backend after the old one died.
-  uint64_t recoveries() const { return recoveries_->value(); }
   // In-flight tx frames discarded on backend death (net drops; TCP retransmits).
   uint64_t recovery_drops() const { return recovery_drops_->value(); }
   // Rx responses whose offset/size fell outside the posted page — a
   // misbehaving or compromised backend (also counted in rx_errors).
   uint64_t rx_bad_responses() const { return rx_bad_responses_->value(); }
 
-  // Per-frame guest-side processing cost (serialize + driver work).
-  void set_frame_cost(SimDuration d) { frame_cost_ = d; }
-
  private:
-  void PublishAndInitialise();
-  void OnBackendStateChange();
-  // Reconnect machinery: releases every resource tied to the dead backend
-  // (idempotent), and re-runs the handshake when the toolstack points
-  // frontend/backend-id at a fresh one.
-  void HandleBackendDeath();
-  void OnToolstackRelink();
-  void OnIrq();
+  // XenbusFrontend: publish both rings and every data page; on backend
+  // death count and drop the in-flight Tx frames; once connected, link up.
+  void Publish() override;
+  void ReleaseBackend() override;
+  void OnConnected() override { SetUp(true); }
+  void OnIrq() override;
   void ProcessTxResponses();
   void ProcessRxResponses();
   void PostRxBuffers();
-
-  Domain* guest_;
-  Hypervisor* hv_;
-  DomId backend_dom_;
-  int devid_;
-  std::function<void()> on_connected_;
-  bool connected_ = false;
-
-  std::string frontend_path_;
-  std::string backend_path_;
-  WatchId backend_watch_ = 0;
-  WatchId relink_watch_ = 0;
-  bool published_ = false;
-  // Set once the backend shows signs of life; distinguishes "backend died"
-  // from "backend not there yet" when the state node is missing.
-  bool backend_was_live_ = false;
-  // Outlives `this` so posted retries can detect destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   // Rings (frontend-allocated; shared via ring-page grants).
   PageRef tx_ring_page_;
@@ -106,13 +72,9 @@ class Netfront : public NetIf {
   // buffer replaces a per-packet allocation.
   Buffer tx_scratch_;
 
-  EvtPort port_ = kInvalidPort;
-  SimDuration frame_cost_ = Nanos(400);
-
   // Registry-backed under (guest domain, xnN, <name>).
   Counter* tx_dropped_;
   Counter* rx_errors_;
-  Counter* recoveries_;
   Counter* recovery_drops_;
   Counter* rx_bad_responses_;
   // Submit → tx response consumed, per frame (ns).

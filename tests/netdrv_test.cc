@@ -91,6 +91,49 @@ TEST(NetdrvTest, RxParseOfUntouchedPageLeavesItUnbacked) {
   EXPECT_FALSE(data.page()->backed());
 }
 
+// Destroys each kind of published frontend while a backend still holds the
+// bound end of its event channel: the guest's port must close with the
+// device, so a kick from the backend reaches no handler of the freed object.
+TEST(NetdrvTest, DestroyedFrontendClosesItsEventChannel) {
+  Executor ex;
+  Hypervisor hv(&ex);
+  Domain* guest = hv.CreateDomain("g", 1, 512);
+  Domain* backend = hv.CreateDomain("be", 1, 512);
+  guest->set_online(true);
+  backend->set_online(true);
+  XenStore& store = hv.store();
+  auto expect_port_closed_on_destroy = [&](const std::string& fe, auto& front) {
+    const auto port = store.ReadInt(kDom0, fe + "/event-channel");
+    ASSERT_TRUE(port.has_value());
+    const EvtPort bound =
+        hv.EventBindInterdomain(backend, guest->id(), static_cast<EvtPort>(*port));
+    ASSERT_NE(bound, kInvalidPort);
+    front.reset();
+    ASSERT_EQ(hv.open_port_count(guest->id()), 0);
+    const uint64_t delivered = hv.events_delivered();
+    EXPECT_FALSE(hv.EventSend(backend, bound));
+    ex.RunUntilIdle();
+    EXPECT_EQ(hv.events_delivered(), delivered);
+    hv.EventClose(backend, bound);
+  };
+
+  auto net = std::make_unique<Netfront>(guest, backend->id(), /*devid=*/0, MacAddr::FromId(9));
+  expect_port_closed_on_destroy(FrontendPath(guest->id(), "vif", 0), net);
+
+  // Blkfront publishes once its backend advertises InitWait: it reads the
+  // disk size from the backend directory first.
+  const std::string fe = FrontendPath(guest->id(), "vbd", 51712);
+  const std::string be = BackendPath(backend->id(), "vbd", guest->id(), 51712);
+  store.WriteInt(kDom0, fe + "/backend-id", backend->id());
+  store.WriteInt(kDom0, be + "/sectors", 2048);
+  store.SetPermission(kDom0, fe, backend->id());
+  store.SetPermission(kDom0, be, guest->id());
+  auto blk = std::make_unique<Blkfront>(guest, backend->id(), /*devid=*/51712);
+  XenbusClient(&store, backend->id()).SwitchState(be, XenbusState::kInitWait);
+  ex.RunUntilIdle();
+  expect_port_closed_on_destroy(fe, blk);
+}
+
 TEST(NetdrvTest, NotificationAvoidanceBatchesEvents) {
   KiteSystem sys;
   NetworkDomain* nd = sys.CreateNetworkDomain();

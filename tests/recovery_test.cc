@@ -598,6 +598,38 @@ TEST_P(RecoveryTest, FailedRelinkReadDoesNotStrandStorageGuest) {
   EXPECT_TRUE(sys_->WaitUntil([&] { return wrote; }));
 }
 
+// A guest destroyed while its frontend's relink read is waiting on the 1 ms
+// retry: the retry must find the frontend gone instead of calling into the
+// freed device, and the replacement backend must reap the relinked device.
+TEST_P(RecoveryTest, GuestDestroyedWithRelinkRetryPendingLeavesNoResidue) {
+  for (const DeviceKind kind : {DeviceKind::kVif, DeviceKind::kVbd}) {
+    SCOPED_TRACE(DeviceTypeName(kind));
+    if (kind == DeviceKind::kVif) {
+      BuildNet();
+    } else {
+      BuildStorage();
+    }
+    const DomId old_backend = guest_->frontend(kind)->backend_dom();
+    sys_->faults().set_rate(FaultSite::kXenstoreRead, 1.0);
+    if (kind == DeviceKind::kVif) {
+      sys_->RestartNetworkDomain(netdom_);
+    } else {
+      sys_->RestartStorageDomain(stordom_);
+    }
+    ASSERT_TRUE(sys_->WaitUntil(
+        [&] { return sys_->faults().trips(FaultSite::kXenstoreRead) == 1; }));
+    sys_->faults().set_rate(FaultSite::kXenstoreRead, 0.0);
+    ASSERT_EQ(guest_->frontend(kind)->backend_dom(), old_backend);  // The retry is pending.
+
+    sys_->DestroyGuest(guest_);
+    guest_ = nullptr;
+    sys_->RunFor(Millis(5));
+    sys_->RunUntilIdle();
+    const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
+    EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Personalities, RecoveryTest,
                          ::testing::Values(OsKind::kKiteRumprun, OsKind::kUbuntuLinux),
                          [](const ::testing::TestParamInfo<OsKind>& info) {
