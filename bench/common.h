@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/artifact.h"
 #include "src/base/histogram.h"
 #include "src/base/stats.h"
 #include "src/base/strings.h"
@@ -173,13 +174,10 @@ inline bool WriteBenchArtifact(const std::string& filename, const std::string& c
   if (const char* dir = std::getenv("KITE_BENCH_DIR"); dir != nullptr && dir[0] != '\0') {
     path = std::string(dir) + "/" + path;
   }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  if (!WriteArtifactFile(path, content)) {
     std::fprintf(stderr, "BENCH: cannot write %s\n", path.c_str());
     return false;
   }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   return true;
 }
@@ -248,63 +246,36 @@ class BenchReport {
   // (see src/obs/sampler.h). `label` distinguishes runs in one figure.
   void Timelines(const std::string& label, const MetricSampler& sampler) {
     for (const MetricSampler::Timeline& tl : sampler.Timelines()) {
-      const std::string key = tl.key.domain + "/" + tl.key.device + "/" + tl.key.name;
-      std::string points;
-      for (size_t i = 0; i < tl.points.size(); ++i) {
-        const double v = tl.points[i].second;
-        points += StrFormat("%s[%lld,%s]", i == 0 ? "" : ",",
-                            static_cast<long long>(tl.points[i].first.ns()),
-                            v == static_cast<double>(static_cast<long long>(v))
-                                ? StrFormat("%lld", static_cast<long long>(v)).c_str()
-                                : StrFormat("%.10g", v).c_str());
-      }
-      timelines_.push_back(StrFormat(
-          "{\"label\":\"%s\",\"key\":\"%s\",\"kind\":\"%s\",\"period_ns\":%lld,"
-          "\"dropped\":%llu,\"points\":[%s]}",
-          JsonEscape(label).c_str(), JsonEscape(key).c_str(),
-          tl.kind == MetricRegistry::Kind::kCounter ? "counter" : "gauge",
-          static_cast<long long>(sampler.params().period.ns()),
-          static_cast<unsigned long long>(tl.dropped), points.c_str()));
+      timelines_.push_back(TimelineJsonRow(label, tl, sampler.params().period));
     }
   }
 
   // Writes BENCH_<figure>.json; prints the path so humans can find it too.
   bool Write() const {
-    std::string json = "{\n";
-    json += StrFormat("  \"figure\": \"%s\",\n", JsonEscape(figure_).c_str());
-    json += StrFormat("  \"title\": \"%s\",\n", JsonEscape(title_).c_str());
-    json += StrFormat("  \"git_sha\": \"%s\",\n", JsonEscape(BenchGitSha()).c_str());
-    json += "  \"params\": {";
-    for (size_t i = 0; i < params_.size(); ++i) {
-      json += StrFormat("%s\"%s\": %s", i == 0 ? "" : ", ",
-                        JsonEscape(params_[i].first).c_str(), params_[i].second.c_str());
+    std::string params;
+    for (const auto& [key, value] : params_) {
+      params += StrFormat("%s\"%s\": %s", params.empty() ? "" : ", ",
+                          JsonEscape(key).c_str(), value.c_str());
     }
-    json += "},\n";
-    AppendArray(&json, "series", series_, /*trailing_comma=*/true);
-    AppendArray(&json, "latency", latency_, /*trailing_comma=*/true);
-    AppendArray(&json, "stage_latency_ns", stage_latency_, /*trailing_comma=*/true);
-    AppendArray(&json, "counters", counters_, /*trailing_comma=*/!timelines_.empty());
+    ArtifactWriter doc;
+    doc.Field("figure", StrFormat("\"%s\"", JsonEscape(figure_).c_str()));
+    doc.Field("title", StrFormat("\"%s\"", JsonEscape(title_).c_str()));
+    doc.Field("git_sha", StrFormat("\"%s\"", JsonEscape(BenchGitSha()).c_str()));
+    doc.Field("params", "{" + params + "}");
+    doc.Array("series", series_);
+    doc.Array("latency", latency_);
+    doc.Array("stage_latency_ns", stage_latency_);
+    doc.Array("counters", counters_);
     // Only present when a sampler was attached, so figures that never record
     // timelines produce byte-identical JSON to the pre-sampler format.
     if (!timelines_.empty()) {
-      AppendArray(&json, "timelines", timelines_, /*trailing_comma=*/false);
+      doc.Array("timelines", timelines_);
     }
-    json += "}\n";
     std::printf("\n");
-    return WriteBenchArtifact("BENCH_" + figure_ + ".json", json);
+    return WriteBenchArtifact("BENCH_" + figure_ + ".json", doc.Render());
   }
 
  private:
-  static void AppendArray(std::string* json, const char* name,
-                          const std::vector<std::string>& rows, bool trailing_comma) {
-    *json += StrFormat("  \"%s\": [", name);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      *json += StrFormat("%s\n    %s", i == 0 ? "" : ",", rows[i].c_str());
-    }
-    *json += rows.empty() ? "]" : "\n  ]";
-    *json += trailing_comma ? ",\n" : "\n";
-  }
-
   std::string figure_;
   std::string title_;
   std::vector<std::pair<std::string, std::string>> params_;  // key → JSON value.

@@ -1,15 +1,12 @@
 #include "src/base/log.h"
 
-#include <array>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace kite {
 namespace {
 
-std::atomic<LogLevel> g_threshold{LogLevel::kWarning};
-std::array<std::atomic<int>, 5> g_emit_counts{};
+constexpr LogLevel kThreshold = LogLevel::kWarning;
 FatalHandler g_fatal_handler;
 bool g_in_fatal_handler = false;
 
@@ -31,26 +28,17 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetLogThreshold() { return g_threshold.load(std::memory_order_relaxed); }
-
-void SetLogThreshold(LogLevel level) { g_threshold.store(level, std::memory_order_relaxed); }
-
 FatalHandler SetFatalHandler(FatalHandler handler) {
   FatalHandler previous = std::move(g_fatal_handler);
   g_fatal_handler = std::move(handler);
   return previous;
 }
 
-int GetLogEmitCount(LogLevel level) {
-  return g_emit_counts[static_cast<int>(level)].load(std::memory_order_relaxed);
-}
-
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level), file_(file), line_(line) {}
 
 LogMessage::~LogMessage() {
-  g_emit_counts[static_cast<int>(level_)].fetch_add(1, std::memory_order_relaxed);
-  if (level_ >= GetLogThreshold()) {
+  if (level_ >= kThreshold) {
     const char* base = file_;
     for (const char* p = file_; *p != '\0'; ++p) {
       if (*p == '/') {

@@ -1,7 +1,7 @@
 // Minimal leveled logging for the Kite reproduction.
 //
-// Logging is intentionally tiny: simulation components log through LOG(level)
-// streams; tests and benches can raise the threshold to keep output quiet.
+// Logging is intentionally tiny: simulation components log through
+// KITE_LOG(level) streams, and messages below kWarning are discarded.
 #ifndef SRC_BASE_LOG_H_
 #define SRC_BASE_LOG_H_
 
@@ -18,10 +18,6 @@ enum class LogLevel : int {
   kError = 3,
   kFatal = 4,
 };
-
-// Global log threshold; messages below it are discarded.
-LogLevel GetLogThreshold();
-void SetLogThreshold(LogLevel level);
 
 // Crash hook: invoked once when a kFatal message (KITE_CHECK failure) fires,
 // after the message itself is written to stderr and before std::abort().
@@ -51,10 +47,6 @@ class LogMessage {
   int line_;
   std::ostringstream stream_;
 };
-
-// Sink used by tests to capture log output; returns previous count of
-// emitted messages at or above the given level.
-int GetLogEmitCount(LogLevel level);
 
 }  // namespace kite
 

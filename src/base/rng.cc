@@ -74,16 +74,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) {
-    u1 = 1e-18;
-  }
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
 Rng Rng::Fork() { return Rng(NextU64() ^ 0xa5a5a5a5deadbeefULL); }
 
 }  // namespace kite

@@ -32,9 +32,6 @@ class Rng {
   // times in open-loop load generators).
   double NextExponential(double mean);
 
-  // Standard normal via Box-Muller (used for jitter on service times).
-  double NextGaussian(double mean, double stddev);
-
   // Fork a statistically independent child generator (stable across runs).
   Rng Fork();
 

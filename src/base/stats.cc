@@ -78,11 +78,4 @@ double Stats::Percentile(double p) const {
   return samples_[rank == 0 ? 0 : rank - 1];
 }
 
-double RateCounter::PerSecond(double window_ns) const {
-  if (window_ns <= 0.0) {
-    return 0.0;
-  }
-  return total_ * 1e9 / window_ns;
-}
-
 }  // namespace kite

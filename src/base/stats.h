@@ -37,18 +37,6 @@ class Stats {
   mutable bool sorted_ = true;
 };
 
-// Time-weighted counter for rates (e.g. bytes observed over a window).
-class RateCounter {
- public:
-  void Record(double amount) { total_ += amount; }
-  double total() const { return total_; }
-  // Rate per second given a window in nanoseconds.
-  double PerSecond(double window_ns) const;
-
- private:
-  double total_ = 0.0;
-};
-
 }  // namespace kite
 
 #endif  // SRC_BASE_STATS_H_

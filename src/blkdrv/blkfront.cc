@@ -357,7 +357,6 @@ void Blkfront::FinishOpPart(const std::shared_ptr<PendingOp>& op, bool ok) {
   // The op completes when every chunk has been submitted and responded. A
   // chunk still in queue_ keeps the op alive through its shared_ptr.
   if (op->outstanding == 0 && op->chunks_pending == 0) {
-    ++ops_completed_;
     const int64_t now_ns = hv_->executor()->Now().ns();
     if (now_ns >= op->start_ns) {
       op_complete_ns_->Record(static_cast<uint64_t>(now_ns - op->start_ns));

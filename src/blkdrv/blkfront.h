@@ -43,7 +43,6 @@ class Blkfront : public XenbusFrontend {
 
   uint64_t requests_sent() const { return requests_sent_; }
   uint64_t indirect_requests() const { return indirect_requests_; }
-  uint64_t ops_completed() const { return ops_completed_; }
   size_t queued_chunks() const { return queue_.size(); }
   // Unacknowledged ring requests requeued across a backend death. Unlike
   // netfront, blkfront never drops: a write that was never acknowledged must
@@ -126,7 +125,6 @@ class Blkfront : public XenbusFrontend {
 
   uint64_t requests_sent_ = 0;
   uint64_t indirect_requests_ = 0;
-  uint64_t ops_completed_ = 0;
   uint64_t requests_requeued_ = 0;
 
   // Registry-backed under (guest domain, xvdN, <name>), ns values:

@@ -1,69 +1,33 @@
-// kite_inspect: render BENCH_*.json files and diagnostic dumps as a
-// per-domain, top-style terminal view.
+// kite_inspect: render artifacts and diagnostic dumps as a per-domain,
+// top-style terminal view.
 //
 //   kite_inspect BENCH_fig06_nuttcp.json      one bench result
 //   kite_inspect BENCH_*.json                 several (shell glob)
+//   kite_inspect /tmp/cpu.json                a KITE_TIMELINE, KITE_CPU or
+//                                             KITE_PROFILE teardown dump
 //   kite_inspect stall-dump.txt               summarize a DumpDiagnostics file
 //
-// Bench JSON is the machine-readable pipeline output (bench/common.h): flat
-// arrays of one-object-per-line rows. The parser below leans on exactly that
-// shape — it is a line scanner, not a general JSON parser, which keeps this
-// binary dependency-free (links kite_base only).
+// Every JSON export shares one layout, read by the one reader in
+// src/base/artifact.h, which keeps this binary dependency-free (links
+// kite_base only). Sections with a view of their own (series, latency,
+// stage_latency_ns, counters, timelines) render below; any other section
+// prints its rows.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/base/artifact.h"
 #include "src/base/strings.h"
 
 namespace {
 
+using kite::Artifact;
+using kite::ArtifactRow;
 using kite::StrFormat;
-
-// --- Line-level field extraction for bench rows. ---
-
-// Value of "key":"..." on this line (optional space after the colon), or
-// empty.
-std::string FieldStr(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  size_t at = line.find(needle);
-  if (at == std::string::npos) {
-    return "";
-  }
-  at += needle.size();
-  while (at < line.size() && line[at] == ' ') {
-    ++at;
-  }
-  if (at >= line.size() || line[at] != '"') {
-    return "";
-  }
-  const size_t begin = at + 1;
-  std::string out;
-  for (size_t i = begin; i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      out.push_back(line[++i]);
-    } else if (line[i] == '"') {
-      return out;
-    } else {
-      out.push_back(line[i]);
-    }
-  }
-  return out;
-}
-
-// Value of "key":<number> on this line, or fallback.
-double FieldNum(const std::string& line, const std::string& key, double fallback = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos || line.compare(at + needle.size(), 1, "\"") == 0) {
-    return fallback;
-  }
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
 
 std::string HumanCount(double v) {
   if (v >= 1e9) {
@@ -78,57 +42,12 @@ std::string HumanCount(double v) {
   return StrFormat("%.10g", v);
 }
 
-struct CounterRow {
-  std::string label;
-  std::string domain;
-  std::string device;
-  std::string name;
-  double value = 0;
-};
-
-struct StageRow {
-  std::string label;
-  std::string key;
-  double count = 0, p50 = 0, p99 = 0;
-};
-
 struct TimelineRow {
-  std::string label;
   std::string domain;
   std::string device;
   std::string name;
-  std::string kind;
-  double period_ns = 0;
   std::vector<double> values;  // One per sample tick, time-ordered.
 };
-
-// Parses the "points":[[t_ns,v],...] pair list on a timeline row.
-void ParsePoints(const std::string& line, TimelineRow* row) {
-  const size_t at = line.find("\"points\":[");
-  if (at == std::string::npos) {
-    return;
-  }
-  const char* p = line.c_str() + at + std::strlen("\"points\":[");
-  while (*p != '\0' && *p != ']') {
-    if (*p == '[') {
-      char* end = nullptr;
-      std::strtod(p + 1, &end);  // Timestamp: implied by index * period.
-      if (end == nullptr || *end != ',') {
-        return;
-      }
-      row->values.push_back(std::strtod(end + 1, &end));
-      p = end;
-      while (*p == ']') {
-        ++p;  // Closes this pair; the loop's outer ']' closes the list.
-      }
-      if (*p == ',') {
-        ++p;
-      }
-    } else {
-      ++p;
-    }
-  }
-}
 
 // An 8-level Unicode block-bar sparkline, min..max scaled. Long series are
 // resampled down to `width` buckets (max within each bucket, so a one-tick
@@ -183,112 +102,49 @@ bool SplitKey3(const std::string& key, std::string* domain, std::string* device,
   return true;
 }
 
-bool SplitKey(const std::string& key, CounterRow* row) {
-  return SplitKey3(key, &row->domain, &row->device, &row->name);
-}
-
-int InspectBenchJson(const std::string& path, std::ifstream& in) {
-  std::string line;
-  std::string figure, title, git_sha, params;
-  std::vector<std::string> series, latency;
-  std::vector<CounterRow> counters;
-  std::vector<StageRow> stages;
-  std::vector<TimelineRow> timelines;
-  enum Section { kNone, kSeries, kLatency, kStage, kCounters, kTimelines } section = kNone;
-  while (std::getline(in, line)) {
-    if (line.find("\"figure\":") != std::string::npos) {
-      figure = FieldStr(line, "figure");
-    } else if (line.find("\"title\":") != std::string::npos && title.empty()) {
-      title = FieldStr(line, "title");
-    } else if (line.find("\"git_sha\":") != std::string::npos) {
-      git_sha = FieldStr(line, "git_sha");
-    } else if (line.find("\"params\":") != std::string::npos) {
-      const size_t open = line.find('{');
-      const size_t close = line.rfind('}');
-      if (open != std::string::npos && close != std::string::npos && close > open) {
-        params = line.substr(open + 1, close - open - 1);
-      }
-    } else if (line.find("\"series\": [") != std::string::npos) {
-      section = kSeries;
-    } else if (line.find("\"latency\": [") != std::string::npos) {
-      section = kLatency;
-    } else if (line.find("\"stage_latency_ns\": [") != std::string::npos) {
-      section = kStage;
-    } else if (line.find("\"counters\": [") != std::string::npos) {
-      section = kCounters;
-    } else if (line.find("\"timelines\": [") != std::string::npos) {
-      section = kTimelines;
-    } else if (line.find('{') != std::string::npos && section != kNone) {
-      switch (section) {
-        case kSeries:
-          series.push_back(StrFormat("%-28s %-20s %s",
-                                     FieldStr(line, "name").c_str(),
-                                     FieldStr(line, "label").c_str(),
-                                     StrFormat("%.10g", FieldNum(line, "value")).c_str()));
-          break;
-        case kLatency:
-          latency.push_back(StrFormat(
-              "%-28s %-20s n=%-9s p50=%-9s p99=%-9s max=%s",
-              FieldStr(line, "name").c_str(), FieldStr(line, "label").c_str(),
-              HumanCount(FieldNum(line, "count")).c_str(),
-              StrFormat("%.1fus", FieldNum(line, "p50_ns") / 1e3).c_str(),
-              StrFormat("%.1fus", FieldNum(line, "p99_ns") / 1e3).c_str(),
-              StrFormat("%.1fus", FieldNum(line, "max_ns") / 1e3).c_str()));
-          break;
-        case kStage: {
-          StageRow s;
-          s.label = FieldStr(line, "label");
-          s.key = FieldStr(line, "key");
-          s.count = FieldNum(line, "count");
-          s.p50 = FieldNum(line, "p50");
-          s.p99 = FieldNum(line, "p99");
-          stages.push_back(std::move(s));
-          break;
-        }
-        case kCounters: {
-          CounterRow c;
-          c.label = FieldStr(line, "label");
-          c.value = FieldNum(line, "value");
-          if (SplitKey(FieldStr(line, "key"), &c)) {
-            counters.push_back(std::move(c));
-          }
-          break;
-        }
-        case kTimelines: {
-          TimelineRow t;
-          t.label = FieldStr(line, "label");
-          t.kind = FieldStr(line, "kind");
-          t.period_ns = FieldNum(line, "period_ns");
-          if (SplitKey3(FieldStr(line, "key"), &t.domain, &t.device, &t.name)) {
-            ParsePoints(line, &t);
-            timelines.push_back(std::move(t));
-          }
-          break;
-        }
-        case kNone:
-          break;
-      }
-    }
+int InspectArtifact(const std::string& path, std::ifstream& in) {
+  Artifact doc;
+  std::string error;
+  if (!kite::ReadArtifact(in, &doc, &error)) {
+    std::fprintf(stderr, "kite_inspect: %s: %s\n", path.c_str(), error.c_str());
+    return 1;
   }
-
+  const std::string figure = doc.top.Str("figure");
+  const std::string git_sha = doc.top.Str("git_sha");
   std::printf("== %s — %s (git %s)\n", figure.empty() ? path.c_str() : figure.c_str(),
-              title.c_str(), git_sha.empty() ? "?" : git_sha.c_str());
-  if (!params.empty()) {
-    std::printf("   params: %s\n", params.c_str());
+              doc.top.Str("title").c_str(), git_sha.empty() ? "?" : git_sha.c_str());
+  if (const std::string_view params = doc.top.Raw("params"); params.size() > 2) {
+    std::printf("   params: %.*s\n", static_cast<int>(params.size() - 2), params.data() + 1);
   }
-  if (!series.empty()) {
+  if (!doc.sections["series"].empty()) {
     std::printf("-- series --\n");
-    for (const std::string& s : series) {
-      std::printf("  %s\n", s.c_str());
+    for (const ArtifactRow& r : doc.sections["series"]) {
+      std::printf("  %-28s %-20s %.10g\n", r.Str("name").c_str(), r.Str("label").c_str(),
+                  r.Num("value"));
     }
   }
-  if (!latency.empty()) {
+  if (!doc.sections["latency"].empty()) {
     std::printf("-- workload latency --\n");
-    for (const std::string& s : latency) {
-      std::printf("  %s\n", s.c_str());
+    for (const ArtifactRow& r : doc.sections["latency"]) {
+      std::printf("  %-28s %-20s n=%-9s p50=%-9s p99=%-9s max=%s\n",
+                  r.Str("name").c_str(), r.Str("label").c_str(),
+                  HumanCount(r.Num("count")).c_str(),
+                  StrFormat("%.1fus", r.Num("p50_ns") / 1e3).c_str(),
+                  StrFormat("%.1fus", r.Num("p99_ns") / 1e3).c_str(),
+                  StrFormat("%.1fus", r.Num("max_ns") / 1e3).c_str());
     }
   }
 
+  std::vector<TimelineRow> timelines;
+  for (const ArtifactRow& r : doc.sections["timelines"]) {
+    TimelineRow t;
+    if (SplitKey3(r.Str("key"), &t.domain, &t.device, &t.name)) {
+      for (const auto& [t_ns, v] : r.Points("points")) {
+        t.values.push_back(v);  // Timestamps are implied by index * period.
+      }
+      timelines.push_back(std::move(t));
+    }
+  }
   // Sampled timelines (DESIGN.md §15): per domain, the few series that moved
   // the most as sparklines, then the biggest movers across the whole run.
   if (!timelines.empty()) {
@@ -325,7 +181,7 @@ int InspectBenchJson(const std::string& path, std::ifstream& in) {
       by_domain[t.domain].push_back(rank(t));
     }
     std::printf("-- timelines: %zu series, %.10g ms/tick --\n", timelines.size(),
-                timelines[0].period_ns / 1e6);
+                doc.sections["timelines"][0].Num("period_ns") / 1e6);
     constexpr size_t kPerDomain = 3;
     for (auto& [domain, rows] : by_domain) {
       std::sort(rows.begin(), rows.end(), moves_more);
@@ -364,12 +220,16 @@ int InspectBenchJson(const std::string& path, std::ifstream& in) {
 
   // The top-style view: per run label, per domain, its devices' counters.
   std::map<std::string, std::map<std::string, std::map<std::string, std::string>>> top;
-  for (const CounterRow& c : counters) {
-    std::string& cell = top[c.label][c.domain][c.device];
+  for (const ArtifactRow& r : doc.sections["counters"]) {
+    std::string domain, device, name;
+    if (!SplitKey3(r.Str("key"), &domain, &device, &name)) {
+      continue;
+    }
+    std::string& cell = top[r.Str("label")][domain][device];
     if (!cell.empty()) {
       cell += " ";
     }
-    cell += c.name + "=" + HumanCount(c.value);
+    cell += name + "=" + HumanCount(r.Num("value"));
   }
   for (const auto& [label, domains] : top) {
     std::printf("-- run %s: %zu domain(s) --\n", label.c_str(), domains.size());
@@ -379,11 +239,24 @@ int InspectBenchJson(const std::string& path, std::ifstream& in) {
         std::printf("    %-16s %s\n", device.c_str(), cell.c_str());
       }
     }
-    for (const StageRow& s : stages) {
-      if (s.label == label) {
-        std::printf("  stage %-40s n=%-9s p50=%.1fus p99=%.1fus\n", s.key.c_str(),
-                    HumanCount(s.count).c_str(), s.p50 / 1e3, s.p99 / 1e3);
+    for (const ArtifactRow& s : doc.sections["stage_latency_ns"]) {
+      if (s.Str("label") == label) {
+        std::printf("  stage %-40s n=%-9s p50=%.1fus p99=%.1fus\n", s.Str("key").c_str(),
+                    HumanCount(s.Num("count")).c_str(), s.Num("p50") / 1e3, s.Num("p99") / 1e3);
       }
+    }
+  }
+
+  // Every other section (a dispatch profile's sites; a CPU report's actors,
+  // categories and wait): its rows as written.
+  for (const auto& [name, rows] : doc.sections) {
+    if (name == "series" || name == "latency" || name == "stage_latency_ns" ||
+        name == "counters" || name == "timelines") {
+      continue;
+    }
+    std::printf("-- %s: %zu row(s) --\n", name.c_str(), rows.size());
+    for (const ArtifactRow& r : rows) {
+      std::printf("  %s\n", r.text.c_str());
     }
   }
   return 0;
@@ -438,21 +311,15 @@ int InspectFile(const std::string& path) {
     std::fprintf(stderr, "kite_inspect: cannot open %s\n", path.c_str());
     return 1;
   }
-  // Sniff the format: bench JSON starts with '{'; a DumpDiagnostics file
-  // starts with its banner.
+  // A DumpDiagnostics file starts with its banner; anything else must be an
+  // artifact, and the reader names the first line that is not.
   std::string first;
   std::getline(in, first);
   in.seekg(0);
-  if (first.rfind('{', 0) == 0) {
-    return InspectBenchJson(path, in);
-  }
   if (first.rfind("==== KITE DIAGNOSTICS", 0) == 0) {
     return InspectDiagnosticsDump(path, in);
   }
-  std::fprintf(stderr,
-               "kite_inspect: %s is neither a BENCH_*.json nor a diagnostics dump\n",
-               path.c_str());
-  return 1;
+  return InspectArtifact(path, in);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 
+#include "src/base/artifact.h"
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/core/invariants.h"
@@ -19,13 +19,7 @@ namespace {
 // teardown, or warns; an empty path means the variable was unset.
 template <typename Render>
 void WriteEnvArtifact(const std::string& path, const char* what, Render render) {
-  if (path.empty()) {
-    return;
-  }
-  std::ofstream out(path);
-  if (out) {
-    out << render();
-  } else {
+  if (!path.empty() && !WriteArtifactFile(path, render())) {
     KITE_LOG(Warning) << "cannot write " << what << " to " << path;
   }
 }
@@ -310,8 +304,7 @@ NetworkDomain* KiteSystem::CreateNetworkDomainImpl(DriverDomainConfig config,
   } else {
     nd->nic_ = std::make_unique<Nic>(&executor_,
                                      StrFormat("0000:03:00.%d", next_nic_fn_++), "ixg0",
-                                     MacAddr::FromId(0x100000u + next_mac_id_++),
-                                     params_.nic);
+                                     MacAddr::FromId(0x100000u + next_mac_id_++));
     nd->nic_->set_fault_injector(&faults_);
   }
   hv_->AssignPci(nd->nic_.get(), nd->domain_, /*iommu=*/true);
@@ -446,9 +439,8 @@ void KiteSystem::EnsureClient() {
   if (hv_->cpu_attribution()) {
     client_->vcpu_->EnableAttribution();
   }
-  NicParams client_nic = params_.nic;
   client_->nic_ = std::make_unique<Nic>(&executor_, "client:0000:02:00.0", "enp2s0",
-                                        MacAddr::FromId(0x200000u), client_nic);
+                                        MacAddr::FromId(0x200000u));
   client_->nic_->set_fault_injector(&faults_);
   client_->nic_->SetProcessingVcpu(client_->vcpu_.get());
   StackParams client_stack;
@@ -465,7 +457,7 @@ void KiteSystem::EnsureSwitch() {
   if (switch_ != nullptr) {
     return;
   }
-  switch_ = std::make_unique<EtherSwitch>(&executor_, "tor0", params_.nic);
+  switch_ = std::make_unique<EtherSwitch>(&executor_, "tor0");
   // Re-cable the existing direct link (client <-> first network domain)
   // through the switch. Frames already on the wire still arrive.
   Nic* client_nic = client_->nic_.get();

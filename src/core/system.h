@@ -143,7 +143,6 @@ class ClientMachine {
 class KiteSystem {
  public:
   struct Params {
-    NicParams nic;
     DiskParams disk;
     bool disk_store_data = false;
     // When true (default for tests/benches), domain boot completes
@@ -391,7 +390,6 @@ class KiteSystem {
   std::unique_ptr<MigrationEngine> migrate_;
   Ipv4Addr gateway_ip_;
   Ipv4Addr client_ip_;
-  int next_host_ = 10;
   int next_mac_id_ = 1;
   int next_nic_fn_ = 0;   // PCI function suffix for additional NICs.
   int next_disk_fn_ = 0;  // PCI function suffix for additional disks.

@@ -52,7 +52,12 @@ void XenbusFrontend::Begin() {
     SwitchState(XenbusState::kInitialising);
   }
   // The watch fires once on registration: if the backend already advertises
-  // InitWait a vbd publishes then, otherwise when it gets there.
+  // InitWait a vbd publishes then, otherwise when it gets there. A relink
+  // replaces the watch on the old backend, which a vbd still holds when that
+  // backend died before the vbd published.
+  if (backend_watch_ != 0) {
+    hv_->store().RemoveWatch(backend_watch_);
+  }
   backend_watch_ = guest_->StoreWatch(backend_path_ + "/state", "backend-state",
                                       [this](const std::string&, const std::string&) {
                                         OnBackendStateChange();

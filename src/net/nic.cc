@@ -4,17 +4,28 @@
 #include "src/hv/domain.h"
 
 namespace kite {
+namespace {
+
+// The 10GbE NIC: line rate, cable, driver per-frame costs and ring depths in
+// frames (both rings drop tail).
+constexpr double kLineGbps = 10.0;
+constexpr SimDuration kPropagation = Nanos(500);  // Direct SFI/SFP+ cable.
+constexpr SimDuration kRxFrameCost = Nanos(250);
+constexpr SimDuration kTxFrameCost = Nanos(200);
+constexpr SimDuration kIrqLatency = Micros(1);
+constexpr size_t kTxQueueFrames = 1024;
+constexpr size_t kRxQueueFrames = 1024;
+
+}  // namespace
 
 void NicNetIf::Output(EthernetFrame frame) {
   CountTx(frame);
   nic_->Transmit(std::move(frame));
 }
 
-Nic::Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac,
-         NicParams params)
+Nic::Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac)
     : PciDevice(std::move(bdf), "10GbE NIC"),
       executor_(executor),
-      params_(params),
       netif_(std::move(ifname), mac, this) {}
 
 Nic::~Nic() {
@@ -48,20 +59,20 @@ void Nic::Transmit(EthernetFrame frame) {
   // Bounded transmit queue: when the backlog fills the ring, drop the tail —
   // what a real NIC does under overload.
   const SimTime now = executor_->Now();
-  if (QueueFull(wire_.size(), params_.tx_queue_frames)) {
+  if (QueueFull(wire_.size(), kTxQueueFrames)) {
     ++tx_dropped_;
     return;
   }
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/nic"));
-    vcpu_->Charge(params_.tx_frame_cost);
+    vcpu_->Charge(kTxFrameCost);
   }
   const double bits = static_cast<double>(frame.WireBytes()) * 8.0;
-  const SimDuration wire_time = Nanos(static_cast<int64_t>(bits / params_.gbps));
+  const SimDuration wire_time = Nanos(static_cast<int64_t>(bits / kLineGbps));
   SimTime start = tx_free_at_ > now ? tx_free_at_ : now;
   tx_free_at_ = start + wire_time;
   wire_.emplace_back(peer_, std::move(frame));
-  executor_->PostAt(tx_free_at_ + params_.propagation, KITE_POST_SITE("nic/wire-arrival"),
+  executor_->PostAt(tx_free_at_ + kPropagation, KITE_POST_SITE("nic/wire-arrival"),
                     [this] { LandOnPeer(); });
 }
 
@@ -83,7 +94,7 @@ void Nic::Arrive(EthernetFrame&& frame) {
       return;
     }
   }
-  if (QueueFull(rx_queue_.size(), params_.rx_queue_frames)) {
+  if (QueueFull(rx_queue_.size(), kRxQueueFrames)) {
     ++rx_dropped_;
     return;
   }
@@ -96,7 +107,7 @@ void Nic::ScheduleRxDrain() {
     return;
   }
   rx_drain_scheduled_ = true;
-  executor_->PostAfter(params_.irq_latency, KITE_POST_SITE("nic/rx-irq"),
+  executor_->PostAfter(kIrqLatency, KITE_POST_SITE("nic/rx-irq"),
                        [this] { DrainRx(); });
 }
 
@@ -109,7 +120,7 @@ void Nic::DrainRx() {
     rx_queue_.pop_front();
     if (vcpu_ != nullptr) {
       CpuScope cpu_scope(KITE_CPU_CATEGORY("net/nic"));
-      vcpu_->Charge(params_.rx_frame_cost);
+      vcpu_->Charge(kRxFrameCost);
     }
     ++rx_delivered_;
     netif_.DeliverInput(std::move(frame));

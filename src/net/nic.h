@@ -32,27 +32,13 @@ class NicNetIf : public NetIf {
   Nic* nic_;
 };
 
-struct NicParams {
-  double gbps = 10.0;
-  SimDuration propagation = Nanos(500);   // Direct SFI/SFP+ cable.
-  SimDuration rx_frame_cost = Nanos(250);  // Driver per-frame receive cost.
-  SimDuration tx_frame_cost = Nanos(200);  // Driver per-frame transmit cost.
-  SimDuration irq_latency = Micros(1);
-  // Ring depths, in frames; both rings drop tail. As for every queue in
-  // src/net/queue.h, 0 means unbounded — never drop — not "drop everything".
-  size_t tx_queue_frames = 1024;
-  size_t rx_queue_frames = 1024;
-};
-
 class Nic : public PciDevice {
  public:
-  Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac,
-      NicParams params = NicParams{});
+  Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac);
   ~Nic() override;
 
   NetIf* netif() { return &netif_; }
   MacAddr mac() const { return netif_.mac(); }
-  const NicParams& params() const { return params_; }
 
   // Connects two NICs back to back (full duplex).
   static void ConnectBackToBack(Nic* a, Nic* b);
@@ -90,7 +76,6 @@ class Nic : public PciDevice {
   void DrainRx();
 
   Executor* executor_;
-  NicParams params_;
   NicNetIf netif_;
   Nic* peer_ = nullptr;
   Vcpu* vcpu_ = nullptr;

@@ -24,22 +24,9 @@ class EtherStack;
 class TcpConn;
 class TcpListener;
 
-// TCP congestion/retransmission knobs (defaults follow RFC 5681/6298, with
-// the simulator's historical 10 ms initial RTO and a low floor because
-// simulated RTTs are microseconds, not the internet's milliseconds).
-struct TcpParams {
-  uint32_t initial_cwnd_segments = 10;   // RFC 6928 IW10.
-  uint32_t dupack_threshold = 3;         // Fast retransmit trigger.
-  SimDuration initial_rto = Millis(10);  // Before the first RTT sample.
-  SimDuration min_rto = Millis(1);       // Floor for the computed RTO.
-  SimDuration max_rto = Seconds(4);      // Exponential-backoff ceiling.
-  uint32_t max_retransmits = 30;         // Consecutive timeouts before abort.
-};
-
 struct StackParams {
   SimDuration per_packet_cost = Nanos(550);  // Per-packet protocol processing.
   SimDuration icmp_reply_cost = Nanos(700);
-  TcpParams tcp;
   // Optional observability. With `metrics` set the stack exports aggregate
   // TCP counters under (metrics_domain, "tcp", <name>); with
   // `per_flow_metrics` additionally per-connection cwnd/ssthresh/srtt/

@@ -5,10 +5,9 @@
 
 namespace kite {
 
-EtherSwitch::EtherSwitch(Executor* executor, std::string name, NicParams port_params)
+EtherSwitch::EtherSwitch(Executor* executor, std::string name)
     : executor_(executor),
       name_(std::move(name)),
-      port_params_(port_params),
       bridge_(name_ + ":fabric", /*vcpu=*/nullptr, /*forward_cost=*/Nanos(0)) {}
 
 void EtherSwitch::Plug(Nic* endpoint) {
@@ -19,7 +18,7 @@ void EtherSwitch::Plug(Nic* endpoint) {
   auto port = std::make_unique<Nic>(
       executor_, StrFormat("%s:port%d", name_.c_str(), n),
       StrFormat("%s-p%d", name_.c_str(), n),
-      MacAddr::FromId(0x400000u + static_cast<uint32_t>(n)), port_params_);
+      MacAddr::FromId(0x400000u + static_cast<uint32_t>(n)));
   port->netif()->SetUp(true);
   bridge_.AddIf(port->netif());
   Nic::ConnectBackToBack(port.get(), endpoint);

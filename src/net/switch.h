@@ -28,7 +28,7 @@ namespace kite {
 
 class EtherSwitch {
  public:
-  EtherSwitch(Executor* executor, std::string name, NicParams port_params = NicParams{});
+  EtherSwitch(Executor* executor, std::string name);
 
   EtherSwitch(const EtherSwitch&) = delete;
   EtherSwitch& operator=(const EtherSwitch&) = delete;
@@ -47,7 +47,6 @@ class EtherSwitch {
  private:
   Executor* executor_;
   std::string name_;
-  NicParams port_params_;
   Bridge bridge_;
   std::vector<std::unique_ptr<Nic>> ports_;
 };

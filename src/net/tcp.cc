@@ -13,6 +13,16 @@ int32_t SeqDiff(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b); }
 
 constexpr uint32_t kMss = static_cast<uint32_t>(kTcpMss);
 
+// Congestion and retransmission (RFC 5681/6298), with the simulator's
+// historical 10 ms initial RTO and a low floor because simulated RTTs are
+// microseconds, not the internet's milliseconds.
+constexpr uint32_t kInitialCwndSegments = 10;    // RFC 6928 IW10.
+constexpr uint32_t kDupackThreshold = 3;         // Fast retransmit trigger.
+constexpr SimDuration kInitialRto = Millis(10);  // Before the first RTT sample.
+constexpr SimDuration kMinRto = Millis(1);       // Floor for the computed RTO.
+constexpr SimDuration kMaxRto = Seconds(4);      // Exponential-backoff ceiling.
+constexpr uint32_t kMaxRetransmits = 30;         // Consecutive timeouts before abort.
+
 }  // namespace
 
 const char* TcpStateName(TcpState state) {
@@ -37,9 +47,8 @@ TcpConn::TcpConn(EtherStack* stack, Ipv4Addr peer_ip, uint16_t peer_port,
   // Deterministic ISN derived from the 4-tuple keeps runs reproducible.
   snd_una_ = snd_nxt_ = snd_max_ =
       (static_cast<uint32_t>(local_port) << 16) ^ peer_ip.value ^ 0x1d073c9u;
-  const TcpParams& tp = stack_->params().tcp;
-  cwnd_ = tp.initial_cwnd_segments * kMss;
-  rto_ = tp.initial_rto;
+  cwnd_ = kInitialCwndSegments * kMss;
+  rto_ = kInitialRto;
   ledger_ = stack_->LedgerFor(peer_ip_, peer_port_, local_port_);
   if (stack_->params().per_flow_metrics && stack_->params().metrics != nullptr) {
     MetricRegistry* reg = stack_->params().metrics;
@@ -289,7 +298,6 @@ void TcpConn::OnAck(const TcpSegment& seg) {
 }
 
 void TcpConn::OnDupAck() {
-  const TcpParams& tp = stack_->params().tcp;
   ++dup_acks_;
   if (in_fast_recovery_) {
     // Each further dup-ACK means another segment left the network: inflate.
@@ -298,7 +306,7 @@ void TcpConn::OnDupAck() {
     PumpSend();
     return;
   }
-  if (dup_acks_ == tp.dupack_threshold) {
+  if (dup_acks_ == kDupackThreshold) {
     // Fast retransmit: the head segment is presumed lost.
     ssthresh_ = std::max(FlightSize() / 2, 2 * kMss);
     RetransmitHead();
@@ -584,14 +592,13 @@ void TcpConn::OnRto(uint64_t generation) {
   if (generation != rto_generation_ || !rto_armed_ || state_ == TcpState::kClosed) {
     return;
   }
-  const TcpParams& tp = stack_->params().tcp;
   rto_armed_ = false;
   ++retransmits_;
   ++rto_retries_;
   if (stack_->tcp_counters_.rto_fires != nullptr) {
     stack_->tcp_counters_.rto_fires->Inc();
   }
-  if (rto_retries_ > tp.max_retransmits) {
+  if (rto_retries_ > kMaxRetransmits) {
     Abort();
     if (close_cb_ && !close_delivered_) {
       close_delivered_ = true;
@@ -607,7 +614,7 @@ void TcpConn::OnRto(uint64_t generation) {
     in_fast_recovery_ = false;
     dup_acks_ = 0;
   }
-  rto_ = std::min(rto_ * 2, tp.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   rtt_probe_armed_ = false;
   UpdateFlowGauges();
   // Go-back-N: rewind snd_nxt to the last acknowledged point and resend.
@@ -658,16 +665,15 @@ void TcpConn::UpdateRtt(SimDuration sample) {
 }
 
 void TcpConn::RecomputeRto() {
-  const TcpParams& tp = stack_->params().tcp;
   if (!srtt_valid_) {
-    rto_ = tp.initial_rto;
+    rto_ = kInitialRto;
     return;
   }
   SimDuration var = rttvar_ * 4;
   if (var < Micros(1)) {
     var = Micros(1);
   }
-  rto_ = std::clamp(srtt_ + var, tp.min_rto, tp.max_rto);
+  rto_ = std::clamp(srtt_ + var, kMinRto, kMaxRto);
 }
 
 void TcpConn::UpdateFlowGauges() {

@@ -154,7 +154,7 @@ class TcpConn {
   bool fin_ever_sent_ = false;
 
   // Congestion control (byte-counted, RFC 5681).
-  uint32_t cwnd_ = 0;      // Initialized from TcpParams in the constructor.
+  uint32_t cwnd_ = 0;      // Initialized in the constructor.
   uint32_t ssthresh_ = kTcpWindowBytes;
   uint32_t dup_acks_ = 0;
   bool in_fast_recovery_ = false;
@@ -187,7 +187,7 @@ class TcpConn {
   // Retransmission timer.
   uint64_t rto_generation_ = 0;
   bool rto_armed_ = false;
-  SimDuration rto_;  // Initialized from TcpParams in the constructor.
+  SimDuration rto_;  // Initialized in the constructor.
   uint32_t retransmits_ = 0;       // Lifetime stat (exported as a gauge).
   uint32_t fast_retransmits_ = 0;  // Lifetime stat (exported as a gauge).
   // Consecutive RTO fires with no forward progress; this — not the lifetime

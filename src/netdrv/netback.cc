@@ -73,10 +73,6 @@ bool NetbackInstance::TxConservationHolds(std::string* detail) const {
   return false;
 }
 
-uint64_t NetbackInstance::tx_requests_consumed() const {
-  return tx_ring_ != nullptr ? tx_ring_->req_cons() : 0;
-}
-
 bool NetbackInstance::RingsQuiescent(std::string* detail) const {
   return tx_ring_ == nullptr || rx_ring_ == nullptr ||  // Never connected.
          (AuditRing(*tx_ring_, "tx", /*requests_may_wait=*/false, detail) &&

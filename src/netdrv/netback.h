@@ -83,27 +83,20 @@ class NetbackInstance : public NetIf, public XenbusBackendInstance {
   // Guest Tx requests rejected before any copy because offset/size fell
   // outside the granted page (malformed or malicious ring input).
   uint64_t tx_bad_requests() const { return tx_bad_requests_->value(); }
-  // Rx copies toward the guest that failed (bad gref, injected fault).
-  uint64_t rx_copy_fails() const { return rx_copy_fails_->value(); }
-  // Tx copies from the guest that failed (bad gref, injected fault).
-  uint64_t tx_copy_fails() const { return tx_copy_fails_->value(); }
   // In-bounds, copyable Tx payloads that did not parse as an Ethernet frame
   // (acknowledged kOkay — the bytes moved — but never reached the bridge).
   uint64_t tx_unparseable() const { return tx_unparseable_->value(); }
-  // Tx ring requests consumed so far. Every consumed request is resolved as
-  // exactly one of: delivered to the bridge (guest_tx_frames), shape-rejected
-  // (tx_bad_requests), copy-failed (tx_copy_fails), or unparseable
-  // (tx_unparseable) — the per-vif conservation law the checker audits.
-  uint64_t tx_requests_consumed() const;
 
   // True when both rings are quiet: every published Tx request consumed, one
   // response per consumed request on both rings, and everything pushed back
   // to the frontend. On false, `detail` (if non-null) says which leg failed.
   bool RingsQuiescent(std::string* detail) const;
 
-  // Audits the per-vif conservation law over *this instance's* lifetime
-  // (registry counters are baselined at construction because the same key
-  // persists across driver-domain restarts while ring indices reset).
+  // Audits the per-vif conservation law over *this instance's* lifetime:
+  // every consumed Tx request is resolved as exactly one of delivered to the
+  // bridge, shape-rejected, copy-failed or unparseable. Registry counters are
+  // baselined at construction because the same key persists across
+  // driver-domain restarts while ring indices reset.
   bool TxConservationHolds(std::string* detail) const;
 
  private:

@@ -32,9 +32,6 @@ class Netfront : public NetIf, public XenbusFrontend {
   uint64_t rx_errors() const { return rx_errors_->value(); }
   // In-flight tx frames discarded on backend death (net drops; TCP retransmits).
   uint64_t recovery_drops() const { return recovery_drops_->value(); }
-  // Rx responses whose offset/size fell outside the posted page — a
-  // misbehaving or compromised backend (also counted in rx_errors).
-  uint64_t rx_bad_responses() const { return rx_bad_responses_->value(); }
 
  private:
   // XenbusFrontend: publish both rings and every data page; on backend

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/base/artifact.h"
 #include "src/base/strings.h"
 
 namespace kite {
@@ -110,62 +111,46 @@ std::string FormatCpuAttribution(const std::vector<CpuActor>& actors, SimTime no
 }
 
 std::string CpuReportJson(const std::vector<CpuActor>& actors, SimTime now) {
-  std::string json =
-      StrFormat("{\n  \"t_ns\": %lld,\n  \"actors\": [\n",
-                static_cast<long long>(now.ns()));
-  size_t emitted = 0;
-  size_t present = 0;
-  for (const CpuActor& actor : actors) {
-    if (actor.vcpu != nullptr) {
-      ++present;
-    }
-  }
+  std::vector<std::string> rows, waits, categories;
   for (const CpuActor& actor : actors) {
     if (actor.vcpu == nullptr) {
       continue;
     }
     const Vcpu& cpu = *actor.vcpu;
-    const double util =
-        Vcpu::Utilization(SimDuration(0), cpu.busy_total(), now - SimTime(0));
-    json += StrFormat(
-        "    {\"domain\": \"%s\", \"vcpu\": %d, \"attribution\": %s, "
-        "\"busy_ns\": %llu, \"util\": %.6f",
-        actor.domain.c_str(), actor.vcpu_index,
-        cpu.attribution_enabled() ? "true" : "false",
-        static_cast<unsigned long long>(cpu.busy_total().ns()), util);
-    if (cpu.attribution_enabled()) {
-      const CpuLedger& ledger = *cpu.ledger();
-      const LatencyHistogram& wait = ledger.wait_hist;
-      json += StrFormat(
-          ",\n     \"wait\": {\"count\": %llu, \"total_ns\": %llu, "
-          "\"max_ns\": %llu, \"p50_ns\": %llu, \"p90_ns\": %llu, "
-          "\"p99_ns\": %llu},\n     \"categories\": [",
-          static_cast<unsigned long long>(wait.count()),
-          static_cast<unsigned long long>(wait.sum()),
-          static_cast<unsigned long long>(wait.max()),
-          static_cast<unsigned long long>(wait.Percentile(50)),
-          static_cast<unsigned long long>(wait.Percentile(90)),
-          static_cast<unsigned long long>(wait.Percentile(99)));
-      const std::vector<CategoryRow> rows = SortedCategories(ledger);
-      const uint64_t busy_ns = static_cast<uint64_t>(cpu.busy_total().ns());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const CategoryRow& row = rows[i];
-        const double share =
-            busy_ns == 0 ? 0
-                         : static_cast<double>(row.busy_ns) /
-                               static_cast<double>(busy_ns);
-        json += StrFormat(
-            "%s\n      {\"label\": \"%s\", \"busy_ns\": %llu, \"share\": %.6f}",
-            i == 0 ? "" : ",", CpuCategoryLabel(row.index),
-            static_cast<unsigned long long>(row.busy_ns), share);
-      }
-      json += rows.empty() ? "]" : "\n     ]";
+    const uint64_t busy_ns = static_cast<uint64_t>(cpu.busy_total().ns());
+    const std::string id = StrFormat("\"domain\":\"%s\",\"vcpu\":%d",
+                                     JsonEscape(actor.domain).c_str(), actor.vcpu_index);
+    rows.push_back(StrFormat(
+        "{%s,\"attribution\":%s,\"busy_ns\":%llu,\"util\":%.6f}", id.c_str(),
+        cpu.attribution_enabled() ? "true" : "false", static_cast<unsigned long long>(busy_ns),
+        Vcpu::Utilization(SimDuration(0), cpu.busy_total(), now - SimTime(0))));
+    if (!cpu.attribution_enabled()) {
+      continue;
     }
-    ++emitted;
-    json += StrFormat("}%s\n", emitted < present ? "," : "");
+    const LatencyHistogram& wait = cpu.ledger()->wait_hist;
+    waits.push_back(StrFormat(
+        "{%s,\"count\":%llu,\"total_ns\":%llu,\"max_ns\":%llu,\"p50_ns\":%llu,"
+        "\"p90_ns\":%llu,\"p99_ns\":%llu}",
+        id.c_str(), static_cast<unsigned long long>(wait.count()),
+        static_cast<unsigned long long>(wait.sum()),
+        static_cast<unsigned long long>(wait.max()),
+        static_cast<unsigned long long>(wait.Percentile(50)),
+        static_cast<unsigned long long>(wait.Percentile(90)),
+        static_cast<unsigned long long>(wait.Percentile(99))));
+    for (const CategoryRow& row : SortedCategories(*cpu.ledger())) {
+      const double share =
+          busy_ns == 0 ? 0 : static_cast<double>(row.busy_ns) / static_cast<double>(busy_ns);
+      categories.push_back(StrFormat(
+          "{%s,\"label\":\"%s\",\"busy_ns\":%llu,\"share\":%.6f}", id.c_str(),
+          CpuCategoryLabel(row.index), static_cast<unsigned long long>(row.busy_ns), share));
+    }
   }
-  json += "  ]\n}\n";
-  return json;
+  ArtifactWriter doc;
+  doc.Field("t_ns", StrFormat("%lld", static_cast<long long>(now.ns())));
+  doc.Array("actors", rows);
+  doc.Array("wait", waits);
+  doc.Array("categories", categories);
+  return doc.Render();
 }
 
 void CpuMetricsPump::Pump(const std::vector<CpuActor>& actors, SimTime now) {

@@ -35,9 +35,10 @@ struct CpuActor {
 std::string FormatCpuAttribution(const std::vector<CpuActor>& actors, SimTime now,
                                  size_t top_n = 6);
 
-// Deterministic JSON: every actor with its raw (unclamped) utilization, wait
-// distribution summary, and all nonzero categories sorted by busy time
-// (ties: label). Byte-identical across same-seed runs.
+// Deterministic artifact (src/base/artifact.h): t_ns, then rows keyed by
+// domain and vcpu: "actors" (busy time, raw utilization), and for attributed
+// vCPUs "wait" (run-queue wait) and "categories" (busy-descending, ties by
+// label). Byte-identical across same-seed runs.
 std::string CpuReportJson(const std::vector<CpuActor>& actors, SimTime now);
 
 // Publishes the ledgers into the metric registry so the MetricSampler admits

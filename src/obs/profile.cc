@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/artifact.h"
 #include "src/base/strings.h"
 
 namespace kite {
@@ -45,27 +46,23 @@ std::string FormatDispatchProfile(const Executor& executor, size_t top_n) {
 }
 
 std::string DispatchProfileJson(const Executor& executor) {
-  const std::vector<DispatchProfileEntry> profile = executor.DispatchProfile();
   uint64_t total_invocations = 0;
-  for (const DispatchProfileEntry& e : profile) {
+  std::vector<std::string> sites;
+  for (const DispatchProfileEntry& e : executor.DispatchProfile()) {
     total_invocations += e.invocations;
-  }
-  std::string json = StrFormat(
-      "{\n  \"total_dispatches\": %llu,\n  \"sites\": [\n",
-      static_cast<unsigned long long>(total_invocations));
-  for (size_t i = 0; i < profile.size(); ++i) {
-    const DispatchProfileEntry& e = profile[i];
-    json += StrFormat(
-        "    {\"label\": \"%s\", \"invocations\": %llu, \"samples\": %llu, "
-        "\"sampled_wall_ns\": %llu, \"est_wall_ns\": %llu}%s\n",
-        e.label, static_cast<unsigned long long>(e.invocations),
+    sites.push_back(StrFormat(
+        "{\"label\":\"%s\",\"invocations\":%llu,\"samples\":%llu,"
+        "\"sampled_wall_ns\":%llu,\"est_wall_ns\":%llu}",
+        JsonEscape(e.label).c_str(), static_cast<unsigned long long>(e.invocations),
         static_cast<unsigned long long>(e.samples),
         static_cast<unsigned long long>(e.sampled_wall_ns),
-        static_cast<unsigned long long>(e.est_wall_ns),
-        i + 1 < profile.size() ? "," : "");
+        static_cast<unsigned long long>(e.est_wall_ns)));
   }
-  json += "  ]\n}\n";
-  return json;
+  ArtifactWriter doc;
+  doc.Field("total_dispatches",
+            StrFormat("%llu", static_cast<unsigned long long>(total_invocations)));
+  doc.Array("sites", sites);
+  return doc.Render();
 }
 
 }  // namespace kite

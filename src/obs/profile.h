@@ -20,7 +20,8 @@ namespace kite {
 // profiler disabled)" line when the profiler was never enabled.
 std::string FormatDispatchProfile(const Executor& executor, size_t top_n = 10);
 
-// Full profile as JSON: {"total_dispatches":..., "sites":[{...} per line]}.
+// Full profile as an artifact (src/base/artifact.h): top-level
+// total_dispatches, then a "sites" array of one row per site.
 std::string DispatchProfileJson(const Executor& executor);
 
 }  // namespace kite

@@ -1,21 +1,9 @@
 #include "src/obs/sampler.h"
 
+#include "src/base/artifact.h"
 #include "src/base/strings.h"
 
 namespace kite {
-namespace {
-
-// Shortest round-trip formatting for point values. Counter deltas and most
-// gauges are integral; print those without an exponent so the JSON stays
-// human-greppable ("128", not "1.28e+02").
-std::string FormatValue(double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v))) {
-    return StrFormat("%lld", static_cast<long long>(v));
-  }
-  return StrFormat("%.17g", v);
-}
-
-}  // namespace
 
 MetricSampler::MetricSampler(Executor* executor, MetricRegistry* metrics,
                              SamplerParams params)
@@ -146,28 +134,36 @@ std::vector<MetricSampler::Timeline> MetricSampler::Timelines() const {
 }
 
 std::string MetricSampler::ToJson() const {
-  std::string json = StrFormat(
-      "{\n  \"period_ns\": %lld,\n  \"ticks\": %llu,\n  \"timelines\": [\n",
-      static_cast<long long>(params_.period.ns()),
-      static_cast<unsigned long long>(ticks_));
-  const std::vector<Timeline> timelines = Timelines();
-  for (size_t i = 0; i < timelines.size(); ++i) {
-    const Timeline& tl = timelines[i];
-    json += StrFormat(
-        "    {\"key\": \"%s/%s/%s\", \"kind\": \"%s\", \"dropped\": %llu, "
-        "\"points\": [",
-        tl.key.domain.c_str(), tl.key.device.c_str(), tl.key.name.c_str(),
-        tl.kind == MetricRegistry::Kind::kCounter ? "counter" : "gauge",
-        static_cast<unsigned long long>(tl.dropped));
-    for (size_t j = 0; j < tl.points.size(); ++j) {
-      json += StrFormat("[%lld, %s]%s", static_cast<long long>(tl.points[j].first.ns()),
-                        FormatValue(tl.points[j].second).c_str(),
-                        j + 1 < tl.points.size() ? ", " : "");
-    }
-    json += StrFormat("]}%s\n", i + 1 < timelines.size() ? "," : "");
+  std::vector<std::string> rows;
+  for (const Timeline& tl : Timelines()) {
+    rows.push_back(TimelineJsonRow("", tl, params_.period));
   }
-  json += "  ]\n}\n";
-  return json;
+  ArtifactWriter doc;
+  doc.Field("period_ns", StrFormat("%lld", static_cast<long long>(params_.period.ns())));
+  doc.Field("ticks", StrFormat("%llu", static_cast<unsigned long long>(ticks_)));
+  doc.Array("timelines", rows);
+  return doc.Render();
+}
+
+std::string TimelineJsonRow(const std::string& label, const MetricSampler::Timeline& tl,
+                            SimDuration period) {
+  std::string points;
+  for (size_t i = 0; i < tl.points.size(); ++i) {
+    const double v = tl.points[i].second;
+    points += StrFormat("%s[%lld,%s]", i == 0 ? "" : ",",
+                        static_cast<long long>(tl.points[i].first.ns()),
+                        v == static_cast<double>(static_cast<long long>(v))
+                            ? StrFormat("%lld", static_cast<long long>(v)).c_str()
+                            : StrFormat("%.10g", v).c_str());
+  }
+  const std::string key = tl.key.domain + "/" + tl.key.device + "/" + tl.key.name;
+  return StrFormat(
+      "{\"label\":\"%s\",\"key\":\"%s\",\"kind\":\"%s\",\"period_ns\":%lld,"
+      "\"dropped\":%llu,\"points\":[%s]}",
+      JsonEscape(label).c_str(), JsonEscape(key).c_str(),
+      tl.kind == MetricRegistry::Kind::kCounter ? "counter" : "gauge",
+      static_cast<long long>(period.ns()), static_cast<unsigned long long>(tl.dropped),
+      points.c_str());
 }
 
 }  // namespace kite

@@ -91,11 +91,9 @@ class MetricSampler {
   // All admitted timelines in deterministic (domain, device, name) order.
   std::vector<Timeline> Timelines() const;
 
-  // JSON export, one timeline object per line:
-  //   {"period_ns":..., "ticks":..., "timelines":[
-  //     {"key":"dom/dev/name","kind":"counter","dropped":0,
-  //      "points":[[t_ns,v],...]}, ...]}
-  // Deterministic byte-for-byte given a deterministic run.
+  // The artifact (src/base/artifact.h): top-level period_ns and ticks, then
+  // one TimelineJsonRow per timeline in a "timelines" array. Deterministic
+  // byte-for-byte given a deterministic run.
   std::string ToJson() const;
 
  private:
@@ -123,6 +121,11 @@ class MetricSampler {
   // in-flight tick into a no-op instead of a use-after-free.
   std::shared_ptr<bool> alive_;
 };
+
+// The one timeline row of every artifact: label, key ("dom/dev/name"), kind,
+// period_ns, dropped and points ([[t_ns,v],...], integral values as integers).
+std::string TimelineJsonRow(const std::string& label, const MetricSampler::Timeline& tl,
+                            SimDuration period);
 
 }  // namespace kite
 

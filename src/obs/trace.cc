@@ -1,7 +1,6 @@
 #include "src/obs/trace.h"
 
-#include <cstdio>
-
+#include "src/base/artifact.h"
 #include "src/base/strings.h"
 
 namespace kite {
@@ -125,14 +124,7 @@ std::string EventTracer::ToJson() const {
 }
 
 bool EventTracer::DumpTrace(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = (std::fclose(f) == 0) && written == json.size();
-  return ok;
+  return WriteArtifactFile(path, ToJson());
 }
 
 }  // namespace kite

@@ -413,6 +413,10 @@ void EmitInsn(InsnClass klass, Rng* rng, Buffer* out) {
   }
 }
 
+// Gadget window scanned back from each ret.
+constexpr size_t kMaxGadgetBytes = 24;
+constexpr int kMaxGadgetInsns = 5;
+
 }  // namespace
 
 Buffer GenerateCodeImage(const CodeProfile& code, Rng* rng, double scale) {
@@ -451,14 +455,14 @@ Buffer GenerateCodeImage(const CodeProfile& code, Rng* rng, double scale) {
   return out;
 }
 
-GadgetCounts ScanGadgets(std::span<const uint8_t> code, RopScanParams params) {
+GadgetCounts ScanGadgets(std::span<const uint8_t> code) {
   GadgetCounts counts;
   for (size_t ret_pos = 0; ret_pos < code.size(); ++ret_pos) {
     const uint8_t b = code[ret_pos];
     if (b != 0xc3 && !(b == 0xc2 && ret_pos + 2 < code.size())) {
       continue;
     }
-    const size_t window = std::min(params.max_gadget_bytes, ret_pos);
+    const size_t window = std::min(kMaxGadgetBytes, ret_pos);
     for (size_t back = 1; back <= window; ++back) {
       const size_t start = ret_pos - back;
       // Linear decode from start; must land exactly on the ret.
@@ -476,7 +480,7 @@ GadgetCounts ScanGadgets(std::span<const uint8_t> code, RopScanParams params) {
           first = insn.klass;
         }
         pos += insn.length;
-        if (++insns > params.max_gadget_insns) {
+        if (++insns > kMaxGadgetInsns) {
           ok = false;
           break;
         }

@@ -61,16 +61,10 @@ struct GadgetCounts {
   uint64_t operator[](InsnClass c) const { return by_class[static_cast<int>(c)]; }
 };
 
-struct RopScanParams {
-  size_t max_gadget_bytes = 24;
-  int max_gadget_insns = 5;
-};
-
-// Scans code for RET-terminated gadgets. A gadget is counted per (start,
-// ret) pair that decodes cleanly; it is classified by its first
-// instruction's class.
-GadgetCounts ScanGadgets(std::span<const uint8_t> code,
-                         RopScanParams params = RopScanParams{});
+// Scans code for RET-terminated gadgets of at most 24 bytes and 5
+// instructions. A gadget is counted per (start, ret) pair that decodes
+// cleanly; it is classified by its first instruction's class.
+GadgetCounts ScanGadgets(std::span<const uint8_t> code);
 
 // Convenience: generate an image for the profile (at `scale` of its true
 // size) and scan it, scaling counts back up.

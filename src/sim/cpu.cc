@@ -1,26 +1,13 @@
 #include "src/sim/cpu.h"
 
-#include <cstring>
-#include <mutex>
+#include "src/sim/intern.h"
 
 namespace kite {
 namespace {
 
-// Append-only category registry, mirroring the executor's dispatch-site
-// registry. deque-like stable storage via unique_ptr elements.
-struct CategoryRegistry {
-  std::mutex mu;
-  std::vector<std::unique_ptr<CpuCategory>> categories;
-
-  CategoryRegistry() {
-    categories.push_back(std::unique_ptr<CpuCategory>(
-        new CpuCategory{"(unattributed)", kCpuUnattributedIndex}));
-  }
-};
-
-CategoryRegistry& Registry() {
-  static CategoryRegistry* registry = new CategoryRegistry();
-  return *registry;
+LabelRegistry<CpuCategory>& Categories() {
+  static auto* categories = new LabelRegistry<CpuCategory>({"(unattributed)"});
+  return *categories;
 }
 
 // Ambient category for Charge. The simulation is single-threaded; scopes
@@ -30,33 +17,11 @@ uint32_t g_current_category = kCpuUnattributedIndex;
 
 }  // namespace
 
-const CpuCategory* RegisterCpuCategory(const char* label) {
-  CategoryRegistry& reg = Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const auto& c : reg.categories) {
-    if (c->label == label || std::strcmp(c->label, label) == 0) {
-      return c.get();
-    }
-  }
-  reg.categories.push_back(std::unique_ptr<CpuCategory>(
-      new CpuCategory{label, static_cast<uint32_t>(reg.categories.size())}));
-  return reg.categories.back().get();
-}
+const CpuCategory* RegisterCpuCategory(const char* label) { return Categories().Intern(label); }
 
-size_t CpuCategoryCount() {
-  CategoryRegistry& reg = Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  return reg.categories.size();
-}
+size_t CpuCategoryCount() { return Categories().Count(); }
 
-const char* CpuCategoryLabel(uint32_t index) {
-  CategoryRegistry& reg = Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  if (index >= reg.categories.size()) {
-    return "?";
-  }
-  return reg.categories[index]->label;
-}
+const char* CpuCategoryLabel(uint32_t index) { return Categories().Label(index); }
 
 CpuScope::CpuScope(const CpuCategory* category) : saved_(g_current_category) {
   g_current_category = category->index;

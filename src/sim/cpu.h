@@ -52,8 +52,7 @@
 
 namespace kite {
 
-// An interned CPU-time category. Registration is process-global and
-// append-only; `index` is dense and stable for the process lifetime.
+// An interned CPU-time category (src/sim/intern.h).
 struct CpuCategory {
   const char* label;
   uint32_t index;
@@ -62,8 +61,7 @@ struct CpuCategory {
 // Index 0 is the builtin bucket for work charged outside any CpuScope.
 inline constexpr uint32_t kCpuUnattributedIndex = 0;
 
-// Interns `label` (by pointer identity first, then by string compare), so
-// repeated registration of the same literal is cheap and idempotent.
+// Interns `label`; idempotent per label text.
 const CpuCategory* RegisterCpuCategory(const char* label);
 // Number of registered categories (>= 1; the unattributed builtin).
 size_t CpuCategoryCount();

@@ -3,26 +3,20 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <deque>
 
 #include "src/base/log.h"
 #include "src/base/strings.h"
+#include "src/sim/intern.h"
 
 namespace kite {
 namespace {
 
 constexpr size_t kEventsPerChunk = 256;
 
-// Process-global dispatch-site registry. A deque so interned DispatchSite
-// pointers stay stable as sites register; leaked on purpose (sites are
-// consulted during static destruction by executors dying at exit).
-std::deque<DispatchSite>& SiteRegistry() {
-  static std::deque<DispatchSite>* sites = [] {
-    auto* s = new std::deque<DispatchSite>();
-    s->push_back(DispatchSite{"(untagged)", kDispatchSiteUntagged});
-    s->push_back(DispatchSite{"(coroutine)", kDispatchSiteCoroutine});
-    return s;
-  }();
+// Leaked on purpose: executors dying at exit read labels during static
+// destruction.
+LabelRegistry<DispatchSite>& Sites() {
+  static auto* sites = new LabelRegistry<DispatchSite>({"(untagged)", "(coroutine)"});
   return *sites;
 }
 
@@ -58,23 +52,11 @@ struct EventEarlier {
 
 }  // namespace
 
-const DispatchSite* RegisterDispatchSite(const char* label) {
-  auto& reg = SiteRegistry();
-  for (const DispatchSite& site : reg) {
-    if (std::strcmp(site.label, label) == 0) {
-      return &site;
-    }
-  }
-  reg.push_back(DispatchSite{label, static_cast<uint32_t>(reg.size())});
-  return &reg.back();
-}
+const DispatchSite* RegisterDispatchSite(const char* label) { return Sites().Intern(label); }
 
-const char* DispatchSiteLabel(uint32_t index) {
-  auto& reg = SiteRegistry();
-  return index < reg.size() ? reg[index].label : "(unknown)";
-}
+const char* DispatchSiteLabel(uint32_t index) { return Sites().Label(index); }
 
-size_t DispatchSiteCount() { return SiteRegistry().size(); }
+size_t DispatchSiteCount() { return Sites().Count(); }
 
 Executor::~Executor() {
   // Drain-and-destroy until nothing is left. A coroutine frame (or callback

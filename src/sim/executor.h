@@ -76,11 +76,9 @@ struct DispatchSite {
 inline constexpr uint32_t kDispatchSiteUntagged = 0;
 inline constexpr uint32_t kDispatchSiteCoroutine = 1;
 
-// Interns `label` in the process-global site registry, returning a stable
-// pointer. Idempotent per label text. Not thread-safe — the simulator is
-// single-threaded by construction.
+// Interns `label` (src/sim/intern.h); idempotent per label text.
 const DispatchSite* RegisterDispatchSite(const char* label);
-// Label for a registered index ("(untagged)" / "(coroutine)" for builtins).
+// Label for a registered index; "?" when out of range.
 const char* DispatchSiteLabel(uint32_t index);
 size_t DispatchSiteCount();
 

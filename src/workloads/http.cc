@@ -7,11 +7,14 @@ namespace kite {
 namespace {
 
 constexpr std::string_view kHeaderEnd = "\r\n\r\n";
+constexpr SimDuration kPerRequestCost = Micros(30);  // Apache request handling.
+// Per-byte serving cost (userspace copy + socket writes): ≈190 MB/s per
+// worker, matching the paper's Apache throughput class.
+constexpr double kPerByteNs = 5.0;
 
 }  // namespace
 
-HttpServer::HttpServer(EtherStack* stack, uint16_t port, HttpServerParams params)
-    : stack_(stack), params_(params) {
+HttpServer::HttpServer(EtherStack* stack, uint16_t port) : stack_(stack) {
   stack_->ListenTcp(port, [this](TcpConn* conn) {
     auto inbuf = std::make_shared<std::string>();
     conn->SetDataCallback([this, conn, inbuf](std::span<const uint8_t> data) {
@@ -61,7 +64,7 @@ void HttpServer::HandleRequest(TcpConn* conn, const std::string& path) {
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("app/workload"));
     cpu_done = stack_->vcpu()->Charge(
-        params_.per_request_cost + Nanos(static_cast<int64_t>(params_.per_byte_ns * size)));
+        kPerRequestCost + Nanos(static_cast<int64_t>(kPerByteNs * size)));
   }
   stack_->executor()->PostAt(
       cpu_done, KITE_POST_SITE("http/response"),

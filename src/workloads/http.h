@@ -13,19 +13,12 @@
 
 namespace kite {
 
-struct HttpServerParams {
-  SimDuration per_request_cost = Micros(30);  // Apache request handling.
-  // Per-byte serving cost (userspace copy + socket writes): ≈190 MB/s per
-  // worker, matching the paper's Apache throughput class.
-  double per_byte_ns = 5.0;
-};
-
 // Serves in-memory files over a real (minimal) HTTP/1.0 dialect with
 // keep-alive. Content is generated (the paper's files are random data; only
 // sizes matter for throughput).
 class HttpServer {
  public:
-  HttpServer(EtherStack* stack, uint16_t port, HttpServerParams params = HttpServerParams{});
+  HttpServer(EtherStack* stack, uint16_t port);
 
   void AddFile(const std::string& path, size_t size);
   uint64_t requests_served() const { return requests_; }
@@ -35,7 +28,6 @@ class HttpServer {
   void HandleRequest(TcpConn* conn, const std::string& path);
 
   EtherStack* stack_;
-  HttpServerParams params_;
   std::map<std::string, size_t> files_;
   uint64_t requests_ = 0;
   uint64_t bytes_ = 0;

@@ -4,9 +4,15 @@
 #include "src/base/strings.h"
 
 namespace kite {
+namespace {
 
-MemcachedServer::MemcachedServer(EtherStack* stack, uint16_t port, MemcachedParams params)
-    : stack_(stack), params_(params) {
+// Server CPU per op, plus per byte of the value it touches.
+constexpr SimDuration kPerOpCost = Micros(5);
+constexpr double kPerByteNs = 0.05;
+
+}  // namespace
+
+MemcachedServer::MemcachedServer(EtherStack* stack, uint16_t port) : stack_(stack) {
   stack_->ListenTcp(port, [this](TcpConn* conn) {
     auto inbuf = std::make_shared<std::string>();
     conn->SetDataCallback([this, conn, inbuf](std::span<const uint8_t> data) {
@@ -70,7 +76,7 @@ void MemcachedServer::Process(TcpConn* conn, std::string* inbuf) {
       {
         CpuScope cpu_scope(KITE_CPU_CATEGORY("app/workload"));
         cpu_done = stack_->vcpu()->Charge(
-            params_.per_op_cost + Nanos(static_cast<int64_t>(params_.per_byte_ns * op_bytes_)));
+            kPerOpCost + Nanos(static_cast<int64_t>(kPerByteNs * op_bytes_)));
       }
       op_bytes_ = 0;
       stack_->executor()->PostAt(

@@ -14,15 +14,9 @@
 
 namespace kite {
 
-struct MemcachedParams {
-  SimDuration per_op_cost = Micros(5);
-  double per_byte_ns = 0.05;
-};
-
 class MemcachedServer {
  public:
-  MemcachedServer(EtherStack* stack, uint16_t port,
-                  MemcachedParams params = MemcachedParams{});
+  MemcachedServer(EtherStack* stack, uint16_t port);
 
   uint64_t sets() const { return sets_; }
   uint64_t gets() const { return gets_; }
@@ -32,7 +26,6 @@ class MemcachedServer {
   void Process(TcpConn* conn, std::string* inbuf);
 
   EtherStack* stack_;
-  MemcachedParams params_;
   std::map<std::string, std::string> store_;
   size_t op_bytes_ = 0;  // Value bytes touched by the op being processed.
   uint64_t sets_ = 0;

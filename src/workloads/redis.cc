@@ -46,6 +46,9 @@ bool RespConsumeCommand(std::string* buf, std::vector<std::string>* args) {
   return true;
 }
 
+constexpr SimDuration kPerOpCost = Micros(4);  // Command dispatch + dict op.
+constexpr double kPerByteNs = 0.05;
+
 }  // namespace
 
 Buffer RespEncodeCommand(const std::vector<std::string>& args) {
@@ -98,8 +101,7 @@ int RespConsumeReplies(std::string* buf) {
   return count;
 }
 
-RedisServer::RedisServer(EtherStack* stack, uint16_t port, RedisServerParams params)
-    : stack_(stack), params_(params) {
+RedisServer::RedisServer(EtherStack* stack, uint16_t port) : stack_(stack) {
   stack_->ListenTcp(port, [this](TcpConn* conn) {
     auto inbuf = std::make_shared<std::string>();
     conn->SetDataCallback([this, conn, inbuf](std::span<const uint8_t> data) {
@@ -153,7 +155,7 @@ void RedisServer::HandleCommand(TcpConn* conn, std::vector<std::string> args) {
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("app/workload"));
     cpu_done = stack_->vcpu()->Charge(
-        params_.per_op_cost + Nanos(static_cast<int64_t>(params_.per_byte_ns * bytes)));
+        kPerOpCost + Nanos(static_cast<int64_t>(kPerByteNs * bytes)));
   }
   stack_->executor()->PostAt(cpu_done, KITE_POST_SITE("redis/reply"),
                              [conn, alive = conn->AliveGuard(), reply = std::move(reply)] {

@@ -21,15 +21,9 @@ Buffer RespEncodeCommand(const std::vector<std::string>& args);
 // number of replies consumed; leftover stays in *buf.
 int RespConsumeReplies(std::string* buf);
 
-struct RedisServerParams {
-  SimDuration per_op_cost = Micros(4);  // Command dispatch + dict op.
-  double per_byte_ns = 0.05;
-};
-
 class RedisServer {
  public:
-  RedisServer(EtherStack* stack, uint16_t port,
-              RedisServerParams params = RedisServerParams{});
+  RedisServer(EtherStack* stack, uint16_t port);
 
   uint64_t sets() const { return sets_; }
   uint64_t gets() const { return gets_; }
@@ -39,7 +33,6 @@ class RedisServer {
   void HandleCommand(TcpConn* conn, std::vector<std::string> args);
 
   EtherStack* stack_;
-  RedisServerParams params_;
   std::map<std::string, std::string> store_;
   uint64_t sets_ = 0;
   uint64_t gets_ = 0;

@@ -1,8 +1,10 @@
-// Unit tests for src/base: rng, stats, strings, bytes.
+// Unit tests for src/base: rng, stats, strings, bytes, the artifact layout.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
+#include "src/base/artifact.h"
 #include "src/base/bytes.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
@@ -301,6 +303,63 @@ TEST(BytesTest, Fnv1aDistinguishes) {
   Buffer a = {1, 2, 3};
   Buffer b = {1, 2, 4};
   EXPECT_NE(Fnv1a(a), Fnv1a(b));
+}
+
+// --- The artifact layout: one writer, one reader. ---
+
+TEST(ArtifactTest, RoundTripsEveryValueKind) {
+  const std::string text = "tab\tquote\" back\\ line\n bell\x07";
+  const std::string params = "{\"rate\": 1.5, \"os\": \"Kite\"}";
+  ArtifactWriter doc;
+  doc.Field("title", "\"" + JsonEscape(text) + "\"");
+  doc.Field("params", params);
+  doc.Field("ticks", "12345678901");
+  doc.Array("rows", {StrFormat("{\"name\":\"%s\",\"value\":%.10g,\"on\":true}",
+                               JsonEscape(text).c_str(), 2.0 / 3.0),
+                     "{\"key\":\"d/dev/n\",\"points\":[[10,1],[20,-2.5],[30,0]]}"});
+  doc.Array("empty", {});
+  const std::string json = doc.Render();
+  EXPECT_EQ(json.substr(0, 2), "{\n");
+  EXPECT_NE(json.find("  \"empty\": []\n}\n"), std::string::npos);
+
+  std::istringstream in(json);
+  Artifact back;
+  std::string error;
+  ASSERT_TRUE(ReadArtifact(in, &back, &error)) << error;
+  EXPECT_EQ(back.top.Str("title"), text);
+  EXPECT_EQ(back.top.Raw("params"), params);
+  const ArtifactRow params_object{std::string(back.top.Raw("params"))};
+  EXPECT_EQ(params_object.Num("rate"), 1.5);
+  EXPECT_EQ(params_object.Str("os"), "Kite");
+  EXPECT_EQ(back.top.Num("ticks"), 12345678901.0);
+  ASSERT_EQ(back.sections.size(), 2u);
+  const std::vector<ArtifactRow>& rows = back.sections["rows"];
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].Str("name"), text);
+  EXPECT_EQ(rows[0].Num("value"), 0.6666666667);  // 2/3 printed with %.10g.
+  EXPECT_EQ(rows[0].Raw("on"), "true");
+  const std::vector<std::pair<double, double>> points = {{10, 1}, {20, -2.5}, {30, 0}};
+  EXPECT_EQ(rows[1].Points("points"), points);
+  ASSERT_EQ(back.sections.count("empty"), 1u);
+  EXPECT_TRUE(back.sections["empty"].empty());
+}
+
+TEST(ArtifactTest, RejectsALineOutsideTheLayoutAndNamesIt) {
+  const std::string good = "{\n  \"n\": 1,\n  \"rows\": [\n    {\"a\":1}\n  ]\n}\n";
+  Artifact doc;
+  std::string error;
+  std::istringstream ok(good);
+  ASSERT_TRUE(ReadArtifact(ok, &doc, &error)) << error;
+  // Text after a row, a stray line, a Chrome trace and a truncated file.
+  for (const auto& [text, line] : std::vector<std::pair<std::string, int>>{
+           {"{\n  \"n\": 1,\n  \"rows\": [\n    {\"a\": 1} x\n  ]\n}\n", 4},
+           {"{\n  \"n\": 1,\nnoise\n}\n", 3},
+           {"{\"traceEvents\":[]}\n", 1},
+           {"{\n  \"rows\": [\n    {\"a\":1}\n", 4}}) {
+    std::istringstream in(text);
+    EXPECT_FALSE(ReadArtifact(in, &doc, &error)) << text;
+    EXPECT_EQ(error.rfind(StrFormat("line %d: ", line), 0), 0u) << error;
+  }
 }
 
 }  // namespace

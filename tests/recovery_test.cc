@@ -630,6 +630,32 @@ TEST_P(RecoveryTest, GuestDestroyedWithRelinkRetryPendingLeavesNoResidue) {
   }
 }
 
+// A vbd publishes at its backend's first InitWait. Restart the storage
+// domain before that: the vbd still watches the dead backend's state when
+// the toolstack relinks it, and the relink must replace that watch rather
+// than add a second one: the guest then holds two watches, its relink watch
+// and one backend-state watch.
+TEST_P(RecoveryTest, StorageRestartBeforePublishLeavesOneBackendWatch) {
+  KiteSystem::Params params;
+  sys_ = std::make_unique<KiteSystem>(params);
+  DriverDomainConfig config;
+  config.os = GetParam();
+  stordom_ = sys_->CreateStorageDomain(config);
+  guest_ = sys_->CreateGuest("db-vm");
+  sys_->AttachVbd(guest_, stordom_);
+  const DomId gid = guest_->domain()->id();
+  const std::string fe_state = FrontendPath(gid, "vbd", guest_->blkfront()->devid()) + "/state";
+  ASSERT_EQ(sys_->hv().store().ReadInt(kDom0, fe_state),
+            static_cast<int>(XenbusState::kInitialising));  // Not yet published.
+  stordom_ = sys_->RestartStorageDomain(stordom_);
+  ASSERT_TRUE(sys_->WaitConnected(guest_));
+  EXPECT_EQ(guest_->blkfront()->recoveries(), 1u);
+  EXPECT_EQ(sys_->hv().store().watch_count(gid), 2);
+  sys_->RunUntilIdle();
+  const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
+  EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+}
+
 INSTANTIATE_TEST_SUITE_P(Personalities, RecoveryTest,
                          ::testing::Values(OsKind::kKiteRumprun, OsKind::kUbuntuLinux),
                          [](const ::testing::TestParamInfo<OsKind>& info) {

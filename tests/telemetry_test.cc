@@ -2,14 +2,19 @@
 // determinism, the executor dispatch profiler, and the end-to-end promise
 // that turning telemetry on does not perturb a shuffled schedule.
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/artifact.h"
 #include "src/core/kite.h"
 #include "src/net/bridge.h"
 #include "src/net/netif.h"
@@ -180,9 +185,16 @@ TEST(DispatchProfilerTest, ExactCountsPerSite) {
 
   const std::string table = FormatDispatchProfile(ex);
   EXPECT_NE(table.find("test/tagged-timer"), std::string::npos);
-  const std::string json = DispatchProfileJson(ex);
-  EXPECT_NE(json.find("\"label\": \"test/tagged-timer\""), std::string::npos);
-  EXPECT_NE(json.find("\"invocations\": 1000"), std::string::npos);
+  std::istringstream json(DispatchProfileJson(ex));
+  Artifact doc;
+  std::string error;
+  ASSERT_TRUE(ReadArtifact(json, &doc, &error)) << error;
+  const std::vector<ArtifactRow>& sites = doc.sections["sites"];
+  const auto tagged = std::find_if(sites.begin(), sites.end(), [](const ArtifactRow& r) {
+    return r.Str("label") == "test/tagged-timer";
+  });
+  ASSERT_NE(tagged, sites.end());
+  EXPECT_EQ(tagged->Num("invocations"), 1000);
 }
 
 TEST(DispatchProfilerTest, SiteRegistryInternsLabels) {
@@ -236,6 +248,77 @@ TEST(TelemetryPerturbationTest, EnabledRunMatchesDisabledRunExactly) {
   EXPECT_EQ(off.rtts_ns, on.rtts_ns);
   EXPECT_EQ(off.end_ns, on.end_ns);
   EXPECT_EQ(off.metrics_table, on.metrics_table);
+}
+
+// --- Teardown dumps: KITE_TIMELINE, KITE_CPU and KITE_PROFILE. -------------
+
+// Reads one teardown dump with the shared artifact reader.
+Artifact ReadDump(const std::string& path) {
+  std::ifstream in(path);
+  Artifact doc;
+  std::string error;
+  EXPECT_TRUE(ReadArtifact(in, &doc, &error)) << path << ": " << error;
+  std::remove(path.c_str());
+  return doc;
+}
+
+TEST(TelemetryExportTest, TeardownDumpsReadBackThroughTheArtifactReader) {
+  const std::string dir = testing::TempDir();
+  const std::string timeline = dir + "/kite_telemetry_timeline.json";
+  const std::string cpu = dir + "/kite_telemetry_cpu.json";
+  const std::string profile = dir + "/kite_telemetry_profile.json";
+  setenv("KITE_TIMELINE", timeline.c_str(), 1);
+  setenv("KITE_CPU", cpu.c_str(), 1);
+  setenv("KITE_PROFILE", profile.c_str(), 1);
+  {
+    KiteSystem sys;
+    // The paths are read at construction; the dumps are written at destruction.
+    unsetenv("KITE_TIMELINE");
+    unsetenv("KITE_CPU");
+    unsetenv("KITE_PROFILE");
+    NetworkDomain* netdom = sys.CreateNetworkDomain();
+    GuestVm* guest = sys.CreateGuest("guest");
+    sys.AttachVif(guest, netdom, Ipv4Addr::FromOctets(10, 0, 0, 10));
+    ASSERT_TRUE(sys.WaitConnected(guest));
+    bool pinged = false;
+    sys.client()->stack()->Ping(Ipv4Addr::FromOctets(10, 0, 0, 10), 56,
+                                [&](bool ok, SimDuration) { pinged = ok; });
+    ASSERT_TRUE(sys.WaitUntil([&] { return pinged; }, Seconds(5)));
+    sys.RunFor(Millis(50));
+  }
+
+  Artifact tl = ReadDump(timeline);
+  EXPECT_EQ(tl.top.Num("period_ns"), 1e7);
+  EXPECT_GE(tl.top.Num("ticks"), 5);
+  ASSERT_FALSE(tl.sections["timelines"].empty());
+  for (const ArtifactRow& row : tl.sections["timelines"]) {
+    EXPECT_EQ(row.Num("period_ns"), 1e7) << row.text;
+    EXPECT_FALSE(row.Points("points").empty()) << row.text;
+  }
+
+  Artifact report = ReadDump(cpu);
+  EXPECT_GT(report.top.Num("t_ns"), 0);
+  ASSERT_FALSE(report.sections["actors"].empty());
+  EXPECT_EQ(report.sections["wait"].size(), report.sections["actors"].size());
+  double netdom_busy_ns = 0;
+  for (const ArtifactRow& row : report.sections["actors"]) {
+    if (row.Str("domain") == "kite-netdom") {
+      netdom_busy_ns += row.Num("busy_ns");
+    }
+  }
+  EXPECT_GT(netdom_busy_ns, 0);
+  const std::vector<ArtifactRow>& categories = report.sections["categories"];
+  EXPECT_TRUE(std::any_of(categories.begin(), categories.end(), [](const ArtifactRow& r) {
+    return r.Str("label") == "hv/irq_dispatch" && r.Num("busy_ns") > 0;
+  }));
+
+  Artifact prof = ReadDump(profile);
+  double invocations = 0;
+  for (const ArtifactRow& row : prof.sections["sites"]) {
+    invocations += row.Num("invocations");
+  }
+  EXPECT_FALSE(prof.sections["sites"].empty());
+  EXPECT_EQ(invocations, prof.top.Num("total_dispatches"));
 }
 
 // --- TCP congestion telemetry: the cwnd sawtooth. -------------------------
