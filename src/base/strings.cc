@@ -37,13 +37,13 @@ std::vector<std::string> SplitPath(std::string_view path, char sep) {
 }
 
 std::string JoinPath(const std::vector<std::string>& components) {
+  if (components.empty()) {
+    return "/";
+  }
   std::string out;
   for (const auto& c : components) {
     out.push_back('/');
     out.append(c);
-  }
-  if (out.empty()) {
-    out = "/";
   }
   return out;
 }

@@ -177,6 +177,17 @@ void Blkfront::PumpQueue() {
   }
   bool pushed = false;
   while (!queue_.empty()) {
+    if (queue_.front().is_flush && !flush_supported_) {
+      // A backend without feature-flush-cache has no volatile cache to
+      // flush: complete locally, without a ring request, as Linux blkfront
+      // does. Popped first, since the callback may enqueue more I/O.
+      std::shared_ptr<PendingOp> op = std::move(queue_.front().op);
+      queue_.pop_front();
+      --op->chunks_pending;
+      ++op->outstanding;
+      FinishOpPart(op, /*ok=*/true);
+      continue;
+    }
     if (!SubmitChunk(queue_.front())) {
       break;  // Ring or pool exhausted; retried on the next response.
     }

@@ -35,6 +35,8 @@ class Blkfront : public XenbusFrontend {
   // it is resized and filled on completion.
   void Read(int64_t offset, size_t length, Buffer* out, IoCallback cb);
   void Write(int64_t offset, Buffer data, IoCallback cb);
+  // A ring flush when the backend advertises feature-flush-cache; otherwise
+  // it completes as soon as it reaches the head of the queue.
   void Flush(IoCallback cb);
 
   int64_t capacity_bytes() const { return capacity_bytes_; }

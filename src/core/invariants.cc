@@ -124,8 +124,8 @@ void InvariantChecker::CheckXenstoreDomains() {
 
 void InvariantChecker::CheckBackendOrphans() {
   // A backend reaps every device whose frontend domain was destroyed and
-  // removes its node; a node left behind is listed again by every scan. The
-  // emptied backend/<type>/<fe> directory itself may stay.
+  // removes its node, then the backend/<type>/<fe> directory once it is
+  // empty. Either left behind is listed again by every scan.
   Hypervisor& hv = sys_->hv();
   const std::vector<std::string> none;
   for (DomId id : hv.live_domains()) {
@@ -133,14 +133,16 @@ void InvariantChecker::CheckBackendOrphans() {
       const std::string root = StrFormat("/local/domain/%d/backend/%s", id, type);
       for (const std::string& fe : hv.store().List(kDom0, root).value_or(none)) {
         const int64_t fe_id = ParseDecimal(fe);
-        if (fe_id < 0 || hv.domain(static_cast<DomId>(fe_id)) != nullptr) {
+        if (fe_id < 0) {
           continue;
         }
         const size_t devices = hv.store().List(kDom0, root + "/" + fe).value_or(none).size();
-        if (devices != 0) {
+        if (hv.domain(static_cast<DomId>(fe_id)) == nullptr) {
           Fail("backend-orphan",
-               StrFormat("%s/%s holds %zu device(s) of destroyed domain %s", root.c_str(),
-                         fe.c_str(), devices, fe.c_str()));
+               StrFormat("%s/%s is left behind by destroyed domain %s (%zu device(s))",
+                         root.c_str(), fe.c_str(), fe.c_str(), devices));
+        } else if (devices == 0) {
+          Fail("backend-orphan", StrFormat("%s/%s is empty", root.c_str(), fe.c_str()));
         }
       }
     }

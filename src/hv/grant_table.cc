@@ -24,7 +24,7 @@ GrantRef GrantTable::GrantAccess(DomId peer, PageRef page, bool readonly) {
 }
 
 bool GrantTable::EndAccess(GrantRef ref) {
-  Entry* e = Lookup(ref);
+  Entry* e = MutableEntry(ref);
   if (e == nullptr) {
     return false;
   }
@@ -40,18 +40,46 @@ bool GrantTable::EndAccess(GrantRef ref) {
   return true;
 }
 
-GrantTable::Entry* GrantTable::Lookup(GrantRef ref) {
+const GrantTable::Entry* GrantTable::Lookup(GrantRef ref) const {
   if (ref >= entries_.size() || !entries_[ref].in_use) {
     return nullptr;
   }
   return &entries_[ref];
 }
 
+GrantTable::Entry* GrantTable::MutableEntry(GrantRef ref) {
+  return const_cast<Entry*>(static_cast<const GrantTable*>(this)->Lookup(ref));
+}
+
+void GrantTable::AddMapping(GrantRef ref) {
+  Entry* e = MutableEntry(ref);
+  KITE_CHECK(e != nullptr) << "mapping an ungranted ref " << ref;
+  ++e->active_maps;
+  ++maps_by_peer_[e->peer];
+}
+
+bool GrantTable::DropMapping(GrantRef ref) {
+  Entry* e = MutableEntry(ref);
+  if (e == nullptr || e->active_maps == 0) {
+    return false;
+  }
+  --e->active_maps;
+  auto it = maps_by_peer_.find(e->peer);
+  if (--it->second == 0) {
+    maps_by_peer_.erase(it);
+  }
+  return true;
+}
+
 int GrantTable::RevokeMappingsFor(DomId peer) {
-  int dropped = 0;
+  auto it = maps_by_peer_.find(peer);
+  if (it == maps_by_peer_.end()) {
+    return 0;
+  }
+  const int dropped = it->second;
+  maps_by_peer_.erase(it);
   for (Entry& e : entries_) {
-    if (e.in_use && e.peer == peer && e.active_maps > 0) {
-      dropped += e.active_maps;
+    if (e.in_use && e.peer == peer) {
       e.active_maps = 0;
     }
   }
@@ -70,10 +98,8 @@ int GrantTable::active_entry_count() const {
 
 int GrantTable::total_maps_outstanding() const {
   int n = 0;
-  for (const Entry& e : entries_) {
-    if (e.in_use) {
-      n += e.active_maps;
-    }
+  for (const auto& [peer, maps] : maps_by_peer_) {
+    n += maps;
   }
   return n;
 }
@@ -104,14 +130,8 @@ void MappedGrant::Unmap() {
   // it charges the mapper's vCPU, which no longer exists. The alive token
   // covers the reverse direction: the *owner* domain died and took the table
   // with it, leaving `table_` dangling.
-  bool was_mapped = false;
-  if (table_ != nullptr && table_alive_ != nullptr && *table_alive_) {
-    GrantTable::Entry* e = table_->Lookup(ref_);
-    if (e != nullptr && e->active_maps > 0) {
-      --e->active_maps;
-      was_mapped = true;
-    }
-  }
+  const bool was_mapped = table_ != nullptr && table_alive_ != nullptr && *table_alive_ &&
+                          table_->DropMapping(ref_);
   if (was_mapped && on_unmap_ != nullptr) {
     on_unmap_();
   }

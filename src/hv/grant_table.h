@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,13 +49,22 @@ class GrantTable {
     bool in_use = false;
     int active_maps = 0;
   };
-  Entry* Lookup(GrantRef ref);
+  const Entry* Lookup(GrantRef ref) const;
+
+  // Counts one more mapping of the granted entry `ref` by its peer (the
+  // GrantMap hypercall). Every change to active_maps goes through this,
+  // DropMapping or RevokeMappingsFor, so the per-peer counts stay exact.
+  void AddMapping(GrantRef ref);
+  // Releases one mapping of `ref`; false when none is held (a stale handle
+  // whose mapping was force-dropped).
+  bool DropMapping(GrantRef ref);
 
   // Force-drops every active mapping held by `peer` (domain destruction: the
   // mapper is gone, so its mappings cannot be released gracefully). Entries
   // stay granted — the owner revokes them with EndAccess, which now succeeds.
-  // Returns the number of mappings dropped. A stale MappedGrant unmapped
-  // later is harmless: Unmap only decrements while active_maps > 0.
+  // Returns the number of mappings dropped; a peer that maps nothing here
+  // costs one lookup. A stale MappedGrant unmapped later is harmless:
+  // DropMapping only decrements while active_maps > 0.
   int RevokeMappingsFor(DomId peer);
 
   DomId owner() const { return owner_; }
@@ -67,9 +77,13 @@ class GrantTable {
   std::shared_ptr<const bool> alive_token() const { return alive_; }
 
  private:
+  Entry* MutableEntry(GrantRef ref);
+
   DomId owner_;
   std::vector<Entry> entries_;
   std::vector<GrantRef> free_list_;
+  // Active mappings per mapping domain; a domain holding none has no key.
+  std::map<DomId, int> maps_by_peer_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -32,6 +32,7 @@ Hypervisor::Hypervisor(Executor* executor, MetricRegistry* metrics, EventTracer*
   // Dom0: the privileged administrative VM (runs xenstored).
   domains_.push_back(std::make_unique<Domain>(this, 0, "Domain-0", 1, 8192));
   domains_[0]->set_online(true);
+  live_.push_back(domains_[0].get());
   if (tracer_ != nullptr) {
     tracer_->SetProcessName(0, "Domain-0");
   }
@@ -43,6 +44,7 @@ Domain* Hypervisor::CreateDomain(const std::string& name, int vcpus, int memory_
   DomId id = static_cast<DomId>(domains_.size());
   domains_.push_back(std::make_unique<Domain>(this, id, name, vcpus, memory_mb));
   Domain* dom = domains_.back().get();
+  live_.push_back(dom);  // Ids only grow, so live_ stays in id order.
   // Dom0 provisions the new domain's xenstore home.
   store_.Write(kDom0, dom->store_home() + "/name", name);
   store_.SetPermission(kDom0, dom->store_home(), id);
@@ -109,9 +111,10 @@ void Hypervisor::DestroyDomain(DomId id) {
   }
   // Force-drop the mappings the dead domain held in every surviving grant
   // table — the mapper is gone and will never unmap gracefully. Owners can
-  // then reclaim their pages with EndAccess.
-  for (const auto& d : domains_) {
-    if (d != nullptr && d->id() != id) {
+  // then reclaim their pages with EndAccess. A table the dead domain maps
+  // nothing from answers from its per-peer count without a walk.
+  for (Domain* d : live_) {
+    if (d != dom) {
       forced_grant_revocations_->Add(
           static_cast<uint64_t>(d->grant_table().RevokeMappingsFor(id)));
     }
@@ -139,6 +142,8 @@ void Hypervisor::DestroyDomain(DomId id) {
   if (recorder_ != nullptr) {
     recorder_->Record(id, FlightKind::kDomainDestroyed);
   }
+  live_.erase(std::lower_bound(live_.begin(), live_.end(), id,
+                               [](const Domain* d, DomId v) { return d->id() < v; }));
   domains_[id].reset();
 }
 
@@ -155,22 +160,13 @@ int Hypervisor::open_port_count(DomId id) const {
   return n;
 }
 
-int Hypervisor::live_domain_count() const {
-  int n = 0;
-  for (const auto& d : domains_) {
-    if (d != nullptr) {
-      ++n;
-    }
-  }
-  return n;
-}
+int Hypervisor::live_domain_count() const { return static_cast<int>(live_.size()); }
 
 std::vector<DomId> Hypervisor::live_domains() const {
   std::vector<DomId> ids;
-  for (const auto& d : domains_) {
-    if (d != nullptr) {
-      ids.push_back(d->id());
-    }
+  ids.reserve(live_.size());
+  for (const Domain* d : live_) {
+    ids.push_back(d->id());
   }
   return ids;
 }
@@ -195,10 +191,7 @@ void Hypervisor::set_cpu_attribution(bool on) {
     return;  // Existing ledgers stay (cheap, already allocated); only future
              // domains are affected by turning the flag back off.
   }
-  for (const auto& d : domains_) {
-    if (d == nullptr) {
-      continue;
-    }
+  for (Domain* d : live_) {
     for (int i = 0; i < d->vcpu_count(); ++i) {
       d->vcpu(i)->EnableAttribution();
     }
@@ -384,12 +377,12 @@ MappedGrant Hypervisor::GrantMap(Domain* mapper, DomId owner, GrantRef ref,
     record_fail();
     return MappedGrant{};
   }
-  GrantTable::Entry* e = owner_dom->grant_table().Lookup(ref);
+  const GrantTable::Entry* e = owner_dom->grant_table().Lookup(ref);
   if (e == nullptr || e->peer != mapper->id() || (write_access && e->readonly)) {
     record_fail();
     return MappedGrant{};
   }
-  ++e->active_maps;
+  owner_dom->grant_table().AddMapping(ref);
   if (recorder_ != nullptr) {
     recorder_->Record(mapper->id(), FlightKind::kGrantMap, owner,
                       static_cast<uint64_t>(ref));
@@ -434,7 +427,7 @@ bool Hypervisor::GrantCopyToGranted(Domain* caller, DomId owner, GrantRef ref, s
   if (owner_dom == nullptr) {
     return false;
   }
-  GrantTable::Entry* e = owner_dom->grant_table().Lookup(ref);
+  const GrantTable::Entry* e = owner_dom->grant_table().Lookup(ref);
   if (e == nullptr || e->peer != caller->id() || e->readonly) {
     return false;
   }
@@ -462,7 +455,7 @@ bool Hypervisor::GrantCopyFromGranted(Domain* caller, DomId owner, GrantRef ref,
   if (owner_dom == nullptr) {
     return false;
   }
-  GrantTable::Entry* e = owner_dom->grant_table().Lookup(ref);
+  const GrantTable::Entry* e = owner_dom->grant_table().Lookup(ref);
   if (e == nullptr || e->peer != caller->id()) {
     return false;
   }

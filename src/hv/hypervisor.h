@@ -182,7 +182,11 @@ class Hypervisor {
   EventTracer* tracer_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   HealthMonitor* health_ = nullptr;
+  // Indexed by id; a destroyed domain leaves a null slot.
   std::vector<std::unique_ptr<Domain>> domains_;
+  // The live domains, in id order: what DestroyDomain and the live-domain
+  // queries visit instead of every slot.
+  std::vector<Domain*> live_;
   std::vector<PciDevice*> pci_devices_;
 
   Counter* hypercalls_;

@@ -435,7 +435,7 @@ class XenbusBackend {
       }
       std::unique_ptr<Instance> inst = Detach(it++);
       // Drop the backend's device node so rescans don't see the corpse.
-      hv_->store().RemoveSubtree(kDom0, NodePath(key));
+      RemoveNode(key);
       inst->BeginShutdown();
       Bury(std::move(inst), FlightKind::kInstanceReaped, key);
       instances_reaped_->Inc();
@@ -475,7 +475,7 @@ class XenbusBackend {
       // Mappings must be released before the node goes away (the frontend's
       // relink path EndAccesses its grants once the node vanishes).
       owned->RetireGracefully();
-      hv_->store().RemoveSubtree(kDom0, NodePath(key));
+      RemoveNode(key);
       Bury(std::move(owned), FlightKind::kInstanceRetired, key);
       instances_retired_->Inc();
     }
@@ -532,6 +532,20 @@ class XenbusBackend {
     }
     if (!inst->drained()) {
       dying_.push_back(std::move(inst));
+    }
+  }
+
+  // Removes a device's node, uncharged like the toolstack's own cleanup,
+  // then its frontend's backend/<type>/<fe> directory once no device is left
+  // in it, as libxl's libxl__xs_path_cleanup does: otherwise every later
+  // scan lists the empty directory. backend/<type> stays: it is the root
+  // this driver watches.
+  void RemoveNode(const Key& key) {
+    XenStore& store = hv_->store();
+    store.RemoveSubtree(kDom0, NodePath(key));
+    const std::string fe_dir = StrFormat("%s/%d", root_.c_str(), key.first);
+    if (auto left = store.List(kDom0, fe_dir); left.has_value() && left->empty()) {
+      store.Remove(kDom0, fe_dir);
     }
   }
 

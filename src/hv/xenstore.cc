@@ -1,13 +1,44 @@
 #include "src/hv/xenstore.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/base/strings.h"
 
 namespace kite {
+namespace {
 
-const XenStore::Node* XenStore::FindNode(const std::string& path) const {
+// Pops the next component of `*rest` into `*part`, skipping empty ones as
+// xenstore paths do ("/a//b/" yields "a", then "b"); false when none is left.
+bool NextComponent(std::string_view* rest, std::string_view* part) {
+  const size_t start = rest->find_first_not_of('/');
+  if (start == std::string_view::npos) {
+    return false;
+  }
+  const size_t end = std::min(rest->find('/', start), rest->size());
+  *part = rest->substr(start, end - start);
+  rest->remove_prefix(end);
+  return true;
+}
+
+// A watch prefix normalized as PathIsUnder does: "" and "/" match every path
+// (key ""), and one trailing '/' is dropped. No other prefix yields "".
+std::string_view WatchKey(std::string_view prefix) {
+  if (prefix.empty() || prefix == "/") {
+    return {};
+  }
+  if (prefix.back() == '/') {
+    prefix.remove_suffix(1);
+  }
+  return prefix;
+}
+
+}  // namespace
+
+const XenStore::Node* XenStore::FindNode(std::string_view path) const {
   const Node* node = &root_;
-  for (const auto& part : SplitPath(path)) {
+  std::string_view part;
+  while (NextComponent(&path, &part)) {
     auto it = node->children.find(part);
     if (it == node->children.end()) {
       return nullptr;
@@ -17,8 +48,24 @@ const XenStore::Node* XenStore::FindNode(const std::string& path) const {
   return node;
 }
 
-XenStore::Node* XenStore::FindNode(const std::string& path) {
+XenStore::Node* XenStore::FindNode(std::string_view path) {
   return const_cast<Node*>(static_cast<const XenStore*>(this)->FindNode(path));
+}
+
+XenStore::Node* XenStore::FindParent(std::string_view path, Children::iterator* entry) {
+  Node* parent = nullptr;
+  Node* node = &root_;
+  std::string_view part;
+  while (NextComponent(&path, &part)) {
+    auto it = node->children.find(part);
+    if (it == node->children.end()) {
+      return nullptr;
+    }
+    parent = node;
+    node = &it->second;
+    *entry = it;
+  }
+  return parent;
 }
 
 bool XenStore::CanRead(DomId caller, const Node& node) const {
@@ -31,7 +78,9 @@ bool XenStore::CanWrite(DomId caller, const Node& node) const {
 
 bool XenStore::Write(DomId caller, const std::string& path, const std::string& value) {
   Node* node = &root_;
-  for (const auto& part : SplitPath(path)) {
+  std::string_view rest = path;
+  std::string_view part;
+  while (NextComponent(&rest, &part)) {
     auto it = node->children.find(part);
     if (it == node->children.end()) {
       if (!CanWrite(caller, *node)) {
@@ -77,20 +126,9 @@ std::optional<std::vector<std::string>> XenStore::List(DomId caller,
 }
 
 bool XenStore::Remove(DomId caller, const std::string& path) {
-  auto parts = SplitPath(path);
-  if (parts.empty()) {
-    return false;  // Refuse to remove the root.
-  }
-  Node* parent = &root_;
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
-    auto it = parent->children.find(parts[i]);
-    if (it == parent->children.end()) {
-      return false;
-    }
-    parent = &it->second;
-  }
-  auto it = parent->children.find(parts.back());
-  if (it == parent->children.end() || !CanWrite(caller, it->second)) {
+  Children::iterator it;
+  Node* parent = FindParent(path, &it);  // Null for the root: never removed.
+  if (parent == nullptr || !CanWrite(caller, it->second)) {
     return false;
   }
   parent->children.erase(it);
@@ -107,20 +145,9 @@ void XenStore::CollectPaths(const Node& node, const std::string& base,
 }
 
 bool XenStore::RemoveSubtree(DomId caller, const std::string& path) {
-  auto parts = SplitPath(path);
-  if (parts.empty()) {
-    return false;  // Refuse to remove the root.
-  }
-  Node* parent = &root_;
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
-    auto it = parent->children.find(parts[i]);
-    if (it == parent->children.end()) {
-      return false;
-    }
-    parent = &it->second;
-  }
-  auto it = parent->children.find(parts.back());
-  if (it == parent->children.end() || !CanWrite(caller, it->second)) {
+  Children::iterator it;
+  Node* parent = FindParent(path, &it);  // Null for the root: never removed.
+  if (parent == nullptr || !CanWrite(caller, it->second)) {
     return false;
   }
   std::vector<std::string> removed;
@@ -176,40 +203,55 @@ WatchId XenStore::AddWatch(DomId caller, const std::string& prefix, const std::s
                            WatchFn fn) {
   KITE_CHECK(fn != nullptr);
   WatchId id = next_watch_id_++;
-  watches_.push_back(Watch{id, caller, prefix, token, std::move(fn)});
+  auto watch = std::make_shared<const Watch>(
+      Watch{caller, std::string(WatchKey(prefix)), token, std::move(fn)});
+  by_key_[watch->key].push_back(id);
+  watches_.emplace(id, std::move(watch));
   // Xen fires a watch once on registration so the watcher can discover
   // pre-existing state.
   PostWatchEvent(id, prefix);
   return id;
 }
 
-void XenStore::PostWatchEvent(WatchId id, const std::string& path) {
+void XenStore::PostWatchEvent(WatchId id, std::string path) {
   // The callback is resolved at *fire* time: a watch removed while the event
   // was in flight (e.g. its owner was destroyed) silently expires.
   executor_->PostAfter(op_latency_, KITE_POST_SITE("xenstore/watch-fire"),
-                       [this, id, path] {
-    for (const Watch& w : watches_) {
-      if (w.id == id) {
-        w.fn(path, w.token);
-        return;
-      }
+                       [this, id, path = std::move(path)] {
+    auto it = watches_.find(id);
+    if (it == watches_.end()) {
+      return;
     }
+    // The copy keeps the closure and token alive if the callback removes
+    // this watch or grows the table.
+    const std::shared_ptr<const Watch> watch = it->second;
+    watch->fn(path, watch->token);
   });
 }
 
-void XenStore::RemoveWatch(WatchId id) {
-  for (auto it = watches_.begin(); it != watches_.end(); ++it) {
-    if (it->id == id) {
-      watches_.erase(it);
-      return;
-    }
+void XenStore::Unindex(WatchId id, const std::string& key) {
+  auto bucket = by_key_.find(key);
+  std::vector<WatchId>& ids = bucket->second;
+  ids.erase(std::find(ids.begin(), ids.end(), id));
+  if (ids.empty()) {
+    by_key_.erase(bucket);
   }
+}
+
+void XenStore::RemoveWatch(WatchId id) {
+  auto it = watches_.find(id);
+  if (it == watches_.end()) {
+    return;
+  }
+  Unindex(id, it->second->key);
+  watches_.erase(it);
 }
 
 int XenStore::RemoveWatchesOwnedBy(DomId owner) {
   int removed = 0;
   for (auto it = watches_.begin(); it != watches_.end();) {
-    if (it->owner == owner) {
+    if (it->second->owner == owner) {
+      Unindex(it->first, it->second->key);
       it = watches_.erase(it);
       ++removed;
     } else {
@@ -220,20 +262,34 @@ int XenStore::RemoveWatchesOwnedBy(DomId owner) {
 }
 
 int XenStore::watch_count(DomId owner) const {
-  int n = 0;
-  for (const Watch& w : watches_) {
-    if (w.owner == owner) {
-      ++n;
-    }
-  }
-  return n;
+  return static_cast<int>(std::count_if(watches_.begin(), watches_.end(), [owner](const auto& w) {
+    return w.second->owner == owner;
+  }));
 }
 
-void XenStore::FireWatches(const std::string& path) {
-  for (const Watch& w : watches_) {
-    if (PathIsUnder(path, w.prefix)) {
-      PostWatchEvent(w.id, path);
+void XenStore::FireWatches(std::string_view path) {
+  // PathIsUnder(path, prefix) holds exactly when the prefix's key is "", the
+  // path itself, or the path cut just before one of its '/' (past the first
+  // byte: cutting there yields "", already probed).
+  std::vector<WatchId> hits;
+  auto probe = [&](std::string_view key) {
+    if (auto it = by_key_.find(key); it != by_key_.end()) {
+      hits.insert(hits.end(), it->second.begin(), it->second.end());
     }
+  };
+  probe({});
+  for (size_t i = 1; i < path.size(); ++i) {
+    if (path[i] == '/') {
+      probe(path.substr(0, i));
+    }
+  }
+  if (!path.empty()) {
+    probe(path);
+  }
+  // Id order is registration order, the order a scan of every watch fired in.
+  std::sort(hits.begin(), hits.end());
+  for (WatchId id : hits) {
+    PostWatchEvent(id, std::string(path));
   }
 }
 

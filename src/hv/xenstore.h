@@ -13,6 +13,11 @@
 //    executor with a xenstored processing latency), including once
 //    immediately upon registration (real Xen behaviour that drivers rely on
 //    to discover pre-existing state).
+//
+// Cost model of the simulator itself: a path is walked one string_view
+// component at a time, with no per-component allocation, and a write finds
+// its watches through an index keyed by prefix, probing only the path and
+// its ancestors instead of testing every watch.
 #ifndef SRC_HV_XENSTORE_H_
 #define SRC_HV_XENSTORE_H_
 
@@ -22,6 +27,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/hv/grant_table.h"  // for DomId
@@ -102,34 +109,50 @@ class XenStore {
   FlightRecorder* recorder() const { return recorder_; }
 
  private:
+  struct Node;
+  // std::less<> looks a string_view component up without a copy.
+  using Children = std::map<std::string, Node, std::less<>>;
   struct Node {
     std::string value;
     DomId owner = kDom0;
     std::set<DomId> permitted;  // Domains besides owner/dom0 with access.
-    std::map<std::string, Node> children;
+    Children children;
   };
 
-  const Node* FindNode(const std::string& path) const;
-  Node* FindNode(const std::string& path);
+  // Out of line on purpose: perfbench counts its calls as xenstore lookups.
+  const Node* FindNode(std::string_view path) const;
+  Node* FindNode(std::string_view path);
+  // The parent of path's node, with the node's entry in it in *entry; null
+  // for a missing path or the root (Remove and RemoveSubtree).
+  Node* FindParent(std::string_view path, Children::iterator* entry);
   bool CanRead(DomId caller, const Node& node) const;
   bool CanWrite(DomId caller, const Node& node) const;
-  void FireWatches(const std::string& path);
-  void PostWatchEvent(WatchId id, const std::string& path);
+  void FireWatches(std::string_view path);
+  void PostWatchEvent(WatchId id, std::string path);
+  void Unindex(WatchId id, const std::string& key);
   static void CollectPaths(const Node& node, const std::string& base,
                            std::vector<std::string>* out);
 
   struct Watch {
-    WatchId id;
     DomId owner;
-    std::string prefix;
+    std::string key;  // The prefix, normalized as PathIsUnder does.
     std::string token;
     WatchFn fn;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
   };
 
   Executor* executor_;
   FlightRecorder* recorder_ = nullptr;
   Node root_;
-  std::vector<Watch> watches_;
+  // Shared so that a firing callback keeps its closure and token alive
+  // while it removes its own watch.
+  std::unordered_map<WatchId, std::shared_ptr<const Watch>> watches_;
+  // Watch ids by normalized prefix ("" matches every path), each list in
+  // id order, which is registration order.
+  std::unordered_map<std::string, std::vector<WatchId>, KeyHash, std::equal_to<>> by_key_;
   WatchId next_watch_id_ = 1;
   SimDuration op_latency_ = Micros(15);
 };

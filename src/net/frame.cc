@@ -1,6 +1,7 @@
 #include "src/net/frame.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -385,9 +386,13 @@ std::optional<ArpPacket> ParseArp(std::span<const uint8_t> data) {
 // --- Ethernet. ---
 
 void SerializeEthernetInto(const EthernetFrame& frame, Buffer* out) {
+  // Both MACs in one Raw: GCC 12 at -O3 reads two back-to-back 6-byte range
+  // inserts into a fresh buffer as an overflow (-Wstringop-overflow).
+  std::array<uint8_t, 12> macs{};
+  std::copy(frame.dst.octets.begin(), frame.dst.octets.end(), macs.begin());
+  std::copy(frame.src.octets.begin(), frame.src.octets.end(), macs.begin() + 6);
   ByteWriter w(out);
-  w.Raw(frame.dst.octets);
-  w.Raw(frame.src.octets);
+  w.Raw(macs);
   w.U16(frame.ethertype);
   if (const ArpPacket* arp = frame.arp()) {
     SerializeArpInto(*arp, out);

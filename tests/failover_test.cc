@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/base/bytes.h"
+#include "src/base/strings.h"
 #include "src/core/invariants.h"
 #include "src/core/kite.h"
 
@@ -241,6 +242,50 @@ TEST(FailoverTest, RebalancerDrainsDegradedShard) {
   ASSERT_TRUE(sys.WaitUntil([&] { return reb.readmissions() >= 1; }, Seconds(10)));
   EXPECT_TRUE(pool.IsShardOpen(a->domain()->id()));
   EXPECT_TRUE(PingFrom(&sys, guest));
+  ExpectCoherent(&sys);
+}
+
+// The retire path cleans up as the reap path does: once the Rebalancer has
+// drained a VIF off a shard, that shard holds no backend/vif/<gid>
+// directory for the guest, empty or not.
+TEST(FailoverTest, MigratedVifLeavesNoBackendDirectoryOnItsOldShard) {
+  KiteSystem::Params params;
+  params.health.probe_period = Millis(1);
+  params.health.degraded_after = Millis(5);
+  params.health.stalled_after = Seconds(10);
+  KiteSystem sys(params);
+  NetworkDomain* a = sys.CreateNetworkDomain();
+  NetworkDomain* b = sys.CreateNetworkDomain();
+  DomainPool pool(&sys);
+  pool.AddShard(a);
+  pool.AddShard(b);
+  RebalancerParams rp;
+  rp.degraded_hysteresis = Millis(10);
+  Rebalancer reb(&sys, &pool, rp);
+
+  GuestVm* guest = sys.CreateGuest("app-vm");
+  const DomId gid = guest->domain()->id();
+  pool.Pin(gid, DeviceKind::kVif, a->domain()->id());
+  ASSERT_EQ(pool.AttachVif(guest, kGuestIp), a);
+  ASSERT_TRUE(sys.WaitConnected(guest));
+  pool.Unpin(gid, DeviceKind::kVif);
+  const std::string old_dir = StrFormat("/local/domain/%d/backend/vif/%d", a->domain()->id(), gid);
+  ASSERT_TRUE(sys.hv().store().Exists(old_dir));
+
+  sys.faults().set_rate(FaultSite::kEventNotify, 1.0);
+  guest->stack()->Ping(sys.client_ip(), 56, [](bool, SimDuration) {});
+  sys.RunFor(Millis(5));
+  sys.faults().set_rate(FaultSite::kEventNotify, 0.0);
+  ASSERT_TRUE(sys.WaitUntil(
+      [&] {
+        return guest->netfront()->connected() &&
+               guest->netfront()->backend_dom() == b->domain()->id();
+      },
+      Seconds(10)));
+  EXPECT_GE(reb.moves_started(), 1u);
+  EXPECT_FALSE(sys.hv().store().Exists(old_dir));
+  EXPECT_TRUE(sys.hv().store().Exists(
+      BackendPath(b->domain()->id(), "vif", gid, guest->netfront()->devid())));
   ExpectCoherent(&sys);
 }
 

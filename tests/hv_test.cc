@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "src/base/bytes.h"
+#include "src/base/strings.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/xenbus.h"
 
@@ -89,6 +90,58 @@ TEST_F(HvTest, GrantRefsAreRecycled) {
   EXPECT_TRUE(owner->grant_table().EndAccess(a));
   GrantRef b = owner->grant_table().GrantAccess(0, AllocPage(), false);
   EXPECT_EQ(a, b);
+}
+
+// DestroyDomain force-drops exactly the mappings the dead domain held, in
+// every table it mapped from, and leaves other mappers' mappings alone.
+TEST_F(HvTest, DestroyRevokesOnlyTheDeadMappersGrants) {
+  Domain* a = hv_.CreateDomain("a", 1, 512);
+  Domain* b = hv_.CreateDomain("b", 1, 512);
+  Domain* c = hv_.CreateDomain("c", 1, 512);
+  Domain* d = hv_.CreateDomain("d", 1, 512);
+  GrantTable& bt = b->grant_table();
+  GrantTable& ct = c->grant_table();
+  const GrantRef b1 = bt.GrantAccess(a->id(), AllocPage(), false);
+  const GrantRef b2 = bt.GrantAccess(a->id(), AllocPage(), false);
+  const GrantRef c1 = ct.GrantAccess(a->id(), AllocPage(), false);
+  const GrantRef bd = bt.GrantAccess(d->id(), AllocPage(), false);
+  MappedGrant a_b1 = hv_.GrantMap(a, b->id(), b1, false);
+  MappedGrant a_b2 = hv_.GrantMap(a, b->id(), b2, false);
+  MappedGrant a_c1 = hv_.GrantMap(a, c->id(), c1, false);
+  MappedGrant d_bd = hv_.GrantMap(d, b->id(), bd, false);
+  ASSERT_TRUE(a_b1.valid() && a_b2.valid() && a_c1.valid() && d_bd.valid());
+  EXPECT_EQ(bt.total_maps_outstanding(), 3);
+  EXPECT_EQ(ct.total_maps_outstanding(), 1);
+
+  a_b1.Unmap();
+  EXPECT_EQ(bt.total_maps_outstanding(), 2);
+  const uint64_t forced = hv_.forced_grant_revocations();
+  hv_.DestroyDomain(a->id());
+  EXPECT_EQ(hv_.forced_grant_revocations(), forced + 2);
+  EXPECT_EQ(bt.total_maps_outstanding(), 1);  // D's mapping.
+  EXPECT_EQ(bt.Lookup(bd)->active_maps, 1);
+  EXPECT_EQ(ct.total_maps_outstanding(), 0);
+  EXPECT_TRUE(bt.EndAccess(b1));
+  EXPECT_TRUE(bt.EndAccess(b2));
+  EXPECT_TRUE(ct.EndAccess(c1));
+  EXPECT_FALSE(bt.EndAccess(bd));  // Still mapped by D.
+
+  // The dead mapper's stale handles unmap nothing and charge nothing.
+  const uint64_t unmaps = hv_.grant_unmaps();
+  a_b2.Unmap();
+  a_c1.Unmap();
+  EXPECT_EQ(hv_.grant_unmaps(), unmaps);
+
+  // A domain that maps nothing changes no table when it dies.
+  Domain* e = hv_.CreateDomain("e", 1, 512);
+  hv_.DestroyDomain(e->id());
+  EXPECT_EQ(hv_.forced_grant_revocations(), forced + 2);
+  EXPECT_EQ(bt.total_maps_outstanding(), 1);
+  EXPECT_EQ(bt.Lookup(bd)->active_maps, 1);
+  EXPECT_EQ(ct.active_entry_count(), 0);
+  d_bd.Unmap();
+  EXPECT_EQ(bt.total_maps_outstanding(), 0);
+  EXPECT_TRUE(bt.EndAccess(bd));
 }
 
 TEST_F(HvTest, GrantCopyMovesBytesAndChecksBounds) {
@@ -346,6 +399,38 @@ TEST_F(HvTest, RemovedWatchStopsFiring) {
   a->StoreWrite(a->store_home() + "/x", "1");
   ex_.RunUntilIdle();
   EXPECT_EQ(fires, 1);  // Only the registration fire.
+}
+
+// A callback may grow the watch table and remove its own watch: the firing
+// closure and its token must outlive both (run under ASan to see a miss).
+TEST_F(HvTest, WatchCallbackMayAddWatchesAndRemoveItsOwn) {
+  XenStore& store = hv_.store();
+  auto capture = std::make_shared<std::string>(48, 'c');
+  const std::string token(48, 't');  // Past the small-string buffer.
+  WatchId self = 0;
+  std::vector<WatchId> added;
+  std::string seen_capture;
+  std::string seen_token;
+  self = store.AddWatch(kDom0, "/w/self", token,
+                        [&, capture](const std::string&, const std::string& tok) {
+                          for (int i = 0; i < 64; ++i) {
+                            added.push_back(store.AddWatch(
+                                kDom0, StrFormat("/w/other%d", i), "o",
+                                [](const std::string&, const std::string&) {}));
+                          }
+                          store.RemoveWatch(self);
+                          seen_capture = *capture;
+                          seen_token = tok;
+                        });
+  capture.reset();  // The closure holds the only reference now.
+  ex_.RunUntilIdle();
+  EXPECT_EQ(seen_capture, std::string(48, 'c'));
+  EXPECT_EQ(seen_token, token);
+  EXPECT_EQ(added.size(), 64u);
+  EXPECT_EQ(store.watch_count(), 64);
+  store.Write(kDom0, "/w/self", "1");  // The removed watch stays silent.
+  ex_.RunUntilIdle();
+  EXPECT_EQ(seen_capture, std::string(48, 'c'));
 }
 
 // --- Xenbus. ---

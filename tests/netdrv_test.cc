@@ -4,6 +4,9 @@
 // drops, and async completion ordering.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "src/core/kite.h"
 #include "src/hv/xenbus.h"
 
@@ -132,6 +135,54 @@ TEST(NetdrvTest, DestroyedFrontendClosesItsEventChannel) {
   XenbusClient(&store, backend->id()).SwitchState(be, XenbusState::kInitWait);
   ex.RunUntilIdle();
   expect_port_closed_on_destroy(fe, blk);
+}
+
+// As in Linux blkfront, a backend that does not advertise
+// feature-flush-cache has no volatile cache to flush: a flush completes
+// without a ring request. A backend that advertises it gets the request.
+TEST(NetdrvTest, BlkfrontFlushHonoursTheBackendFlushFeature) {
+  Executor ex;
+  Hypervisor hv(&ex);
+  Domain* guest = hv.CreateDomain("g", 1, 512);
+  Domain* backend = hv.CreateDomain("be", 1, 512);
+  guest->set_online(true);
+  backend->set_online(true);
+  XenStore& store = hv.store();
+  XenbusClient bus(&store, backend->id());
+  // A connected blkfront with no ring consumer behind it.
+  auto connect = [&](int devid, bool flush_feature) {
+    const std::string fe = FrontendPath(guest->id(), "vbd", devid);
+    const std::string be = BackendPath(backend->id(), "vbd", guest->id(), devid);
+    store.WriteInt(kDom0, fe + "/backend-id", backend->id());
+    store.WriteInt(kDom0, be + "/sectors", 2048);
+    if (flush_feature) {
+      store.WriteInt(kDom0, be + "/feature-flush-cache", 1);
+    }
+    store.SetPermission(kDom0, fe, backend->id());
+    store.SetPermission(kDom0, be, guest->id());
+    auto blk = std::make_unique<Blkfront>(guest, backend->id(), devid);
+    bus.SwitchState(be, XenbusState::kInitWait);
+    ex.RunUntilIdle();
+    bus.SwitchState(be, XenbusState::kConnected);
+    ex.RunUntilIdle();
+    EXPECT_TRUE(blk->connected());
+    return blk;
+  };
+
+  auto plain = connect(51712, /*flush_feature=*/false);
+  std::optional<bool> flushed;
+  plain->Flush([&](bool ok) { flushed = ok; });
+  ex.RunUntilIdle();
+  ASSERT_TRUE(flushed.has_value());
+  EXPECT_TRUE(*flushed);
+  EXPECT_EQ(plain->requests_sent(), 0u);
+
+  auto cached = connect(51728, /*flush_feature=*/true);
+  bool called = false;
+  cached->Flush([&](bool) { called = true; });
+  ex.RunUntilIdle();
+  EXPECT_FALSE(called);  // Waits on the ring for a backend response.
+  EXPECT_EQ(cached->requests_sent(), 1u);
 }
 
 TEST(NetdrvTest, NotificationAvoidanceBatchesEvents) {

@@ -1,7 +1,7 @@
 // Randomized property tests: xenstore tree consistency under random
-// operation sequences, codec round-trips over random packets, ROP scanner
-// determinism, and grant-table invariants under random grant/map/copy
-// schedules.
+// operation sequences, the watch index against a scan of every watch, codec
+// round-trips over random packets, ROP scanner determinism, and grant-table
+// invariants under random grant/map/copy schedules.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -94,6 +94,98 @@ TEST_P(XenstoreFuzz, MatchesModelMap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XenstoreFuzz, ::testing::Range(1, FuzzSeedEnd(6)));
+
+// --- Watch index vs a PathIsUnder scan. ---
+
+class WatchIndexFuzz : public ::testing::TestWithParam<int> {};
+
+// Every write and remove fires exactly the watches that a PathIsUnder scan
+// in registration order would, in that order, while watches come and go.
+// Components "a" and "ab" make byte prefixes that are not path prefixes;
+// empty components and trailing '/' exercise the normalization.
+TEST_P(WatchIndexFuzz, FiresWhatAPathIsUnderScanFires) {
+  Executor ex;
+  XenStore store(&ex);
+  Rng rng(GetParam() * 7919 + 1);
+  const char* const kParts[] = {"a", "ab", "b", ""};
+  auto random_path = [&] {
+    std::string path;
+    const int depth = static_cast<int>(rng.NextBelow(4));
+    for (int d = 0; d < depth; ++d) {
+      path += '/';
+      path += kParts[rng.NextBelow(4)];
+    }
+    if (rng.NextBool(0.25)) {
+      path += '/';
+    }
+    return path;
+  };
+
+  struct Registered {
+    WatchId id;
+    std::string prefix;
+  };
+  std::vector<Registered> model;  // Registration order.
+  std::vector<std::pair<WatchId, std::string>> fired;
+  std::vector<std::pair<WatchId, std::string>> expected;
+  auto add_watch = [&](const std::string& prefix) {
+    auto slot = std::make_shared<WatchId>(0);
+    *slot = store.AddWatch(kDom0, prefix, "t",
+                           [&fired, slot](const std::string& path, const std::string&) {
+                             fired.emplace_back(*slot, path);
+                           });
+    model.push_back(Registered{*slot, prefix});
+    expected.emplace_back(*slot, prefix);  // The registration fire.
+  };
+  auto expect_scan = [&](const std::string& path) {
+    for (const Registered& w : model) {
+      if (PathIsUnder(path, w.prefix)) {
+        expected.emplace_back(w.id, path);
+      }
+    }
+  };
+
+  for (const char* prefix : {"", "/", "/a", "/ab", "/a/", "/a//", "//", "/ab/b/"}) {
+    add_watch(prefix);
+  }
+  // Drained after every step: a watch removed with its registration fire
+  // still in flight fires nothing, which the scan above does not model.
+  ex.RunUntilIdle();
+  ASSERT_EQ(fired, expected);
+  for (int op = 0; op < 600; ++op) {
+    switch (rng.NextBelow(5)) {
+      case 0:
+        add_watch(random_path());
+        break;
+      case 1:
+        if (!model.empty()) {
+          const size_t idx = rng.NextBelow(model.size());
+          store.RemoveWatch(model[idx].id);
+          model.erase(model.begin() + static_cast<std::ptrdiff_t>(idx));
+        }
+        break;
+      case 2:
+      case 3: {
+        const std::string path = random_path();
+        ASSERT_TRUE(store.Write(kDom0, path, "v"));
+        expect_scan(path);
+        break;
+      }
+      case 4: {
+        const std::string path = random_path();
+        if (store.Remove(kDom0, path)) {
+          expect_scan(path);
+        }
+        break;
+      }
+    }
+    ex.RunUntilIdle();
+    ASSERT_EQ(fired, expected) << "op " << op;
+  }
+  EXPECT_EQ(store.watch_count(), static_cast<int>(model.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WatchIndexFuzz, ::testing::Range(1, FuzzSeedEnd(6)));
 
 // --- Codec round-trips over random packets. ---
 
@@ -418,7 +510,7 @@ TEST_P(GrantFuzz, MapCountsNeverLeakOrUnderflow) {
         if (!granted.empty()) {
           const size_t idx = rng.NextBelow(granted.size());
           GrantRef ref = granted[idx];
-          GrantTable::Entry* e = owner->grant_table().Lookup(ref);
+          const GrantTable::Entry* e = owner->grant_table().Lookup(ref);
           const bool was_mapped = e != nullptr && e->active_maps > 0;
           const bool ended = owner->grant_table().EndAccess(ref);
           if (was_mapped) {
