@@ -36,18 +36,6 @@ std::vector<std::string> SplitPath(std::string_view path, char sep) {
   return parts;
 }
 
-std::string JoinPath(const std::vector<std::string>& components) {
-  if (components.empty()) {
-    return "/";
-  }
-  std::string out;
-  for (const auto& c : components) {
-    out.push_back('/');
-    out.append(c);
-  }
-  return out;
-}
-
 bool HasPrefix(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -19,9 +19,6 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 // ("/a//b/" -> {"a","b"}), which matches xenstore path semantics.
 std::vector<std::string> SplitPath(std::string_view path, char sep = '/');
 
-// Joins components with '/' and a leading '/'.
-std::string JoinPath(const std::vector<std::string>& components);
-
 bool HasPrefix(std::string_view s, std::string_view prefix);
 
 // True if `path` equals `prefix` or is a descendant of it in '/'-separated

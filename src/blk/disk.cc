@@ -116,7 +116,7 @@ void BlockDevice::ReleaseHungIo() {
   }
 }
 
-void BlockDevice::AbortHungIo() {
+void BlockDevice::OnUnassigned() {
   for (DiskRequest& req : std::exchange(hung_, {})) {
     --active_;
     ++io_errors_;

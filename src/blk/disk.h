@@ -85,12 +85,13 @@ class BlockDevice : public PciDevice {
   // Revives every parked completion (each re-rolls the fault sites, so clear
   // the kDiskHang rate first unless re-parking is intended).
   void ReleaseHungIo();
-  // Fails every parked completion instead: each counts as an I/O error with
-  // no content effect and frees its queue-depth slot. A driver-domain
-  // restart does this when it hands the device over, so a stale op of the
-  // dead domain can never land after the frontend's requeued copy.
-  void AbortHungIo();
   int hung_io_count() const { return static_cast<int>(hung_.size()); }
+
+  // Released by its domain (a driver-domain restart hands the device over):
+  // fails every parked completion, each as an I/O error with no content
+  // effect that frees its queue-depth slot, so a stale op of the dead domain
+  // can never land after the frontend's requeued copy.
+  void OnUnassigned() override;
 
   // Direct (out-of-band) access for tests and for pre-populating content.
   void WriteRaw(int64_t offset, std::span<const uint8_t> data);
@@ -102,7 +103,6 @@ class BlockDevice : public PciDevice {
   uint64_t bytes_read() const { return bytes_read_; }
   uint64_t bytes_written() const { return bytes_written_; }
   uint64_t io_errors() const { return io_errors_; }
-  int queue_length() const { return static_cast<int>(queue_.size()); }
 
  private:
   void TryStart();

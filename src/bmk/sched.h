@@ -94,7 +94,6 @@ class BmkSched {
   // Sleep without consuming CPU.
   TimedAwaiter Sleep(SimDuration d) { return TimedAwaiter(this, executor_->Now() + d); }
 
-  const std::vector<std::string>& thread_names() const { return thread_names_; }
   int thread_count() const { return static_cast<int>(thread_names_.size()); }
   uint64_t yield_count() const { return yields_; }
   size_t parked_timers() const { return parked_; }

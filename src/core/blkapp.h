@@ -6,16 +6,16 @@
 #ifndef SRC_CORE_BLKAPP_H_
 #define SRC_CORE_BLKAPP_H_
 
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "src/bmk/sched.h"
 #include "src/blkdrv/blkback.h"
+#include "src/core/configapp.h"
 
 namespace kite {
 
-class BlockStatusApp {
+class BlockStatusApp : public ConfigApp<BlkbackInstance> {
  public:
   BlockStatusApp(BmkSched* sched, StorageBackendDriver* driver, std::string physical_bdf);
 
@@ -25,18 +25,15 @@ class BlockStatusApp {
     bool connected;
   };
   std::vector<VbdStatus> Status() const;
-  int vbds_configured() const { return vbds_configured_; }
 
  private:
-  Task MainLoop();
+  // Records the vbd in the status view.
+  void Configure(BlkbackInstance* vbd) override;
+  // Drops a reaped vbd from the status view.
+  void Forget(BlkbackInstance* vbd) override;
 
-  BmkSched* sched_;
-  StorageBackendDriver* driver_;
   std::string physical_bdf_;
-  WakeFlag vbd_wake_;
-  std::deque<BlkbackInstance*> pending_;
   std::vector<VbdStatus> status_;
-  int vbds_configured_ = 0;
 };
 
 }  // namespace kite

@@ -153,18 +153,11 @@ void InvariantChecker::CheckGraveyards() {
   // At quiesce every reaped instance's worker threads must have exited and
   // the instance been freed; a populated graveyard is a parked-coroutine
   // leak.
-  for (const auto& nd : sys_->network_domains()) {
-    if (nd->driver() != nullptr && nd->driver()->dying_instance_count() != 0) {
-      Fail("netback-graveyard",
-           StrFormat("%s: %d reaped vif instance(s) never drained",
-                     nd->domain()->name().c_str(), nd->driver()->dying_instance_count()));
-    }
-  }
-  for (const auto& sd : sys_->storage_domains()) {
-    if (sd->driver() != nullptr && sd->driver()->dying_instance_count() != 0) {
-      Fail("blkback-graveyard",
-           StrFormat("%s: %d reaped vbd instance(s) never drained",
-                     sd->domain()->name().c_str(), sd->driver()->dying_instance_count()));
+  for (const DriverDomain* dd : sys_->driver_domains()) {
+    if (const int dying = dd->dying_instance_count(); dying != 0) {
+      Fail(dd->kind() == DeviceKind::kVif ? "netback-graveyard" : "blkback-graveyard",
+           StrFormat("%s: %d reaped %s instance(s) never drained",
+                     dd->domain()->name().c_str(), dying, DeviceTypeName(dd->kind())));
     }
   }
 }

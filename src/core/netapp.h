@@ -9,24 +9,23 @@
 #ifndef SRC_CORE_NETAPP_H_
 #define SRC_CORE_NETAPP_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/bmk/sched.h"
+#include "src/core/configapp.h"
 #include "src/net/bridge.h"
 #include "src/netdrv/netback.h"
 
 namespace kite {
 
-// Ported ifconfig(8): interface address assignment and link state.
+// Ported ifconfig(8): interface address assignment.
 class IfConfig {
  public:
   explicit IfConfig(BmkSched* sched);
 
   void AssignIp(NetIf* netif, Ipv4Addr ip);
-  void SetUp(NetIf* netif);
 
   struct Assignment {
     std::string ifname;
@@ -47,33 +46,27 @@ class BrConfig {
   std::unique_ptr<Bridge> CreateBridge(const std::string& name);
   void AddIf(Bridge* bridge, NetIf* netif);
 
-  int adds() const { return adds_; }
-
  private:
   BmkSched* sched_;
-  int adds_ = 0;
 };
 
 // The unified network application.
-class NetworkApp {
+class NetworkApp : public ConfigApp<NetbackInstance> {
  public:
   NetworkApp(BmkSched* sched, NetworkBackendDriver* driver, NetIf* physical_if,
              Ipv4Addr gateway_ip);
 
   Bridge* bridge() const { return bridge_.get(); }
-  int vifs_added() const { return vifs_added_; }
 
  private:
-  Task MainLoop();
+  // Adds the vif to the bridge.
+  void Configure(NetbackInstance* vif) override;
+  // A reaped vif must leave the bridge before its pointer dies.
+  void Forget(NetbackInstance* vif) override { bridge_->RemoveIf(vif); }
 
-  BmkSched* sched_;
-  NetworkBackendDriver* driver_;
   IfConfig ifconfig_;
   BrConfig brconfig_;
   std::unique_ptr<Bridge> bridge_;
-  WakeFlag vif_wake_;
-  std::deque<NetbackInstance*> pending_vifs_;
-  int vifs_added_ = 0;
 };
 
 }  // namespace kite

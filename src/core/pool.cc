@@ -10,14 +10,9 @@ namespace kite {
 
 DomainPool::DomainPool(KiteSystem* sys) : sys_(sys) {}
 
-void DomainPool::AddShard(NetworkDomain* nd) {
-  KITE_CHECK(nd != nullptr);
-  shards_.push_back(Shard{nd->domain()->id(), DeviceKind::kVif, true});
-}
-
-void DomainPool::AddShard(StorageDomain* sd) {
-  KITE_CHECK(sd != nullptr);
-  shards_.push_back(Shard{sd->domain()->id(), DeviceKind::kVbd, true});
+void DomainPool::AddShard(DriverDomain* dd) {
+  KITE_CHECK(dd != nullptr);
+  shards_.push_back(Shard{dd->domain()->id(), dd->kind(), true});
 }
 
 const DomainPool::Shard* DomainPool::Find(DomId dom) const {

@@ -37,6 +37,7 @@
 namespace kite {
 
 class KiteSystem;
+class DriverDomain;
 class NetworkDomain;
 class StorageDomain;
 class GuestVm;
@@ -56,8 +57,7 @@ class DomainPool {
 
   // --- Membership. Registration order is placement order. ---
   // A network domain serves VIFs, a storage domain VBDs.
-  void AddShard(NetworkDomain* nd);
-  void AddShard(StorageDomain* sd);
+  void AddShard(DriverDomain* dd);
   void RemoveShard(DomId dom);
   // Closed shards host but don't accept new placements.
   void SetShardOpen(DomId dom, bool open);

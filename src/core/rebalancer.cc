@@ -264,28 +264,16 @@ void Rebalancer::Evacuate(DomId dom) {
   ctl.draining = false;
   ctl.hysteresis_armed = false;
 
+  DriverDomain* dd = sys_->FindDriverDomain(dom, ctl.kind);
+  if (dd == nullptr) {
+    return;  // Already gone (e.g. the scenario restarted it by hand).
+  }
   // Scatter the guests onto the least-loaded healthy shards of the kind;
   // the restart falls back to the replacement when there is none.
-  DomId fresh_id = 0;
-  if (ctl.kind == DeviceKind::kVif) {
-    NetworkDomain* nd = sys_->FindNetworkDomain(dom);
-    if (nd == nullptr) {
-      return;  // Already gone (e.g. the scenario restarted it by hand).
-    }
-    fresh_id = sys_->RestartNetworkDomain(nd, [&](GuestVm*) {
-      const std::optional<DomId> t = pool_->LeastLoadedShard(DeviceKind::kVif, dom);
-      return t.has_value() ? sys_->FindNetworkDomain(*t) : nullptr;
-    })->domain()->id();
-  } else {
-    StorageDomain* sd = sys_->FindStorageDomain(dom);
-    if (sd == nullptr) {
-      return;
-    }
-    fresh_id = sys_->RestartStorageDomain(sd, [&](GuestVm*) {
-      const std::optional<DomId> t = pool_->LeastLoadedShard(DeviceKind::kVbd, dom);
-      return t.has_value() ? sys_->FindStorageDomain(*t) : nullptr;
-    })->domain()->id();
-  }
+  const DomId fresh_id = sys_->RestartDriverDomain(dd, [&](GuestVm*) {
+    const std::optional<DomId> t = pool_->LeastLoadedShard(ctl.kind, dom);
+    return t.has_value() ? sys_->FindDriverDomain(*t, ctl.kind) : nullptr;
+  })->domain()->id();
   pool_->ReplaceShard(dom, fresh_id);
   pool_->SetShardOpen(fresh_id, true);
   // The replacement inherits the slot's failure streak (backoff survives the

@@ -1,6 +1,5 @@
 #include "src/core/system.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -24,44 +23,46 @@ void WriteEnvArtifact(const std::string& path, const char* what, Render render) 
   }
 }
 
-// The guest or driver domain in `owned` whose VM is `id`, or nullptr.
-template <typename T>
-T* FindById(const std::vector<std::unique_ptr<T>>& owned, DomId id) {
-  for (const auto& p : owned) {
-    if (p->domain()->id() == id) {
-      return p.get();
-    }
-  }
-  return nullptr;
-}
-
-// Drops (and destroys) `victim` from `owned`.
-template <typename T>
-void EraseOwned(std::vector<std::unique_ptr<T>>* owned, const T* victim) {
-  auto it = std::find_if(owned->begin(), owned->end(),
-                         [victim](const auto& p) { return p.get() == victim; });
-  if (it != owned->end()) {
-    owned->erase(it);
-  }
-}
-
-// Restart is "migrate everyone off the corpse": forced moves (the old
-// backend is gone) onto the caller's placement, defaulting to the
-// replacement. The engine serializes per device, so a restart landing
-// mid-migration waits for the move to settle instead of double-relinking.
-template <typename DriverDomain>
-void ForceMoves(MigrationEngine* migrate, DeviceKind kind, const std::vector<GuestVm*>& guests,
-                DriverDomain* fresh, const std::function<DriverDomain*(GuestVm*)>& place) {
-  for (GuestVm* guest : guests) {
-    DriverDomain* target = place ? place(guest) : fresh;
-    if (target == nullptr) {
-      target = fresh;
-    }
-    migrate->Migrate(guest->domain()->id(), kind, target->domain()->id());
-  }
-}
-
 }  // namespace
+
+DriverDomain::DriverDomain(DeviceKind kind, const char* vm_role, bool sharded,
+                           DriverDomainConfig config)
+    : kind_(kind),
+      vm_role_(vm_role),
+      sharded_(sharded),
+      config_(config),
+      os_(&DriverDomainProfile(config.os, /*storage=*/kind == DeviceKind::kVbd)) {}
+
+std::vector<BmkSched*> DriverDomain::scheds() const {
+  std::vector<BmkSched*> out;
+  for (const auto& s : scheds_) {
+    out.push_back(s.get());
+  }
+  return out;
+}
+
+void NetworkDomain::StartServices() {
+  driver_ = std::make_unique<NetworkBackendDriver>(
+      domain(), scheds(),
+      [dom = domain(), costs = &os()->costs, params = config().netback](
+          BmkSched* sched, DomId frontend_dom, int devid) {
+        return std::make_unique<NetbackInstance>(dom, sched, costs, params, frontend_dom,
+                                                 devid);
+      });
+  app_ = std::make_unique<NetworkApp>(scheds().front(), driver_.get(), nic_->netif(),
+                                      gateway_ip_);
+}
+
+void StorageDomain::StartServices() {
+  driver_ = std::make_unique<StorageBackendDriver>(
+      domain(), scheds(),
+      [dom = domain(), costs = &os()->costs, disk = disk_.get(), params = config().blkback](
+          BmkSched* sched, DomId frontend_dom, int devid) {
+        return std::make_unique<BlkbackInstance>(dom, sched, costs, params, disk,
+                                                 frontend_dom, devid);
+      });
+  app_ = std::make_unique<BlockStatusApp>(scheds().front(), driver_.get(), disk_->bdf());
+}
 
 KiteSystem::KiteSystem(Params params)
     : params_(params),
@@ -204,24 +205,19 @@ void KiteSystem::DumpDiagnostics(std::ostream& out) {
 
 std::string KiteSystem::FormatPlacement() {
   XenStore& store = hv_->store();
-  // Rebuilt purely from the toolstack's placement keys, so the table shows
-  // what is actually linked — not what any policy object believes. Each
-  // device carries the published health verdict of its backend instance
-  // (falling back to the live monitor when no transition was ever published).
+  // Rebuilt purely from each guest device's toolstack backend-id, the record
+  // LinkedBackend reads, so the table shows what is actually linked — not
+  // what any policy object believes. Each device carries the published
+  // health verdict of its backend instance (falling back to the live monitor
+  // when no transition was ever published).
+  const std::vector<std::string> none;
+  const std::vector<std::string> doms = store.List(kDom0, "/local/domain").value_or(none);
   std::map<DomId, std::vector<std::string>> shards;
   for (const char* kind : {"vif", "vbd"}) {
-    const std::string root = StrFormat("/local/domain/0/kite/placement/%s", kind);
-    const auto guests = store.List(kDom0, root);
-    if (!guests.has_value()) {
-      continue;
-    }
-    for (const std::string& gid : *guests) {
-      const auto devids = store.List(kDom0, root + "/" + gid);
-      if (!devids.has_value()) {
-        continue;
-      }
-      for (const std::string& devid : *devids) {
-        const auto bid = store.ReadInt(kDom0, root + "/" + gid + "/" + devid);
+    for (const std::string& gid : doms) {
+      const std::string devices = "/local/domain/" + gid + "/device/" + kind;
+      for (const std::string& devid : store.List(kDom0, devices).value_or(none)) {
+        const auto bid = store.ReadInt(kDom0, devices + "/" + devid + "/backend-id");
         if (!bid.has_value()) {
           continue;
         }
@@ -258,150 +254,85 @@ bool KiteSystem::DumpTrace(const std::string& path) {
   return tracer_.DumpTrace(path);
 }
 
-void KiteSystem::BootDomain(Domain* dom, const OsProfile* os,
-                            std::function<void()> on_booted) {
-  if (params_.instant_boot) {
-    dom->set_online(true);
-    on_booted();
-    return;
-  }
-  // Replay the boot phases sequentially, then bring services up.
-  SimDuration total;
-  for (const BootPhase& phase : os->boot_phases) {
-    total += phase.duration;
-  }
-  executor_.PostAfter(total, KITE_POST_SITE("system/boot-complete"),
-                      [dom, on_booted = std::move(on_booted)] {
-    dom->set_online(true);
-    on_booted();
-  });
-}
-
 NetworkDomain* KiteSystem::CreateNetworkDomain(DriverDomainConfig config) {
-  return CreateNetworkDomainImpl(config, /*reuse_nic=*/nullptr);
-}
-
-NetworkDomain* KiteSystem::CreateNetworkDomainImpl(DriverDomainConfig config,
-                                                   std::unique_ptr<Nic> reuse_nic) {
-  auto nd = std::make_unique<NetworkDomain>();
-  nd->os_ = &DriverDomainProfile(config.os, /*storage=*/false);
-  nd->config_ = config;
-  const int memory =
-      config.memory_mb > 0 ? config.memory_mb
-                           : (config.os == OsKind::kKiteRumprun ? 1024 : 2048);
-  nd->domain_ = hv_->CreateDomain(
-      config.os == OsKind::kKiteRumprun ? "kite-netdom" : "linux-netdom", config.vcpus,
-      memory);
-  for (int i = 0; i < nd->domain_->vcpu_count(); ++i) {
-    nd->scheds_.push_back(std::make_unique<BmkSched>(&executor_, nd->domain_->vcpu(i)));
-  }
-
-  // Physical NIC assigned via PCI passthrough (with IOMMU). Across a
-  // driver-domain restart the same NIC is handed over, still cabled to the
-  // client, so the link (and any frames in flight on it) is preserved.
-  if (reuse_nic != nullptr) {
-    nd->nic_ = std::move(reuse_nic);
-  } else {
-    nd->nic_ = std::make_unique<Nic>(&executor_,
-                                     StrFormat("0000:03:00.%d", next_nic_fn_++), "ixg0",
-                                     MacAddr::FromId(0x100000u + next_mac_id_++));
-    nd->nic_->set_fault_injector(&faults_);
-  }
-  hv_->AssignPci(nd->nic_.get(), nd->domain_, /*iommu=*/true);
-
-  EnsureClient();
-  if (nd->nic_->peer() == nullptr) {
-    // Pay-for-use fabric: a single network domain is direct-cabled to the
-    // client (the paper's testbed, byte-identical figures); the moment a
-    // second uplink appears everything moves behind an EtherSwitch.
-    if (switch_ == nullptr && network_domains_.empty()) {
-      Nic::ConnectBackToBack(nd->nic_.get(), client_->nic_.get());
-    } else {
-      EnsureSwitch();
-      switch_->Plug(nd->nic_.get());
-    }
-  }
-
-  NetworkDomain* raw = nd.get();
-  network_domains_.push_back(std::move(nd));
-  BootDomain(raw->domain_, raw->os_, [this, raw, config] {
-    raw->boot_completed_at_ = executor_.Now();
-    StartNetworkDomainServices(raw, config);
-  });
-  return raw;
-}
-
-void KiteSystem::StartNetworkDomainServices(NetworkDomain* nd, DriverDomainConfig config) {
-  std::vector<BmkSched*> scheds;
-  for (auto& s : nd->scheds_) {
-    scheds.push_back(s.get());
-  }
-  nd->driver_ = std::make_unique<NetworkBackendDriver>(
-      nd->domain_, std::move(scheds),
-      [dom = nd->domain_, costs = &nd->os_->costs, params = config.netback](
-          BmkSched* sched, DomId frontend_dom, int devid) {
-        return std::make_unique<NetbackInstance>(dom, sched, costs, params, frontend_dom,
-                                                 devid);
-      });
-  nd->app_ = std::make_unique<NetworkApp>(nd->scheds_.front().get(), nd->driver_.get(),
-                                          nd->nic_->netif(), gateway_ip_);
+  return Enlist(&network_domains_,
+                std::make_unique<NetworkDomain>(config, NewUplink(), gateway_ip_));
 }
 
 StorageDomain* KiteSystem::CreateStorageDomain(DriverDomainConfig config) {
-  return CreateStorageDomainImpl(config, /*reuse_disk=*/nullptr);
+  return Enlist(&storage_domains_, std::make_unique<StorageDomain>(config, NewDiskPort()));
 }
 
-StorageDomain* KiteSystem::CreateStorageDomainImpl(DriverDomainConfig config,
-                                                   std::unique_ptr<BlockDevice> reuse_disk) {
-  auto sd = std::make_unique<StorageDomain>();
-  sd->os_ = &DriverDomainProfile(config.os, /*storage=*/true);
-  sd->config_ = config;
-  const int memory =
-      config.memory_mb > 0 ? config.memory_mb
-                           : (config.os == OsKind::kKiteRumprun ? 1024 : 2048);
-  sd->domain_ = hv_->CreateDomain(
-      config.os == OsKind::kKiteRumprun ? "kite-stordom" : "linux-stordom", config.vcpus,
-      memory);
-  sd->sched_ = std::make_unique<BmkSched>(&executor_, sd->domain_->vcpu(0));
-
-  // Across a restart the same physical disk is handed over, so every write
-  // acknowledged before the crash is still there afterwards.
-  if (reuse_disk != nullptr) {
-    sd->disk_ = std::move(reuse_disk);
-  } else {
-    // Every storage shard ports the same dual-ported media (fabric-attached
-    // storage): per-port timing and queues stay independent, but a write
-    // acknowledged through one shard is readable through any other — the
-    // property VBD migration relies on.
-    if (shared_media_ == nullptr) {
-      shared_media_ = std::make_shared<DiskMedia>();
-    }
-    sd->disk_ = std::make_unique<BlockDevice>(
-        &executor_, StrFormat("0000:04:00.%d", next_disk_fn_++), params_.disk,
-        params_.disk_store_data, shared_media_);
-    sd->disk_->set_fault_injector(&faults_);
-  }
-  hv_->AssignPci(sd->disk_.get(), sd->domain_, /*iommu=*/true);
-
-  StorageDomain* raw = sd.get();
-  storage_domains_.push_back(std::move(sd));
-  BootDomain(raw->domain_, raw->os_, [this, raw, config] {
-    raw->boot_completed_at_ = executor_.Now();
-    StartStorageDomainServices(raw, config);
-  });
+template <typename D>
+D* KiteSystem::Enlist(std::vector<std::unique_ptr<D>>* owned, std::unique_ptr<D> dd) {
+  D* raw = dd.get();
+  owned->push_back(std::move(dd));
+  BringUp(raw);
   return raw;
 }
 
-void KiteSystem::StartStorageDomainServices(StorageDomain* sd, DriverDomainConfig config) {
-  sd->driver_ = std::make_unique<StorageBackendDriver>(
-      sd->domain_, std::vector<BmkSched*>{sd->sched_.get()},
-      [dom = sd->domain_, costs = &sd->os_->costs, disk = sd->disk_.get(),
-       params = config.blkback](BmkSched* sched, DomId frontend_dom, int devid) {
-        return std::make_unique<BlkbackInstance>(dom, sched, costs, params, disk,
-                                                 frontend_dom, devid);
-      });
-  sd->app_ = std::make_unique<BlockStatusApp>(sd->sched_.get(), sd->driver_.get(),
-                                              sd->disk_->bdf());
+void KiteSystem::BringUp(DriverDomain* dd) {
+  const DriverDomainConfig& config = dd->config_;
+  const bool kite = config.os == OsKind::kKiteRumprun;
+  dd->domain_ = hv_->CreateDomain(StrFormat("%s-%s", kite ? "kite" : "linux", dd->vm_role_),
+                                  config.vcpus,
+                                  config.memory_mb > 0 ? config.memory_mb : (kite ? 1024 : 2048));
+  const int scheds = dd->sharded_ ? dd->domain_->vcpu_count() : 1;
+  for (int i = 0; i < scheds; ++i) {
+    dd->scheds_.push_back(std::make_unique<BmkSched>(&executor_, dd->domain_->vcpu(i)));
+  }
+  hv_->AssignPci(dd->device(), dd->domain_, /*iommu=*/true);
+
+  // Services start once the VM is up, unless a restart replaced it meanwhile.
+  auto booted = [this, dd, vm = dd->domain_] {
+    vm->set_online(true);
+    if (dd->domain_ == vm) {
+      dd->boot_completed_at_ = Now();
+      dd->StartServices();
+    }
+  };
+  if (params_.instant_boot) {
+    booted();
+    return;
+  }
+  // Replay the boot phases sequentially.
+  SimDuration total;
+  for (const BootPhase& phase : dd->os_->boot_phases) {
+    total += phase.duration;
+  }
+  executor_.PostAfter(total, KITE_POST_SITE("system/boot-complete"), booted);
+}
+
+std::unique_ptr<Nic> KiteSystem::NewUplink() {
+  auto nic = std::make_unique<Nic>(&executor_, StrFormat("0000:03:00.%d", next_nic_fn_++),
+                                   "ixg0", MacAddr::FromId(0x100000u + next_mac_id_++));
+  nic->set_fault_injector(&faults_);
+  EnsureClient();
+  // Pay-for-use fabric: a single network domain is direct-cabled to the
+  // client (the paper's testbed, byte-identical figures); the moment a
+  // second uplink appears everything moves behind an EtherSwitch.
+  if (switch_ == nullptr && network_domains_.empty()) {
+    Nic::ConnectBackToBack(nic.get(), client_->nic_.get());
+  } else {
+    EnsureSwitch();
+    switch_->Plug(nic.get());
+  }
+  return nic;
+}
+
+std::unique_ptr<BlockDevice> KiteSystem::NewDiskPort() {
+  // Every storage shard ports the same dual-ported media (fabric-attached
+  // storage): per-port timing and queues stay independent, but a write
+  // acknowledged through one shard is readable through any other — the
+  // property VBD migration relies on.
+  if (shared_media_ == nullptr) {
+    shared_media_ = std::make_shared<DiskMedia>();
+  }
+  auto disk = std::make_unique<BlockDevice>(&executor_,
+                                            StrFormat("0000:04:00.%d", next_disk_fn_++),
+                                            params_.disk, params_.disk_store_data, shared_media_);
+  disk->set_fault_injector(&faults_);
+  return disk;
 }
 
 GuestVm* KiteSystem::CreateGuest(const std::string& name, int vcpus, int memory_mb) {
@@ -414,11 +345,6 @@ GuestVm* KiteSystem::CreateGuest(const std::string& name, int vcpus, int memory_
 }
 
 void KiteSystem::DestroyGuest(GuestVm* guest) {
-  const DomId gid = guest->domain_->id();
-  hv_->store().RemoveSubtree(kDom0,
-                             StrFormat("/local/domain/0/kite/placement/vif/%d", gid));
-  hv_->store().RemoveSubtree(kDom0,
-                             StrFormat("/local/domain/0/kite/placement/vbd/%d", gid));
   // Frontend objects first (they hold watches and the Domain pointer), then
   // the domain itself. DestroyDomain removes the guest's xenstore subtree,
   // which fires the backends' frontend-death watches; the drivers reap the
@@ -426,8 +352,8 @@ void KiteSystem::DestroyGuest(GuestVm* guest) {
   guest->stack_.reset();
   guest->netfront_.reset();
   guest->blkfront_.reset();
-  hv_->DestroyDomain(gid);
-  EraseOwned(&guests_, guest);
+  hv_->DestroyDomain(guest->domain_->id());
+  std::erase_if(guests_, [guest](const auto& g) { return g.get() == guest; });
 }
 
 void KiteSystem::EnsureClient() {
@@ -471,21 +397,33 @@ void KiteSystem::EnsureSwitch() {
   }
 }
 
-void KiteSystem::WritePlacement(const char* kind, DomId gid, int devid, DomId bid) {
-  hv_->store().WriteInt(kDom0,
-                        StrFormat("/local/domain/0/kite/placement/%s/%d/%d", kind,
-                                  gid, devid),
-                        bid);
+GuestVm* KiteSystem::FindGuest(DomId id) {
+  for (const auto& g : guests_) {
+    if (g->domain_->id() == id) {
+      return g.get();
+    }
+  }
+  return nullptr;
 }
 
-GuestVm* KiteSystem::FindGuest(DomId id) { return FindById(guests_, id); }
-
-NetworkDomain* KiteSystem::FindNetworkDomain(DomId id) {
-  return FindById(network_domains_, id);
+std::vector<DriverDomain*> KiteSystem::driver_domains() const {
+  std::vector<DriverDomain*> all;
+  for (const auto& nd : network_domains_) {
+    all.push_back(nd.get());
+  }
+  for (const auto& sd : storage_domains_) {
+    all.push_back(sd.get());
+  }
+  return all;
 }
 
-StorageDomain* KiteSystem::FindStorageDomain(DomId id) {
-  return FindById(storage_domains_, id);
+DriverDomain* KiteSystem::FindDriverDomain(DomId id, DeviceKind kind) const {
+  for (DriverDomain* dd : driver_domains()) {
+    if (dd->domain_->id() == id && dd->kind_ == kind) {
+      return dd;
+    }
+  }
+  return nullptr;
 }
 
 const XenbusFrontend* GuestVm::frontend(DeviceKind kind) const {
@@ -526,7 +464,6 @@ void KiteSystem::AttachVif(GuestVm* guest, NetworkDomain* netdom, Ipv4Addr ip) {
   store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
   store.SetPermission(kDom0, fe, bid);
   store.SetPermission(kDom0, be, gid);
-  WritePlacement("vif", gid, devid, bid);
 
   // Guest side: netfront and the network stack on top of it.
   MacAddr mac = MacAddr::FromId(0x300000u + static_cast<uint32_t>(gid));
@@ -557,7 +494,6 @@ void KiteSystem::AttachVbd(GuestVm* guest, StorageDomain* stordom) {
   store.WriteInt(kDom0, be + "/online", 1);
   store.SetPermission(kDom0, fe, bid);
   store.SetPermission(kDom0, be, gid);
-  WritePlacement("vbd", gid, devid, bid);
 
   guest->blkfront_ = std::make_unique<Blkfront>(guest->domain_, bid, devid);
 }
@@ -601,22 +537,11 @@ bool KiteSystem::WaitConnected(GuestVm* guest, SimDuration timeout) {
       timeout);
 }
 
-void KiteSystem::MigrateVif(GuestVm* guest, NetworkDomain* from, NetworkDomain* to,
-                            MigrateDone done) {
-  KITE_CHECK(guest != nullptr && guest->netfront() != nullptr) << "guest has no VIF";
+void KiteSystem::Migrate(GuestVm* guest, DriverDomain* to, MigrateDone done) {
   KITE_CHECK(to != nullptr);
-  (void)from;  // Documentation of intent; the engine re-resolves the source.
-  migrate_->Migrate(guest->domain_->id(), DeviceKind::kVif, to->domain_->id(),
-                    std::move(done));
-}
-
-void KiteSystem::MigrateVbd(GuestVm* guest, StorageDomain* from, StorageDomain* to,
-                            MigrateDone done) {
-  KITE_CHECK(guest != nullptr && guest->blkfront() != nullptr) << "guest has no VBD";
-  KITE_CHECK(to != nullptr);
-  (void)from;
-  migrate_->Migrate(guest->domain_->id(), DeviceKind::kVbd, to->domain_->id(),
-                    std::move(done));
+  KITE_CHECK(guest != nullptr && guest->frontend(to->kind_) != nullptr)
+      << "guest has no " << DeviceTypeName(to->kind_);
+  migrate_->Migrate(guest->domain_->id(), to->kind_, to->domain_->id(), std::move(done));
 }
 
 int KiteSystem::migrations_in_flight() const { return migrate_->in_flight(); }
@@ -631,51 +556,35 @@ std::vector<GuestVm*> KiteSystem::LinkedGuests(DeviceKind kind, DomId dom) const
   return linked;
 }
 
-NetworkDomain* KiteSystem::RestartNetworkDomain(
-    NetworkDomain* netdom, std::function<NetworkDomain*(GuestVm*)> place) {
-  const DomId old_id = netdom->domain_->id();
-  const DriverDomainConfig config = netdom->config_;
-  const std::vector<GuestVm*> attached = LinkedGuests(DeviceKind::kVif, old_id);
+DriverDomain* KiteSystem::RestartDriverDomain(DriverDomain* dd,
+                                              std::function<DriverDomain*(GuestVm*)> place) {
+  const DomId old_id = dd->domain_->id();
+  const std::vector<GuestVm*> linked = LinkedGuests(dd->kind_, old_id);
 
-  // Tear down: services first, then the VM itself. The physical NIC is
-  // detached and survives the domain (it stays cabled to the client).
-  netdom->app_.reset();
-  netdom->driver_.reset();
-  std::unique_ptr<Nic> nic = std::move(netdom->nic_);
-  hv_->UnassignPci(nic.get());
+  // Tear down the services, then the VM. The device survives the VM: it is
+  // unassigned (a disk fails the completions its controller parked for the
+  // dead domain) and passed through again to the replacement.
+  dd->StopServices();
+  hv_->UnassignPci(dd->device());
   hv_->DestroyDomain(old_id);
-  EraseOwned(&network_domains_, netdom);
+  dd->scheds_.clear();
+  dd->boot_completed_at_ = SimTime();
+  BringUp(dd);
 
-  NetworkDomain* fresh = CreateNetworkDomainImpl(config, std::move(nic));
-  ForceMoves(migrate_.get(), DeviceKind::kVif, attached, fresh, place);
-  return fresh;
-}
-
-StorageDomain* KiteSystem::RestartStorageDomain(
-    StorageDomain* stordom, std::function<StorageDomain*(GuestVm*)> place) {
-  const DomId old_id = stordom->domain_->id();
-  const DriverDomainConfig config = stordom->config_;
-  const std::vector<GuestVm*> attached = LinkedGuests(DeviceKind::kVbd, old_id);
-
-  stordom->app_.reset();
-  stordom->driver_.reset();
-  std::unique_ptr<BlockDevice> disk = std::move(stordom->disk_);
-  hv_->UnassignPci(disk.get());
-  // A completion the controller parked belongs to the dead domain: the
-  // frontend requeues that request through the replacement, so the stale
-  // op must never land after it.
-  disk->AbortHungIo();
-  hv_->DestroyDomain(old_id);
-  EraseOwned(&storage_domains_, stordom);
-
-  StorageDomain* fresh = CreateStorageDomainImpl(config, std::move(disk));
-  ForceMoves(migrate_.get(), DeviceKind::kVbd, attached, fresh, place);
-  return fresh;
+  // Restart is "migrate everyone off the corpse": forced moves (the old
+  // backend is gone) onto the caller's placement, defaulting to the
+  // replacement. The engine serializes per device, so a restart landing
+  // mid-migration waits for the move to settle instead of double-relinking.
+  for (GuestVm* guest : linked) {
+    DriverDomain* target = place ? place(guest) : nullptr;
+    migrate_->Migrate(guest->domain_->id(), dd->kind_,
+                      (target != nullptr ? target : dd)->domain_->id());
+  }
+  return dd;
 }
 
 bool KiteSystem::Relink(DomId gid, DeviceKind kind, int devid, DomId bid) {
-  const bool vif = kind == DeviceKind::kVif;
-  if (vif ? FindNetworkDomain(bid) == nullptr : FindStorageDomain(bid) == nullptr) {
+  if (FindDriverDomain(bid, kind) == nullptr) {
     return false;  // Target vanished (destroyed mid-queue).
   }
   const char* type = DeviceTypeName(kind);
@@ -685,7 +594,7 @@ bool KiteSystem::Relink(DomId gid, DeviceKind kind, int devid, DomId bid) {
   store.Write(kDom0, be + "/frontend", fe);
   store.WriteInt(kDom0, be + "/frontend-id", gid);
   store.WriteInt(kDom0, be + "/online", 1);
-  if (vif) {
+  if (kind == DeviceKind::kVif) {
     // As AttachVif does; a vbd's backend node starts without a state.
     store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
   }
@@ -695,7 +604,6 @@ bool KiteSystem::Relink(DomId gid, DeviceKind kind, int devid, DomId bid) {
   // Written last: the frontend's relink watch keys on backend-id, and by
   // then the rest of the toolstack state must already be in place.
   store.WriteInt(kDom0, fe + "/backend-id", bid);
-  WritePlacement(type, gid, devid, bid);
   return true;
 }
 

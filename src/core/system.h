@@ -53,53 +53,109 @@ struct DriverDomainConfig {
   BlkbackParams blkback;
 };
 
+// What the network and the storage driver domain share (paper §4): a VM
+// that owns one PCI device and runs one xenbus backend driver and one
+// configuration app on its BMK schedulers. KiteSystem creates, restarts,
+// finds and migrates both kinds through this type. A restart keeps the
+// object and the device and replaces the VM under them.
+class DriverDomain {
+ public:
+  virtual ~DriverDomain() = default;
+
+  // A posted boot event holds the object's address.
+  DriverDomain(const DriverDomain&) = delete;
+  DriverDomain& operator=(const DriverDomain&) = delete;
+
+  DeviceKind kind() const { return kind_; }
+  Domain* domain() const { return domain_; }
+  const OsProfile* os() const { return os_; }
+  SimTime boot_completed_at() const { return boot_completed_at_; }
+  bool booted() const { return domain_->online(); }
+  // Reaped or retired backend instances still draining their threads.
+  virtual int dying_instance_count() const = 0;
+
+ protected:
+  // The VM is named "<personality>-<vm_role>". A `sharded` backend gets one
+  // scheduler per vCPU, any other one on vCPU 0.
+  DriverDomain(DeviceKind kind, const char* vm_role, bool sharded, DriverDomainConfig config);
+  const DriverDomainConfig& config() const { return config_; }
+  std::vector<BmkSched*> scheds() const;
+
+ private:
+  friend class KiteSystem;
+  // What stays per kind: the device passed through, which outlives the VM,
+  // and building the backend driver and the app on the booted VM.
+  virtual PciDevice* device() const = 0;
+  virtual void StartServices() = 0;
+  virtual void StopServices() = 0;  // The app, then the driver.
+
+  const DeviceKind kind_;
+  const char* const vm_role_;
+  const bool sharded_;
+  const DriverDomainConfig config_;  // What a restart replays.
+  const OsProfile* const os_;
+  Domain* domain_ = nullptr;
+  std::vector<std::unique_ptr<BmkSched>> scheds_;
+  SimTime boot_completed_at_;
+};
+
 // A driver domain running the network backend, the bridge, and the network
 // application, with the physical NIC assigned via PCI passthrough.
-class NetworkDomain {
+class NetworkDomain : public DriverDomain {
  public:
-  Domain* domain() const { return domain_; }
+  NetworkDomain(DriverDomainConfig config, std::unique_ptr<Nic> nic, Ipv4Addr gateway_ip)
+      : DriverDomain(DeviceKind::kVif, "netdom", /*sharded=*/true, config),
+        nic_(std::move(nic)),
+        gateway_ip_(gateway_ip) {}
+
   Nic* nic() const { return nic_.get(); }
   Bridge* bridge() const { return app_->bridge(); }
   NetworkBackendDriver* driver() const { return driver_.get(); }
   NetworkApp* app() const { return app_.get(); }
-  const OsProfile* os() const { return os_; }
-  SimTime boot_completed_at() const { return boot_completed_at_; }
-  bool booted() const { return domain_->online(); }
+  int dying_instance_count() const override {
+    return driver_ == nullptr ? 0 : driver_->dying_instance_count();
+  }
 
  private:
-  friend class KiteSystem;
-  Domain* domain_ = nullptr;
-  const OsProfile* os_ = nullptr;
-  DriverDomainConfig config_;  // Kept so a restart reproduces the domain.
-  std::vector<std::unique_ptr<BmkSched>> scheds_;  // One per vCPU.
+  PciDevice* device() const override { return nic_.get(); }
+  void StartServices() override;
+  void StopServices() override {
+    app_.reset();
+    driver_.reset();
+  }
+
   std::unique_ptr<Nic> nic_;
+  const Ipv4Addr gateway_ip_;
   std::unique_ptr<NetworkBackendDriver> driver_;
   std::unique_ptr<NetworkApp> app_;
-  SimTime boot_completed_at_;
 };
 
 // A driver domain running the block backend and the block status app, with
-// the NVMe device assigned via PCI passthrough.
-class StorageDomain {
+// the NVMe device assigned via PCI passthrough. Blkback is not sharded.
+class StorageDomain : public DriverDomain {
  public:
-  Domain* domain() const { return domain_; }
+  StorageDomain(DriverDomainConfig config, std::unique_ptr<BlockDevice> disk)
+      : DriverDomain(DeviceKind::kVbd, "stordom", /*sharded=*/false, config),
+        disk_(std::move(disk)) {}
+
   BlockDevice* disk() const { return disk_.get(); }
   StorageBackendDriver* driver() const { return driver_.get(); }
   BlockStatusApp* app() const { return app_.get(); }
-  const OsProfile* os() const { return os_; }
-  SimTime boot_completed_at() const { return boot_completed_at_; }
-  bool booted() const { return domain_->online(); }
+  int dying_instance_count() const override {
+    return driver_ == nullptr ? 0 : driver_->dying_instance_count();
+  }
 
  private:
-  friend class KiteSystem;
-  Domain* domain_ = nullptr;
-  const OsProfile* os_ = nullptr;
-  DriverDomainConfig config_;  // Kept so a restart reproduces the domain.
-  std::unique_ptr<BmkSched> sched_;
+  PciDevice* device() const override { return disk_.get(); }
+  void StartServices() override;
+  void StopServices() override {
+    app_.reset();
+    driver_.reset();
+  }
+
   std::unique_ptr<BlockDevice> disk_;
   std::unique_ptr<StorageBackendDriver> driver_;
   std::unique_ptr<BlockStatusApp> app_;
-  SimTime boot_completed_at_;
 };
 
 // A guest DomU: Ubuntu application VM with a network stack behind netfront
@@ -199,9 +255,10 @@ class KiteSystem {
   // metric table. Installed as the KITE_CHECK fatal handler (dumped to
   // stderr on any assertion failure in this process) and callable on demand.
   void DumpDiagnostics(std::ostream& out);
-  // Per-shard placement, one line per backend domain, rebuilt from the
-  // toolstack's /local/domain/0/kite/placement/... keys with each device's
-  // published health verdict — what an operator's `xenstore-ls` would show.
+  // Per-shard placement, one line per backend domain, rebuilt from each guest
+  // device's toolstack backend-id (the record LinkedBackend reads) with the
+  // device's published health verdict — what an operator's `xenstore-ls`
+  // would show.
   std::string FormatPlacement();
   EventTracer& tracer() { return tracer_; }
   // The registry sampler (armed at construction when Params::sampler.enabled
@@ -225,7 +282,6 @@ class KiteSystem {
   // Params::cpu_attribution or KITE_CPU=<path> (which additionally dumps
   // CpuReportJson() to <path> at destruction, mirroring KITE_TRACE).
   void EnableCpuAttribution();
-  bool cpu_attribution_enabled() const { return hv_->cpu_attribution(); }
   // Every live vCPU with a stable report label, in deterministic order:
   // domains by id (label deduped with "#<id>" when two live domains share a
   // name), then the client machine.
@@ -234,6 +290,7 @@ class KiteSystem {
   std::string CpuReportJson();
 
   // --- Topology construction. ---
+  // A driver domain's backend driver and app start once its VM has booted.
   NetworkDomain* CreateNetworkDomain(DriverDomainConfig config = DriverDomainConfig{});
   StorageDomain* CreateStorageDomain(DriverDomainConfig config = DriverDomainConfig{});
   GuestVm* CreateGuest(const std::string& name, int vcpus = 22, int memory_mb = 5120);
@@ -256,13 +313,21 @@ class KiteSystem {
   const std::vector<std::unique_ptr<StorageDomain>>& storage_domains() const {
     return storage_domains_;
   }
+  // Both kinds: the network domains, then the storage domains.
+  std::vector<DriverDomain*> driver_domains() const;
   const std::vector<std::unique_ptr<GuestVm>>& guests() const { return guests_; }
-  // By-id lookups (nullptr when no such domain is alive). Domain objects are
-  // destroyed and recreated across restarts, so long-lived policies (the
-  // migration engine, the rebalancer) hold DomIds and resolve per use.
+  // By-id lookups (nullptr when no such domain is alive). Guests die and a
+  // restart moves a driver domain onto a new VM id, so long-lived policies
+  // (the migration engine, the rebalancer) hold DomIds and resolve per use.
   GuestVm* FindGuest(DomId id);
-  NetworkDomain* FindNetworkDomain(DomId id);
-  StorageDomain* FindStorageDomain(DomId id);
+  // The live driver domain `id` serving `kind` devices.
+  DriverDomain* FindDriverDomain(DomId id, DeviceKind kind) const;
+  NetworkDomain* FindNetworkDomain(DomId id) const {
+    return static_cast<NetworkDomain*>(FindDriverDomain(id, DeviceKind::kVif));
+  }
+  StorageDomain* FindStorageDomain(DomId id) const {
+    return static_cast<StorageDomain*>(FindDriverDomain(id, DeviceKind::kVbd));
+  }
   // Where the guest's `kind` device is linked: Dom0's xenstore backend-id
   // record, which the toolstack rewrites first, or the frontend's view when
   // the key is missing. Nullopt when the guest has no such device.
@@ -298,62 +363,66 @@ class KiteSystem {
 
   // --- VIF/VBD migration (live shard moves). ---
   using MigrateDone = std::function<void(bool ok)>;
-  // Gracefully moves the guest's VIF from `from` to `to`: the old backend is
-  // marked offline, drains what it already accepted, retires (releasing its
-  // grant mappings), and only then is the device relinked — so no
-  // acknowledged packet is lost across the move. Asynchronous: drive the
-  // simulation for it to progress; `done(ok)` fires when the device settles.
-  // `from` documents intent — the engine re-resolves the actual source from
-  // the toolstack record when the (possibly queued) move starts.
-  void MigrateVif(GuestVm* guest, NetworkDomain* from, NetworkDomain* to,
-                  MigrateDone done = {});
-  // Same for the guest's VBD: every acknowledged write is readable through
-  // the new path (shards port the same dual-ported media), and
-  // unacknowledged in-flight requests are requeued by the frontend.
-  void MigrateVbd(GuestVm* guest, StorageDomain* from, StorageDomain* to,
-                  MigrateDone done = {});
+  // Gracefully moves the guest's device of `to`'s kind onto `to`: the old
+  // backend, re-resolved from the toolstack record when the (possibly
+  // queued) move starts, is marked offline, drains what it already accepted,
+  // retires (releasing its grant mappings), and only then is the device
+  // relinked — so no acknowledged packet is lost across a VIF move, and every
+  // acknowledged write is readable through the new path of a VBD (shards port
+  // the same dual-ported media; the frontend requeues unacknowledged
+  // requests). Asynchronous: drive the simulation for it to progress;
+  // `done(ok)` fires when the device settles.
+  void Migrate(GuestVm* guest, DriverDomain* to, MigrateDone done = {});
+  void MigrateVif(GuestVm* guest, NetworkDomain* to, MigrateDone done = {}) {
+    Migrate(guest, to, std::move(done));
+  }
+  void MigrateVbd(GuestVm* guest, StorageDomain* to, MigrateDone done = {}) {
+    Migrate(guest, to, std::move(done));
+  }
   // Active plus queued migrations across all devices (0 at quiesce).
   int migrations_in_flight() const;
   MigrationEngine& migrator() { return *migrate_; }
 
   // --- Driver-domain restart (experiment E1 / failure recovery). ---
-  // Destroys the network domain's VM and boots a fresh one with the same
-  // configuration, reusing the physical NIC. Every guest VIF attached to
-  // the dead domain is migrated (forced mode — the backend is already gone)
-  // onto `place(guest)` when given, else onto the replacement: the frontends
-  // detect the backend death, tear down their rings, and reconnect
-  // automatically — no manual re-attach. Returns the new domain; measures
-  // boot via boot_completed_at().
+  // Destroys the driver domain's VM and boots a fresh one with the same
+  // configuration, handing the device over: the NIC stays cabled, and the
+  // disk keeps every acknowledged write (blkfront requeues in-flight
+  // requests, so unacknowledged writes are retried, not lost). Every guest
+  // device linked to the dead VM is migrated (forced mode — the backend is
+  // already gone) onto `place(guest)` when given, else onto the replacement:
+  // the frontends detect the backend death, tear down their rings, and
+  // reconnect automatically — no manual re-attach. Returns `dd`, now on the
+  // new VM; measures boot via boot_completed_at().
+  DriverDomain* RestartDriverDomain(DriverDomain* dd,
+                                    std::function<DriverDomain*(GuestVm*)> place = {});
   NetworkDomain* RestartNetworkDomain(
-      NetworkDomain* netdom, std::function<NetworkDomain*(GuestVm*)> place = {});
-  // Same for a storage domain. The physical disk is reused, so all
-  // acknowledged writes survive the crash; blkfront requeues in-flight
-  // requests so unacknowledged writes are retried, not lost.
+      NetworkDomain* netdom, std::function<NetworkDomain*(GuestVm*)> place = {}) {
+    return static_cast<NetworkDomain*>(RestartDriverDomain(netdom, std::move(place)));
+  }
   StorageDomain* RestartStorageDomain(
-      StorageDomain* stordom, std::function<StorageDomain*(GuestVm*)> place = {});
+      StorageDomain* stordom, std::function<StorageDomain*(GuestVm*)> place = {}) {
+    return static_cast<StorageDomain*>(RestartDriverDomain(stordom, std::move(place)));
+  }
 
   const Params& params() const { return params_; }
 
  private:
   friend class MigrationEngine;
 
-  void BootDomain(Domain* dom, const OsProfile* os, std::function<void()> on_booted);
-  void StartNetworkDomainServices(NetworkDomain* nd, DriverDomainConfig config);
-  void StartStorageDomainServices(StorageDomain* sd, DriverDomainConfig config);
+  // Adds a new driver domain to `owned` and brings it up.
+  template <typename D>
+  D* Enlist(std::vector<std::unique_ptr<D>>* owned, std::unique_ptr<D> dd);
+  // Creation and restart alike: the VM, its schedulers, the device passed
+  // through, then the boot.
+  void BringUp(DriverDomain* dd);
+  // The devices of new driver domains: a NIC cabled to the client, and a
+  // port onto the shared disk media.
+  std::unique_ptr<Nic> NewUplink();
+  std::unique_ptr<BlockDevice> NewDiskPort();
   void EnsureClient();
   // Pay-for-use fabric: re-cables the client's direct link through a fresh
   // EtherSwitch (no-op when the switch already exists).
   void EnsureSwitch();
-  // Dom0 record of which shard serves each guest device, for kite_inspect:
-  // /local/domain/0/kite/placement/<kind>/<guest>/<devid> = <backend dom>.
-  void WritePlacement(const char* kind, DomId gid, int devid, DomId bid);
-  // Shared by Create…Domain and Restart…Domain: when `reuse_nic`/`reuse_disk`
-  // is non-null the physical device is adopted instead of constructed (PCI
-  // passthrough hand-over across a driver-domain restart).
-  NetworkDomain* CreateNetworkDomainImpl(DriverDomainConfig config,
-                                         std::unique_ptr<Nic> reuse_nic);
-  StorageDomain* CreateStorageDomainImpl(DriverDomainConfig config,
-                                         std::unique_ptr<BlockDevice> reuse_disk);
   // Re-points an existing guest device at driver domain `bid` by rewriting
   // the toolstack xenstore keys (what `xl network-attach` leaves in place
   // after a backend respawn). The frontend's relink watch does the rest.

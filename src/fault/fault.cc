@@ -88,6 +88,4 @@ void FaultInjector::ResetCounters() {
   }
 }
 
-void FaultInjector::Reseed(uint64_t seed) { rng_ = Rng(seed); }
-
 }  // namespace kite

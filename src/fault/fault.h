@@ -66,9 +66,6 @@ class FaultInjector {
   uint64_t total_trips() const;
   void ResetCounters();
 
-  // Reseeds the RNG (counters are kept; use ResetCounters separately).
-  void Reseed(uint64_t seed);
-
   // When set, every trip is also recorded in Dom0's flight-recorder ring
   // (kFaultTripped, dev=site) so a failure dump shows which injected faults
   // preceded the wedge.

@@ -28,7 +28,6 @@ Hypervisor::Hypervisor(Executor* executor, MetricRegistry* metrics, EventTracer*
   events_coalesced_ = metrics_->counter("hv", "evtchn", "coalesced");
   events_vanished_ = metrics_->counter("hv", "evtchn", "vanished");
   pci_irqs_delivered_ = metrics_->counter("hv", "evtchn", "pci_irq_delivered");
-  store_.set_op_latency(kHvCosts.xenstore_op);
   // Dom0: the privileged administrative VM (runs xenstored).
   domains_.push_back(std::make_unique<Domain>(this, 0, "Domain-0", 1, 8192));
   domains_[0]->set_online(true);

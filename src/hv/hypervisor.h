@@ -37,7 +37,7 @@ struct HvCosts {
   SimDuration grant_unmap = Nanos(1600);     // Unmap incl. TLB shootdown.
   SimDuration grant_copy_base = Nanos(350);  // Per-op fixed cost.
   double copy_ns_per_byte = 0.11;            // ~9 GB/s hypervisor-mediated copy.
-  SimDuration xenstore_op = Micros(15);      // One xenstored round trip.
+  SimDuration xenstore_op = XenStore::kOpLatency;  // One xenstored round trip.
 };
 inline constexpr HvCosts kHvCosts{};
 
@@ -125,7 +125,6 @@ class Hypervisor {
   // consult the injector. XenbusClient state reads bypass Domain wrappers on
   // purpose and stay reliable — the reconnect protocol needs a ground truth.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
-  FaultInjector* fault_injector() const { return faults_; }
   bool InjectFault(FaultSite site) {
     return faults_ != nullptr && faults_->ShouldFail(site);
   }

@@ -3,8 +3,7 @@
 // A PciDevice (NIC, NVMe controller) is assigned to exactly one domain —
 // Dom0 or a driver domain — via PCI passthrough. With the IOMMU enabled
 // (required by MLS OSs, paper §2.3), DMA initiated by the device is validated
-// against the owning domain; violations are recorded as IOMMU faults instead
-// of corrupting other domains.
+// against the owning domain, so the device cannot corrupt other domains.
 #ifndef SRC_HV_PCI_H_
 #define SRC_HV_PCI_H_
 
@@ -30,7 +29,6 @@ class PciDevice {
   const std::string& name() const { return name_; }
 
   Domain* owner() const { return owner_; }
-  bool iommu_protected() const { return iommu_; }
 
   // Device driver (in the owning domain) registers its interrupt handler.
   void SetIrqHandler(std::function<void()> fn) { irq_handler_ = std::move(fn); }
@@ -43,9 +41,6 @@ class PciDevice {
   // memory. With IOMMU this is owner-only; without, any domain (the unsafe
   // pre-IOMMU world the paper contrasts against).
   bool DmaAllowed(const Domain* target) const;
-
-  int iommu_fault_count() const { return iommu_faults_; }
-  void RecordIommuFault() { ++iommu_faults_; }
 
   // Called by the hypervisor on assignment; overridable for device bring-up.
   virtual void OnAssigned(Domain* owner) {}
@@ -63,7 +58,6 @@ class PciDevice {
   Domain* owner_ = nullptr;
   bool iommu_ = true;
   std::function<void()> irq_handler_;
-  int iommu_faults_ = 0;
 };
 
 }  // namespace kite

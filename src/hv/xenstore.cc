@@ -216,7 +216,7 @@ WatchId XenStore::AddWatch(DomId caller, const std::string& prefix, const std::s
 void XenStore::PostWatchEvent(WatchId id, std::string path) {
   // The callback is resolved at *fire* time: a watch removed while the event
   // was in flight (e.g. its owner was destroyed) silently expires.
-  executor_->PostAfter(op_latency_, KITE_POST_SITE("xenstore/watch-fire"),
+  executor_->PostAfter(kOpLatency, KITE_POST_SITE("xenstore/watch-fire"),
                        [this, id, path = std::move(path)] {
     auto it = watches_.find(id);
     if (it == watches_.end()) {

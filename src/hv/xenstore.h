@@ -94,11 +94,10 @@ class XenStore {
   // never fire into freed objects.
   int RemoveWatchesOwnedBy(DomId owner);
 
-  // Latency of one xenstored round trip (charged as event delivery delay on
-  // watch callbacks; data ops are synchronous in simulation but cost-charged
-  // by the Hypervisor wrapper).
-  void set_op_latency(SimDuration d) { op_latency_ = d; }
-  SimDuration op_latency() const { return op_latency_; }
+  // Latency of one xenstored round trip: the delay before a watch callback
+  // runs. Data ops are synchronous in simulation; the Hypervisor wrapper
+  // charges them the same cost (HvCosts::xenstore_op).
+  static constexpr SimDuration kOpLatency = Micros(15);
 
   int watch_count() const { return static_cast<int>(watches_.size()); }
   int watch_count(DomId owner) const;
@@ -154,7 +153,6 @@ class XenStore {
   // id order, which is registration order.
   std::unordered_map<std::string, std::vector<WatchId>, KeyHash, std::equal_to<>> by_key_;
   WatchId next_watch_id_ = 1;
-  SimDuration op_latency_ = Micros(15);
 };
 
 }  // namespace kite

@@ -58,10 +58,6 @@ struct Ipv4Addr {
                     static_cast<uint32_t>(c) << 8 | d};
   }
   static constexpr Ipv4Addr Broadcast() { return Ipv4Addr{0xffffffffu}; }
-
-  bool SameSubnet(Ipv4Addr other, uint32_t mask) const {
-    return (value & mask) == (other.value & mask);
-  }
 };
 
 inline constexpr uint32_t kSlash24 = 0xffffff00u;

@@ -77,12 +77,6 @@ void Bridge::Input(NetIf* ingress, EthernetFrame&& frame) {
   // Learn the source.
   fdb_[frame.src] = ingress;
 
-  // Local sink check (driver domain's own address on the physical port).
-  if (local_sink_ && frame.dst == local_mac_) {
-    local_sink_(frame);
-    return;
-  }
-
   if (!frame.dst.IsBroadcast()) {
     auto it = fdb_.find(frame.dst);
     if (it != fdb_.end()) {
@@ -97,12 +91,8 @@ void Bridge::Input(NetIf* ingress, EthernetFrame&& frame) {
       return;
     }
   }
-  // Broadcast or unknown unicast: flood all other up ports (plus the local
-  // sink for broadcasts, so the driver domain sees ARP etc.).
+  // Broadcast or unknown unicast: flood all other up ports.
   ++flooded_;
-  if (local_sink_ && frame.dst.IsBroadcast()) {
-    local_sink_(frame);
-  }
   for (NetIf* port : ports_) {
     if (port != ingress && port->up()) {
       SendOut(port, EthernetFrame(frame));  // Each port gets its own copy.

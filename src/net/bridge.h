@@ -34,14 +34,6 @@ class Bridge {
   bool HasIf(const NetIf* netif) const;
   int port_count() const { return static_cast<int>(ports_.size()); }
 
-  // Optional local sink: unicast frames for this MAC are handed to the local
-  // stack (the driver domain's own IP on the physical interface) instead of
-  // being forwarded.
-  void SetLocalSink(MacAddr mac, std::function<void(const EthernetFrame&)> fn) {
-    local_mac_ = mac;
-    local_sink_ = std::move(fn);
-  }
-
   // Attaches a bounded egress queue to a member port: frames the bridge
   // forwards out `port` pass the queue's drop-tail admission and serialize
   // at its drain rate instead of being delivered synchronously. Ports
@@ -57,7 +49,6 @@ class Bridge {
   uint64_t flooded() const { return flooded_; }
   // Frames dropped at port egress queues (all ports).
   uint64_t queue_drops() const;
-  size_t fdb_size() const { return fdb_.size(); }
 
   // Test hook: the port the FDB learned for a MAC (nullptr if unknown).
   NetIf* LookupFdb(MacAddr mac) const;
@@ -74,8 +65,6 @@ class Bridge {
   std::vector<NetIf*> ports_;
   std::map<NetIf*, std::unique_ptr<EgressQueue>> queues_;
   std::map<MacAddr, NetIf*> fdb_;
-  MacAddr local_mac_;
-  std::function<void(const EthernetFrame&)> local_sink_;
   uint64_t forwarded_ = 0;
   uint64_t flooded_ = 0;
 };

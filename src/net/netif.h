@@ -38,7 +38,6 @@ class NetIf {
   void SetInputHandler(std::function<void(EthernetFrame&&)> fn) {
     input_handler_ = std::move(fn);
   }
-  bool has_input_handler() const { return input_handler_ != nullptr; }
 
   // Feeds a frame into this interface as if it arrived from the medium
   // (used by tests and by software devices).

@@ -4,6 +4,14 @@
 #include "src/net/tcp.h"
 
 namespace kite {
+namespace {
+
+// Protocol processing per IP packet sent or frame received, and the extra
+// work of answering an echo request.
+constexpr SimDuration kPerPacketCost = Nanos(550);
+constexpr SimDuration kIcmpReplyCost = Nanos(700);
+
+}  // namespace
 
 // --- UdpSocket. ---
 
@@ -124,7 +132,7 @@ void EtherStack::SendIp(Ipv4Packet&& packet) {
   packet.id = next_ip_id_++;
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/stack"));
-    vcpu_->Charge(params_.per_packet_cost);
+    vcpu_->Charge(kPerPacketCost);
   }
   ++ip_tx_;
 
@@ -168,7 +176,7 @@ void EtherStack::Transmit(MacAddr dst, Ipv4Packet&& packet) {
 void EtherStack::Input(const EthernetFrame& frame) {
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/stack"));
-    vcpu_->Charge(params_.per_packet_cost);
+    vcpu_->Charge(kPerPacketCost);
   }
   if (const ArpPacket* arp = frame.arp()) {
     HandleArp(*arp);
@@ -281,7 +289,7 @@ void EtherStack::HandleIcmp(const Ipv4Packet& packet, const IcmpMessage& icmp) {
   if (icmp.is_echo_request) {
     if (vcpu_ != nullptr) {
       CpuScope cpu_scope(KITE_CPU_CATEGORY("net/stack"));
-      vcpu_->Charge(params_.icmp_reply_cost);
+      vcpu_->Charge(kIcmpReplyCost);
     }
     Ipv4Packet reply;
     reply.src = ip_;
@@ -315,8 +323,6 @@ TcpListener* EtherStack::ListenTcp(uint16_t port, std::function<void(TcpConn*)> 
   listeners_[port] = std::move(listener);
   return raw;
 }
-
-void EtherStack::CloseListener(uint16_t port) { listeners_.erase(port); }
 
 TcpConn* EtherStack::ConnectTcp(Ipv4Addr dst, uint16_t dst_port,
                                 std::function<void(TcpConn*)> connected_cb) {

@@ -25,8 +25,6 @@ class TcpConn;
 class TcpListener;
 
 struct StackParams {
-  SimDuration per_packet_cost = Nanos(550);  // Per-packet protocol processing.
-  SimDuration icmp_reply_cost = Nanos(700);
   // Optional observability. With `metrics` set the stack exports aggregate
   // TCP counters under (metrics_domain, "tcp", <name>); with
   // `per_flow_metrics` additionally per-connection cwnd/ssthresh/srtt/
@@ -100,7 +98,6 @@ class EtherStack {
 
   // --- TCP (implementation in src/net/tcp.cc). ---
   TcpListener* ListenTcp(uint16_t port, std::function<void(TcpConn*)> accept_cb);
-  void CloseListener(uint16_t port);
   // Initiates a connection; connected_cb fires when established. Returns the
   // connection (owned by the stack; valid until closed).
   TcpConn* ConnectTcp(Ipv4Addr dst, uint16_t dst_port,

@@ -25,13 +25,4 @@ void EtherSwitch::Plug(Nic* endpoint) {
   ports_.push_back(std::move(port));
 }
 
-void EtherSwitch::Unplug(Nic* endpoint) {
-  for (auto& port : ports_) {
-    if (port->peer() == endpoint) {
-      Nic::Disconnect(port.get());
-      return;
-    }
-  }
-}
-
 }  // namespace kite

@@ -37,10 +37,6 @@ class EtherSwitch {
   // unpeered (Nic::Disconnect it first if it was direct-cabled).
   void Plug(Nic* endpoint);
 
-  // Unplugs the cable between `endpoint` and its switch port. The port
-  // itself stays (dark) — ports are cheap and keep indices stable.
-  void Unplug(Nic* endpoint);
-
   int port_count() const { return static_cast<int>(ports_.size()); }
   Bridge* bridge() { return &bridge_; }
 

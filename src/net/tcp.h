@@ -86,7 +86,6 @@ class TcpConn {
   bool in_fast_recovery() const { return in_fast_recovery_; }
   // Smoothed RTT; zero until the first valid (unretransmitted) sample.
   SimDuration srtt() const { return srtt_; }
-  SimDuration rttvar() const { return rttvar_; }
   // Current retransmission timeout, including any exponential backoff.
   SimDuration rto() const { return rto_; }
   // Retransmission *timeouts* fired (each triggers go-back-N).

@@ -209,7 +209,6 @@ class CpuUsageSample {
   double utilization(SimDuration window) const {
     return Vcpu::Utilization(busy_at_start_, cpu_->busy_total(), window);
   }
-  SimTime started_at() const { return started_at_; }
 
  private:
   const Vcpu* cpu_;

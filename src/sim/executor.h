@@ -226,7 +226,6 @@ class Executor {
     shuffle_ = true;
     shuffle_rng_ = Rng(seed);
   }
-  bool shuffle_enabled() const { return shuffle_; }
 
   // Number of events executed since construction (for sanity checks).
   uint64_t steps_executed() const { return steps_; }

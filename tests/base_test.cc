@@ -144,11 +144,6 @@ TEST(StringsTest, SplitPathDropsEmpty) {
   EXPECT_TRUE(SplitPath("/").empty());
 }
 
-TEST(StringsTest, JoinPathRoundTrip) {
-  EXPECT_EQ(JoinPath({"a", "b"}), "/a/b");
-  EXPECT_EQ(JoinPath({}), "/");
-}
-
 TEST(StringsTest, PathIsUnder) {
   EXPECT_TRUE(PathIsUnder("/a/b", "/a"));
   EXPECT_TRUE(PathIsUnder("/a", "/a"));

@@ -10,6 +10,7 @@
 
 #include "src/base/bytes.h"
 #include "src/base/log.h"
+#include "src/check/frontends.h"
 #include "src/core/kite.h"
 
 namespace kite {
@@ -184,6 +185,20 @@ TEST_F(DiagnosticsTest, TightThresholdsNeverFalseFlagRealTraffic) {
   for (const HealthMonitor::InstanceInfo& info : sys_->health().Instances()) {
     EXPECT_EQ(info.state, HealthState::kHealthy) << info.domain_name << "/" << info.device;
   }
+}
+
+// The placement table reads each guest device's backend-id, the one record of
+// where a device is linked. A vif that a raw frontend pairs by hand (the
+// toolstack keys of AttachVif, no Netfront) is listed under its backend too.
+TEST_F(DiagnosticsTest, PlacementListsAVifPairedByARawFrontend) {
+  sys_ = std::make_unique<KiteSystem>(TightWatchdogParams());
+  netdom_ = sys_->CreateNetworkDomain();
+  guest_ = sys_->CreateGuest("raw-vm");
+  RawNetFrontend raw(sys_.get(), netdom_, guest_);
+  ASSERT_TRUE(raw.Connect());
+  EXPECT_EQ(sys_->FormatPlacement(),
+            StrFormat("  shard dom%-4d  1 device(s): vif%d.0=healthy\n",
+                      netdom_->domain()->id(), guest_->domain()->id()));
 }
 
 // Same seed, same scenario — the flight recorder dump must be byte-identical

@@ -60,7 +60,7 @@ TEST(FailoverTest, GracefulVifMigrationLosesNoAckedPacket) {
   bool done = false;
   bool ok = false;
   sys.executor().PostAfter(Micros(20) * (kPackets / 2), [&] {
-    sys.MigrateVif(guest, a, b, [&](bool r) {
+    sys.MigrateVif(guest, b, [&](bool r) {
       done = true;
       ok = r;
     });
@@ -113,7 +113,7 @@ TEST(FailoverTest, GracefulVbdMigrationKeepsEveryAckedWrite) {
   }
   bool done = false;
   bool ok = false;
-  sys.MigrateVbd(guest, a, b, [&](bool r) {
+  sys.MigrateVbd(guest, b, [&](bool r) {
     done = true;
     ok = r;
   });
@@ -151,8 +151,8 @@ TEST(FailoverTest, BackToBackMigrationsSerializePerDevice) {
   // The second move is issued while the first is still draining; it must
   // queue behind it (never a double-relink) and run after it completes.
   std::vector<std::string> order;
-  sys.MigrateVif(guest, a, b, [&](bool ok) { order.push_back(ok ? "a->b ok" : "a->b fail"); });
-  sys.MigrateVif(guest, b, c, [&](bool ok) { order.push_back(ok ? "b->c ok" : "b->c fail"); });
+  sys.MigrateVif(guest, b, [&](bool ok) { order.push_back(ok ? "a->b ok" : "a->b fail"); });
+  sys.MigrateVif(guest, c, [&](bool ok) { order.push_back(ok ? "b->c ok" : "b->c fail"); });
   EXPECT_EQ(sys.migrations_in_flight(), 2);
   ASSERT_TRUE(sys.WaitUntil([&] { return order.size() == 2; }, Seconds(10)));
   EXPECT_EQ(order[0], "a->b ok");
@@ -178,7 +178,7 @@ TEST(FailoverTest, MigrationRacingRestartSettles) {
   // drain it rather than strand its mappings.
   bool done = false;
   bool ok = false;
-  sys.MigrateVif(guest, a, b, [&](bool r) {
+  sys.MigrateVif(guest, b, [&](bool r) {
     done = true;
     ok = r;
   });

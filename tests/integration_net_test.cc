@@ -35,7 +35,7 @@ TEST_P(NetIntegrationTest, FrontendConnectsThroughXenbus) {
   // The network app added the VIF to the bridge: physical IF + 1 VIF.
   sys_->RunFor(Millis(1));
   EXPECT_EQ(netdom_->bridge()->port_count(), 2);
-  EXPECT_EQ(netdom_->app()->vifs_added(), 1);
+  EXPECT_EQ(netdom_->app()->configured(), 1);
 }
 
 TEST_P(NetIntegrationTest, ClientCanPingGuest) {

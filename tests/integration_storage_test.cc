@@ -40,7 +40,7 @@ TEST_P(StorageIntegrationTest, NegotiationAdvertisesFeatures) {
   EXPECT_TRUE(front->indirect_supported());
   EXPECT_EQ(stordom_->driver()->instance_count(), 1);
   sys_->RunFor(Millis(1));
-  EXPECT_EQ(stordom_->app()->vbds_configured(), 1);
+  EXPECT_EQ(stordom_->app()->configured(), 1);
 }
 
 TEST_P(StorageIntegrationTest, WriteReadBackIntegrity) {
