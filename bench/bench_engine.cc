@@ -10,7 +10,9 @@
 //   burst       — same-timestamp bursts (one wheel slot per round): isolates
 //                 batched dispatch; the tiny callback fits inline in both
 //                 engines, so allocation plays no part.
-//   coro        — coroutine sleep/resume chains (the driver-thread pattern).
+//   coro        — coroutine sleep/resume chains (the driver-thread pattern),
+//                 each sleeper resumed from a posted callback, which is the
+//                 shape of a BMK wake.
 //   mixed       — timers + bursts + a bounded daemon probe + far-future
 //                 events that exercise the overflow heap.
 //   scale       — the headline: the paper-scale profile (ROADMAP item 4) of
@@ -165,7 +167,9 @@ struct SleepAwaiter {
   E* ex;
   SimDuration d;
   bool await_ready() const { return false; }
-  void await_suspend(std::coroutine_handle<> h) { ex->ResumeAfter(d, h); }
+  void await_suspend(std::coroutine_handle<> h) {
+    ex->PostAfter(d, [h] { h.resume(); });
+  }
   void await_resume() const {}
 };
 

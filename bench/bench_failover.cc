@@ -111,11 +111,12 @@ int main() {
     UdpSocket* sock = socks[gi].get();
     const SimDuration offset = Micros(8) * gi;  // De-phase the senders.
     for (int t = 0; t * 500 < kDurationMs * 1000; ++t) {
-      sys.executor().PostAfter(kSendPeriod * t + offset, [&sys, &paused, sock] {
-        if (!paused) {
-          sock->SendTo(sys.client_ip(), 9000, Buffer(256, 0x5c));
-        }
-      });
+      sys.executor().PostAfter(kSendPeriod * t + offset, KITE_POST_SITE("bench/udp-send"),
+                               [&sys, &paused, sock] {
+                                 if (!paused) {
+                                   sock->SendTo(sys.client_ip(), 9000, Buffer(256, 0x5c));
+                                 }
+                               });
     }
   }
   sys.sampler().Start();
@@ -123,15 +124,16 @@ int main() {
   // The kill: quiesce the fabric for a moment, swallow the one TX kick that
   // crosses the victim's req_event, and let the watchdog do the rest.
   DomId victim = -1;
-  sys.executor().PostAfter(Millis(kFaultMs), [&] { paused = true; });
-  sys.executor().PostAfter(Millis(kFaultMs + 2), [&] {
+  const DispatchSite* fault_script = KITE_POST_SITE("bench/fault-script");
+  sys.executor().PostAfter(Millis(kFaultMs), fault_script, [&] { paused = true; });
+  sys.executor().PostAfter(Millis(kFaultMs + 2), fault_script, [&] {
     victim = guests[0]->netfront()->backend_dom();
     sys.faults().set_rate(FaultSite::kEventNotify, 1.0);
     guests[0]->stack()->Ping(sys.client_ip(), 56, [](bool, SimDuration) {});
   });
-  sys.executor().PostAfter(Millis(kFaultMs + 5),
+  sys.executor().PostAfter(Millis(kFaultMs + 5), fault_script,
                            [&] { sys.faults().set_rate(FaultSite::kEventNotify, 0.0); });
-  sys.executor().PostAfter(Millis(kFaultMs + 6), [&] { paused = false; });
+  sys.executor().PostAfter(Millis(kFaultMs + 6), fault_script, [&] { paused = false; });
 
   sys.RunFor(Millis(kDurationMs));
   // Freeze the series at the duration mark: arrivals after it are out of the

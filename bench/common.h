@@ -58,8 +58,7 @@ inline NetTopology MakeNetTopology(OsKind os, NetbackParams netback = NetbackPar
   topo.sys = std::make_unique<KiteSystem>();
   DriverDomainConfig config;
   config.os = os;
-  config.netback = netback;
-  topo.netdom = topo.sys->CreateNetworkDomain(config);
+  topo.netdom = topo.sys->CreateNetworkDomain(config, netback);
   topo.guest = topo.sys->CreateGuest("server-guest");
   topo.sys->AttachVif(topo.guest, topo.netdom, kGuestIp);
   if (!topo.sys->WaitConnected(topo.guest)) {
@@ -99,8 +98,7 @@ inline StorTopology MakeStorTopology(OsKind os, int64_t disk_bytes = 8LL << 30,
   topo.sys = std::make_unique<KiteSystem>(params);
   DriverDomainConfig config;
   config.os = os;
-  config.blkback = blkback;
-  topo.stordom = topo.sys->CreateStorageDomain(config);
+  topo.stordom = topo.sys->CreateStorageDomain(config, blkback);
   topo.guest = topo.sys->CreateGuest("db-guest");
   topo.sys->AttachVbd(topo.guest, topo.stordom);
   if (!topo.sys->WaitConnected(topo.guest)) {

@@ -6,6 +6,17 @@
 #include "src/base/log.h"
 
 namespace kite {
+namespace {
+
+// NVMe drive timing (Table 2's server disk).
+constexpr double kReadGbps = 2.9;                     // GB/s sustained read.
+constexpr double kWriteGbps = 2.5;                    // GB/s sustained write.
+constexpr SimDuration kReadLatency = Micros(85);      // Flash read access time.
+constexpr SimDuration kWriteLatency = Micros(35);     // Program (SLC-cached).
+constexpr SimDuration kFlushLatency = Micros(400);
+constexpr int kQueueDepth = 32;
+
+}  // namespace
 
 BlockDevice::BlockDevice(Executor* executor, std::string bdf, DiskParams params,
                          bool store_data)
@@ -32,24 +43,24 @@ void BlockDevice::Submit(DiskRequest request) {
 }
 
 void BlockDevice::TryStart() {
-  while (active_ < params_.queue_depth && !queue_.empty()) {
+  while (active_ < kQueueDepth && !queue_.empty()) {
     DiskRequest req = std::move(queue_.front());
     queue_.pop_front();
     ++active_;
 
     SimDuration latency;
-    double gbps = params_.read_gbps;
+    double gbps = kReadGbps;
     switch (req.op) {
       case DiskOp::kRead:
-        latency = params_.read_latency;
-        gbps = params_.read_gbps;
+        latency = kReadLatency;
+        gbps = kReadGbps;
         break;
       case DiskOp::kWrite:
-        latency = params_.write_latency;
-        gbps = params_.write_gbps;
+        latency = kWriteLatency;
+        gbps = kWriteGbps;
         break;
       case DiskOp::kFlush:
-        latency = params_.flush_latency;
+        latency = kFlushLatency;
         break;
     }
     SimDuration transfer;
@@ -86,14 +97,12 @@ void BlockDevice::Complete(DiskRequest request) {
   switch (request.op) {
     case DiskOp::kRead:
       ++reads_;
-      bytes_read_ += request.length;
       if (store_data_) {
         data = ReadRaw(request.offset, request.length);
       }
       break;
     case DiskOp::kWrite:
       ++writes_;
-      bytes_written_ += request.length;
       if (store_data_ && !request.data.empty()) {
         WriteRaw(request.offset, request.data);
       }

@@ -21,14 +21,9 @@
 
 namespace kite {
 
+// The NVMe drive's timing is constant (disk.cc); only its size is set.
 struct DiskParams {
   int64_t capacity_bytes = 500LL * 1000 * 1000 * 1000;
-  double read_gbps = 2.9;          // GB/s sustained read.
-  double write_gbps = 2.5;         // GB/s sustained write.
-  SimDuration read_latency = Micros(85);   // Flash read access time.
-  SimDuration write_latency = Micros(35);  // Program (SLC-cached).
-  SimDuration flush_latency = Micros(400);
-  int queue_depth = 32;
 };
 
 enum class DiskOp { kRead, kWrite, kFlush };
@@ -100,8 +95,6 @@ class BlockDevice : public PciDevice {
   uint64_t reads_completed() const { return reads_; }
   uint64_t writes_completed() const { return writes_; }
   uint64_t flushes_completed() const { return flushes_; }
-  uint64_t bytes_read() const { return bytes_read_; }
-  uint64_t bytes_written() const { return bytes_written_; }
   uint64_t io_errors() const { return io_errors_; }
 
  private:
@@ -124,8 +117,6 @@ class BlockDevice : public PciDevice {
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
   uint64_t flushes_ = 0;
-  uint64_t bytes_read_ = 0;
-  uint64_t bytes_written_ = 0;
   uint64_t io_errors_ = 0;
 };
 

@@ -26,7 +26,7 @@ BlkbackInstance::BlkbackInstance(Domain* backend, BmkSched* sched,
     : XenbusBackendInstance(backend, sched, costs, kType, frontend_dom, devid),
       params_(params),
       disk_(disk),
-      wake_(sched->executor()) {
+      wake_(sched) {
   MetricRegistry* reg = hv_->metrics();
   const std::string& dev = name_;
   requests_handled_ = reg->counter(backend->name(), dev, "requests_handled");

@@ -25,7 +25,6 @@
 #include "src/hv/xenbus.h"
 #include "src/hv/xenbus_backend.h"
 #include "src/os/profile.h"
-#include "src/sim/wait.h"
 
 namespace kite {
 

@@ -3,48 +3,51 @@
 namespace kite {
 
 BmkSched::~BmkSched() {
-  // Destroy frames of threads suspended on timers; their executor events
-  // observe the cleared flag and become no-ops. Each awaiter lives in the
-  // frame it parks, so read the link before destroying the frame.
+  // Destroy the frames of parked threads; their queued wakes observe the
+  // cleared flag and become no-ops. Each node lives in the frame it parks,
+  // so read the link before destroying the frame.
   *alive_ = false;
-  for (TimedAwaiter* awaiter = parked_head_; awaiter != nullptr;) {
-    TimedAwaiter* next = awaiter->next_;
-    awaiter->handle_.destroy();
-    awaiter = next;
+  for (Parked* parked = parked_head_; parked != nullptr;) {
+    Parked* next = parked->next_;
+    parked->handle_.destroy();
+    parked = next;
   }
 }
 
 void BmkSched::Spawn(const std::string& name, const std::function<Task()>& body) {
-  thread_names_.push_back(name);
+  ++threads_;
   body();  // Eager task: runs until first suspension.
 }
 
-void BmkSched::Park(TimedAwaiter* awaiter) {
-  awaiter->prev_ = nullptr;
-  awaiter->next_ = parked_head_;
+void BmkSched::Park(Parked* parked, std::coroutine_handle<> handle) {
+  parked->handle_ = handle;
+  parked->prev_ = nullptr;
+  parked->next_ = parked_head_;
   if (parked_head_ != nullptr) {
-    parked_head_->prev_ = awaiter;
+    parked_head_->prev_ = parked;
   }
-  parked_head_ = awaiter;
+  parked_head_ = parked;
   ++parked_;
-  executor_->PostAt(awaiter->at_, KITE_POST_SITE("bmk/timer-wake"),
-                    [this, alive = alive_, awaiter] {
-    if (!*alive) {
-      return;  // Scheduler destroyed; frame already reclaimed.
+}
+
+void BmkSched::PostWake(Parked* parked, SimTime at, const DispatchSite* site) {
+  executor_->PostAt(at, site, [this, alive = alive_, parked] {
+    if (!*alive || parked->abandoned_) {
+      return;  // The scheduler reclaimed, or will reclaim, the frame.
     }
-    Unlink(awaiter);
-    awaiter->handle_.resume();
+    Unlink(parked);
+    parked->handle_.resume();
   });
 }
 
-void BmkSched::Unlink(TimedAwaiter* awaiter) {
-  if (awaiter->prev_ != nullptr) {
-    awaiter->prev_->next_ = awaiter->next_;
+void BmkSched::Unlink(Parked* parked) {
+  if (parked->prev_ != nullptr) {
+    parked->prev_->next_ = parked->next_;
   } else {
-    parked_head_ = awaiter->next_;
+    parked_head_ = parked->next_;
   }
-  if (awaiter->next_ != nullptr) {
-    awaiter->next_->prev_ = awaiter->prev_;
+  if (parked->next_ != nullptr) {
+    parked->next_->prev_ = parked->prev_;
   }
   --parked_;
 }

@@ -5,13 +5,16 @@
 // "thread" is a coroutine Task scheduled on the domain's single executor and
 // serialized through the domain's Vcpu.
 //
-// Every timed suspension (Sleep/Run/Yield) parks on a *cancellable timer*
-// owned by this scheduler: destroying the scheduler (e.g. when a driver
-// domain is destroyed for restart) destroys all parked coroutine frames
-// instead of leaving dangling resumptions in the executor. A park allocates
-// nothing: the awaiter, which lives in the suspended coroutine frame, is the
-// node of the scheduler's intrusive list of parked threads, and the wake
-// event's captures fit the executor's inline callback slot.
+// The scheduler owns every suspended thread. A thread parks on a timer
+// (Sleep/Run/Yield) or on a WakeFlag (below); either way its awaiter, which
+// lives in the suspended coroutine frame, is the node of the scheduler's
+// intrusive list of parked threads, and its wake is an executor event whose
+// captures fit the inline callback slot, so a park allocates nothing. One
+// teardown rule holds for both kinds: a parked frame is never resumed after
+// its owner dies (a destroyed flag abandons its waiter, a destroyed
+// scheduler voids its queued wakes), and the scheduler destroys every frame
+// still linked when it dies, e.g. when a driver domain is destroyed for
+// restart.
 #ifndef SRC_BMK_SCHED_H_
 #define SRC_BMK_SCHED_H_
 
@@ -20,12 +23,11 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "src/base/log.h"
 #include "src/sim/cpu.h"
 #include "src/sim/executor.h"
 #include "src/sim/task.h"
-#include "src/sim/wait.h"
 
 namespace kite {
 
@@ -44,30 +46,43 @@ class BmkSched {
   // immediately (eager task) and runs cooperatively forever or until return.
   void Spawn(const std::string& name, const std::function<Task()>& body);
 
-  // Awaitable that resumes at an absolute time, cancellable by scheduler
-  // destruction. While suspended it is linked into the scheduler's list of
-  // parked threads, so it must not move: it is only ever created as the
-  // operand of co_await.
-  class TimedAwaiter {
+  // A suspended thread's node in the scheduler's list, linked from its
+  // suspension until its resumption. It lives in the frame it parks, so it
+  // must not move: it is only ever created as the operand of co_await.
+  class Parked {
+   public:
+    Parked(const Parked&) = delete;
+    Parked& operator=(const Parked&) = delete;
+
+   protected:
+    Parked() = default;
+    // Set when the waker dies: a queued wake then leaves the frame parked
+    // for the scheduler to reclaim.
+    bool abandoned_ = false;
+
+   private:
+    friend class BmkSched;
+    friend class WakeFlag;
+    std::coroutine_handle<> handle_;
+    Parked* prev_ = nullptr;
+    Parked* next_ = nullptr;
+  };
+
+  // Awaitable that resumes at an absolute time.
+  class TimedAwaiter : public Parked {
    public:
     TimedAwaiter(BmkSched* sched, SimTime at) : sched_(sched), at_(at) {}
-    TimedAwaiter(const TimedAwaiter&) = delete;
-    TimedAwaiter& operator=(const TimedAwaiter&) = delete;
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> handle) {
-      handle_ = handle;
-      sched_->Park(this);
+      sched_->Park(this, handle);
+      sched_->PostWake(this, at_, KITE_POST_SITE("bmk/timer-wake"));
     }
     void await_resume() const noexcept {}
 
    private:
-    friend class BmkSched;
     BmkSched* sched_;
     SimTime at_;
-    std::coroutine_handle<> handle_;
-    TimedAwaiter* prev_ = nullptr;
-    TimedAwaiter* next_ = nullptr;
   };
 
   // Consume CPU work: resumes once `cost` has executed on the vCPU.
@@ -94,25 +109,100 @@ class BmkSched {
   // Sleep without consuming CPU.
   TimedAwaiter Sleep(SimDuration d) { return TimedAwaiter(this, executor_->Now() + d); }
 
-  int thread_count() const { return static_cast<int>(thread_names_.size()); }
+  int thread_count() const { return threads_; }
   uint64_t yield_count() const { return yields_; }
-  size_t parked_timers() const { return parked_; }
+  // Threads parked on a timer or a flag, abandoned ones included.
+  size_t parked_threads() const { return parked_; }
 
  private:
-  // Links the awaiter and posts its wake at awaiter->at_.
-  void Park(TimedAwaiter* awaiter);
-  void Unlink(TimedAwaiter* awaiter);
+  friend class WakeFlag;
+
+  void Park(Parked* parked, std::coroutine_handle<> handle);
+  // Posts the resumption of `parked` at `at`, unless its scheduler or its
+  // waker is gone by then.
+  void PostWake(Parked* parked, SimTime at, const DispatchSite* site);
+  void Unlink(Parked* parked);
 
   Executor* executor_;
   Vcpu* vcpu_;
-  std::vector<std::string> thread_names_;
+  int threads_ = 0;
   // Parked threads, most recently parked first.
-  TimedAwaiter* parked_head_ = nullptr;
+  Parked* parked_head_ = nullptr;
   size_t parked_ = 0;
   // Wake events capture this flag; a destroyed scheduler (whose parked
-  // frames, awaiters included, are gone) turns them into no-ops.
+  // frames, nodes included, are gone) turns them into no-ops.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   uint64_t yields_ = 0;
+};
+
+// A rumprun wait channel with one sleeping thread, plus the one bit that
+// keeps a wakeup from being lost: the thread loops "process everything, then
+// sleep unless more work arrived while I was processing", which is what
+// netback's pusher/soft_start threads need. Signal only wakes (paper §4.2:
+// the event handler wakes the thread and returns); the waiter resumes from
+// an event posted at the current time, after the work already due.
+class WakeFlag {
+ public:
+  explicit WakeFlag(BmkSched* sched) : sched_(sched) {}
+  // A waiter parked here, woken or not, is never resumed: it stays in its
+  // scheduler's list until the scheduler reclaims it.
+  ~WakeFlag() {
+    if (waiter_ != nullptr) {
+      waiter_->abandoned_ = true;
+    }
+  }
+
+  WakeFlag(const WakeFlag&) = delete;
+  WakeFlag& operator=(const WakeFlag&) = delete;
+
+  // Sets the flag and wakes the parked waiter, once however often it is
+  // signalled before it runs.
+  void Signal() {
+    if (!signaled_ && waiter_ != nullptr) {
+      sched_->PostWake(waiter_, sched_->executor()->Now(), KITE_POST_SITE("bmk/flag-wake"));
+    }
+    signaled_ = true;
+  }
+
+  // Awaitable: returns immediately if signaled, else parks. Clears the flag.
+  class Awaiter : public BmkSched::Parked {
+   public:
+    explicit Awaiter(WakeFlag* flag) : flag_(flag) {}
+    // Unhooks from a flag that outlives the scheduler reclaiming this frame.
+    ~Awaiter() {
+      if (!abandoned_ && flag_->waiter_ == this) {
+        flag_->waiter_ = nullptr;
+      }
+    }
+
+    bool await_ready() const noexcept {
+      if (flag_->signaled_) {
+        flag_->signaled_ = false;
+        return true;
+      }
+      return false;
+    }
+    void await_suspend(std::coroutine_handle<> handle) {
+      KITE_CHECK(flag_->waiter_ == nullptr) << "a WakeFlag has one waiting thread";
+      flag_->waiter_ = this;
+      flag_->sched_->Park(this, handle);
+    }
+    void await_resume() const noexcept {
+      flag_->waiter_ = nullptr;
+      flag_->signaled_ = false;
+    }
+
+   private:
+    WakeFlag* flag_;
+  };
+
+  Awaiter Wait() { return Awaiter(this); }
+
+ private:
+  BmkSched* sched_;
+  // Parked here; its wake is queued exactly when signaled_ is also set.
+  Awaiter* waiter_ = nullptr;
+  bool signaled_ = false;
 };
 
 }  // namespace kite

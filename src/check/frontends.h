@@ -33,8 +33,6 @@ class RawNetFrontend {
   bool Connect();
 
   NetbackInstance* vif() const;
-  GrantRef data_gref() const { return data_gref_; }
-  NetTxFrontRing* tx_ring() { return tx_ring_.get(); }
 
   // Produces + pushes + kicks one Tx request. False when the ring is full
   // (caller should drain responses and advance time first).
@@ -73,7 +71,6 @@ class RawBlkFrontend {
   bool Connect();
 
   BlkbackInstance* vbd() const;
-  GrantRef data_gref() const { return data_gref_; }
   BlkFrontRing* ring() { return ring_.get(); }
   uint64_t capacity_sectors() const;
 

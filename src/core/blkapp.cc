@@ -5,9 +5,8 @@
 
 namespace kite {
 
-BlockStatusApp::BlockStatusApp(BmkSched* sched, StorageBackendDriver* driver,
-                               std::string physical_bdf)
-    : ConfigApp(sched, driver, "block-status-app"), physical_bdf_(std::move(physical_bdf)) {}
+BlockStatusApp::BlockStatusApp(BmkSched* sched, StorageBackendDriver* driver)
+    : ConfigApp(sched, driver, "block-status-app") {}
 
 std::vector<BlockStatusApp::VbdStatus> BlockStatusApp::Status() const { return status_; }
 

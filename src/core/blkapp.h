@@ -6,7 +6,6 @@
 #ifndef SRC_CORE_BLKAPP_H_
 #define SRC_CORE_BLKAPP_H_
 
-#include <string>
 #include <vector>
 
 #include "src/bmk/sched.h"
@@ -17,7 +16,7 @@ namespace kite {
 
 class BlockStatusApp : public ConfigApp<BlkbackInstance> {
  public:
-  BlockStatusApp(BmkSched* sched, StorageBackendDriver* driver, std::string physical_bdf);
+  BlockStatusApp(BmkSched* sched, StorageBackendDriver* driver);
 
   struct VbdStatus {
     DomId frontend_dom;
@@ -32,7 +31,6 @@ class BlockStatusApp : public ConfigApp<BlkbackInstance> {
   // Drops a reaped vbd from the status view.
   void Forget(BlkbackInstance* vbd) override;
 
-  std::string physical_bdf_;
   std::vector<VbdStatus> status_;
 };
 

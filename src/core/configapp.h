@@ -10,7 +10,6 @@
 
 #include "src/bmk/sched.h"
 #include "src/hv/xenbus_backend.h"
-#include "src/sim/wait.h"
 
 namespace kite {
 
@@ -29,7 +28,7 @@ class ConfigApp {
   // Hooks `driver` and spawns the app thread, which parks until the first
   // instance connects; Configure and Forget run only after construction.
   ConfigApp(BmkSched* sched, XenbusBackend<Instance>* driver, const char* thread_name)
-      : sched_(sched), wake_(sched->executor()) {
+      : sched_(sched), wake_(sched) {
     driver->SetOnNew([this](Instance* inst) {
       pending_.push_back(inst);
       wake_.Signal();

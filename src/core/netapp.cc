@@ -13,7 +13,6 @@ void IfConfig::AssignIp(NetIf* netif, Ipv4Addr ip) {
   CpuScope cpu_scope(KITE_CPU_CATEGORY("app/config"));
   sched_->vcpu()->Charge(Micros(8));
   netif->SetUp(true);
-  assignments_.push_back({netif->ifname(), ip});
 }
 
 // --- BrConfig. ---

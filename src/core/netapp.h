@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/bmk/sched.h"
 #include "src/core/configapp.h"
@@ -27,15 +26,8 @@ class IfConfig {
 
   void AssignIp(NetIf* netif, Ipv4Addr ip);
 
-  struct Assignment {
-    std::string ifname;
-    Ipv4Addr ip;
-  };
-  const std::vector<Assignment>& assignments() const { return assignments_; }
-
  private:
   BmkSched* sched_;
-  std::vector<Assignment> assignments_;
 };
 
 // Ported brconfig(8): bridge creation and port membership.

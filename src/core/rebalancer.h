@@ -67,7 +67,6 @@ class Rebalancer {
   uint64_t readmissions() const { return readmissions_->value(); }
   uint64_t moves_started() const { return moves_started_->value(); }
   uint64_t moves_failed() const { return moves_failed_->value(); }
-  uint64_t backoff_defers() const { return backoff_defers_->value(); }
   // Graceful drain moves in flight or queued behind the concurrency cap.
   int pending_moves() const { return active_moves_ + static_cast<int>(pending_.size()); }
 

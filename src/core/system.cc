@@ -14,6 +14,10 @@
 namespace kite {
 namespace {
 
+// Driver-domain memory by personality (paper §5: Kite's small footprint).
+constexpr int kKiteDriverDomainMemoryMb = 1024;
+constexpr int kLinuxDriverDomainMemoryMb = 2048;
+
 // Writes one env-requested export (KITE_TIMELINE, KITE_PROFILE, KITE_CPU) at
 // teardown, or warns; an empty path means the variable was unset.
 template <typename Render>
@@ -44,7 +48,7 @@ std::vector<BmkSched*> DriverDomain::scheds() const {
 void NetworkDomain::StartServices() {
   driver_ = std::make_unique<NetworkBackendDriver>(
       domain(), scheds(),
-      [dom = domain(), costs = &os()->costs, params = config().netback](
+      [dom = domain(), costs = &os()->costs, params = netback_](
           BmkSched* sched, DomId frontend_dom, int devid) {
         return std::make_unique<NetbackInstance>(dom, sched, costs, params, frontend_dom,
                                                  devid);
@@ -56,12 +60,12 @@ void NetworkDomain::StartServices() {
 void StorageDomain::StartServices() {
   driver_ = std::make_unique<StorageBackendDriver>(
       domain(), scheds(),
-      [dom = domain(), costs = &os()->costs, disk = disk_.get(), params = config().blkback](
+      [dom = domain(), costs = &os()->costs, disk = disk_.get(), params = blkback_](
           BmkSched* sched, DomId frontend_dom, int devid) {
         return std::make_unique<BlkbackInstance>(dom, sched, costs, params, disk,
                                                  frontend_dom, devid);
       });
-  app_ = std::make_unique<BlockStatusApp>(scheds().front(), driver_.get(), disk_->bdf());
+  app_ = std::make_unique<BlockStatusApp>(scheds().front(), driver_.get());
 }
 
 KiteSystem::KiteSystem(Params params)
@@ -254,13 +258,16 @@ bool KiteSystem::DumpTrace(const std::string& path) {
   return tracer_.DumpTrace(path);
 }
 
-NetworkDomain* KiteSystem::CreateNetworkDomain(DriverDomainConfig config) {
+NetworkDomain* KiteSystem::CreateNetworkDomain(DriverDomainConfig config,
+                                               NetbackParams netback) {
   return Enlist(&network_domains_,
-                std::make_unique<NetworkDomain>(config, NewUplink(), gateway_ip_));
+                std::make_unique<NetworkDomain>(config, netback, NewUplink(), gateway_ip_));
 }
 
-StorageDomain* KiteSystem::CreateStorageDomain(DriverDomainConfig config) {
-  return Enlist(&storage_domains_, std::make_unique<StorageDomain>(config, NewDiskPort()));
+StorageDomain* KiteSystem::CreateStorageDomain(DriverDomainConfig config,
+                                               BlkbackParams blkback) {
+  return Enlist(&storage_domains_,
+                std::make_unique<StorageDomain>(config, blkback, NewDiskPort()));
 }
 
 template <typename D>
@@ -276,7 +283,7 @@ void KiteSystem::BringUp(DriverDomain* dd) {
   const bool kite = config.os == OsKind::kKiteRumprun;
   dd->domain_ = hv_->CreateDomain(StrFormat("%s-%s", kite ? "kite" : "linux", dd->vm_role_),
                                   config.vcpus,
-                                  config.memory_mb > 0 ? config.memory_mb : (kite ? 1024 : 2048));
+                                  kite ? kKiteDriverDomainMemoryMb : kLinuxDriverDomainMemoryMb);
   const int scheds = dd->sharded_ ? dd->domain_->vcpu_count() : 1;
   for (int i = 0; i < scheds; ++i) {
     dd->scheds_.push_back(std::make_unique<BmkSched>(&executor_, dd->domain_->vcpu(i)));

@@ -44,13 +44,12 @@ namespace kite {
 
 class MigrationEngine;
 
+// What both kinds of driver domain are configured with. Memory follows the
+// personality (paper §5: Kite domains get 1 GB, Linux 2 GB); each kind's
+// backend params are an argument of its create.
 struct DriverDomainConfig {
   OsKind os = OsKind::kKiteRumprun;
   int vcpus = 1;
-  // Paper §5: Kite domains get 1 GB (small footprint), Linux 2 GB.
-  int memory_mb = 0;  // 0: choose by personality.
-  NetbackParams netback;
-  BlkbackParams blkback;
 };
 
 // What the network and the storage driver domain share (paper §4): a VM
@@ -103,8 +102,10 @@ class DriverDomain {
 // application, with the physical NIC assigned via PCI passthrough.
 class NetworkDomain : public DriverDomain {
  public:
-  NetworkDomain(DriverDomainConfig config, std::unique_ptr<Nic> nic, Ipv4Addr gateway_ip)
+  NetworkDomain(DriverDomainConfig config, NetbackParams netback, std::unique_ptr<Nic> nic,
+                Ipv4Addr gateway_ip)
       : DriverDomain(DeviceKind::kVif, "netdom", /*sharded=*/true, config),
+        netback_(netback),
         nic_(std::move(nic)),
         gateway_ip_(gateway_ip) {}
 
@@ -124,6 +125,7 @@ class NetworkDomain : public DriverDomain {
     driver_.reset();
   }
 
+  const NetbackParams netback_;  // What a restart replays.
   std::unique_ptr<Nic> nic_;
   const Ipv4Addr gateway_ip_;
   std::unique_ptr<NetworkBackendDriver> driver_;
@@ -134,8 +136,10 @@ class NetworkDomain : public DriverDomain {
 // the NVMe device assigned via PCI passthrough. Blkback is not sharded.
 class StorageDomain : public DriverDomain {
  public:
-  StorageDomain(DriverDomainConfig config, std::unique_ptr<BlockDevice> disk)
+  StorageDomain(DriverDomainConfig config, BlkbackParams blkback,
+                std::unique_ptr<BlockDevice> disk)
       : DriverDomain(DeviceKind::kVbd, "stordom", /*sharded=*/false, config),
+        blkback_(blkback),
         disk_(std::move(disk)) {}
 
   BlockDevice* disk() const { return disk_.get(); }
@@ -153,6 +157,7 @@ class StorageDomain : public DriverDomain {
     driver_.reset();
   }
 
+  const BlkbackParams blkback_;  // What a restart replays.
   std::unique_ptr<BlockDevice> disk_;
   std::unique_ptr<StorageBackendDriver> driver_;
   std::unique_ptr<BlockStatusApp> app_;
@@ -291,8 +296,10 @@ class KiteSystem {
 
   // --- Topology construction. ---
   // A driver domain's backend driver and app start once its VM has booted.
-  NetworkDomain* CreateNetworkDomain(DriverDomainConfig config = DriverDomainConfig{});
-  StorageDomain* CreateStorageDomain(DriverDomainConfig config = DriverDomainConfig{});
+  NetworkDomain* CreateNetworkDomain(DriverDomainConfig config = DriverDomainConfig{},
+                                     NetbackParams netback = NetbackParams{});
+  StorageDomain* CreateStorageDomain(DriverDomainConfig config = DriverDomainConfig{},
+                                     BlkbackParams blkback = BlkbackParams{});
   GuestVm* CreateGuest(const std::string& name, int vcpus = 22, int memory_mb = 5120);
   // Destroys a guest VM (`xl destroy`): tears down its frontends, destroys
   // the domain, and lets the backend drivers reap the paired instances on

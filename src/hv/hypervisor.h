@@ -45,7 +45,7 @@ class Hypervisor {
  public:
   // `metrics` hosts the hypervisor's counters under ("hv", <device>, <name>);
   // when null (standalone hv tests) the hypervisor owns a private registry.
-  // `tracer` is optional and may also be attached later via set_tracer.
+  // `tracer` is optional.
   explicit Hypervisor(Executor* executor, MetricRegistry* metrics = nullptr,
                       EventTracer* tracer = nullptr);
   ~Hypervisor();
@@ -58,7 +58,6 @@ class Hypervisor {
   // system-wide registry through this.
   MetricRegistry* metrics() const { return metrics_; }
   EventTracer* tracer() const { return tracer_; }
-  void set_tracer(EventTracer* tracer) { tracer_ = tracer; }
 
   // Always-on flight recorder (optional wiring, like the tracer, but with no
   // enable flag: when present, domain lifecycle, grant map/unmap, dropped
@@ -136,10 +135,6 @@ class Hypervisor {
   uint64_t grant_maps() const { return grant_maps_->value(); }
   uint64_t grant_unmaps() const { return grant_unmaps_->value(); }
   uint64_t grant_copies() const { return grant_copies_->value(); }
-  uint64_t grant_copy_bytes() const { return grant_copy_bytes_->value(); }
-  // Grant copies refused because offset/size fell outside the granted page
-  // (the hypervisor is the last line of defense against malformed rings).
-  uint64_t grant_copy_rejects() const { return grant_copy_rejects_->value(); }
   // Event notifications accepted but dropped by fault injection.
   uint64_t events_dropped() const { return events_dropped_->value(); }
   // Mappings force-dropped because the mapping domain was destroyed.
@@ -196,6 +191,8 @@ class Hypervisor {
   Counter* grant_unmaps_;
   Counter* grant_copies_;
   Counter* grant_copy_bytes_;
+  // Grant copies refused because offset/size fell outside the granted page
+  // (the hypervisor is the last line of defense against malformed rings).
   Counter* grant_copy_rejects_;
   Counter* forced_grant_revocations_;
   Counter* grant_map_fails_;

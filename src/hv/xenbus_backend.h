@@ -37,7 +37,6 @@
 #include "src/hv/hypervisor.h"
 #include "src/hv/xenbus.h"
 #include "src/os/profile.h"
-#include "src/sim/wait.h"
 
 namespace kite {
 
@@ -266,7 +265,7 @@ class XenbusBackend {
         scheds_(std::move(scheds)),
         factory_(std::move(factory)),
         root_(StrFormat("/local/domain/%d/backend/%s", backend->id(), Instance::kType)),
-        watch_wake_(scheds_.front()->executor()) {
+        watch_wake_(scheds_.front()) {
     const std::string type = Instance::kType;
     MetricRegistry* reg = hv_->metrics();
     scans_ = reg->counter(backend->name(), type + "-driver", "scans");

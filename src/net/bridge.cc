@@ -47,11 +47,6 @@ void Bridge::EnablePortQueue(Executor* executor, NetIf* port,
   queues_[port] = std::make_unique<EgressQueue>(executor, port, params);
 }
 
-EgressQueue* Bridge::port_queue(NetIf* port) const {
-  auto it = queues_.find(port);
-  return it == queues_.end() ? nullptr : it->second.get();
-}
-
 uint64_t Bridge::queue_drops() const {
   uint64_t drops = 0;
   for (const auto& [port, queue] : queues_) {
@@ -92,7 +87,6 @@ void Bridge::Input(NetIf* ingress, EthernetFrame&& frame) {
     }
   }
   // Broadcast or unknown unicast: flood all other up ports.
-  ++flooded_;
   for (NetIf* port : ports_) {
     if (port != ingress && port->up()) {
       SendOut(port, EthernetFrame(frame));  // Each port gets its own copy.

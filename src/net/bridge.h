@@ -40,13 +40,10 @@ class Bridge {
   // without a queue (the default) keep the synchronous model. Re-enabling
   // replaces the old queue.
   void EnablePortQueue(Executor* executor, NetIf* port, EgressQueueParams params);
-  // The port's egress queue, or nullptr if none was enabled.
-  EgressQueue* port_queue(NetIf* port) const;
 
   // Unicast frames actually admitted toward their egress port; frames a
   // full port queue rejects count in queue_drops() instead.
   uint64_t forwarded() const { return forwarded_; }
-  uint64_t flooded() const { return flooded_; }
   // Frames dropped at port egress queues (all ports).
   uint64_t queue_drops() const;
 
@@ -66,7 +63,6 @@ class Bridge {
   std::map<NetIf*, std::unique_ptr<EgressQueue>> queues_;
   std::map<MacAddr, NetIf*> fdb_;
   uint64_t forwarded_ = 0;
-  uint64_t flooded_ = 0;
 };
 
 }  // namespace kite

@@ -355,13 +355,6 @@ void SerializeArpInto(const ArpPacket& arp, Buffer* out) {
   w.U32(arp.target_ip.value);
 }
 
-Buffer SerializeArp(const ArpPacket& arp) {
-  Buffer out;
-  out.reserve(arp.ByteSize());
-  SerializeArpInto(arp, &out);
-  return out;
-}
-
 std::optional<ArpPacket> ParseArp(std::span<const uint8_t> data) {
   if (data.size() < 28) {
     return std::nullopt;

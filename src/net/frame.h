@@ -153,7 +153,6 @@ void SerializeIpv4Into(const Ipv4Packet& packet, Buffer* out);
 std::optional<Ipv4Packet> ParseIpv4(std::span<const uint8_t> data,
                                     bool verify_checksum = true);
 
-Buffer SerializeArp(const ArpPacket& arp);
 void SerializeArpInto(const ArpPacket& arp, Buffer* out);
 std::optional<ArpPacket> ParseArp(std::span<const uint8_t> data);
 

@@ -43,23 +43,11 @@ class NetIf {
   // (used by tests and by software devices).
   void InjectInput(EthernetFrame frame) { DeliverInput(std::move(frame)); }
 
-  uint64_t tx_frames() const { return tx_frames_; }
-  uint64_t tx_bytes() const { return tx_bytes_; }
-  uint64_t rx_frames() const { return rx_frames_; }
-  uint64_t rx_bytes() const { return rx_bytes_; }
-
  protected:
-  void CountTx(const EthernetFrame& frame) {
-    ++tx_frames_;
-    tx_bytes_ += frame.PayloadBytes() + kEthernetHeaderBytes;
-  }
-
   // Called by implementations when an inbound frame is ready for the
   // consumer, which receives it by move. Dropped (counted by callers where
   // relevant) if no handler.
   void DeliverInput(EthernetFrame&& frame) {
-    ++rx_frames_;
-    rx_bytes_ += frame.PayloadBytes() + kEthernetHeaderBytes;
     if (input_handler_) {
       input_handler_(std::move(frame));
     }
@@ -70,10 +58,6 @@ class NetIf {
   MacAddr mac_;
   bool up_ = false;
   std::function<void(EthernetFrame&&)> input_handler_;
-  uint64_t tx_frames_ = 0;
-  uint64_t tx_bytes_ = 0;
-  uint64_t rx_frames_ = 0;
-  uint64_t rx_bytes_ = 0;
 };
 
 }  // namespace kite

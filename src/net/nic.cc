@@ -19,7 +19,6 @@ constexpr size_t kRxQueueFrames = 1024;
 }  // namespace
 
 void NicNetIf::Output(EthernetFrame frame) {
-  CountTx(frame);
   nic_->Transmit(std::move(frame));
 }
 
@@ -85,17 +84,14 @@ void Nic::LandOnPeer() {
 
 void Nic::Arrive(EthernetFrame&& frame) {
   if (faults_ != nullptr) {
-    if (faults_->ShouldFail(FaultSite::kNicLoss)) {
-      ++rx_lost_;  // Lost on the wire: the receive side never sees it.
-      return;
-    }
-    if (faults_->ShouldFail(FaultSite::kNicCorrupt)) {
-      ++rx_fcs_errors_;  // Bad FCS: hardware discards before the ring.
+    // Lost on the wire, the receive side never sees the frame; with a bad
+    // FCS, hardware discards it before the ring.
+    if (faults_->ShouldFail(FaultSite::kNicLoss) ||
+        faults_->ShouldFail(FaultSite::kNicCorrupt)) {
       return;
     }
   }
   if (QueueFull(rx_queue_.size(), kRxQueueFrames)) {
-    ++rx_dropped_;
     return;
   }
   rx_queue_.push_back(std::move(frame));

@@ -61,10 +61,7 @@ class Nic : public PciDevice {
   void Transmit(EthernetFrame frame);
 
   uint64_t tx_dropped() const { return tx_dropped_; }
-  uint64_t rx_dropped() const { return rx_dropped_; }
   uint64_t rx_delivered() const { return rx_delivered_; }
-  uint64_t rx_lost() const { return rx_lost_; }          // Injected wire loss.
-  uint64_t rx_fcs_errors() const { return rx_fcs_errors_; }  // Injected corruption.
 
  private:
   friend class NicNetIf;
@@ -97,10 +94,7 @@ class Nic : public PciDevice {
   bool rx_drain_scheduled_ = false;
 
   uint64_t tx_dropped_ = 0;
-  uint64_t rx_dropped_ = 0;
   uint64_t rx_delivered_ = 0;
-  uint64_t rx_lost_ = 0;
-  uint64_t rx_fcs_errors_ = 0;
 };
 
 }  // namespace kite

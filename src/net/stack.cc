@@ -44,7 +44,6 @@ void UdpSocket::SendTo(Ipv4Addr dst, uint16_t dst_port, Buffer payload) {
   udp.dst_port = dst_port;
   udp.payload = std::move(payload);
   packet.l4 = std::move(udp);
-  ++sent_;
   stack_->SendIp(std::move(packet));
 }
 
@@ -134,7 +133,6 @@ void EtherStack::SendIp(Ipv4Packet&& packet) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/stack"));
     vcpu_->Charge(kPerPacketCost);
   }
-  ++ip_tx_;
 
   if (packet.dst.IsBroadcast()) {
     Transmit(MacAddr::Broadcast(), std::move(packet));
@@ -232,7 +230,6 @@ void EtherStack::HandleArp(const ArpPacket& arp) {
 }
 
 void EtherStack::HandleIp(const Ipv4Packet& packet) {
-  ++ip_rx_;
   if (const IcmpMessage* icmp = std::get_if<IcmpMessage>(&packet.l4)) {
     HandleIcmp(packet, *icmp);
     return;
@@ -240,7 +237,6 @@ void EtherStack::HandleIp(const Ipv4Packet& packet) {
   if (const UdpDatagram* udp = std::get_if<UdpDatagram>(&packet.l4)) {
     auto it = udp_ports_.find(udp->dst_port);
     if (it != udp_ports_.end()) {
-      ++it->second->received_;
       if (it->second->recv_cb_) {
         it->second->recv_cb_(packet.src, udp->src_port, udp->payload);
       }

@@ -56,9 +56,6 @@ class UdpSocket {
   // yet sends from 0.0.0.0 (DHCP bootstrapping).
   void SendTo(Ipv4Addr dst, uint16_t dst_port, Buffer payload);
 
-  uint64_t datagrams_sent() const { return sent_; }
-  uint64_t datagrams_received() const { return received_; }
-
  private:
   friend class EtherStack;
   explicit UdpSocket(EtherStack* stack) : stack_(stack) {}
@@ -66,8 +63,6 @@ class UdpSocket {
   EtherStack* stack_;
   uint16_t port_ = 0;
   RecvFn recv_cb_;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
 };
 
 class EtherStack {
@@ -127,8 +122,6 @@ class EtherStack {
   }
 
   // --- Stats. ---
-  uint64_t ip_tx_packets() const { return ip_tx_; }
-  uint64_t ip_rx_packets() const { return ip_rx_; }
   uint64_t arp_requests_sent() const { return arp_requests_; }
 
   // Static ARP entry injection (tests).
@@ -197,8 +190,6 @@ class EtherStack {
   std::map<TcpFlowKey, TcpFlowLedger> tcp_ledgers_;
   TcpStackCounters tcp_counters_;
 
-  uint64_t ip_tx_ = 0;
-  uint64_t ip_rx_ = 0;
   uint64_t arp_requests_ = 0;
 };
 

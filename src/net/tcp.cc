@@ -25,22 +25,6 @@ constexpr uint32_t kMaxRetransmits = 30;         // Consecutive timeouts before 
 
 }  // namespace
 
-const char* TcpStateName(TcpState state) {
-  switch (state) {
-    case TcpState::kSynSent:
-      return "SYN_SENT";
-    case TcpState::kSynReceived:
-      return "SYN_RECEIVED";
-    case TcpState::kEstablished:
-      return "ESTABLISHED";
-    case TcpState::kFinSent:
-      return "FIN_SENT";
-    case TcpState::kClosed:
-      return "CLOSED";
-  }
-  return "?";
-}
-
 TcpConn::TcpConn(EtherStack* stack, Ipv4Addr peer_ip, uint16_t peer_port,
                  uint16_t local_port)
     : stack_(stack), peer_ip_(peer_ip), peer_port_(peer_port), local_port_(local_port) {
@@ -346,7 +330,6 @@ void TcpConn::RetransmitHead() {
   seg.ack_flag = true;
   seg.ack = rcv_nxt_;
   seg.payload.assign(send_buf_.begin(), send_buf_.begin() + len);
-  bytes_sent_ += len;
   EmitSegment(std::move(seg));
 }
 
@@ -417,7 +400,6 @@ bool TcpConn::HandleData(const TcpSegment& seg) {
 
 void TcpConn::DeliverInOrder(std::span<const uint8_t> payload) {
   rcv_nxt_ += static_cast<uint32_t>(payload.size());
-  bytes_received_ += payload.size();
   ledger_->delivered += payload.size();
   if (stack_->tcp_counters_.bytes_delivered != nullptr) {
     stack_->tcp_counters_.bytes_delivered->Add(payload.size());
@@ -510,7 +492,6 @@ void TcpConn::PumpSend() {
       snd_max_ = seq_end;
     }
     snd_nxt_ = seq_end;
-    bytes_sent_ += len;
     send_offset += len;
     in_flight += static_cast<uint32_t>(len);
     EmitSegment(std::move(seg));

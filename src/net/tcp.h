@@ -32,8 +32,6 @@ enum class TcpState {
   kClosed,
 };
 
-const char* TcpStateName(TcpState state);
-
 class TcpListener {
  public:
   uint16_t port() const { return port_; }
@@ -75,8 +73,6 @@ class TcpConn {
   uint16_t peer_port() const { return peer_port_; }
   uint16_t local_port() const { return local_port_; }
 
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t bytes_received() const { return bytes_received_; }
   // Payload bytes the peer has cumulatively acknowledged.
   uint64_t bytes_acked() const { return bytes_acked_; }
 
@@ -202,8 +198,6 @@ class TcpConn {
   std::function<void(TcpConn*)> connected_cb_;
   bool close_delivered_ = false;
 
-  uint64_t bytes_sent_ = 0;
-  uint64_t bytes_received_ = 0;
   uint64_t bytes_acked_ = 0;
 
   // Lifetime flow ledger owned by the stack (survives this connection).

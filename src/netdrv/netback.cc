@@ -25,8 +25,8 @@ NetbackInstance::NetbackInstance(Domain* backend, BmkSched* sched,
                             static_cast<uint32_t>(devid))),
       XenbusBackendInstance(backend, sched, costs, kType, frontend_dom, devid),
       params_(params),
-      tx_wake_(sched->executor()),
-      rx_wake_(sched->executor()) {
+      tx_wake_(sched),
+      rx_wake_(sched) {
   MetricRegistry* reg = hv_->metrics();
   guest_tx_frames_ = reg->counter(backend->name(), ifname(), "guest_tx_frames");
   guest_rx_frames_ = reg->counter(backend->name(), ifname(), "guest_rx_frames");
@@ -401,9 +401,8 @@ Task NetbackInstance::SoftStartThread() {
       }
       if (ok) {
         // Only a successful copy counts as delivered — a failed copy used to
-        // inflate both counters (phantom deliveries under grant faults).
+        // inflate the counter (phantom deliveries under grant faults).
         guest_rx_frames_->Inc();
-        CountTx(frame);  // VIF "transmitted" toward the guest.
       } else {
         rx_copy_fails_->Inc();
       }

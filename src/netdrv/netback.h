@@ -29,7 +29,6 @@
 #include "src/net/queue.h"
 #include "src/netdrv/netif_ring.h"
 #include "src/os/profile.h"
-#include "src/sim/wait.h"
 
 namespace kite {
 
@@ -83,10 +82,6 @@ class NetbackInstance : public NetIf, public XenbusBackendInstance {
   // Guest Tx requests rejected before any copy because offset/size fell
   // outside the granted page (malformed or malicious ring input).
   uint64_t tx_bad_requests() const { return tx_bad_requests_->value(); }
-  // In-bounds, copyable Tx payloads that did not parse as an Ethernet frame
-  // (acknowledged kOkay — the bytes moved — but never reached the bridge).
-  uint64_t tx_unparseable() const { return tx_unparseable_->value(); }
-
   // True when both rings are quiet: every published Tx request consumed, one
   // response per consumed request on both rings, and everything pushed back
   // to the frontend. On false, `detail` (if non-null) says which leg failed.
@@ -145,6 +140,8 @@ class NetbackInstance : public NetIf, public XenbusBackendInstance {
   Counter* tx_bad_requests_;
   Counter* rx_copy_fails_;
   Counter* tx_copy_fails_;
+  // In-bounds, copyable Tx payloads that did not parse as an Ethernet frame
+  // (acknowledged kOkay — the bytes moved — but never reached the bridge).
   Counter* tx_unparseable_;
   // Stage latencies (ns): queue = time waiting before the worker thread
   // picked the item up, service = pickup to response produced.

@@ -147,7 +147,6 @@ void Netfront::Output(EthernetFrame frame) {
   req.offset = 0;
   req.size = static_cast<uint16_t>(bytes.size());
   tx_ring_->ProduceRequest(req, now.ns());
-  CountTx(frame);
   if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
     t->FlowBegin(guest_->id(), 0, "net.tx", "tx_submit", now,
                  MakeFlowId(FlowKind::kNetTx, guest_->id(), devid_, ring_index),

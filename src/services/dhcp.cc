@@ -8,6 +8,8 @@ namespace {
 constexpr uint32_t kDhcpMagic = 0x63825363;
 constexpr uint16_t kServerPort = 67;
 constexpr uint16_t kClientPort = 68;
+// OpenDHCP's processing per message.
+constexpr SimDuration kPerMessageCost = Micros(40);
 
 enum DhcpOption : uint8_t {
   kOptSubnetMask = 1,
@@ -177,7 +179,7 @@ void DhcpServer::OnMessage(Ipv4Addr src, uint16_t src_port, const Buffer& payloa
   }
   if (stack_->vcpu() != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("app/workload"));
-    stack_->vcpu()->Charge(config_.per_message_cost);
+    stack_->vcpu()->Charge(kPerMessageCost);
   }
   DhcpMessage reply;
   reply.is_request = false;

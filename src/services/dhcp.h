@@ -48,7 +48,6 @@ struct DhcpServerConfig {
   int pool_size = 150;
   Ipv4Addr server_ip;  // Defaults to the stack's IP.
   uint32_t lease_seconds = 3600;
-  SimDuration per_message_cost = Micros(40);  // OpenDHCP processing.
 };
 
 class DhcpServer {

@@ -6,11 +6,10 @@
 // behaviour of rumprun's non-preemptive single-vCPU scheduler that the paper's
 // thread structure is designed around.
 //
-// Two interfaces:
-//  - Charge(cost): synchronous accounting (used from interrupt handlers and
-//    hypercall paths that logically run to completion).
-//  - co_await Run(cost): suspend until the CPU has executed `cost` of work
-//    for this caller (used by driver threads; models queuing delay).
+// Charge(cost) is the one interface: synchronous accounting that returns
+// when the work completes. Interrupt handlers and hypercall paths call it
+// and logically run to completion; a BMK thread suspends until the returned
+// time (BmkSched::Run, src/bmk/sched.h), which models queuing delay.
 //
 // --- CPU attribution (DESIGN.md §16) ---
 //
@@ -41,7 +40,6 @@
 #ifndef SRC_SIM_CPU_H_
 #define SRC_SIM_CPU_H_
 
-#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -115,26 +113,6 @@ class Vcpu {
   // Accounts `cost` of CPU work starting no earlier than now and no earlier
   // than the end of previously queued work. Returns the completion time.
   SimTime Charge(SimDuration cost);
-
-  // Awaitable that resumes once `cost` of work has been executed.
-  class RunAwaiter {
-   public:
-    RunAwaiter(Vcpu* cpu, SimDuration cost) : cpu_(cpu), cost_(cost) {}
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> handle) {
-      SimTime done = cpu_->Charge(cost_);
-      cpu_->executor_->ResumeAt(done, handle);
-    }
-    void await_resume() const noexcept {}
-
-   private:
-    Vcpu* cpu_;
-    SimDuration cost_;
-  };
-
-  RunAwaiter Run(SimDuration cost) { return RunAwaiter(this, cost); }
-  // Cooperative yield: requeue behind any pending work.
-  RunAwaiter Yield() { return RunAwaiter(this, SimDuration(0)); }
 
   // Total CPU time consumed since construction (for utilization reports).
   // With attribution enabled the total is derived from the ledger (plus any

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 
-#include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/sim/intern.h"
 
@@ -16,7 +15,7 @@ constexpr size_t kEventsPerChunk = 256;
 // Leaked on purpose: executors dying at exit read labels during static
 // destruction.
 LabelRegistry<DispatchSite>& Sites() {
-  static auto* sites = new LabelRegistry<DispatchSite>({"(untagged)", "(coroutine)"});
+  static auto* sites = new LabelRegistry<DispatchSite>({"(untagged)"});
   return *sites;
 }
 
@@ -59,11 +58,11 @@ const char* DispatchSiteLabel(uint32_t index) { return Sites().Label(index); }
 size_t DispatchSiteCount() { return Sites().Count(); }
 
 Executor::~Executor() {
-  // Drain-and-destroy until nothing is left. A coroutine frame (or callback
-  // capture) may post new events from its own destructor; swapping the whole
-  // pending set into a local list each round means those posts land in the
-  // now-empty wheel instead of invalidating what we iterate, and the next
-  // round reclaims them too.
+  // Drain-and-destroy until nothing is left. A callback capture may post new
+  // events from its own destructor; swapping the whole pending set into a
+  // local list each round means those posts land in the now-empty wheel
+  // instead of invalidating what we iterate, and the next round reclaims
+  // them too.
   std::vector<Event*> doomed;
   while (pending_count_ > 0) {
     doomed.clear();
@@ -89,9 +88,7 @@ Executor::~Executor() {
     pending_count_ = 0;
     non_daemon_pending_ = 0;
     for (Event* ev : doomed) {
-      if (ev->coro) {
-        ev->coro.destroy();
-      } else if (ev->destroy != nullptr) {
+      if (ev->destroy != nullptr) {
         ev->destroy(ev);
       }
       FreeEvent(ev);
@@ -124,7 +121,6 @@ Executor::Event* Executor::NewEvent(SimTime when, bool daemon) {
   // housekeeping must not shift the RNG stream real events see (header).
   ev->tie = (shuffle_ && !daemon && when > now_) ? shuffle_rng_.NextU64() : ev->seq;
   ev->next = nullptr;
-  ev->coro = nullptr;
   ev->invoke = nullptr;
   ev->destroy = nullptr;
   ev->daemon = daemon;
@@ -290,20 +286,6 @@ void Executor::JumpCursor(int64_t to_ns) {
   }
 }
 
-void Executor::ResumeAt(SimTime when, std::coroutine_handle<> handle) {
-  KITE_CHECK(handle != nullptr);
-  Event* ev = NewEvent(when, /*daemon=*/false);
-  ev->coro = handle;
-  Insert(ev);
-}
-
-void Executor::ResumeAfter(SimDuration delay, std::coroutine_handle<> handle) {
-  if (delay < SimDuration(0)) {
-    delay = SimDuration(0);
-  }
-  ResumeAt(now_ + delay, handle);
-}
-
 void Executor::DispatchOne(Event* ev) {
   --pending_count_;
   if (!ev->daemon) {
@@ -315,20 +297,16 @@ void Executor::DispatchOne(Event* ev) {
     ProfiledDispatch(ev);
     return;
   }
-  if (ev->coro) {
-    ev->coro.resume();
-  } else {
-    ev->invoke(ev);
-    if (ev->destroy != nullptr) {
-      ev->destroy(ev);
-    }
+  ev->invoke(ev);
+  if (ev->destroy != nullptr) {
+    ev->destroy(ev);
   }
   FreeEvent(ev);
 }
 
 void Executor::ProfiledDispatch(Event* ev) {
   ProfileState& p = *profile_;
-  const uint32_t site = ev->coro ? kDispatchSiteCoroutine : ev->site;
+  const uint32_t site = ev->site;
   if (site >= p.stats.size()) {
     p.stats.resize(std::max<size_t>(site + 1, DispatchSiteCount()));
   }
@@ -339,13 +317,9 @@ void Executor::ProfiledDispatch(Event* ev) {
   if (timed) {
     t0 = std::chrono::steady_clock::now();
   }
-  if (ev->coro) {
-    ev->coro.resume();
-  } else {
-    ev->invoke(ev);
-    if (ev->destroy != nullptr) {
-      ev->destroy(ev);
-    }
+  ev->invoke(ev);
+  if (ev->destroy != nullptr) {
+    ev->destroy(ev);
   }
   if (timed) {
     const auto dt = std::chrono::steady_clock::now() - t0;
@@ -468,7 +442,7 @@ std::vector<Executor::PendingEvent> Executor::PendingEvents(size_t max) const {
   std::vector<PendingEvent> out;
   out.reserve(ptrs.size());
   for (const Event* ev : ptrs) {
-    out.push_back(PendingEvent{ev->at, ev->seq, static_cast<bool>(ev->coro), ev->daemon});
+    out.push_back(PendingEvent{ev->at, ev->seq, ev->site, ev->daemon});
   }
   return out;
 }
@@ -479,7 +453,7 @@ std::string Executor::FormatPendingEvents(size_t max) const {
   for (const PendingEvent& ev : PendingEvents(max)) {
     out += StrFormat("\n  at=%.9fs seq=%llu %s%s", ev.at.seconds(),
                      static_cast<unsigned long long>(ev.seq),
-                     ev.is_coro ? "coroutine" : "callback",
+                     DispatchSiteLabel(ev.site),
                      ev.is_daemon ? " (daemon)" : "");
   }
   if (pending_count_ > max) {

@@ -25,9 +25,12 @@
 // insertion sequence number as the tie key and are dispatched after the
 // already-queued same-time events, in post order. This is the documented
 // Post() FIFO contract; randomizing those ties used to let a Post() fire
-// before events queued earlier at the same instant, breaking callers (wake
-// ordering in WaitChannel, response-before-wake in the backends) that rely
-// on "post now" meaning "after everything already due now".
+// before events queued earlier at the same instant, breaking callers (BMK
+// flag wakes, response-before-wake in the backends) that rely on "post now"
+// meaning "after everything already due now".
+//
+// The executor runs callbacks only. Suspended coroutine threads belong to
+// their BMK scheduler (src/bmk/sched.h), whose wakes are ordinary posts.
 //
 // Daemon events are likewise exempt from shuffle tie randomization: they
 // never consume a draw from the shuffle RNG. Housekeeping (the health
@@ -46,7 +49,6 @@
 #ifndef SRC_SIM_EXECUTOR_H_
 #define SRC_SIM_EXECUTOR_H_
 
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -71,10 +73,8 @@ struct DispatchSite {
   uint32_t index;
 };
 
-// Built-in site indices: events posted through an untagged overload, and
-// coroutine resumptions (which carry no callsite).
+// Built-in site index of events posted through an untagged overload.
 inline constexpr uint32_t kDispatchSiteUntagged = 0;
-inline constexpr uint32_t kDispatchSiteCoroutine = 1;
 
 // Interns `label` (src/sim/intern.h); idempotent per label text.
 const DispatchSite* RegisterDispatchSite(const char* label);
@@ -200,12 +200,6 @@ class Executor {
     PostDaemonAt(now_ + delay, site, std::forward<Fn>(fn));
   }
 
-  // Schedules resumption of a coroutine. The executor owns the handle while
-  // queued: if the executor is destroyed first, the coroutine frame is
-  // destroyed rather than leaked.
-  void ResumeAt(SimTime when, std::coroutine_handle<> handle);
-  void ResumeAfter(SimDuration delay, std::coroutine_handle<> handle);
-
   // Runs a single event; returns false if the queue is empty. Not reentrant:
   // handlers must not call Step/RunUntil themselves (they never have).
   bool Step();
@@ -242,12 +236,13 @@ class Executor {
   struct PendingEvent {
     SimTime at;
     uint64_t seq = 0;   // Insertion order (global, monotonic).
-    bool is_coro = false;
+    uint32_t site = kDispatchSiteUntagged;  // Where it was posted.
     bool is_daemon = false;
   };
   std::vector<PendingEvent> PendingEvents(size_t max = 16) const;
   // Human-readable rendering of PendingEvents plus the queue size, one event
-  // per line — what WaitUntil timeouts and kite_explore aborts print.
+  // per line with its posting site's label — what WaitUntil timeouts and
+  // kite_explore aborts print.
   std::string FormatPendingEvents(size_t max = 16) const;
 
   // --- Dispatch profiler. ---
@@ -282,14 +277,13 @@ class Executor {
   static constexpr int kHorizonBits = kLevelBits * kLevels;       // 42
   static constexpr uint64_t kSlotMask = kSlotsPerLevel - 1;
 
-  // A pooled event node. Exactly one of {invoke, coro} is set. The node never
-  // moves while queued, so inline callbacks need no move support.
+  // A pooled event node. The node never moves while queued, so inline
+  // callbacks need no move support.
   struct Event {
     SimTime at;
     uint64_t tie;  // == seq normally; an RNG draw for shuffled future events.
     uint64_t seq;
     Event* next;   // Wheel-slot chain / pool free list.
-    std::coroutine_handle<> coro;
     void (*invoke)(Event*);   // Runs the stored callable.
     void (*destroy)(Event*);  // Destroys it (null if trivially destructible).
     bool daemon;

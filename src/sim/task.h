@@ -3,9 +3,9 @@
 // A Task is an eager, detached coroutine: it runs until its first suspension
 // when called, and its frame self-destroys on completion (final_suspend is
 // suspend_never). While suspended, the frame is owned by exactly one parking
-// place — the Executor queue (timer waits) or a WaitChannel (condition waits)
-// — whose destructor destroys still-parked frames, so simulations can be torn
-// down mid-run without leaks.
+// place, its BMK scheduler's list of parked threads (src/bmk/sched.h), whose
+// destructor destroys still-parked frames, so simulations can be torn down
+// mid-run without leaks.
 //
 // This mirrors the paper's threading model directly: rumprun BMK threads are
 // cooperative and non-preemptive, which is exactly what single-threaded
@@ -15,9 +15,6 @@
 
 #include <coroutine>
 #include <exception>
-
-#include "src/sim/executor.h"
-#include "src/sim/time.h"
 
 namespace kite {
 
@@ -31,28 +28,6 @@ class Task {
     void unhandled_exception() { std::terminate(); }
   };
 };
-
-// co_await SleepFor(executor, d): park in the executor until Now() + d.
-class SleepAwaiter {
- public:
-  SleepAwaiter(Executor* executor, SimDuration delay) : executor_(executor), delay_(delay) {}
-
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> handle) { executor_->ResumeAfter(delay_, handle); }
-  void await_resume() const noexcept {}
-
- private:
-  Executor* executor_;
-  SimDuration delay_;
-};
-
-inline SleepAwaiter SleepFor(Executor* executor, SimDuration delay) {
-  return SleepAwaiter(executor, delay);
-}
-
-inline SleepAwaiter SleepUntil(Executor* executor, SimTime when) {
-  return SleepAwaiter(executor, when - executor->Now());
-}
 
 }  // namespace kite
 

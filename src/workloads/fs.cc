@@ -167,10 +167,8 @@ void SimpleFs::IssueIo(const std::vector<Extent>& ranges, bool is_read, DoneFn d
   for (const Extent& r : ranges) {
     const int64_t len = RoundToSector(r.length);
     if (is_read) {
-      ++reads_;
       dev_->Read(r.offset, static_cast<size_t>(len), nullptr, cb);
     } else {
-      ++writes_;
       dev_->Write(r.offset, Buffer(static_cast<size_t>(len), 0), cb);
     }
   }

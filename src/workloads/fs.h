@@ -55,8 +55,6 @@ class SimpleFs {
   // (population fast path).
   void SetJournalEnabled(bool enabled) { journal_enabled_ = enabled; }
 
-  uint64_t reads_issued() const { return reads_; }
-  uint64_t writes_issued() const { return writes_; }
   uint64_t metadata_writes() const { return metadata_writes_; }
 
  private:
@@ -84,8 +82,6 @@ class SimpleFs {
   std::vector<Extent> free_list_;
   int64_t metadata_cursor_ = 0;  // Rotating journal slot in the metadata area.
 
-  uint64_t reads_ = 0;
-  uint64_t writes_ = 0;
   uint64_t metadata_writes_ = 0;
 };
 

@@ -53,7 +53,6 @@ void HttpServer::HandleRequest(TcpConn* conn, const std::string& path) {
   std::string hdr = StrFormat("HTTP/1.0 200 OK\r\nContent-Length: %zu\r\n\r\n", size);
   Buffer response(hdr.begin(), hdr.end());
   response.resize(hdr.size() + size, 0x58);  // 'X' body.
-  bytes_ += size;
   if (stack_->vcpu() == nullptr) {
     conn->Send(std::move(response));
     return;

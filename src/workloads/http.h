@@ -22,7 +22,6 @@ class HttpServer {
 
   void AddFile(const std::string& path, size_t size);
   uint64_t requests_served() const { return requests_; }
-  uint64_t bytes_served() const { return bytes_; }
 
  private:
   void HandleRequest(TcpConn* conn, const std::string& path);
@@ -30,7 +29,6 @@ class HttpServer {
   EtherStack* stack_;
   std::map<std::string, size_t> files_;
   uint64_t requests_ = 0;
-  uint64_t bytes_ = 0;
 };
 
 struct AbConfig {

@@ -10,6 +10,10 @@ namespace {
 constexpr SimDuration kPerOpCost = Micros(5);
 constexpr double kPerByteNs = 0.05;
 
+// memtier's mix (paper §5.3.2): 1:10 SET:GET over 10,000 keys.
+constexpr double kSetGetRatio = 1.0 / 10.0;
+constexpr int kKeySpace = 10000;
+
 }  // namespace
 
 MemcachedServer::MemcachedServer(EtherStack* stack, uint16_t port) : stack_(stack) {
@@ -144,10 +148,10 @@ void MemtierBench::IssueNext(Conn* c) {
   c->op_started = client_->executor()->Now();
   const std::string key =
       StrFormat("memtier-%08llu",
-                static_cast<unsigned long long>(rng_.NextBelow(config_.key_space)));
+                static_cast<unsigned long long>(rng_.NextBelow(kKeySpace)));
   std::string req;
   // 1:N set:get ratio — a set with probability ratio/(1+ratio).
-  if (rng_.NextBool(config_.set_get_ratio / (1.0 + config_.set_get_ratio))) {
+  if (rng_.NextBool(kSetGetRatio / (1.0 + kSetGetRatio))) {
     c->waiting_set = true;
     req = StrFormat("set %s 0 0 %zu\r\n", key.c_str(), config_.value_bytes);
     req.append(config_.value_bytes, 'd');

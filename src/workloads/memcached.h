@@ -35,10 +35,8 @@ class MemcachedServer {
 
 struct MemtierConfig {
   uint64_t total_ops = 100000;
-  double set_get_ratio = 1.0 / 10.0;  // 1:10 SET:GET (paper §5.3.2).
   size_t value_bytes = 8192;          // 8 KB data.
   int connections = 4;
-  int key_space = 10000;
 };
 
 struct MemtierResult {

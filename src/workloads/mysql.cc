@@ -10,6 +10,21 @@ constexpr char kLogFile[] = "ib_logfile0";
 constexpr size_t kPageBytes = 16 * 1024;
 constexpr int64_t kLogBytes = 512LL * 1024 * 1024;
 
+// Query costs and result sizes over the sysbench schema.
+constexpr SimDuration kPointSelectCost = Micros(8);
+constexpr SimDuration kRangeSelectCost = Micros(25);
+constexpr SimDuration kUpdateCost = Micros(20);
+constexpr size_t kPointRowBytes = 190;  // One sbtest row.
+constexpr size_t kRangeRows = 100;      // Rows a range scan returns.
+// Storage-backed mode: InnoDB pages read on a buffer-pool miss, and one
+// redo-log write per this many write queries.
+constexpr int kPagesPerPointMiss = 1;
+constexpr int kPagesPerRangeMiss = 4;
+constexpr int kLogWriteEvery = 16;
+// The sysbench oltp_read_only transaction: 10 point selects + 4 range scans.
+constexpr int kPointSelectsPerTxn = 10;
+constexpr int kRangeSelectsPerTxn = 4;
+
 }  // namespace
 
 MysqlServer::MysqlServer(EtherStack* stack, uint16_t port, SimpleFs* storage,
@@ -35,21 +50,21 @@ void MysqlServer::HandleQuery(uint8_t type, const Buffer& payload,
   bool is_write = false;
   switch (type) {
     case kMysqlRangeSelect:
-      cost = params_.range_select_cost;
-      response_bytes = params_.point_row_bytes * params_.range_rows;
-      miss_pages = params_.pages_per_range_miss;
+      cost = kRangeSelectCost;
+      response_bytes = kPointRowBytes * kRangeRows;
+      miss_pages = kPagesPerRangeMiss;
       break;
     case kMysqlUpdate:
-      cost = params_.update_cost;
+      cost = kUpdateCost;
       response_bytes = 16;
-      miss_pages = params_.pages_per_point_miss;
+      miss_pages = kPagesPerPointMiss;
       is_write = true;
       break;
     case kMysqlPointSelect:
     default:
-      cost = params_.point_select_cost;
-      response_bytes = params_.point_row_bytes;
-      miss_pages = params_.pages_per_point_miss;
+      cost = kPointSelectCost;
+      response_bytes = kPointRowBytes;
+      miss_pages = kPagesPerPointMiss;
       break;
   }
   // Query execution serializes on the server CPU; the response leaves at
@@ -71,7 +86,7 @@ void MysqlServer::HandleQuery(uint8_t type, const Buffer& payload,
       storage_ != nullptr && !rng_.NextBool(params_.buffer_pool_hit_ratio);
   bool log_write = false;
   if (is_write && storage_ != nullptr &&
-      ++writes_since_log_ >= static_cast<uint64_t>(params_.log_write_every)) {
+      ++writes_since_log_ >= static_cast<uint64_t>(kLogWriteEvery)) {
     writes_since_log_ = 0;
     log_write = true;
   }
@@ -144,8 +159,7 @@ void SysbenchOltp::StartTxn(Thread* t) {
   }
   t->idle = false;
   t->txn_started = client_->executor()->Now();
-  t->queries_left = config_.point_selects_per_txn + config_.range_selects_per_txn +
-                    config_.updates_per_txn;
+  t->queries_left = kPointSelectsPerTxn + kRangeSelectsPerTxn + config_.updates_per_txn;
   // sysbench issues the transaction's queries sequentially; we chain them.
   // The stored function holds only a weak self-reference (no shared_ptr
   // cycle); each pending RPC's callback owns the strong reference.
@@ -153,9 +167,9 @@ void SysbenchOltp::StartTxn(Thread* t) {
   std::weak_ptr<std::function<void(int)>> weak_issue = issue;
   *issue = [this, t, weak_issue](int index) {
     uint8_t type;
-    if (index < config_.point_selects_per_txn) {
+    if (index < kPointSelectsPerTxn) {
       type = kMysqlPointSelect;
-    } else if (index < config_.point_selects_per_txn + config_.range_selects_per_txn) {
+    } else if (index < kPointSelectsPerTxn + kRangeSelectsPerTxn) {
       type = kMysqlRangeSelect;
     } else {
       type = kMysqlUpdate;

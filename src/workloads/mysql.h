@@ -26,17 +26,9 @@ inline constexpr uint8_t kMysqlPointSelect = 1;
 inline constexpr uint8_t kMysqlRangeSelect = 2;
 inline constexpr uint8_t kMysqlUpdate = 3;
 
+// Storage-backed mode; query costs and sizes are constants in mysql.cc.
 struct MysqlServerParams {
-  SimDuration point_select_cost = Micros(8);
-  SimDuration range_select_cost = Micros(25);
-  SimDuration update_cost = Micros(20);
-  size_t point_row_bytes = 190;       // sbtest row.
-  size_t range_rows = 100;            // Rows returned by a range scan.
-  // Storage-backed mode:
   double buffer_pool_hit_ratio = 1.0;  // 1.0 = fully memory-bound (Fig 10).
-  int pages_per_point_miss = 1;        // 16 KiB InnoDB pages read on a miss.
-  int pages_per_range_miss = 4;
-  int log_write_every = 16;            // Redo-log write per N write queries.
   int64_t data_region_bytes = 20LL * 1024 * 1024 * 1024;
 };
 
@@ -68,10 +60,9 @@ class MysqlServer {
 struct SysbenchOltpConfig {
   int threads = 10;
   SimDuration duration = Seconds(2);
-  // sysbench oltp_read_only transaction: 10 point selects + 4 range scans.
-  int point_selects_per_txn = 10;
-  int range_selects_per_txn = 4;
-  int updates_per_txn = 0;  // >0 for the read-write storage mix.
+  // Besides the oltp_read_only queries (mysql.cc): >0 for the read-write
+  // storage mix.
+  int updates_per_txn = 0;
 };
 
 struct SysbenchOltpResult {

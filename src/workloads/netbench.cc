@@ -8,6 +8,9 @@ namespace {
 
 constexpr uint16_t kNuttcpPort = 5001;
 constexpr uint16_t kNetperfPort = 12865;
+// netperf TCP_RR's request and response sizes.
+constexpr size_t kRrRequestBytes = 64;
+constexpr size_t kRrResponseBytes = 64;
 
 }  // namespace
 
@@ -101,7 +104,7 @@ void NetperfRr::Run(std::function<void(const NetperfRrResult&)> done) {
   server_sock_->SetRecvCallback(
       [this](Ipv4Addr src, uint16_t src_port, const Buffer& payload) {
         // Echo back a response of the configured size, preserving the seq.
-        Buffer response(config_.response_bytes, 0);
+        Buffer response(kRrResponseBytes, 0);
         if (payload.size() >= 4 && response.size() >= 4) {
           std::copy_n(payload.begin(), 4, response.begin());
         }
@@ -135,7 +138,7 @@ void NetperfRr::SendOne(int seq) {
   if (seq >= config_.requests) {
     return;
   }
-  Buffer request(config_.request_bytes, 0);
+  Buffer request(kRrRequestBytes, 0);
   request[0] = static_cast<uint8_t>(seq >> 24);
   request[1] = static_cast<uint8_t>(seq >> 16);
   request[2] = static_cast<uint8_t>(seq >> 8);

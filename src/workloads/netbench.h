@@ -93,8 +93,6 @@ class PingBench {
 struct NetperfRrConfig {
   int requests = 1000;
   SimDuration interval = Millis(1);
-  size_t request_bytes = 64;
-  size_t response_bytes = 64;
 };
 
 struct NetperfRrResult {

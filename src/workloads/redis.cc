@@ -6,6 +6,11 @@
 namespace kite {
 namespace {
 
+// redis-benchmark's mix: Fig 9 reports SET and GET series separately, over
+// 10,000 64-bit keys formatted as strings.
+constexpr double kSetRatio = 0.5;
+constexpr int kKeySpace = 10000;
+
 // Incremental RESP command parser for the server side: array of bulk strings.
 // Returns true and fills args when a complete command is available,
 // consuming it from *buf.
@@ -213,9 +218,9 @@ void RedisBench::Pump(Conn* c) {
   for (int i = 0; i < n; ++i) {
     const std::string key = StrFormat("key:%012llu",
                                       static_cast<unsigned long long>(
-                                          rng_.NextBelow(config_.key_space)));
+                                          rng_.NextBelow(kKeySpace)));
     Buffer cmd;
-    if (rng_.NextBool(config_.set_ratio)) {
+    if (rng_.NextBool(kSetRatio)) {
       cmd = RespEncodeCommand({"SET", key, value});
       ++c->batch_sets;
     } else {

@@ -43,8 +43,6 @@ struct RedisBenchConfig {
   int pipeline = 1000;        // Pipeline depth (paper: 1,000).
   uint64_t total_ops = 100000;
   size_t value_bytes = 1024;
-  double set_ratio = 0.5;     // Fig 9 reports SET and GET series separately.
-  int key_space = 10000;      // 64-bit keys formatted as strings.
 };
 
 struct RedisBenchResult {

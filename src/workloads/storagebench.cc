@@ -4,6 +4,12 @@
 #include "src/base/strings.h"
 
 namespace kite {
+namespace {
+
+// sysbench fileio's rndrw mix: 3:2 read:write.
+constexpr double kReadFraction = 0.6;
+
+}  // namespace
 
 // --- DdBench. ---
 
@@ -102,7 +108,7 @@ void SysbenchFileIo::IssueOp(Thread* t) {
                                                 kSectorSize)) *
                 static_cast<int64_t>(kSectorSize)
           : 0;
-  const bool is_read = rng_.NextBool(config_.read_fraction);
+  const bool is_read = rng_.NextBool(kReadFraction);
   auto cb = [this, t, is_read](bool) {
     Executor* ex2 = fs_->device()->guest()->hypervisor()->executor();
     ++ops_;

@@ -55,7 +55,6 @@ struct SysbenchFileIoConfig {
   int64_t total_bytes = 3LL * 1024 * 1024 * 1024;  // Scaled from 15 GB.
   int threads = 20;
   size_t block_bytes = 256 * 1024;
-  double read_fraction = 0.6;  // 3:2 read:write.
   SimDuration duration = Millis(500);
 };
 

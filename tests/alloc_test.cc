@@ -1,4 +1,4 @@
-// Allocation budget of the receive data path.
+// Allocation budgets of the receive data path and of a BMK thread's wake.
 //
 // Streams 8 KB UDP datagrams from the client machine to one guest, through
 // the client NIC, the wire, the network domain's NIC and bridge, netback's
@@ -6,7 +6,8 @@
 // payload-sized heap allocations each datagram costs. A frame is moved from
 // hop to hop; its bytes are copied only where the modelled system copies
 // them. One more copy per frame anywhere on the path raises the count by
-// five or six per datagram and fails the budget.
+// five or six per datagram and fails the budget. A BMK thread parked on a
+// wake flag is signalled and woken a thousand times with no allocation.
 //
 // This test is its own executable because it replaces the global
 // operator new and operator delete.
@@ -26,11 +27,15 @@ namespace {
 constexpr std::size_t kPayloadSized = 1024;
 
 std::atomic<bool> g_counting{false};
+std::atomic<uint64_t> g_allocations{0};
 std::atomic<uint64_t> g_payload_sized{0};
 
 void* Allocate(std::size_t size) {
-  if (size >= kPayloadSized && g_counting.load(std::memory_order_relaxed)) {
-    g_payload_sized.fetch_add(1, std::memory_order_relaxed);
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (size >= kPayloadSized) {
+      g_payload_sized.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
@@ -128,6 +133,36 @@ TEST(AllocBudgetTest, ClientToGuestDatagramsStayWithinPayloadCopyBudget) {
   EXPECT_LE(counted, kBudgetPerDatagram * kMeasuredDatagrams)
       << static_cast<double>(counted) / kMeasuredDatagrams
       << " payload-sized allocations per datagram";
+}
+
+Task FlagWaiter(WakeFlag* flag, int* wakes) {
+  for (;;) {
+    co_await flag->Wait();
+    ++*wakes;
+  }
+}
+
+TEST(AllocBudgetTest, FlagSignalToWakeAllocatesNothing) {
+  constexpr int kCycles = 1000;
+  Executor ex;
+  Vcpu cpu(&ex);
+  BmkSched sched(&ex, &cpu);
+  WakeFlag flag(&sched);
+  int wakes = 0;
+  sched.Spawn("waiter", [&] { return FlagWaiter(&flag, &wakes); });
+  flag.Signal();  // Warm-up: the executor's first event chunk.
+  ex.RunUntilIdle();
+
+  g_allocations = 0;
+  g_counting = true;
+  for (int i = 0; i < kCycles; ++i) {
+    flag.Signal();
+    ex.RunUntilIdle();
+  }
+  g_counting = false;
+
+  EXPECT_EQ(wakes, kCycles + 1);
+  EXPECT_EQ(g_allocations.load(), 0u) << "over " << kCycles << " signal-to-wake cycles";
 }
 
 }  // namespace

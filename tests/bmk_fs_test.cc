@@ -39,7 +39,7 @@ TEST(BmkSchedTest, DestructionCancelsParkedTimers) {
     BmkSched sched(&ex, &cpu);
     sched.Spawn("sleeper", [&] { return SleeperThread(&sched, &wakes); });
     ex.RunFor(Millis(3));
-    EXPECT_GT(sched.parked_timers(), 0u);
+    EXPECT_GT(sched.parked_threads(), 0u);
   }  // Scheduler destroyed with a thread parked on a timer.
   ex.RunFor(Millis(10));  // Pending executor events must be harmless no-ops.
   EXPECT_LE(wakes, 4);
@@ -66,20 +66,20 @@ TEST(BmkSchedTest, DestructionCancelsThreadsParkedOutOfOrder) {
     sched.Spawn("a", [&] { return Napper(&sched, {Millis(2)}, &wakes); });
     sched.Spawn("b", [&] { return Napper(&sched, {Millis(1), Micros(500)}, &wakes); });
     sched.Spawn("c", [&] { return Napper(&sched, {Millis(3)}, &wakes); });
-    EXPECT_EQ(sched.parked_timers(), 3u);
+    EXPECT_EQ(sched.parked_threads(), 3u);
     // b wakes first, from the middle of the list, and parks again at its
     // head; its second wake takes it off the head.
     ex.RunFor(Micros(1250));
     EXPECT_EQ(wakes, 1);
-    EXPECT_EQ(sched.parked_timers(), 3u);
+    EXPECT_EQ(sched.parked_threads(), 3u);
     ex.RunFor(Micros(500));
     EXPECT_EQ(wakes, 2);
-    EXPECT_EQ(sched.parked_timers(), 3u);
+    EXPECT_EQ(sched.parked_threads(), 3u);
     // a and c wake from the tail, each behind a relinked neighbour.
     ex.RunFor(Micros(1750));
     EXPECT_EQ(wakes, 4);
     // Torn down with b (1.0015 s), a (1.002 s) and c (1.003 s) parked.
-    EXPECT_EQ(sched.parked_timers(), 3u);
+    EXPECT_EQ(sched.parked_threads(), 3u);
   }
   ex.RunFor(Seconds(2));  // Their wake events must be harmless no-ops.
   EXPECT_EQ(wakes, 4);

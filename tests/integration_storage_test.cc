@@ -19,8 +19,7 @@ class StorageIntegrationTest : public ::testing::TestWithParam<OsKind> {
     sys_ = std::make_unique<KiteSystem>(params);
     DriverDomainConfig config;
     config.os = GetParam();
-    config.blkback = blkparams;
-    stordom_ = sys_->CreateStorageDomain(config);
+    stordom_ = sys_->CreateStorageDomain(config, blkparams);
     guest_ = sys_->CreateGuest("db-guest");
     sys_->AttachVbd(guest_, stordom_);
     ASSERT_TRUE(sys_->WaitConnected(guest_));

@@ -304,9 +304,9 @@ TEST(BlkdrvTest, IndirectDisabledFallsBackToDirectChunks) {
   KiteSystem::Params params;
   params.disk.capacity_bytes = 1LL << 30;
   KiteSystem sys(params);
-  DriverDomainConfig config;
-  config.blkback.indirect_segments = false;
-  StorageDomain* sd = sys.CreateStorageDomain(config);
+  BlkbackParams blkback;
+  blkback.indirect_segments = false;
+  StorageDomain* sd = sys.CreateStorageDomain(DriverDomainConfig{}, blkback);
   GuestVm* guest = sys.CreateGuest("g");
   sys.AttachVbd(guest, sd);
   ASSERT_TRUE(sys.WaitConnected(guest));

@@ -188,10 +188,10 @@ class MisbehavingNetFrontend : public ::testing::TestWithParam<NetAblation> {
 
   void SetUp() override {
     sys_ = std::make_unique<KiteSystem>();
-    DriverDomainConfig config;
-    config.netback.dedicated_threads = GetParam().dedicated_threads;
-    config.netback.use_hv_copy = GetParam().use_hv_copy;
-    netdom_ = sys_->CreateNetworkDomain(config);
+    NetbackParams netback;
+    netback.dedicated_threads = GetParam().dedicated_threads;
+    netback.use_hv_copy = GetParam().use_hv_copy;
+    netdom_ = sys_->CreateNetworkDomain(DriverDomainConfig{}, netback);
     guest_ = sys_->CreateGuest("evil-net-guest");
     gid_ = guest_->domain()->id();
     bid_ = netdom_->domain()->id();
@@ -399,10 +399,10 @@ class MisbehavingBlkFrontend : public ::testing::TestWithParam<BlkAblation> {
 
   void SetUp() override {
     sys_ = std::make_unique<KiteSystem>();
-    DriverDomainConfig config;
-    config.blkback.persistent_grants = GetParam().persistent_grants;
-    config.blkback.indirect_segments = GetParam().indirect_segments;
-    stordom_ = sys_->CreateStorageDomain(config);
+    BlkbackParams blkback;
+    blkback.persistent_grants = GetParam().persistent_grants;
+    blkback.indirect_segments = GetParam().indirect_segments;
+    stordom_ = sys_->CreateStorageDomain(DriverDomainConfig{}, blkback);
     guest_ = sys_->CreateGuest("evil-blk-guest");
     gid_ = guest_->domain()->id();
     bid_ = stordom_->domain()->id();

@@ -128,6 +128,34 @@ TEST_P(RecoveryTest, StorageRestartLosesNoAcknowledgedWrite) {
   EXPECT_EQ(Fnv1a(readback), digest);
 }
 
+TEST_P(RecoveryTest, RestartsReplayEachKindsBackendParams) {
+  sys_ = std::make_unique<KiteSystem>();
+  DriverDomainConfig config;
+  config.os = GetParam();
+  NetbackParams netback;
+  netback.use_hv_copy = false;  // Netback maps guest pages instead of copying.
+  BlkbackParams blkback;
+  blkback.indirect_segments = false;
+  netdom_ = sys_->CreateNetworkDomain(config, netback);
+  stordom_ = sys_->CreateStorageDomain(config, blkback);
+  guest_ = sys_->CreateGuest("replay-vm");
+  sys_->AttachVif(guest_, netdom_, kGuestIp);
+  sys_->AttachVbd(guest_, stordom_);
+  ASSERT_TRUE(sys_->WaitConnected(guest_));
+
+  sys_->RestartNetworkDomain(netdom_);
+  sys_->RestartStorageDomain(stordom_);
+  ASSERT_TRUE(WaitNetRecovered(1));
+  ASSERT_TRUE(WaitBlkRecovered(1));
+
+  EXPECT_FALSE(guest_->blkfront()->indirect_supported());
+  const uint64_t copies = sys_->hv().grant_copies();
+  const uint64_t maps = sys_->hv().grant_maps();
+  ASSERT_TRUE(PingGuest());
+  EXPECT_EQ(sys_->hv().grant_copies(), copies);
+  EXPECT_GT(sys_->hv().grant_maps(), maps);
+}
+
 TEST_P(RecoveryTest, StorageRestartRequeuesInFlightWrites) {
   BuildStorage();
   // Submit a burst and crash the backend before it drains: blkfront must

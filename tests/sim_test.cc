@@ -1,15 +1,16 @@
-// Unit tests for the discrete-event executor, coroutine tasks, wait
-// channels, and the vCPU cost model.
+// Unit tests for the discrete-event executor, coroutine tasks on the BMK
+// scheduler, wake flags, and the vCPU cost model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/bmk/sched.h"
 #include "src/sim/cpu.h"
 #include "src/sim/executor.h"
 #include "src/sim/task.h"
-#include "src/sim/wait.h"
 
 namespace kite {
 namespace {
@@ -73,75 +74,23 @@ TEST(ExecutorTest, PastTimesClampToNow) {
   EXPECT_EQ(ex.Now().ns(), Millis(1).ns());
 }
 
-Task CountingTask(Executor* ex, int* counter, SimDuration step, int n) {
+Task CountingTask(BmkSched* sched, int* counter, SimDuration step, int n) {
   for (int i = 0; i < n; ++i) {
-    co_await SleepFor(ex, step);
+    co_await sched->Sleep(step);
     ++*counter;
   }
 }
 
 TEST(TaskTest, SleepLoopAdvancesClock) {
   Executor ex;
+  Vcpu cpu(&ex);
+  BmkSched sched(&ex, &cpu);
   int counter = 0;
-  CountingTask(&ex, &counter, Micros(10), 5);
+  CountingTask(&sched, &counter, Micros(10), 5);
   EXPECT_EQ(counter, 0);  // Eager start suspends at first sleep.
   ex.RunUntilIdle();
   EXPECT_EQ(counter, 5);
   EXPECT_EQ(ex.Now().ns(), Micros(50).ns());
-}
-
-Task WaiterTask(WaitChannel* ch, int* wakes) {
-  for (;;) {
-    co_await ch->Wait();
-    ++*wakes;
-  }
-}
-
-TEST(WaitChannelTest, NotifyOneWakesSingleWaiter) {
-  Executor ex;
-  WaitChannel ch(&ex);
-  int wakes_a = 0;
-  int wakes_b = 0;
-  WaiterTask(&ch, &wakes_a);
-  WaiterTask(&ch, &wakes_b);
-  EXPECT_EQ(ch.waiter_count(), 2u);
-  ch.NotifyOne();
-  ex.RunUntilIdle();
-  EXPECT_EQ(wakes_a + wakes_b, 1);
-}
-
-TEST(WaitChannelTest, NotifyAllWakesEveryone) {
-  Executor ex;
-  WaitChannel ch(&ex);
-  int wakes_a = 0;
-  int wakes_b = 0;
-  WaiterTask(&ch, &wakes_a);
-  WaiterTask(&ch, &wakes_b);
-  ch.NotifyAll();
-  ex.RunUntilIdle();
-  EXPECT_EQ(wakes_a, 1);
-  EXPECT_EQ(wakes_b, 1);
-}
-
-TEST(WaitChannelTest, NotifyWithoutWaitersIsNoop) {
-  Executor ex;
-  WaitChannel ch(&ex);
-  ch.NotifyOne();
-  ch.NotifyAll();
-  ex.RunUntilIdle();
-  SUCCEED();
-}
-
-TEST(WaitChannelTest, DestructionReclaimsParkedCoroutines) {
-  Executor ex;
-  int wakes = 0;
-  {
-    WaitChannel ch(&ex);
-    WaiterTask(&ch, &wakes);
-    EXPECT_EQ(ch.waiter_count(), 1u);
-  }  // Channel destroyed with a parked waiter: frame destroyed, no leak/UAF.
-  ex.RunUntilIdle();
-  EXPECT_EQ(wakes, 0);
 }
 
 Task FlagConsumer(WakeFlag* flag, int* processed) {
@@ -153,7 +102,9 @@ Task FlagConsumer(WakeFlag* flag, int* processed) {
 
 TEST(WakeFlagTest, SignalBeforeWaitIsNotLost) {
   Executor ex;
-  WakeFlag flag(&ex);
+  Vcpu cpu(&ex);
+  BmkSched sched(&ex, &cpu);
+  WakeFlag flag(&sched);
   flag.Signal();  // Signal before any waiter exists.
   int processed = 0;
   FlagConsumer(&flag, &processed);
@@ -163,7 +114,9 @@ TEST(WakeFlagTest, SignalBeforeWaitIsNotLost) {
 
 TEST(WakeFlagTest, SignalCoalesces) {
   Executor ex;
-  WakeFlag flag(&ex);
+  Vcpu cpu(&ex);
+  BmkSched sched(&ex, &cpu);
+  WakeFlag flag(&sched);
   int processed = 0;
   FlagConsumer(&flag, &processed);
   flag.Signal();
@@ -176,6 +129,78 @@ TEST(WakeFlagTest, SignalCoalesces) {
   EXPECT_LE(processed, 2);
 }
 
+// Counts a flag consumer's wakes; `*reclaimed` counts its frame's
+// destruction, which only its scheduler may do while it is parked.
+struct FrameGuard {
+  int* reclaimed;
+  ~FrameGuard() { ++*reclaimed; }
+};
+
+Task GuardedConsumer(WakeFlag* flag, int* processed, int* reclaimed) {
+  FrameGuard guard{reclaimed};
+  for (;;) {
+    co_await flag->Wait();
+    ++*processed;
+  }
+}
+
+TEST(WakeFlagTest, ParkedWaiterIsReclaimedAtTeardownAndNeverResumed) {
+  Executor ex;
+  Vcpu cpu(&ex);
+  int processed = 0;
+  int reclaimed = 0;
+  {
+    BmkSched sched(&ex, &cpu);
+    {
+      WakeFlag flag(&sched);
+      GuardedConsumer(&flag, &processed, &reclaimed);
+      EXPECT_EQ(sched.parked_threads(), 1u);
+    }  // The flag dies with its waiter parked: the waiter stays parked.
+    ex.RunUntilIdle();
+    EXPECT_EQ(processed, 0);
+    EXPECT_EQ(reclaimed, 0);
+    EXPECT_EQ(sched.parked_threads(), 1u);
+  }  // The scheduler reclaims the frame.
+  EXPECT_EQ(reclaimed, 1);
+  EXPECT_EQ(processed, 0);
+}
+
+TEST(WakeFlagTest, FlagDestroyedWithItsWakeQueuedNeverResumesItsWaiter) {
+  Executor ex;
+  Vcpu cpu(&ex);
+  int processed = 0;
+  int reclaimed = 0;
+  {
+    BmkSched sched(&ex, &cpu);
+    {
+      WakeFlag flag(&sched);
+      GuardedConsumer(&flag, &processed, &reclaimed);
+      flag.Signal();
+      EXPECT_EQ(ex.queue_size(), 1u);  // The wake is queued...
+    }  // ...when the flag dies.
+    ex.RunUntilIdle();  // The wake fires and finds its waiter abandoned.
+    EXPECT_EQ(processed, 0);
+    EXPECT_EQ(reclaimed, 0);
+  }
+  EXPECT_EQ(reclaimed, 1);
+  EXPECT_EQ(processed, 0);
+}
+
+TEST(WakeFlagTest, FlagOutlivingItsSchedulerStaysSafe) {
+  Executor ex;
+  Vcpu cpu(&ex);
+  int processed = 0;
+  int reclaimed = 0;
+  auto sched = std::make_unique<BmkSched>(&ex, &cpu);
+  WakeFlag flag(sched.get());
+  GuardedConsumer(&flag, &processed, &reclaimed);
+  sched.reset();  // Reclaims the parked waiter; the flag forgets it.
+  EXPECT_EQ(reclaimed, 1);
+  flag.Signal();  // No waiter left: nothing is posted.
+  EXPECT_TRUE(ex.idle());
+  EXPECT_EQ(processed, 0);
+}
+
 TEST(VcpuTest, ChargeSerializes) {
   Executor ex;
   Vcpu cpu(&ex);
@@ -186,10 +211,10 @@ TEST(VcpuTest, ChargeSerializes) {
   EXPECT_EQ(cpu.busy_total().ns(), Micros(15).ns());
 }
 
-Task CpuWorker(Vcpu* cpu, SimDuration cost, int n, std::vector<int64_t>* completions,
+Task CpuWorker(BmkSched* sched, SimDuration cost, int n, std::vector<int64_t>* completions,
                Executor* ex) {
   for (int i = 0; i < n; ++i) {
-    co_await cpu->Run(cost);
+    co_await sched->Run(cost);
     completions->push_back(ex->Now().ns());
   }
 }
@@ -197,10 +222,11 @@ Task CpuWorker(Vcpu* cpu, SimDuration cost, int n, std::vector<int64_t>* complet
 TEST(VcpuTest, RunQueuesBehindOtherWork) {
   Executor ex;
   Vcpu cpu(&ex);
+  BmkSched sched(&ex, &cpu);
   std::vector<int64_t> a;
   std::vector<int64_t> b;
-  CpuWorker(&cpu, Micros(10), 2, &a, &ex);
-  CpuWorker(&cpu, Micros(10), 2, &b, &ex);
+  CpuWorker(&sched, Micros(10), 2, &a, &ex);
+  CpuWorker(&sched, Micros(10), 2, &b, &ex);
   ex.RunUntilIdle();
   ASSERT_EQ(a.size(), 2u);
   ASSERT_EQ(b.size(), 2u);
@@ -341,18 +367,21 @@ TEST(ExecutorTest, TeardownSurvivesEventsPostedFromDestructors) {
   EXPECT_EQ(drops, 4);  // Chain of 4 doomed events, each reaped untriggered.
 }
 
-Task ParkedWithGuard(Executor* ex, int* drops) {
-  PostOnDrop guard(ex, drops, 0);
-  co_await SleepFor(ex, Seconds(100));
+Task ParkedWithGuard(BmkSched* sched, int* drops) {
+  PostOnDrop guard(sched->executor(), drops, 1);
+  co_await sched->Sleep(Seconds(100));
 }
 
 TEST(ExecutorTest, TeardownSurvivesCoroutineFramePostingOnDestroy) {
   int drops = 0;
   {
     Executor ex;
-    ParkedWithGuard(&ex, &drops);
-  }  // Frame destroyed while parked; its guard posts into the dying executor.
-  EXPECT_EQ(drops, 1);
+    Vcpu cpu(&ex);
+    BmkSched sched(&ex, &cpu);
+    ParkedWithGuard(&sched, &drops);
+  }  // The scheduler destroys the parked frame, whose guard posts a doomed
+     // event; the executor then reclaims it and the voided wake.
+  EXPECT_EQ(drops, 2);
 }
 
 TEST(ExecutorDeterminismTest, WheelBoundaryScheduleByteIdentity) {
@@ -510,6 +539,17 @@ TEST(ExecutorDiagnosticsTest, PendingEventsPrefixIsGloballyOrdered) {
   }
   const std::string dump = ex.FormatPendingEvents(8);
   EXPECT_NE(dump.find("... 40 more"), std::string::npos) << dump;
+}
+
+TEST(ExecutorDiagnosticsTest, PendingEventsNameTheirPostingSite) {
+  Executor ex;
+  ex.PostAfter(Micros(10), KITE_POST_SITE("test/pending-site"), [] {});
+  ex.PostDaemonAfter(Micros(20), KITE_POST_SITE("test/pending-daemon"), [] {});
+  ex.PostAfter(Micros(30), [] {});
+  const std::string dump = ex.FormatPendingEvents();
+  EXPECT_NE(dump.find("seq=0 test/pending-site\n"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("seq=1 test/pending-daemon (daemon)\n"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("seq=2 (untagged)"), std::string::npos) << dump;
 }
 
 }  // namespace

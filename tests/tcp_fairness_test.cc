@@ -31,7 +31,6 @@ class PatchIf : public NetIf {
   }
   void SetPeer(NetIf* peer) { peer_ = peer; }
   void Output(EthernetFrame frame) override {
-    CountTx(frame);
     if (peer_ != nullptr) {
       peer_->InjectInput(frame);
     }

@@ -34,7 +34,6 @@ class ScriptIf : public NetIf {
   ScriptIf() : NetIf("script0", MacAddr::FromId(1)) { SetUp(true); }
 
   void Output(EthernetFrame frame) override {
-    CountTx(frame);
     const Ipv4Packet* ip = frame.ip();
     ASSERT_NE(ip, nullptr) << "stack emitted a non-IP frame (ARP not seeded?)";
     const TcpSegment* tcp = std::get_if<TcpSegment>(&ip->l4);

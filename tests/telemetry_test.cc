@@ -203,7 +203,39 @@ TEST(DispatchProfilerTest, SiteRegistryInternsLabels) {
   EXPECT_EQ(a, b);
   EXPECT_STREQ(DispatchSiteLabel(a->index), "test/interned-label");
   EXPECT_STREQ(DispatchSiteLabel(kDispatchSiteUntagged), "(untagged)");
-  EXPECT_STREQ(DispatchSiteLabel(kDispatchSiteCoroutine), "(coroutine)");
+}
+
+TEST(DispatchProfilerTest, GuestLifecycleDispatchesNothingUntagged) {
+  // Create, attach, connect, move bytes both ways and to disk, destroy and
+  // reap: every event of a full net+storage guest lifecycle has a site.
+  KiteSystem sys;
+  sys.executor().EnableDispatchProfiler();
+  NetworkDomain* netdom = sys.CreateNetworkDomain();
+  StorageDomain* stordom = sys.CreateStorageDomain();
+  GuestVm* guest = sys.CreateGuest("lifecycle-guest");
+  sys.AttachVif(guest, netdom, Ipv4Addr::FromOctets(10, 0, 0, 10));
+  sys.AttachVbd(guest, stordom);
+  ASSERT_TRUE(sys.WaitConnected(guest));
+  bool pinged = false;
+  sys.client()->stack()->Ping(Ipv4Addr::FromOctets(10, 0, 0, 10), 56,
+                              [&](bool ok, SimDuration) { pinged = ok; });
+  ASSERT_TRUE(sys.WaitUntil([&] { return pinged; }));
+  bool written = false;
+  guest->blkfront()->Write(0, Buffer(4096, 0x5a), [&](bool ok) { written = ok; });
+  ASSERT_TRUE(sys.WaitUntil([&] { return written; }));
+  sys.DestroyGuest(guest);
+  ASSERT_TRUE(sys.WaitUntil([&] {
+    return netdom->driver()->instance_count() == 0 && stordom->driver()->instance_count() == 0 &&
+           netdom->dying_instance_count() == 0 && stordom->dying_instance_count() == 0;
+  }));
+  sys.RunUntilIdle();
+
+  bool saw_flag_wake = false;
+  for (const DispatchProfileEntry& e : sys.executor().DispatchProfile()) {
+    EXPECT_STRNE(e.label, "(untagged)") << e.invocations << " untagged dispatches";
+    saw_flag_wake = saw_flag_wake || std::strcmp(e.label, "bmk/flag-wake") == 0;
+  }
+  EXPECT_TRUE(saw_flag_wake);
 }
 
 // --- No-perturbation: telemetry on vs off, same shuffled schedule. --------
@@ -331,7 +363,6 @@ class PatchIf : public NetIf {
   }
   void SetPeer(NetIf* peer) { peer_ = peer; }
   void Output(EthernetFrame frame) override {
-    CountTx(frame);
     if (peer_ != nullptr) {
       peer_->InjectInput(frame);
     }
