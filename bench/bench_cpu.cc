@@ -52,9 +52,8 @@ double PrefixShare(const CpuRun& run, const char* prefix) {
 }
 
 CpuRun RunOne(OsKind os, double offered_gbps, uint64_t shuffle_seed) {
-  KiteSystem::Params params;
-  params.cpu_attribution = true;
-  auto sys = std::make_unique<KiteSystem>(params);
+  auto sys = std::make_unique<KiteSystem>();
+  sys->EnableCpuAttribution();
   if (shuffle_seed != 0) {
     sys->EnableScheduleShuffle(shuffle_seed);
   }

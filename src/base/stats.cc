@@ -17,11 +17,6 @@ void Stats::Merge(const Stats& other) {
   sorted_ = false;
 }
 
-void Stats::Clear() {
-  samples_.clear();
-  sorted_ = true;
-}
-
 double Stats::Sum() const {
   double s = 0.0;
   for (double v : samples_) {

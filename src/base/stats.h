@@ -13,7 +13,6 @@ class Stats {
  public:
   void Add(double sample);
   void Merge(const Stats& other);
-  void Clear();
 
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }

@@ -19,16 +19,13 @@ constexpr int kQueueDepth = 32;
 }  // namespace
 
 BlockDevice::BlockDevice(Executor* executor, std::string bdf, DiskParams params,
-                         bool store_data)
-    : BlockDevice(executor, std::move(bdf), params, store_data,
-                  std::make_shared<DiskMedia>()) {}
-
-BlockDevice::BlockDevice(Executor* executor, std::string bdf, DiskParams params,
-                         bool store_data, std::shared_ptr<DiskMedia> media)
+                         bool store_data, std::shared_ptr<DiskMedia> media,
+                         FaultInjector* faults)
     : PciDevice(std::move(bdf), "NVMe SSD"),
       executor_(executor),
       params_(params),
       store_data_(store_data),
+      faults_(faults),
       media_(std::move(media)) {
   KITE_CHECK(media_ != nullptr);
 }
@@ -79,14 +76,14 @@ void BlockDevice::TryStart() {
 }
 
 void BlockDevice::Complete(DiskRequest request) {
-  if (faults_ != nullptr && faults_->ShouldFail(FaultSite::kDiskHang)) {
+  if (faults_->ShouldFail(FaultSite::kDiskHang)) {
     // Hung controller: park the completion without releasing the queue-depth
     // slot, so a saturated queue wedges exactly like real stuck hardware.
     hung_.push_back(std::move(request));
     return;
   }
   --active_;
-  if (faults_ != nullptr && faults_->ShouldFail(FaultSite::kDiskIo)) {
+  if (faults_->ShouldFail(FaultSite::kDiskIo)) {
     ++io_errors_;
     auto done = std::move(request.done);
     done(false, Buffer{});  // Media/controller error: no content effect.

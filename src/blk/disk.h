@@ -56,11 +56,14 @@ struct DiskRequest {
 
 class BlockDevice : public PciDevice {
  public:
-  BlockDevice(Executor* executor, std::string bdf, DiskParams params, bool store_data);
-  // Port onto shared media (media must be non-null). Content written through
-  // any port is visible to every port.
+  // A port onto `media` (non-null): content written through any port is
+  // visible to every port. Completions roll `faults`' FaultSite::kDiskIo; a
+  // trip completes the request with ok=false and no data/content effect. A
+  // FaultSite::kDiskHang trip instead parks the completion — the op neither
+  // completes nor errors and its queue-depth slot stays busy (a hung
+  // controller) — until ReleaseHungIo re-posts it.
   BlockDevice(Executor* executor, std::string bdf, DiskParams params, bool store_data,
-              std::shared_ptr<DiskMedia> media);
+              std::shared_ptr<DiskMedia> media, FaultInjector* faults);
 
   const std::shared_ptr<DiskMedia>& media() const { return media_; }
 
@@ -69,13 +72,6 @@ class BlockDevice : public PciDevice {
   bool store_data() const { return store_data_; }
 
   void Submit(DiskRequest request);
-
-  // Optional fault injection: completions roll FaultSite::kDiskIo; a trip
-  // completes the request with ok=false and no data/content effect. A
-  // FaultSite::kDiskHang trip instead parks the completion — the op neither
-  // completes nor errors and its queue-depth slot stays busy (a hung
-  // controller) — until ReleaseHungIo re-posts it.
-  void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
   // Revives every parked completion (each re-rolls the fault sites, so clear
   // the kDiskHang rate first unless re-parking is intended).
@@ -104,7 +100,7 @@ class BlockDevice : public PciDevice {
   Executor* executor_;
   DiskParams params_;
   bool store_data_;
-  FaultInjector* faults_ = nullptr;
+  FaultInjector* faults_;
 
   std::deque<DiskRequest> queue_;
   std::deque<DiskRequest> hung_;  // Completions parked by kDiskHang.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/log.h"
-#include "src/base/strings.h"
 #include "src/obs/flow.h"
 
 namespace kite {
@@ -27,7 +26,7 @@ BlkbackInstance::BlkbackInstance(Domain* backend, BmkSched* sched,
       params_(params),
       disk_(disk),
       wake_(sched) {
-  MetricRegistry* reg = hv_->metrics();
+  MetricRegistry* reg = &hv_->metrics();
   const std::string& dev = name_;
   requests_handled_ = reg->counter(backend->name(), dev, "requests_handled");
   device_ops_ = reg->counter(backend->name(), dev, "device_ops");
@@ -82,8 +81,7 @@ bool BlkbackInstance::Connect() {
   }
 
   last_active_ = sched_->executor()->Now();
-  SpawnThread(StrFormat("blkback.%d.%d", frontend_dom_, devid_),
-              [this] { return RequestThread(); });
+  SpawnThread([this] { return RequestThread(); });
   SwitchState(XenbusState::kConnected);
   // Watchdog sampler. queue_depth counts requests consumed off the ring but
   // not yet answered — exactly the in-flight disk work. A hung controller
@@ -166,10 +164,10 @@ Task BlkbackInstance::RequestThread() {
         const SimDuration req_cost =
             costs_->blkback_per_request +
             costs_->syscall_cost * costs_->syscalls_per_block_request;
-        if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-          t->FlowStep(backend_->id(), frontend_dom_, "blk", "req_pop", popped,
-                      MakeFlowId(FlowKind::kBlk, frontend_dom_, devid_, ring_index),
-                      req_cost);
+        if (EventTracer& t = hv_->tracer(); t.enabled()) {
+          t.FlowStep(backend_->id(), frontend_dom_, "blk", "req_pop", popped,
+                     MakeFlowId(FlowKind::kBlk, frontend_dom_, devid_, ring_index),
+                     req_cost);
         }
         co_await sched_->Run(req_cost, KITE_CPU_CATEGORY("blkback/request"));
         if (stopping_) {
@@ -456,16 +454,14 @@ void BlkbackInstance::SendResponse(const std::shared_ptr<ReqState>& req) {
   if (now.ns() >= req->popped_ns) {
     req_service_ns_->Record(static_cast<uint64_t>(now.ns() - req->popped_ns));
   }
-  if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-    t->FlowStep(backend_->id(), frontend_dom_, "blk", "rsp_push", now,
-                MakeFlowId(FlowKind::kBlk, frontend_dom_, devid_, req->ring_index));
+  if (EventTracer& t = hv_->tracer(); t.enabled()) {
+    t.FlowStep(backend_->id(), frontend_dom_, "blk", "rsp_push", now,
+               MakeFlowId(FlowKind::kBlk, frontend_dom_, devid_, req->ring_index));
   }
   // Late disk completions can land after BeginShutdown closed the port.
   const bool notify = ring_->PushResponses();
-  if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-    fr->Record(backend_->id(), FlightKind::kRingPush, devid_, ring_->rsp_prod_pvt(),
-               ring_->req_cons());
-  }
+  hv_->recorder().Record(backend_->id(), FlightKind::kRingPush, devid_, ring_->rsp_prod_pvt(),
+                         ring_->req_cons());
   if (notify && port_ != kInvalidPort) {
     hv_->EventSend(backend_, port_);
   }

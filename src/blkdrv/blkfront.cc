@@ -18,7 +18,7 @@ constexpr size_t kIndirectPoolPages = kBlkRingSize;
 
 Blkfront::Blkfront(Domain* guest, DomId backend_dom, int devid)
     : XenbusFrontend(guest, backend_dom, DeviceKind::kVbd, devid) {
-  MetricRegistry* reg = hv_->metrics();
+  MetricRegistry* reg = &hv_->metrics();
   const std::string dev = StrFormat("xvd%d", devid);
   req_ring_ns_ = reg->latency(guest->name(), dev, "req_ring_ns");
   op_complete_ns_ = reg->latency(guest->name(), dev, "op_complete_ns");
@@ -291,10 +291,10 @@ bool Blkfront::SubmitChunk(const Chunk& chunk) {
   in_flight_[id] = std::move(inflight);
   ring_->ProduceRequest(req, now.ns());
   ++requests_sent_;
-  if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-    t->FlowBegin(guest_->id(), 0, "blk", "req_submit", now,
-                 MakeFlowId(FlowKind::kBlk, guest_->id(), devid_, ring_index),
-                 per_request_cost_);
+  if (EventTracer& t = hv_->tracer(); t.enabled()) {
+    t.FlowBegin(guest_->id(), 0, "blk", "req_submit", now,
+                MakeFlowId(FlowKind::kBlk, guest_->id(), devid_, ring_index),
+                per_request_cost_);
   }
   return true;
 }
@@ -325,10 +325,10 @@ void Blkfront::CompleteRequest(uint64_t id, bool ok) {
   if (now.ns() >= inflight.submit_ns) {
     req_ring_ns_->Record(static_cast<uint64_t>(now.ns() - inflight.submit_ns));
   }
-  if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-    t->FlowEnd(guest_->id(), 0, "blk", "req_complete", now,
-               MakeFlowId(FlowKind::kBlk, guest_->id(), devid_, inflight.ring_index),
-               per_request_cost_);
+  if (EventTracer& t = hv_->tracer(); t.enabled()) {
+    t.FlowEnd(guest_->id(), 0, "blk", "req_complete", now,
+              MakeFlowId(FlowKind::kBlk, guest_->id(), devid_, inflight.ring_index),
+              per_request_cost_);
   }
 
   if (inflight.is_read && ok) {

@@ -14,7 +14,7 @@ BmkSched::~BmkSched() {
   }
 }
 
-void BmkSched::Spawn(const std::string& name, const std::function<Task()>& body) {
+void BmkSched::Spawn(const std::function<Task()>& body) {
   ++threads_;
   body();  // Eager task: runs until first suspension.
 }

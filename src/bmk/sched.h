@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 
 #include "src/base/log.h"
 #include "src/sim/cpu.h"
@@ -42,9 +41,9 @@ class BmkSched {
   Executor* executor() const { return executor_; }
   Vcpu* vcpu() const { return vcpu_; }
 
-  // Registers a named thread. The body is a coroutine factory; it starts
+  // Registers a thread. The body is a coroutine factory; it starts
   // immediately (eager task) and runs cooperatively forever or until return.
-  void Spawn(const std::string& name, const std::function<Task()>& body);
+  void Spawn(const std::function<Task()>& body);
 
   // A suspended thread's node in the scheduler's list, linked from its
   // suspension until its resumption. It lives in the frame it parks, so it

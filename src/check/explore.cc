@@ -49,10 +49,10 @@ ExploreReport RunExploreSeed(const ExploreOptions& opts) {
   KiteSystem::Params params;
   params.fault_seed = opts.seed ^ 0xfa0170ULL;
   params.health = opts.health;
+  KiteSystem sys(params);
   // Attribution is accounting-only (DESIGN.md §16); running every explore
   // seed with it on keeps the ledger paths under shuffle+fault coverage.
-  params.cpu_attribution = true;
-  KiteSystem sys(params);
+  sys.EnableCpuAttribution();
   sys.EnableScheduleShuffle(opts.seed);
   // Liveness reports carry the dispatch-profile top sites: when a seed hangs,
   // "which callback ate the window" is the first triage question.
@@ -584,11 +584,11 @@ bool RunStallDemo(const std::string& dump_path) {
   params.health.probe_period = Millis(1);
   params.health.degraded_after = Millis(5);
   params.health.stalled_after = Millis(20);
+  KiteSystem sys(params);
   // The stall dump doubles as the reference DumpDiagnostics artifact; run it
   // profiled and attributed so its dispatch-profile and cpu sections are
   // populated (kite_inspect renders the cpu section verbatim).
-  params.cpu_attribution = true;
-  KiteSystem sys(params);
+  sys.EnableCpuAttribution();
   sys.executor().EnableDispatchProfiler();
 
   NetworkDomain* netdom = sys.CreateNetworkDomain();

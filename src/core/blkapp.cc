@@ -6,7 +6,7 @@
 namespace kite {
 
 BlockStatusApp::BlockStatusApp(BmkSched* sched, StorageBackendDriver* driver)
-    : ConfigApp(sched, driver, "block-status-app") {}
+    : ConfigApp(sched, driver) {}
 
 std::vector<BlockStatusApp::VbdStatus> BlockStatusApp::Status() const { return status_; }
 

@@ -27,7 +27,7 @@ class ConfigApp {
  protected:
   // Hooks `driver` and spawns the app thread, which parks until the first
   // instance connects; Configure and Forget run only after construction.
-  ConfigApp(BmkSched* sched, XenbusBackend<Instance>* driver, const char* thread_name)
+  ConfigApp(BmkSched* sched, XenbusBackend<Instance>* driver)
       : sched_(sched), wake_(sched) {
     driver->SetOnNew([this](Instance* inst) {
       pending_.push_back(inst);
@@ -37,7 +37,7 @@ class ConfigApp {
       std::erase(pending_, inst);  // Its guest may have died mid-pairing.
       Forget(inst);
     });
-    sched_->Spawn(thread_name, [this] { return MainLoop(); });
+    sched_->Spawn([this] { return MainLoop(); });
   }
 
   virtual void Configure(Instance* inst) = 0;

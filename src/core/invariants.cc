@@ -70,22 +70,19 @@ void InvariantChecker::CheckGrantLedger() {
 void InvariantChecker::CheckEventLedger() {
   // Every accepted send is delivered exactly once — unless it was dropped by
   // fault injection, coalesced into an already-pending interrupt, or its
-  // port/domain vanished in flight. PCI IRQs are delivered without a
-  // matching send, hence the additive term.
+  // port/domain vanished in flight.
   Hypervisor& hv = sys_->hv();
   const uint64_t expected = hv.events_sent() - hv.events_dropped() -
-                            hv.events_coalesced() - hv.events_vanished() +
-                            hv.pci_irqs_delivered();
+                            hv.events_coalesced() - hv.events_vanished();
   if (hv.events_delivered() != expected) {
     Fail("event-ledger",
          StrFormat("delivered=%llu != sent=%llu - dropped=%llu - coalesced=%llu "
-                   "- vanished=%llu + pci_irq=%llu (= %llu)",
+                   "- vanished=%llu (= %llu)",
                    static_cast<unsigned long long>(hv.events_delivered()),
                    static_cast<unsigned long long>(hv.events_sent()),
                    static_cast<unsigned long long>(hv.events_dropped()),
                    static_cast<unsigned long long>(hv.events_coalesced()),
                    static_cast<unsigned long long>(hv.events_vanished()),
-                   static_cast<unsigned long long>(hv.pci_irqs_delivered()),
                    static_cast<unsigned long long>(expected)));
   }
 }

@@ -36,7 +36,7 @@ void BrConfig::AddIf(Bridge* bridge, NetIf* netif) {
 
 NetworkApp::NetworkApp(BmkSched* sched, NetworkBackendDriver* driver, NetIf* physical_if,
                        Ipv4Addr gateway_ip)
-    : ConfigApp(sched, driver, "network-app"), ifconfig_(sched), brconfig_(sched) {
+    : ConfigApp(sched, driver), ifconfig_(sched), brconfig_(sched) {
   // Paper §4.3: create the bridge, assign the gateway IP to the physical
   // interface, add the physical interface, then service new VIFs forever.
   bridge_ = brconfig_.CreateBridge("xenbr0");

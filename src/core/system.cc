@@ -18,6 +18,9 @@ namespace {
 constexpr int kKiteDriverDomainMemoryMb = 1024;
 constexpr int kLinuxDriverDomainMemoryMb = 2048;
 
+// The testbed subnet: the gateway is .1 and the client machine .2.
+constexpr Ipv4Addr kSubnetBase = Ipv4Addr::FromOctets(10, 0, 0, 0);
+
 // Writes one env-requested export (KITE_TIMELINE, KITE_PROFILE, KITE_CPU) at
 // teardown, or warns; an empty path means the variable was unset.
 template <typename Render>
@@ -70,20 +73,13 @@ void StorageDomain::StartServices() {
 
 KiteSystem::KiteSystem(Params params)
     : params_(params),
-      sampler_(&executor_, &metrics_, params_.sampler),
-      recorder_(&executor_),
-      health_(&executor_, &metrics_, &recorder_, params_.health),
-      faults_(params_.fault_seed, &metrics_) {
-  hv_ = std::make_unique<Hypervisor>(&executor_, &metrics_, &tracer_);
-  hv_->set_fault_injector(&faults_);
-  hv_->set_recorder(&recorder_);
-  hv_->set_health(&health_);
-  faults_.set_recorder(&recorder_);
+      hv_(std::make_unique<Hypervisor>(&executor_, params_.health, params_.fault_seed)),
+      sampler_(&executor_, &hv_->metrics(), params_.sampler) {
   // Health verdicts are published into xenstore next to the device state, so
   // a stalled backend is visible to the same tooling that watches xenbus.
   // Subscribing first puts this ahead of every other subscriber.
-  health_.Subscribe([this](int32_t dom, const std::string& device, HealthState,
-                           HealthState state) {
+  health().Subscribe([this](int32_t dom, const std::string& device, HealthState,
+                            HealthState state) {
     if (hv_->domain(static_cast<DomId>(dom)) == nullptr) {
       return;  // Transition raced with domain teardown.
     }
@@ -91,13 +87,13 @@ KiteSystem::KiteSystem(Params params)
                        DomainPath(static_cast<DomId>(dom)) + "/health/" + device,
                        HealthStateName(state));
   });
-  health_.Start();
+  health().Start();
   migrate_ = std::make_unique<MigrationEngine>(this);
   // Any KITE_CHECK failure anywhere in this process now dumps the full
   // diagnostic bundle to stderr before aborting.
   prev_fatal_ = SetFatalHandler([this] { DumpDiagnostics(std::cerr); });
-  gateway_ip_ = Ipv4Addr{params_.subnet_base.value + 1};
-  client_ip_ = Ipv4Addr{params_.subnet_base.value + 2};
+  gateway_ip_ = Ipv4Addr{kSubnetBase.value + 1};
+  client_ip_ = Ipv4Addr{kSubnetBase.value + 2};
   if (const char* path = std::getenv("KITE_TRACE"); path != nullptr && path[0] != '\0') {
     trace_env_path_ = path;
     EnableTracing();
@@ -109,12 +105,10 @@ KiteSystem::KiteSystem(Params params)
   if (const char* path = std::getenv("KITE_CPU"); path != nullptr && path[0] != '\0') {
     cpu_env_path_ = path;
   }
-  // Attribution before the sampler starts, so the pre-tick pump is in place
-  // for the baseline snapshot.
-  if (params_.cpu_attribution || !cpu_env_path_.empty()) {
+  if (!cpu_env_path_.empty()) {
     EnableCpuAttribution();
   }
-  if (params_.sampler.enabled || !timeline_env_path_.empty()) {
+  if (!timeline_env_path_.empty()) {
     sampler_.Start();
   }
   if (const char* path = std::getenv("KITE_PROFILE");
@@ -136,13 +130,9 @@ KiteSystem::~KiteSystem() {
 }
 
 void KiteSystem::EnableCpuAttribution() {
-  hv_->set_cpu_attribution(true);  // Retrofits live domains, covers new ones.
+  hv_->EnableCpuAttribution();  // Retrofits live domains, covers new ones.
   if (client_ != nullptr) {
     client_->vcpu_->EnableAttribution();
-  }
-  if (cpu_pump_ == nullptr) {
-    cpu_pump_ = std::make_unique<CpuMetricsPump>(&metrics_);
-    sampler_.set_pre_tick([this] { cpu_pump_->Pump(CpuActors(), Now()); });
   }
 }
 
@@ -176,19 +166,18 @@ std::string KiteSystem::CpuReportJson() {
 }
 
 std::string KiteSystem::FormatMetrics(bool skip_zero, const std::string& prefix) {
-  // The tracer is not registry-backed (it predates the registry in
-  // construction order), so sync its drop count into a counter before
+  // The tracer keeps its own drop count; sync it into a counter before
   // rendering.
-  metrics_.counter("obs", "tracer", "events_dropped")->Set(tracer_.dropped());
-  return metrics_.FormatTable(skip_zero, prefix);
+  metric_registry().counter("obs", "tracer", "events_dropped")->Set(tracer().dropped());
+  return metric_registry().FormatTable(skip_zero, prefix);
 }
 
 void KiteSystem::DumpDiagnostics(std::ostream& out) {
   out << "==== KITE DIAGNOSTICS (t=" << StrFormat("%.9f", Now().seconds())
       << "s) ====\n";
-  out << "---- health ----\n" << health_.FormatTable();
+  out << "---- health ----\n" << health().FormatTable();
   out << "---- placement ----\n" << FormatPlacement();
-  out << "---- flight recorder ----\n" << recorder_.FormatAll();
+  out << "---- flight recorder ----\n" << recorder().FormatAll();
   out << "---- pending events ----\n" << executor_.FormatPendingEvents() << "\n";
   out << "---- invariants ----\n";
   // Mid-run (e.g. a crash inside a traffic phase) the checker reports
@@ -230,7 +219,7 @@ std::string KiteSystem::FormatPlacement() {
         const auto verdict = store.Read(kDom0, DomainPath(dom) + "/health/" + device);
         shards[dom].push_back(
             device + "=" +
-            (verdict.has_value() ? *verdict : HealthStateName(health_.state(dom, device))));
+            (verdict.has_value() ? *verdict : HealthStateName(health().state(dom, device))));
       }
     }
   }
@@ -249,13 +238,12 @@ std::string KiteSystem::FormatPlacement() {
 }
 
 bool KiteSystem::DumpTrace(const std::string& path) {
-  metrics_.counter("obs", "tracer", "events_dropped")->Set(tracer_.dropped());
-  if (tracer_.dropped() > 0) {
-    KITE_LOG(Warning) << "trace dump to " << path << " is truncated: "
-                      << tracer_.dropped()
+  metric_registry().counter("obs", "tracer", "events_dropped")->Set(tracer().dropped());
+  if (tracer().dropped() > 0) {
+    KITE_LOG(Warning) << "trace dump to " << path << " is truncated: " << tracer().dropped()
                       << " events dropped after hitting the event cap";
   }
-  return tracer_.DumpTrace(path);
+  return tracer().DumpTrace(path);
 }
 
 NetworkDomain* KiteSystem::CreateNetworkDomain(DriverDomainConfig config,
@@ -288,7 +276,7 @@ void KiteSystem::BringUp(DriverDomain* dd) {
   for (int i = 0; i < scheds; ++i) {
     dd->scheds_.push_back(std::make_unique<BmkSched>(&executor_, dd->domain_->vcpu(i)));
   }
-  hv_->AssignPci(dd->device(), dd->domain_, /*iommu=*/true);
+  hv_->AssignPci(dd->device(), dd->domain_);
 
   // Services start once the VM is up, unless a restart replaced it meanwhile.
   auto booted = [this, dd, vm = dd->domain_] {
@@ -312,8 +300,8 @@ void KiteSystem::BringUp(DriverDomain* dd) {
 
 std::unique_ptr<Nic> KiteSystem::NewUplink() {
   auto nic = std::make_unique<Nic>(&executor_, StrFormat("0000:03:00.%d", next_nic_fn_++),
-                                   "ixg0", MacAddr::FromId(0x100000u + next_mac_id_++));
-  nic->set_fault_injector(&faults_);
+                                   "ixg0", MacAddr::FromId(0x100000u + next_mac_id_++),
+                                   &faults());
   EnsureClient();
   // Pay-for-use fabric: a single network domain is direct-cabled to the
   // client (the paper's testbed, byte-identical figures); the moment a
@@ -335,11 +323,9 @@ std::unique_ptr<BlockDevice> KiteSystem::NewDiskPort() {
   if (shared_media_ == nullptr) {
     shared_media_ = std::make_shared<DiskMedia>();
   }
-  auto disk = std::make_unique<BlockDevice>(&executor_,
-                                            StrFormat("0000:04:00.%d", next_disk_fn_++),
-                                            params_.disk, params_.disk_store_data, shared_media_);
-  disk->set_fault_injector(&faults_);
-  return disk;
+  return std::make_unique<BlockDevice>(&executor_, StrFormat("0000:04:00.%d", next_disk_fn_++),
+                                       params_.disk, params_.disk_store_data, shared_media_,
+                                       &faults());
 }
 
 GuestVm* KiteSystem::CreateGuest(const std::string& name, int vcpus, int memory_mb) {
@@ -373,12 +359,11 @@ void KiteSystem::EnsureClient() {
     client_->vcpu_->EnableAttribution();
   }
   client_->nic_ = std::make_unique<Nic>(&executor_, "client:0000:02:00.0", "enp2s0",
-                                        MacAddr::FromId(0x200000u));
-  client_->nic_->set_fault_injector(&faults_);
+                                        MacAddr::FromId(0x200000u), &faults());
   client_->nic_->SetProcessingVcpu(client_->vcpu_.get());
   StackParams client_stack;
   if (params_.tcp_metrics) {
-    client_stack.metrics = &metrics_;
+    client_stack.metrics = &metric_registry();
     client_stack.metrics_domain = "client";
   }
   client_->stack_ = std::make_unique<EtherStack>(&executor_, client_->vcpu_.get(),
@@ -456,28 +441,14 @@ void KiteSystem::AttachVif(GuestVm* guest, NetworkDomain* netdom, Ipv4Addr ip) {
   const int devid = 0;
   const DomId gid = guest->domain_->id();
   const DomId bid = netdom->domain_->id();
-  XenStore& store = hv_->store();
-
-  // Toolstack (`xl`) operations from Dom0: create both device directories,
-  // cross-link them, and grant cross-domain read permissions.
-  const std::string fe = FrontendPath(gid, "vif", devid);
-  const std::string be = BackendPath(bid, "vif", gid, devid);
-  store.Write(kDom0, fe + "/backend", be);
-  store.WriteInt(kDom0, fe + "/backend-id", bid);
-  store.WriteInt(kDom0, fe + "/state", static_cast<int>(XenbusState::kInitialising));
-  store.Write(kDom0, be + "/frontend", fe);
-  store.WriteInt(kDom0, be + "/frontend-id", gid);
-  store.WriteInt(kDom0, be + "/online", 1);
-  store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
-  store.SetPermission(kDom0, fe, bid);
-  store.SetPermission(kDom0, be, gid);
+  WriteDeviceLink(gid, DeviceKind::kVif, devid, bid);
 
   // Guest side: netfront and the network stack on top of it.
   MacAddr mac = MacAddr::FromId(0x300000u + static_cast<uint32_t>(gid));
   guest->netfront_ = std::make_unique<Netfront>(guest->domain_, bid, devid, mac);
   StackParams guest_stack;
   if (params_.tcp_metrics) {
-    guest_stack.metrics = &metrics_;
+    guest_stack.metrics = &metric_registry();
     guest_stack.metrics_domain = guest->domain_->name();
   }
   guest->stack_ = std::make_unique<EtherStack>(&executor_, guest->domain_->vcpu(0),
@@ -490,17 +461,7 @@ void KiteSystem::AttachVbd(GuestVm* guest, StorageDomain* stordom) {
   const int devid = 51712;  // xvda.
   const DomId gid = guest->domain_->id();
   const DomId bid = stordom->domain_->id();
-  XenStore& store = hv_->store();
-
-  const std::string fe = FrontendPath(gid, "vbd", devid);
-  const std::string be = BackendPath(bid, "vbd", gid, devid);
-  store.Write(kDom0, fe + "/backend", be);
-  store.WriteInt(kDom0, fe + "/backend-id", bid);
-  store.Write(kDom0, be + "/frontend", fe);
-  store.WriteInt(kDom0, be + "/frontend-id", gid);
-  store.WriteInt(kDom0, be + "/online", 1);
-  store.SetPermission(kDom0, fe, bid);
-  store.SetPermission(kDom0, be, gid);
+  WriteDeviceLink(gid, DeviceKind::kVbd, devid, bid);
 
   guest->blkfront_ = std::make_unique<Blkfront>(guest->domain_, bid, devid);
 }
@@ -514,7 +475,7 @@ bool KiteSystem::WaitUntil(const std::function<bool()>& pred, SimDuration timeou
       // table names the wedged backend directly (the watchdog usually
       // flagged it long before this timeout fired).
       KITE_LOG(Warning) << "WaitUntil timed out: " << executor_.FormatPendingEvents()
-                        << "\n" << health_.FormatTable();
+                        << "\n" << health().FormatTable();
       return false;
     }
     if (!executor_.Step()) {
@@ -594,6 +555,11 @@ bool KiteSystem::Relink(DomId gid, DeviceKind kind, int devid, DomId bid) {
   if (FindDriverDomain(bid, kind) == nullptr) {
     return false;  // Target vanished (destroyed mid-queue).
   }
+  WriteDeviceLink(gid, kind, devid, bid);
+  return true;
+}
+
+void KiteSystem::WriteDeviceLink(DomId gid, DeviceKind kind, int devid, DomId bid) {
   const char* type = DeviceTypeName(kind);
   XenStore& store = hv_->store();
   const std::string fe = FrontendPath(gid, type, devid);
@@ -602,16 +568,16 @@ bool KiteSystem::Relink(DomId gid, DeviceKind kind, int devid, DomId bid) {
   store.WriteInt(kDom0, be + "/frontend-id", gid);
   store.WriteInt(kDom0, be + "/online", 1);
   if (kind == DeviceKind::kVif) {
-    // As AttachVif does; a vbd's backend node starts without a state.
+    // A vbd's backend node starts without a state.
     store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
   }
+  store.Write(kDom0, fe + "/backend", be);
+  // Both directories exist now; children written later inherit the grants.
   store.SetPermission(kDom0, be, gid);
   store.SetPermission(kDom0, fe, bid);
-  store.Write(kDom0, fe + "/backend", be);
   // Written last: the frontend's relink watch keys on backend-id, and by
   // then the rest of the toolstack state must already be in place.
   store.WriteInt(kDom0, fe + "/backend-id", bid);
-  return true;
 }
 
 }  // namespace kite

@@ -210,9 +210,8 @@ class KiteSystem {
     // immediately; when false the full boot-phase sequence is simulated
     // (used by the boot-time experiment and the restart example).
     bool instant_boot = true;
-    Ipv4Addr subnet_base = Ipv4Addr::FromOctets(10, 0, 0, 0);
     // Seed for the fault injector (all rates default to zero = no faults).
-    uint64_t fault_seed = 0xfa0170ULL;
+    uint64_t fault_seed = kDefaultFaultSeed;
     // Watchdog probe cadence and stall thresholds (always on).
     HealthParams health;
     // Publish per-stack TCP counters (segs, retransmits, acked/delivered
@@ -220,15 +219,9 @@ class KiteSystem {
     // TCP-free configurations stay byte-identical to historical output.
     bool tcp_metrics = false;
     // Continuous registry sampling into per-metric timelines (DESIGN.md
-    // §15). Off by default; sampler.enabled starts the daemon tick at
-    // construction. Enabling never perturbs the schedule: the tick is a
-    // daemon event and draws no shuffle ties.
+    // §15): the sampler's period, ring size and label filter. It ticks once
+    // sampler().Start() runs (or KITE_TIMELINE is set).
     SamplerParams sampler;
-    // Per-category CPU attribution on every vCPU (DESIGN.md §16). Off by
-    // default: the disabled cost in Vcpu::Charge is one pointer test, and
-    // enabling is accounting-only — it can never change a schedule, so any
-    // run's figures are byte-identical with attribution on or off.
-    bool cpu_attribution = false;
   };
 
   KiteSystem() : KiteSystem(Params{}) {}
@@ -240,21 +233,21 @@ class KiteSystem {
   SimTime Now() const { return executor_.Now(); }
   // Fault-injection knobs shared by the hypervisor, every NIC, and every
   // disk. Set rates before (or during) a scenario to script failures.
-  FaultInjector& faults() { return faults_; }
+  FaultInjector& faults() { return hv_->faults(); }
 
-  // --- Observability (src/obs). ---
+  // --- Observability (src/obs). The services are the hypervisor's. ---
   // The single registry every component in this system reports into.
-  MetricRegistry& metric_registry() { return metrics_; }
+  MetricRegistry& metric_registry() { return hv_->metrics(); }
   // Snapshot of every metric, in deterministic key order.
-  std::vector<MetricRegistry::Sample> metrics() { return metrics_.Snapshot(); }
+  std::vector<MetricRegistry::Sample> metrics() { return hv_->metrics().Snapshot(); }
   // `prefix` (when non-empty) restricts the table to labels starting with it,
   // e.g. "obs/health" for just the watchdog aggregates.
   std::string FormatMetrics(bool skip_zero = true, const std::string& prefix = "");
   // The always-on flight recorder: every domain's recent structured events
   // (lifecycle, grants, ring pushes, faults), dumped by DumpDiagnostics.
-  FlightRecorder& recorder() { return recorder_; }
+  FlightRecorder& recorder() { return hv_->recorder(); }
   // The backend health watchdog (started at construction; see Params::health).
-  HealthMonitor& health() { return health_; }
+  HealthMonitor& health() { return hv_->health(); }
   // One-shot failure diagnostics: health table, shard placement, per-domain
   // flight-recorder tails, pending events, invariant audit, and the full
   // metric table. Installed as the KITE_CHECK fatal handler (dumped to
@@ -265,27 +258,25 @@ class KiteSystem {
   // device's published health verdict — what an operator's `xenstore-ls`
   // would show.
   std::string FormatPlacement();
-  EventTracer& tracer() { return tracer_; }
-  // The registry sampler (armed at construction when Params::sampler.enabled
-  // or KITE_TIMELINE=<path> is set; the latter also dumps ToJson() to <path>
-  // at destruction, mirroring KITE_TRACE).
+  EventTracer& tracer() { return hv_->tracer(); }
+  // The registry sampler (armed at construction when KITE_TIMELINE=<path> is
+  // set, which also dumps ToJson() to <path> at destruction, mirroring
+  // KITE_TRACE; otherwise call sampler().Start()).
   MetricSampler& sampler() { return sampler_; }
   // Tracing is compiled in but off by default; when off the per-event cost
   // is a single branch. Setting KITE_TRACE=<path> in the environment enables
   // tracing at construction and dumps to <path> on destruction, so any
   // bench/example/explore run can produce a trace without a code change.
-  void EnableTracing(bool on = true) { tracer_.set_enabled(on); }
+  void EnableTracing(bool on = true) { hv_->tracer().set_enabled(on); }
   // Writes the recorded events as Chrome trace_event JSON (load in Perfetto
   // or chrome://tracing). Returns false if the file could not be written.
   // Logs a warning when the tracer's event cap truncated the recording.
   bool DumpTrace(const std::string& path);
   // CPU attribution (DESIGN.md §16). Turns on the per-category ledgers for
   // every live vCPU (driver domains, guests, Dom0, the client machine) and
-  // for all future domains, and installs the sampler pre-tick pump so
-  // cpu_busy_ns / cpu_util_percent / cpu_<category>_ns appear as timelines.
-  // Accounting-only: never perturbs the schedule. Also reachable via
-  // Params::cpu_attribution or KITE_CPU=<path> (which additionally dumps
-  // CpuReportJson() to <path> at destruction, mirroring KITE_TRACE).
+  // for all future domains. Accounting-only: never perturbs the schedule.
+  // KITE_CPU=<path> turns it on at construction and dumps CpuReportJson()
+  // to <path> at destruction, mirroring KITE_TRACE.
   void EnableCpuAttribution();
   // Every live vCPU with a stable report label, in deterministic order:
   // domains by id (label deduped with "#<id>" when two live domains share a
@@ -436,20 +427,18 @@ class KiteSystem {
   // False, with nothing written, when `bid` is no live driver domain of the
   // device's kind.
   bool Relink(DomId gid, DeviceKind kind, int devid, DomId bid);
+  // The toolstack keys that link a guest's device to backend `bid`, written
+  // by Dom0 for an attach and a relink alike: the backend's node, the
+  // frontend's link to it, both cross-domain grants, then backend-id.
+  void WriteDeviceLink(DomId gid, DeviceKind kind, int devid, DomId bid);
 
   Params params_;
   Executor executor_;
-  // Declared before faults_/hv_: both register their counters here.
-  MetricRegistry metrics_;
-  EventTracer tracer_;
-  // After executor_/metrics_ (it reads both).
-  MetricSampler sampler_;
-  // Declared before faults_/hv_ (which record into it) and after executor_/
-  // metrics_ (which it reads).
-  FlightRecorder recorder_;
-  HealthMonitor health_;
-  FaultInjector faults_;
+  // Owns the machine-wide services, so it outlives the sampler (which reads
+  // its registry) and every driver domain (whose backend instances
+  // unregister from its watchdog as they die).
   std::unique_ptr<Hypervisor> hv_;
+  MetricSampler sampler_;
   // The fatal handler installed before ours, restored at destruction so
   // stacked KiteSystems (tests) unwind cleanly.
   FatalHandler prev_fatal_;
@@ -477,8 +466,6 @@ class KiteSystem {
   std::string timeline_env_path_;
   std::string profile_env_path_;
   std::string cpu_env_path_;
-  // Non-null once EnableCpuAttribution installed the sampler pre-tick hook.
-  std::unique_ptr<CpuMetricsPump> cpu_pump_;
 };
 
 }  // namespace kite

@@ -26,11 +26,9 @@ const char* FaultSiteName(FaultSite site) {
   return "?";
 }
 
-FaultInjector::FaultInjector(uint64_t seed, MetricRegistry* registry) : rng_(seed) {
-  if (registry == nullptr) {
-    owned_registry_ = std::make_unique<MetricRegistry>();
-    registry = owned_registry_.get();
-  }
+FaultInjector::FaultInjector(uint64_t seed, MetricRegistry* registry,
+                             FlightRecorder* recorder)
+    : rng_(seed), recorder_(recorder) {
   for (int i = 0; i < kSites; ++i) {
     const char* site = FaultSiteName(static_cast<FaultSite>(i));
     trips_[i] = registry->counter("fault", site, "trips");
@@ -41,10 +39,6 @@ FaultInjector::FaultInjector(uint64_t seed, MetricRegistry* registry) : rng_(see
 void FaultInjector::set_rate(FaultSite site, double p) {
   KITE_CHECK(p >= 0.0 && p <= 1.0) << "fault rate must be a probability";
   rates_[static_cast<int>(site)] = p;
-}
-
-double FaultInjector::rate(FaultSite site) const {
-  return rates_[static_cast<int>(site)];
 }
 
 void FaultInjector::ClearRates() { rates_.fill(0.0); }
@@ -59,9 +53,7 @@ bool FaultInjector::ShouldFail(FaultSite site) {
     return false;
   }
   trips_[i]->Inc();
-  if (recorder_ != nullptr) {
-    recorder_->Record(0, FlightKind::kFaultTripped, i, trips_[i]->value());
-  }
+  recorder_->Record(0, FlightKind::kFaultTripped, i, trips_[i]->value());
   return true;
 }
 
@@ -79,13 +71,6 @@ uint64_t FaultInjector::total_trips() const {
     n += t->value();
   }
   return n;
-}
-
-void FaultInjector::ResetCounters() {
-  for (int i = 0; i < kSites; ++i) {
-    trips_[i]->Set(0);
-    rolls_[i]->Set(0);
-  }
 }
 
 }  // namespace kite

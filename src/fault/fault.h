@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 
 #include "src/base/rng.h"
 #include "src/obs/metrics.h"
@@ -39,19 +38,21 @@ enum class FaultSite : int {
 
 const char* FaultSiteName(FaultSite site);
 
+inline constexpr uint64_t kDefaultFaultSeed = 0xfa0170ULL;  // "fault"
+
 class FaultInjector {
  public:
-  // Trip/roll counters live in `registry` under ("fault", <site>, ...); when
-  // none is supplied (standalone tests) the injector owns a private one.
-  explicit FaultInjector(uint64_t seed = 0xfa0170ULL /* "fault" */,
-                         MetricRegistry* registry = nullptr);
+  // Trip/roll counters live in `registry` under ("fault", <site>, ...), and
+  // every trip is recorded in Dom0's flight-recorder ring (kFaultTripped,
+  // dev=site), so a failure dump shows which injected faults preceded the
+  // wedge.
+  FaultInjector(uint64_t seed, MetricRegistry* registry, FlightRecorder* recorder);
 
   // Probability in [0, 1] that an operation at `site` fails. Zero (the
   // default for every site) short-circuits without consuming randomness, so
   // enabling one site does not perturb the schedule of the others... nor of
   // a fault-free run.
   void set_rate(FaultSite site, double p);
-  double rate(FaultSite site) const;
   // Zeroes every site's rate — ends a fault window so the system can drain
   // and quiesce cleanly (the explore harness closes each schedule this way).
   void ClearRates();
@@ -64,22 +65,15 @@ class FaultInjector {
   uint64_t trips(FaultSite site) const;   // Failures injected.
   uint64_t rolls(FaultSite site) const;   // Operations that consulted us.
   uint64_t total_trips() const;
-  void ResetCounters();
-
-  // When set, every trip is also recorded in Dom0's flight-recorder ring
-  // (kFaultTripped, dev=site) so a failure dump shows which injected faults
-  // preceded the wedge.
-  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
  private:
   static constexpr int kSites = static_cast<int>(FaultSite::kCount);
 
   Rng rng_;
-  FlightRecorder* recorder_ = nullptr;
+  FlightRecorder* recorder_;
   std::array<double, kSites> rates_{};
   // Registry-backed counters (one pointer-chase per roll, same cost as the
   // plain uint64_t members they replaced).
-  std::unique_ptr<MetricRegistry> owned_registry_;
   std::array<Counter*, kSites> trips_{};
   std::array<Counter*, kSites> rolls_{};
 };

@@ -27,7 +27,7 @@ bool Domain::StoreWriteInt(const std::string& path, int64_t value) {
 
 std::optional<std::string> Domain::StoreRead(const std::string& path) {
   hv_->ChargeXenstoreOp(this);
-  if (hv_->InjectFault(FaultSite::kXenstoreRead)) {
+  if (hv_->faults().ShouldFail(FaultSite::kXenstoreRead)) {
     return std::nullopt;
   }
   return hv_->store().Read(id_, path);
@@ -35,7 +35,7 @@ std::optional<std::string> Domain::StoreRead(const std::string& path) {
 
 std::optional<int64_t> Domain::StoreReadInt(const std::string& path) {
   hv_->ChargeXenstoreOp(this);
-  if (hv_->InjectFault(FaultSite::kXenstoreRead)) {
+  if (hv_->faults().ShouldFail(FaultSite::kXenstoreRead)) {
     return std::nullopt;
   }
   return hv_->store().ReadInt(id_, path);
@@ -43,7 +43,7 @@ std::optional<int64_t> Domain::StoreReadInt(const std::string& path) {
 
 std::optional<std::vector<std::string>> Domain::StoreList(const std::string& path) {
   hv_->ChargeXenstoreOp(this);
-  if (hv_->InjectFault(FaultSite::kXenstoreRead)) {
+  if (hv_->faults().ShouldFail(FaultSite::kXenstoreRead)) {
     return std::nullopt;
   }
   return hv_->store().List(id_, path);

@@ -7,34 +7,30 @@
 
 namespace kite {
 
-Hypervisor::Hypervisor(Executor* executor, MetricRegistry* metrics, EventTracer* tracer)
-    : executor_(executor), store_(executor), tracer_(tracer) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricRegistry>();
-    metrics = owned_metrics_.get();
-  }
-  metrics_ = metrics;
-  hypercalls_ = metrics_->counter("hv", "hypercall", "issued");
-  events_sent_ = metrics_->counter("hv", "evtchn", "sent");
-  events_delivered_ = metrics_->counter("hv", "evtchn", "delivered");
-  events_dropped_ = metrics_->counter("hv", "evtchn", "dropped");
-  grant_maps_ = metrics_->counter("hv", "grant", "maps");
-  grant_unmaps_ = metrics_->counter("hv", "grant", "unmaps");
-  grant_copies_ = metrics_->counter("hv", "grant", "copies");
-  grant_copy_bytes_ = metrics_->counter("hv", "grant", "copy_bytes");
-  grant_copy_rejects_ = metrics_->counter("hv", "grant", "copy_rejects");
-  forced_grant_revocations_ = metrics_->counter("hv", "grant", "forced_revocations");
-  grant_map_fails_ = metrics_->counter("hv", "grant", "map_fails");
-  events_coalesced_ = metrics_->counter("hv", "evtchn", "coalesced");
-  events_vanished_ = metrics_->counter("hv", "evtchn", "vanished");
-  pci_irqs_delivered_ = metrics_->counter("hv", "evtchn", "pci_irq_delivered");
+Hypervisor::Hypervisor(Executor* executor, HealthParams health, uint64_t fault_seed)
+    : executor_(executor),
+      recorder_(executor),
+      health_(executor, &metrics_, &recorder_, health),
+      faults_(fault_seed, &metrics_, &recorder_),
+      store_(executor, &recorder_) {
+  hypercalls_ = metrics_.counter("hv", "hypercall", "issued");
+  events_sent_ = metrics_.counter("hv", "evtchn", "sent");
+  events_delivered_ = metrics_.counter("hv", "evtchn", "delivered");
+  events_dropped_ = metrics_.counter("hv", "evtchn", "dropped");
+  grant_maps_ = metrics_.counter("hv", "grant", "maps");
+  grant_unmaps_ = metrics_.counter("hv", "grant", "unmaps");
+  grant_copies_ = metrics_.counter("hv", "grant", "copies");
+  grant_copy_bytes_ = metrics_.counter("hv", "grant", "copy_bytes");
+  grant_copy_rejects_ = metrics_.counter("hv", "grant", "copy_rejects");
+  forced_grant_revocations_ = metrics_.counter("hv", "grant", "forced_revocations");
+  grant_map_fails_ = metrics_.counter("hv", "grant", "map_fails");
+  events_coalesced_ = metrics_.counter("hv", "evtchn", "coalesced");
+  events_vanished_ = metrics_.counter("hv", "evtchn", "vanished");
   // Dom0: the privileged administrative VM (runs xenstored).
   domains_.push_back(std::make_unique<Domain>(this, 0, "Domain-0", 1, 8192));
   domains_[0]->set_online(true);
   live_.push_back(domains_[0].get());
-  if (tracer_ != nullptr) {
-    tracer_->SetProcessName(0, "Domain-0");
-  }
+  tracer_.SetProcessName(0, "Domain-0");
 }
 
 Hypervisor::~Hypervisor() = default;
@@ -47,19 +43,15 @@ Domain* Hypervisor::CreateDomain(const std::string& name, int vcpus, int memory_
   // Dom0 provisions the new domain's xenstore home.
   store_.Write(kDom0, dom->store_home() + "/name", name);
   store_.SetPermission(kDom0, dom->store_home(), id);
-  if (tracer_ != nullptr) {
-    // Name metadata is recorded even while tracing is disabled (it is cheap
-    // and bounded by domain count), so enabling the tracer mid-run still
-    // produces traces with named pid tracks.
-    tracer_->SetProcessName(id, name);
-    if (tracer_->enabled()) {
-      tracer_->Instant(id, 0, "lifecycle", "domain_create", executor_->Now());
-    }
+  // Name metadata is recorded even while tracing is disabled (it is cheap
+  // and bounded by domain count), so enabling the tracer mid-run still
+  // produces traces with named pid tracks.
+  tracer_.SetProcessName(id, name);
+  if (tracer_.enabled()) {
+    tracer_.Instant(id, 0, "lifecycle", "domain_create", executor_->Now());
   }
-  if (recorder_ != nullptr) {
-    recorder_->Record(id, FlightKind::kDomainCreated, 0, static_cast<uint64_t>(vcpus),
-                      static_cast<uint64_t>(memory_mb));
-  }
+  recorder_.Record(id, FlightKind::kDomainCreated, 0, static_cast<uint64_t>(vcpus),
+                   static_cast<uint64_t>(memory_mb));
   return dom;
 }
 
@@ -135,12 +127,10 @@ void Hypervisor::DestroyDomain(DomId id) {
   store_.RemoveWatchesOwnedBy(id);
   // Remove the domain's xenstore subtree, notifying watchers of every node.
   store_.RemoveSubtree(kDom0, dom->store_home());
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant(id, 0, "lifecycle", "domain_destroy", executor_->Now());
+  if (tracer_.enabled()) {
+    tracer_.Instant(id, 0, "lifecycle", "domain_destroy", executor_->Now());
   }
-  if (recorder_ != nullptr) {
-    recorder_->Record(id, FlightKind::kDomainDestroyed);
-  }
+  recorder_.Record(id, FlightKind::kDomainDestroyed);
   live_.erase(std::lower_bound(live_.begin(), live_.end(), id,
                                [](const Domain* d, DomId v) { return d->id() < v; }));
   domains_[id].reset();
@@ -184,12 +174,8 @@ std::vector<std::pair<EvtPort, DomId>> Hypervisor::BoundPorts(DomId id) const {
   return out;
 }
 
-void Hypervisor::set_cpu_attribution(bool on) {
-  cpu_attribution_ = on;
-  if (!on) {
-    return;  // Existing ledgers stay (cheap, already allocated); only future
-             // domains are affected by turning the flag back off.
-  }
+void Hypervisor::EnableCpuAttribution() {
+  cpu_attribution_ = true;
   for (Domain* d : live_) {
     for (int i = 0; i < d->vcpu_count(); ++i) {
       d->vcpu(i)->EnableAttribution();
@@ -199,8 +185,8 @@ void Hypervisor::set_cpu_attribution(bool on) {
 
 void Hypervisor::Charge(Domain* dom, SimDuration cost, Vcpu* caller_vcpu, const char* op) {
   hypercalls_->Inc();
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Complete(dom->id(), 0, "hypercall", op, executor_->Now(), cost);
+  if (tracer_.enabled()) {
+    tracer_.Complete(dom->id(), 0, "hypercall", op, executor_->Now(), cost);
   }
   (caller_vcpu != nullptr ? caller_vcpu : dom->vcpu(0))->Charge(cost);
 }
@@ -264,40 +250,34 @@ bool Hypervisor::EventSend(Domain* caller, EvtPort port, Vcpu* caller_vcpu) {
   Domain* peer = domain(info->peer_dom);
   if (peer == nullptr) {
     events_vanished_->Inc();
-    if (recorder_ != nullptr) {
-      recorder_->Record(caller->id(), FlightKind::kEventVanished, port);
-    }
+    recorder_.Record(caller->id(), FlightKind::kEventVanished, port);
     return false;
   }
   Domain::PortInfo* pinfo = PortOf(peer, info->peer_port);
   if (pinfo == nullptr) {
     events_vanished_->Inc();
-    if (recorder_ != nullptr) {
-      recorder_->Record(caller->id(), FlightKind::kEventVanished, port);
-    }
+    recorder_.Record(caller->id(), FlightKind::kEventVanished, port);
     return false;
   }
   if (pinfo->pending) {
     // Event coalescing: an undelivered event absorbs further sends.
     events_coalesced_->Inc();
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(caller->id(), 0, "evtchn", "evt_coalesced", executor_->Now(),
-                       "port", port);
+    if (tracer_.enabled()) {
+      tracer_.Instant(caller->id(), 0, "evtchn", "evt_coalesced", executor_->Now(), "port",
+                      port);
     }
     return true;
   }
-  if (InjectFault(FaultSite::kEventNotify)) {
+  if (faults_.ShouldFail(FaultSite::kEventNotify)) {
     // The hypercall "succeeded" but the interrupt is lost. Deliberately does
     // NOT set pending — that would absorb every later send and wedge the
     // port forever instead of modelling one lost notification.
     events_dropped_->Inc();
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(caller->id(), 0, "evtchn", "evt_dropped", executor_->Now(),
-                       "port", port);
+    if (tracer_.enabled()) {
+      tracer_.Instant(caller->id(), 0, "evtchn", "evt_dropped", executor_->Now(), "port",
+                      port);
     }
-    if (recorder_ != nullptr) {
-      recorder_->Record(caller->id(), FlightKind::kEventDropped, port);
-    }
+    recorder_.Record(caller->id(), FlightKind::kEventDropped, port);
     return true;
   }
   pinfo->pending = true;
@@ -309,16 +289,14 @@ bool Hypervisor::EventSend(Domain* caller, EvtPort port, Vcpu* caller_vcpu) {
     Domain::PortInfo* pi = PortOf(d, peer_port);
     if (pi == nullptr) {
       events_vanished_->Inc();
-      if (recorder_ != nullptr) {
-        recorder_->Record(peer_id, FlightKind::kEventVanished, peer_port);
-      }
+      recorder_.Record(peer_id, FlightKind::kEventVanished, peer_port);
       return;  // Domain or port vanished in flight.
     }
     pi->pending = false;
     events_delivered_->Inc();
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(peer_id, 0, "evtchn", "evt_deliver", executor_->Now(), "port",
-                       peer_port);
+    if (tracer_.enabled()) {
+      tracer_.Instant(peer_id, 0, "evtchn", "evt_deliver", executor_->Now(), "port",
+                      peer_port);
     }
     {
       // Scoped to the dispatch charge only: the handler body below sets its
@@ -362,12 +340,10 @@ MappedGrant Hypervisor::GrantMap(Domain* mapper, DomId owner, GrantRef ref,
   grant_maps_->Inc();
   auto record_fail = [&] {
     grant_map_fails_->Inc();
-    if (recorder_ != nullptr) {
-      recorder_->Record(mapper->id(), FlightKind::kGrantMapFail, owner,
-                        static_cast<uint64_t>(ref));
-    }
+    recorder_.Record(mapper->id(), FlightKind::kGrantMapFail, owner,
+                     static_cast<uint64_t>(ref));
   };
-  if (InjectFault(FaultSite::kGrantMap)) {
+  if (faults_.ShouldFail(FaultSite::kGrantMap)) {
     record_fail();
     return MappedGrant{};
   }
@@ -382,24 +358,18 @@ MappedGrant Hypervisor::GrantMap(Domain* mapper, DomId owner, GrantRef ref,
     return MappedGrant{};
   }
   owner_dom->grant_table().AddMapping(ref);
-  if (recorder_ != nullptr) {
-    recorder_->Record(mapper->id(), FlightKind::kGrantMap, owner,
-                      static_cast<uint64_t>(ref));
-  }
+  recorder_.Record(mapper->id(), FlightKind::kGrantMap, owner, static_cast<uint64_t>(ref));
   Vcpu* mapper_vcpu = caller_vcpu != nullptr ? caller_vcpu : mapper->vcpu(0);
   SimDuration unmap_cost = kHvCosts.grant_unmap;
   DomId mapper_id = mapper->id();
   auto on_unmap = [this, mapper_vcpu, mapper_id, owner, ref, unmap_cost] {
     grant_unmaps_->Inc();
     hypercalls_->Inc();
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Complete(mapper_id, 0, "hypercall", "gnttab_unmap", executor_->Now(),
-                        unmap_cost);
+    if (tracer_.enabled()) {
+      tracer_.Complete(mapper_id, 0, "hypercall", "gnttab_unmap", executor_->Now(),
+                       unmap_cost);
     }
-    if (recorder_ != nullptr) {
-      recorder_->Record(mapper_id, FlightKind::kGrantUnmap, owner,
-                        static_cast<uint64_t>(ref));
-    }
+    recorder_.Record(mapper_id, FlightKind::kGrantUnmap, owner, static_cast<uint64_t>(ref));
     CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/grant_unmap"));
     mapper_vcpu->Charge(unmap_cost);
   };
@@ -463,12 +433,11 @@ bool Hypervisor::GrantCopyFromGranted(Domain* caller, DomId owner, GrantRef ref,
   return true;
 }
 
-bool Hypervisor::AssignPci(PciDevice* device, Domain* owner, bool iommu) {
+bool Hypervisor::AssignPci(PciDevice* device, Domain* owner) {
   if (device->owner_ != nullptr) {
     return false;
   }
   device->owner_ = owner;
-  device->iommu_ = iommu;
   if (std::find(pci_devices_.begin(), pci_devices_.end(), device) == pci_devices_.end()) {
     pci_devices_.push_back(device);
   }
@@ -481,53 +450,12 @@ void Hypervisor::UnassignPci(PciDevice* device) {
     return;
   }
   device->owner_ = nullptr;
-  device->irq_handler_ = nullptr;
   device->OnUnassigned();
-}
-
-void Hypervisor::DeliverPciIrq(PciDevice* device) {
-  Domain* owner = device->owner_;
-  if (owner == nullptr) {
-    return;
-  }
-  DomId owner_id = owner->id();
-  executor_->PostAfter(kHvCosts.event_delivery, KITE_POST_SITE("hv/pci-irq"),
-                       [this, device, owner_id] {
-    Domain* d = domain(owner_id);
-    if (d == nullptr || device->owner_ != d) {
-      return;
-    }
-    {
-      CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/irq_dispatch"));
-      d->vcpu(0)->Charge(kHvCosts.irq_dispatch);
-    }
-    events_delivered_->Inc();
-    pci_irqs_delivered_->Inc();
-    if (device->irq_handler_) {
-      device->irq_handler_();
-    }
-  });
 }
 
 void Hypervisor::ChargeXenstoreOp(Domain* caller) {
   CpuScope cpu_scope(KITE_CPU_CATEGORY("hv/xenstore_op"));
   Charge(caller, kHvCosts.xenstore_op, nullptr, "xenstore_op");
-}
-
-// --- PciDevice methods that need the hypervisor (defined here to keep pci.h
-// free of the Hypervisor dependency). ---
-
-void PciDevice::RaiseIrq() {
-  if (owner_ != nullptr) {
-    owner_->hypervisor()->DeliverPciIrq(this);
-  }
-}
-
-bool PciDevice::DmaAllowed(const Domain* target) const {
-  if (!iommu_) {
-    return true;  // No IOMMU: nothing constrains device DMA.
-  }
-  return owner_ != nullptr && target == owner_;
 }
 
 }  // namespace kite

@@ -2,7 +2,10 @@
 //
 // Provides domain lifecycle, event channels (virtual interrupts), grant
 // map/copy operations with cost accounting, xenstore (run by the xenstored
-// daemon, conceptually in Dom0), and PCI passthrough with IOMMU checks.
+// daemon, conceptually in Dom0), and PCI passthrough. It also owns the
+// machine-wide services every component reports into: the metric registry,
+// the event tracer, the flight recorder, the health watchdog and the fault
+// injector.
 #ifndef SRC_HV_HYPERVISOR_H_
 #define SRC_HV_HYPERVISOR_H_
 
@@ -43,43 +46,40 @@ inline constexpr HvCosts kHvCosts{};
 
 class Hypervisor {
  public:
-  // `metrics` hosts the hypervisor's counters under ("hv", <device>, <name>);
-  // when null (standalone hv tests) the hypervisor owns a private registry.
-  // `tracer` is optional.
-  explicit Hypervisor(Executor* executor, MetricRegistry* metrics = nullptr,
-                      EventTracer* tracer = nullptr);
+  // Builds the machine-wide services, then Dom0. The watchdog is not
+  // started: KiteSystem subscribes and starts it.
+  explicit Hypervisor(Executor* executor, HealthParams health = HealthParams{},
+                      uint64_t fault_seed = kDefaultFaultSeed);
   ~Hypervisor();
 
   Executor* executor() const { return executor_; }
   const HvCosts& costs() const { return kHvCosts; }
   XenStore& store() { return store_; }
 
-  // The registry hosting hypervisor metrics; device drivers reach the
-  // system-wide registry through this.
-  MetricRegistry* metrics() const { return metrics_; }
-  EventTracer* tracer() const { return tracer_; }
-
-  // Always-on flight recorder (optional wiring, like the tracer, but with no
-  // enable flag: when present, domain lifecycle, grant map/unmap, dropped
-  // events and xenbus switches are recorded unconditionally). The pointer is
-  // mirrored into the xenstore so XenbusClient::SwitchState can record.
-  FlightRecorder* recorder() const { return recorder_; }
-  void set_recorder(FlightRecorder* recorder) {
-    recorder_ = recorder;
-    store_.set_recorder(recorder);
-  }
-  // Health watchdog handle: backend drivers register their per-instance
-  // samplers through this (the hypervisor is the one object every driver
-  // already holds).
-  HealthMonitor* health() const { return health_; }
-  void set_health(HealthMonitor* health) { health_ = health; }
+  // --- Machine-wide services (the hypervisor is the one object every
+  // driver holds). ---
+  // The registry every component reports into; the hypervisor's own
+  // counters live under ("hv", <device>, <name>).
+  MetricRegistry& metrics() { return metrics_; }
+  // Off until enabled; a disabled site costs one enabled() load.
+  EventTracer& tracer() { return tracer_; }
+  // Always on: domain lifecycle, grant map/unmap, dropped events, xenbus
+  // switches and fault trips are recorded unconditionally.
+  FlightRecorder& recorder() { return recorder_; }
+  // Backend instances register their per-instance samplers here.
+  HealthMonitor& health() { return health_; }
+  // Grant maps, event sends and domain xenstore reads consult it, and so do
+  // the disks and NICs it is handed to. XenbusClient state reads bypass
+  // Domain wrappers on purpose and stay reliable — the reconnect protocol
+  // needs a ground truth.
+  FaultInjector& faults() { return faults_; }
 
   // --- CPU attribution (DESIGN.md §16). ---
-  // When on, every vCPU of every domain (existing and future) carries a
+  // Once enabled, every vCPU of every domain (existing and future) carries a
   // (category → ns) ledger; hypercall paths in this class credit their own
   // categories (hv/grant_copy, hv/evtchn_send, hv/irq_dispatch, ...).
   // Accounting-only: enabling never changes any Charge timing.
-  void set_cpu_attribution(bool on);
+  void EnableCpuAttribution();
   bool cpu_attribution() const { return cpu_attribution_; }
 
   // --- Domains. ---
@@ -111,22 +111,11 @@ class Hypervisor {
                             std::span<uint8_t> dst, Vcpu* caller_vcpu = nullptr);
 
   // --- PCI passthrough. ---
-  bool AssignPci(PciDevice* device, Domain* owner, bool iommu = true);
+  bool AssignPci(PciDevice* device, Domain* owner);
   void UnassignPci(PciDevice* device);
-  // Delivers a device interrupt to the device's owner.
-  void DeliverPciIrq(PciDevice* device);
 
   // --- Charged xenstore access (used by Domain wrappers). ---
   void ChargeXenstoreOp(Domain* caller);
-
-  // --- Fault injection. ---
-  // Optional; when set, grant maps, event sends and domain xenstore reads
-  // consult the injector. XenbusClient state reads bypass Domain wrappers on
-  // purpose and stay reliable — the reconnect protocol needs a ground truth.
-  void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
-  bool InjectFault(FaultSite site) {
-    return faults_ != nullptr && faults_->ShouldFail(site);
-  }
 
   // --- Introspection for tests/benches (registry-backed). ---
   uint64_t hypercalls_issued() const { return hypercalls_->value(); }
@@ -147,12 +136,9 @@ class Hypervisor {
   // Sends absorbed by an already-pending port (no second interrupt).
   uint64_t events_coalesced() const { return events_coalesced_->value(); }
   // Sends accepted but never delivered: the peer was gone at send time, or
-  // the port/domain vanished while the delivery was in flight.
+  // the port/domain vanished while the delivery was in flight. Once the
+  // queue is quiet: delivered == sent - dropped - coalesced - vanished.
   uint64_t events_vanished() const { return events_vanished_->value(); }
-  // PCI device interrupts delivered (counted inside events_delivered too, so
-  // the ledger reads: delivered == sent - dropped - coalesced - vanished
-  // + pci_irq_delivered once the queue is quiet).
-  uint64_t pci_irqs_delivered() const { return pci_irqs_delivered_->value(); }
   // Allocated event-channel ports of one domain (leak accounting in tests).
   int open_port_count(DomId id) const;
   // Ids of domains currently alive (Dom0 included).
@@ -166,16 +152,14 @@ class Hypervisor {
   Domain::PortInfo* PortOf(Domain* dom, EvtPort port);
 
   Executor* executor_;
+  // The services come first, so they outlive the store and every domain.
+  MetricRegistry metrics_;
+  EventTracer tracer_;
+  FlightRecorder recorder_;
+  HealthMonitor health_;
+  FaultInjector faults_;
   XenStore store_;
   bool cpu_attribution_ = false;
-  FaultInjector* faults_ = nullptr;
-  // Falls back to an owned registry when the caller does not supply one, so
-  // counter handles below are always valid.
-  std::unique_ptr<MetricRegistry> owned_metrics_;
-  MetricRegistry* metrics_ = nullptr;
-  EventTracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
-  HealthMonitor* health_ = nullptr;
   // Indexed by id; a destroyed domain leaves a null slot.
   std::vector<std::unique_ptr<Domain>> domains_;
   // The live domains, in id order: what DestroyDomain and the live-domain
@@ -198,7 +182,6 @@ class Hypervisor {
   Counter* grant_map_fails_;
   Counter* events_coalesced_;
   Counter* events_vanished_;
-  Counter* pci_irqs_delivered_;
 };
 
 }  // namespace kite

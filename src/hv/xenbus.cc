@@ -40,7 +40,7 @@ std::string FrontendPath(DomId frontend_dom, const std::string& type, int devid)
 bool XenbusClient::SwitchState(const std::string& device_path, XenbusState state) {
   const bool ok =
       store_->WriteInt(caller_, device_path + "/state", static_cast<int>(state));
-  if (ok && store_->recorder() != nullptr) {
+  if (ok) {
     store_->recorder()->Record(caller_, FlightKind::kXenbusSwitch, 0,
                                static_cast<uint64_t>(static_cast<int>(state)));
   }

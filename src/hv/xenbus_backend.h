@@ -140,9 +140,9 @@ class XenbusBackendInstance {
     return true;
   }
 
-  void SpawnThread(const std::string& name, const std::function<Task()>& body) {
+  void SpawnThread(const std::function<Task()>& body) {
     ++threads_running_;
-    sched_->Spawn(name, body);
+    sched_->Spawn(body);
   }
 
   // Every worker thread calls this as it returns.
@@ -155,10 +155,8 @@ class XenbusBackendInstance {
   // Marks the instance connected and registers its watchdog sampler.
   void MarkConnected(HealthMonitor::Sampler sample) {
     connected_ = true;
-    if (HealthMonitor* hm = hv_->health(); hm != nullptr) {
-      health_id_ = hm->Register(backend_->id(), backend_->name(), name_, devid_,
-                                std::move(sample));
-    }
+    health_id_ = hv_->health().Register(backend_->id(), backend_->name(), name_, devid_,
+                                        std::move(sample));
   }
 
   // The awaitable of SleepAfterWake: a BMK sleep that does not suspend at all
@@ -236,8 +234,8 @@ class XenbusBackendInstance {
 
  private:
   void UnregisterHealth() {
-    if (health_id_ != 0 && hv_->health() != nullptr) {
-      hv_->health()->Unregister(health_id_);
+    if (health_id_ != 0) {
+      hv_->health().Unregister(health_id_);
       health_id_ = 0;
     }
   }
@@ -267,7 +265,7 @@ class XenbusBackend {
         root_(StrFormat("/local/domain/%d/backend/%s", backend->id(), Instance::kType)),
         watch_wake_(scheds_.front()) {
     const std::string type = Instance::kType;
-    MetricRegistry* reg = hv_->metrics();
+    MetricRegistry* reg = &hv_->metrics();
     scans_ = reg->counter(backend->name(), type + "-driver", "scans");
     connect_retries_ = reg->counter(backend->name(), type + "-driver", "connect_retries");
     instances_reaped_ = reg->counter(backend->name(), type + "-driver", "instances_reaped");
@@ -277,7 +275,7 @@ class XenbusBackend {
                                     NoteOnlineTouched(path);
                                     watch_wake_.Signal();
                                   });
-    scheds_.front()->Spawn("xenwatch-" + type, [this] { return WatchThread(); });
+    scheds_.front()->Spawn([this] { return WatchThread(); });
   }
 
   ~XenbusBackend() {
@@ -526,9 +524,7 @@ class XenbusBackend {
   // Records the reap or retire in the flight recorder (its one record) and
   // keeps the shut-down instance until its threads exit.
   void Bury(std::unique_ptr<Instance> inst, FlightKind kind, const Key& key) {
-    if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-      fr->Record(backend_->id(), kind, key.second, static_cast<uint64_t>(key.first));
-    }
+    hv_->recorder().Record(backend_->id(), kind, key.second, static_cast<uint64_t>(key.first));
     if (!inst->drained()) {
       dying_.push_back(std::move(inst));
     }

@@ -12,7 +12,7 @@ XenbusFrontend::XenbusFrontend(Domain* guest, DomId backend_dom, DeviceKind kind
       frontend_path_(FrontendPath(guest->id(), DeviceTypeName(kind), devid)),
       backend_path_(BackendPath(backend_dom, DeviceTypeName(kind), guest->id(), devid)),
       kind_(kind),
-      recoveries_(hv_->metrics()->counter(
+      recoveries_(hv_->metrics().counter(
           guest->name(), StrFormat(kind == DeviceKind::kVif ? "xn%d" : "xvd%d", devid),
           "recoveries")) {}
 

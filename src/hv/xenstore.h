@@ -47,7 +47,9 @@ using WatchFn = std::function<void(const std::string& path, const std::string& t
 
 class XenStore {
  public:
-  explicit XenStore(Executor* executor) : executor_(executor) {}
+  // `recorder` is where XenbusClient records device state switches.
+  XenStore(Executor* executor, FlightRecorder* recorder)
+      : executor_(executor), recorder_(recorder) {}
 
   // --- Data operations (caller identity is checked against node ACLs). ---
 
@@ -102,9 +104,6 @@ class XenStore {
   int watch_count() const { return static_cast<int>(watches_.size()); }
   int watch_count(DomId owner) const;
 
-  // Flight recorder passthrough (set by Hypervisor::set_recorder): lets
-  // XenbusClient record device state switches without depending on hv wiring.
-  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
   FlightRecorder* recorder() const { return recorder_; }
 
  private:
@@ -144,7 +143,7 @@ class XenStore {
   };
 
   Executor* executor_;
-  FlightRecorder* recorder_ = nullptr;
+  FlightRecorder* recorder_;
   Node root_;
   // Shared so that a firing callback keeps its closure and token alive
   // while it removes its own watch.

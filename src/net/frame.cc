@@ -104,13 +104,6 @@ void SerializeUdpInto(const UdpDatagram& udp, Ipv4Addr src, Ipv4Addr dst, Buffer
   (*out)[base + 7] = static_cast<uint8_t>(csum);
 }
 
-Buffer SerializeUdp(const UdpDatagram& udp, Ipv4Addr src, Ipv4Addr dst) {
-  Buffer out;
-  out.reserve(udp.ByteSize());
-  SerializeUdpInto(udp, src, dst, &out);
-  return out;
-}
-
 std::optional<UdpDatagram> ParseUdp(std::span<const uint8_t> data, Ipv4Addr src,
                                     Ipv4Addr dst, bool verify_checksum) {
   ByteReader r(data);
@@ -150,13 +143,6 @@ void SerializeIcmpInto(const IcmpMessage& icmp, Buffer* out) {
       std::span<const uint8_t>(out->data() + base, out->size() - base));
   (*out)[base + 2] = static_cast<uint8_t>(csum >> 8);
   (*out)[base + 3] = static_cast<uint8_t>(csum);
-}
-
-Buffer SerializeIcmp(const IcmpMessage& icmp) {
-  Buffer out;
-  out.reserve(icmp.ByteSize());
-  SerializeIcmpInto(icmp, &out);
-  return out;
 }
 
 std::optional<IcmpMessage> ParseIcmp(std::span<const uint8_t> data, bool verify_checksum) {
@@ -209,13 +195,6 @@ void SerializeTcpInto(const TcpSegment& tcp, Ipv4Addr src, Ipv4Addr dst, Buffer*
       kIpProtoTcp);
   (*out)[base + 16] = static_cast<uint8_t>(csum >> 8);
   (*out)[base + 17] = static_cast<uint8_t>(csum);
-}
-
-Buffer SerializeTcp(const TcpSegment& tcp, Ipv4Addr src, Ipv4Addr dst) {
-  Buffer out;
-  out.reserve(tcp.ByteSize());
-  SerializeTcpInto(tcp, src, dst, &out);
-  return out;
 }
 
 std::optional<TcpSegment> ParseTcp(std::span<const uint8_t> data, Ipv4Addr src,
@@ -292,13 +271,6 @@ void SerializeIpv4Into(const Ipv4Packet& packet, Buffer* out) {
       std::span<const uint8_t>(out->data() + base, kIpv4HeaderBytes));
   (*out)[base + 10] = static_cast<uint8_t>(csum >> 8);
   (*out)[base + 11] = static_cast<uint8_t>(csum);
-}
-
-Buffer SerializeIpv4(const Ipv4Packet& packet) {
-  Buffer out;
-  out.reserve(packet.ByteSize());
-  SerializeIpv4Into(packet, &out);
-  return out;
 }
 
 std::optional<Ipv4Packet> ParseIpv4(std::span<const uint8_t> data, bool verify_checksum) {
@@ -392,13 +364,6 @@ void SerializeEthernetInto(const EthernetFrame& frame, Buffer* out) {
   } else {
     SerializeIpv4Into(*frame.ip(), out);
   }
-}
-
-Buffer SerializeEthernet(const EthernetFrame& frame) {
-  Buffer out;
-  out.reserve(kEthernetHeaderBytes + frame.PayloadBytes());
-  SerializeEthernetInto(frame, &out);
-  return out;
 }
 
 std::optional<EthernetFrame> ParseEthernet(std::span<const uint8_t> data) {

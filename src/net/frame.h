@@ -124,31 +124,26 @@ struct EthernetFrame {
 
 // --- Wire codecs (real encodings with checksums). ---
 //
-// Each codec has two forms: the `Serialize*` convenience form returning a
-// fresh Buffer, and a `Serialize*Into` form that *appends* to an existing
-// Buffer (checksum/length fields are patched at their absolute offsets, so
-// appending after existing content is safe). The Into forms let per-packet
-// hot paths (netback RX copy-in, netfront RX delivery, per-packet TX parse
+// Each codec serializes in one form, `Serialize*Into`, which *appends* to an
+// existing Buffer (checksum/length fields are patched at their absolute
+// offsets, so appending after existing content is safe). Per-packet hot
+// paths (netback RX copy-in, netfront RX delivery, per-packet TX parse
 // staging) reuse one scratch Buffer instead of allocating per packet.
 
 // UDP/IPv4 with pseudo-header checksum.
-Buffer SerializeUdp(const UdpDatagram& udp, Ipv4Addr src, Ipv4Addr dst);
 void SerializeUdpInto(const UdpDatagram& udp, Ipv4Addr src, Ipv4Addr dst, Buffer* out);
 std::optional<UdpDatagram> ParseUdp(std::span<const uint8_t> data, Ipv4Addr src,
                                     Ipv4Addr dst, bool verify_checksum = true);
 
-Buffer SerializeIcmp(const IcmpMessage& icmp);
 void SerializeIcmpInto(const IcmpMessage& icmp, Buffer* out);
 std::optional<IcmpMessage> ParseIcmp(std::span<const uint8_t> data,
                                      bool verify_checksum = true);
 
-Buffer SerializeTcp(const TcpSegment& tcp, Ipv4Addr src, Ipv4Addr dst);
 void SerializeTcpInto(const TcpSegment& tcp, Ipv4Addr src, Ipv4Addr dst, Buffer* out);
 std::optional<TcpSegment> ParseTcp(std::span<const uint8_t> data, Ipv4Addr src,
                                    Ipv4Addr dst, bool verify_checksum = true);
 
 // Serializes the full IPv4 packet (header checksum + serialized L4).
-Buffer SerializeIpv4(const Ipv4Packet& packet);
 void SerializeIpv4Into(const Ipv4Packet& packet, Buffer* out);
 std::optional<Ipv4Packet> ParseIpv4(std::span<const uint8_t> data,
                                     bool verify_checksum = true);
@@ -157,7 +152,6 @@ void SerializeArpInto(const ArpPacket& arp, Buffer* out);
 std::optional<ArpPacket> ParseArp(std::span<const uint8_t> data);
 
 // Full Ethernet frame codec.
-Buffer SerializeEthernet(const EthernetFrame& frame);
 void SerializeEthernetInto(const EthernetFrame& frame, Buffer* out);
 std::optional<EthernetFrame> ParseEthernet(std::span<const uint8_t> data);
 

@@ -22,10 +22,12 @@ void NicNetIf::Output(EthernetFrame frame) {
   nic_->Transmit(std::move(frame));
 }
 
-Nic::Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac)
+Nic::Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac,
+         FaultInjector* faults)
     : PciDevice(std::move(bdf), "10GbE NIC"),
       executor_(executor),
-      netif_(std::move(ifname), mac, this) {}
+      netif_(std::move(ifname), mac, this),
+      faults_(faults) {}
 
 Nic::~Nic() {
   if (peer_ != nullptr) {

@@ -34,7 +34,11 @@ class NicNetIf : public NetIf {
 
 class Nic : public PciDevice {
  public:
-  Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac);
+  // `faults` is rolled on the receive side of the wire (frame loss, FCS
+  // corruption). Null for a NIC that rolls nothing: the bare NICs that tests
+  // cable together, and a switch's ports, whose endpoints roll for them.
+  Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac,
+      FaultInjector* faults = nullptr);
   ~Nic() override;
 
   NetIf* netif() { return &netif_; }
@@ -52,10 +56,6 @@ class Nic : public PciDevice {
   void SetProcessingVcpu(Vcpu* vcpu) { vcpu_ = vcpu; }
   void OnAssigned(Domain* owner) override;
   void OnUnassigned() override;
-
-  // Optional fault injection rolled on the receive side of the wire (frame
-  // loss, FCS corruption). Set on both link ends to fault both directions.
-  void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
   // Wire-side: queues the frame for transmission at line rate.
   void Transmit(EthernetFrame frame);
@@ -76,7 +76,7 @@ class Nic : public PciDevice {
   NicNetIf netif_;
   Nic* peer_ = nullptr;
   Vcpu* vcpu_ = nullptr;
-  FaultInjector* faults_ = nullptr;
+  FaultInjector* faults_;
 
   SimTime tx_free_at_;
   // Frames on the wire, oldest first, each with the peer it was sent to (a

@@ -27,7 +27,7 @@ NetbackInstance::NetbackInstance(Domain* backend, BmkSched* sched,
       params_(params),
       tx_wake_(sched),
       rx_wake_(sched) {
-  MetricRegistry* reg = hv_->metrics();
+  MetricRegistry* reg = &hv_->metrics();
   guest_tx_frames_ = reg->counter(backend->name(), ifname(), "guest_tx_frames");
   guest_rx_frames_ = reg->counter(backend->name(), ifname(), "guest_rx_frames");
   rx_queue_drops_ = reg->counter(backend->name(), ifname(), "rx_queue_drops");
@@ -108,8 +108,8 @@ bool NetbackInstance::Connect() {
   }
 
   pusher_last_active_ = soft_start_last_active_ = sched_->executor()->Now();
-  SpawnThread(ifname() + "-pusher", [this] { return PusherThread(); });
-  SpawnThread(ifname() + "-soft_start", [this] { return SoftStartThread(); });
+  SpawnThread([this] { return PusherThread(); });
+  SpawnThread([this] { return SoftStartThread(); });
   SetUp(true);
   // Watchdog sampler. Pending work is the Tx ring only: Rx buffers posted by
   // the guest legitimately sit unconsumed while no traffic flows toward it,
@@ -178,13 +178,11 @@ SimDuration NetbackInstance::PassLatency() const {
 
 void NetbackInstance::PushTxResponses() {
   const bool notify = tx_ring_->PushResponses();
-  if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-    fr->Record(backend_->id(), FlightKind::kRingPush, devid_,
-               tx_ring_->rsp_prod_pvt(), tx_ring_->req_cons());
-  }
-  if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-    t->Instant(backend_->id(), frontend_dom_, "ring", "tx_push",
-               sched_->executor()->Now(), "notify", notify ? 1 : 0);
+  hv_->recorder().Record(backend_->id(), FlightKind::kRingPush, devid_,
+                         tx_ring_->rsp_prod_pvt(), tx_ring_->req_cons());
+  if (EventTracer& t = hv_->tracer(); t.enabled()) {
+    t.Instant(backend_->id(), frontend_dom_, "ring", "tx_push",
+              sched_->executor()->Now(), "notify", notify ? 1 : 0);
   }
   if (notify && port_ != kInvalidPort) {
     hv_->EventSend(backend_, port_, sched_->vcpu());
@@ -193,13 +191,11 @@ void NetbackInstance::PushTxResponses() {
 
 void NetbackInstance::PushRxResponses() {
   const bool notify = rx_ring_->PushResponses();
-  if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {
-    fr->Record(backend_->id(), FlightKind::kRingPush, devid_,
-               rx_ring_->rsp_prod_pvt(), rx_ring_->req_cons());
-  }
-  if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-    t->Instant(backend_->id(), frontend_dom_, "ring", "rx_push",
-               sched_->executor()->Now(), "notify", notify ? 1 : 0);
+  hv_->recorder().Record(backend_->id(), FlightKind::kRingPush, devid_,
+                         rx_ring_->rsp_prod_pvt(), rx_ring_->req_cons());
+  if (EventTracer& t = hv_->tracer(); t.enabled()) {
+    t.Instant(backend_->id(), frontend_dom_, "ring", "rx_push",
+              sched_->executor()->Now(), "notify", notify ? 1 : 0);
   }
   if (notify && port_ != kInvalidPort) {
     hv_->EventSend(backend_, port_, sched_->vcpu());
@@ -265,10 +261,10 @@ Task NetbackInstance::PusherThread() {
         if (popped.ns() >= submit_ns) {
           tx_queue_ns_->Record(static_cast<uint64_t>(popped.ns() - submit_ns));
         }
-        if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-          t->FlowStep(backend_->id(), frontend_dom_, "net.tx", "tx_pop", popped,
-                      MakeFlowId(FlowKind::kNetTx, frontend_dom_, devid_, ring_index),
-                      per_packet);
+        if (EventTracer& t = hv_->tracer(); t.enabled()) {
+          t.FlowStep(backend_->id(), frontend_dom_, "net.tx", "tx_pop", popped,
+                     MakeFlowId(FlowKind::kNetTx, frontend_dom_, devid_, ring_index),
+                     per_packet);
         }
         // req.size/req.offset are guest-controlled: reject out-of-page
         // requests *before* allocating a buffer sized by the guest.
@@ -295,9 +291,9 @@ Task NetbackInstance::PusherThread() {
         tx_ring_->ProduceResponse(rsp);
         const SimTime responded = sched_->executor()->Now();
         tx_service_ns_->Record(static_cast<uint64_t>((responded - popped).ns()));
-        if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-          t->FlowStep(backend_->id(), frontend_dom_, "net.tx", "tx_rsp", responded,
-                      MakeFlowId(FlowKind::kNetTx, frontend_dom_, devid_, ring_index));
+        if (EventTracer& t = hv_->tracer(); t.enabled()) {
+          t.FlowStep(backend_->id(), frontend_dom_, "net.tx", "tx_rsp", responded,
+                     MakeFlowId(FlowKind::kNetTx, frontend_dom_, devid_, ring_index));
         }
         if (ok) {
           auto frame = ParseEthernet(bytes);
@@ -373,10 +369,10 @@ Task NetbackInstance::SoftStartThread() {
       if (picked.ns() >= arrival_ns) {
         rx_queue_ns_->Record(static_cast<uint64_t>(picked.ns() - arrival_ns));
       }
-      if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-        t->FlowBegin(backend_->id(), frontend_dom_, "net.rx", "rx_service", picked,
-                     MakeFlowId(FlowKind::kNetRx, frontend_dom_, devid_, ring_index),
-                     per_packet);
+      if (EventTracer& t = hv_->tracer(); t.enabled()) {
+        t.FlowBegin(backend_->id(), frontend_dom_, "net.rx", "rx_service", picked,
+                    MakeFlowId(FlowKind::kNetRx, frontend_dom_, devid_, ring_index),
+                    per_packet);
       }
       Buffer& bytes = rx_scratch_;
       bytes.clear();
@@ -395,9 +391,9 @@ Task NetbackInstance::SoftStartThread() {
       rx_ring_->ProduceResponse(rsp);
       const SimTime responded = sched_->executor()->Now();
       rx_service_ns_->Record(static_cast<uint64_t>((responded - picked).ns()));
-      if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-        t->FlowStep(backend_->id(), frontend_dom_, "net.rx", "rx_rsp", responded,
-                    MakeFlowId(FlowKind::kNetRx, frontend_dom_, devid_, ring_index));
+      if (EventTracer& t = hv_->tracer(); t.enabled()) {
+        t.FlowStep(backend_->id(), frontend_dom_, "net.rx", "rx_rsp", responded,
+                   MakeFlowId(FlowKind::kNetRx, frontend_dom_, devid_, ring_index));
       }
       if (ok) {
         // Only a successful copy counts as delivered — a failed copy used to

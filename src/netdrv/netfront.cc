@@ -16,7 +16,7 @@ constexpr SimDuration kFrameCost = Nanos(400);
 Netfront::Netfront(Domain* guest, DomId backend_dom, int devid, MacAddr mac)
     : NetIf(StrFormat("xn%d", devid), mac),
       XenbusFrontend(guest, backend_dom, DeviceKind::kVif, devid) {
-  MetricRegistry* reg = hv_->metrics();
+  MetricRegistry* reg = &hv_->metrics();
   tx_dropped_ = reg->counter(guest->name(), ifname(), "tx_dropped");
   rx_errors_ = reg->counter(guest->name(), ifname(), "rx_errors");
   recovery_drops_ = reg->counter(guest->name(), ifname(), "recovery_drops");
@@ -147,10 +147,10 @@ void Netfront::Output(EthernetFrame frame) {
   req.offset = 0;
   req.size = static_cast<uint16_t>(bytes.size());
   tx_ring_->ProduceRequest(req, now.ns());
-  if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
-    t->FlowBegin(guest_->id(), 0, "net.tx", "tx_submit", now,
-                 MakeFlowId(FlowKind::kNetTx, guest_->id(), devid_, ring_index),
-                 kFrameCost);
+  if (EventTracer& t = hv_->tracer(); t.enabled()) {
+    t.FlowBegin(guest_->id(), 0, "net.tx", "tx_submit", now,
+                MakeFlowId(FlowKind::kNetTx, guest_->id(), devid_, ring_index),
+                kFrameCost);
   }
   if (tx_ring_->PushRequests()) {
     hv_->EventSend(guest_, port_);
@@ -164,8 +164,8 @@ void Netfront::OnIrq() {
 
 void Netfront::ProcessTxResponses() {
   const SimTime now = hv_->executor()->Now();
-  EventTracer* t = hv_->tracer();
-  const bool tracing = t != nullptr && t->enabled();
+  EventTracer& t = hv_->tracer();
+  const bool tracing = t.enabled();
   do {
     while (tx_ring_->HasUnconsumedResponses()) {
       // The response for request i reuses logical slot i: the response
@@ -182,8 +182,8 @@ void Netfront::ProcessTxResponses() {
         }
       }
       if (tracing) {
-        t->FlowEnd(guest_->id(), 0, "net.tx", "tx_complete", now,
-                   MakeFlowId(FlowKind::kNetTx, guest_->id(), devid_, ring_index));
+        t.FlowEnd(guest_->id(), 0, "net.tx", "tx_complete", now,
+                  MakeFlowId(FlowKind::kNetTx, guest_->id(), devid_, ring_index));
       }
     }
   } while (tx_ring_->FinalCheckForResponses());
@@ -191,17 +191,17 @@ void Netfront::ProcessTxResponses() {
 
 void Netfront::ProcessRxResponses() {
   const SimTime now = hv_->executor()->Now();
-  EventTracer* t = hv_->tracer();
-  const bool tracing = t != nullptr && t->enabled();
+  EventTracer& t = hv_->tracer();
+  const bool tracing = t.enabled();
   do {
     while (rx_ring_->HasUnconsumedResponses()) {
       const uint32_t ring_index = rx_ring_->rsp_cons();
       NetRxResponse rsp = rx_ring_->ConsumeResponse();
       KITE_CHECK(rsp.id < kNetRingSize);
       if (tracing) {
-        t->FlowEnd(guest_->id(), 0, "net.rx", "rx_deliver", now,
-                   MakeFlowId(FlowKind::kNetRx, guest_->id(), devid_, ring_index),
-                   kFrameCost);
+        t.FlowEnd(guest_->id(), 0, "net.rx", "rx_deliver", now,
+                  MakeFlowId(FlowKind::kNetRx, guest_->id(), devid_, ring_index),
+                  kFrameCost);
       }
       Slot& slot = rx_slots_[rsp.id];
       slot.in_use = false;

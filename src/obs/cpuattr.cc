@@ -43,22 +43,6 @@ std::string FormatUs(uint64_t ns) {
   return StrFormat("%.1fus", static_cast<double>(ns) / 1e3);
 }
 
-// Metric names use '_' where category labels use '/': "hv/grant_copy" feeds
-// the "cpu_hv_grant_copy_ns" counter. Index 0's parenthesized builtin label
-// becomes plain "unattributed".
-std::string MetricSuffix(uint32_t category) {
-  if (category == kCpuUnattributedIndex) {
-    return "unattributed";
-  }
-  std::string s = CpuCategoryLabel(category);
-  for (char& c : s) {
-    if (c == '/') {
-      c = '_';
-    }
-  }
-  return s;
-}
-
 }  // namespace
 
 std::string FormatCpuAttribution(const std::vector<CpuActor>& actors, SimTime now,
@@ -151,42 +135,6 @@ std::string CpuReportJson(const std::vector<CpuActor>& actors, SimTime now) {
   doc.Array("wait", waits);
   doc.Array("categories", categories);
   return doc.Render();
-}
-
-void CpuMetricsPump::Pump(const std::vector<CpuActor>& actors, SimTime now) {
-  for (const CpuActor& actor : actors) {
-    if (actor.vcpu == nullptr || !actor.vcpu->attribution_enabled()) {
-      continue;
-    }
-    const Vcpu& cpu = *actor.vcpu;
-    const std::string device = StrFormat("vcpu%d", actor.vcpu_index);
-    const int64_t busy_ns = cpu.busy_total().ns();
-    metrics_->counter(actor.domain, device, "cpu_busy_ns")
-        ->Set(static_cast<uint64_t>(busy_ns));
-    // Utilization over the window since the previous pump (the sampler
-    // period), raw/unclamped so overcommit stays visible in timelines.
-    Last& last = last_[{actor.domain, actor.vcpu_index}];
-    const int64_t window_ns = now.ns() - last.t_ns;
-    if (window_ns > 0) {
-      const double util = static_cast<double>(busy_ns - last.busy_ns) /
-                          static_cast<double>(window_ns);
-      metrics_->gauge(actor.domain, device, "cpu_util_percent")->Set(util * 100.0);
-    }
-    last.busy_ns = busy_ns;
-    last.t_ns = now.ns();
-    const CpuLedger& ledger = *cpu.ledger();
-    metrics_->gauge(actor.domain, device, "cpu_wait_p99_ns")
-        ->Set(static_cast<double>(ledger.wait_hist.Percentile(99)));
-    for (uint32_t i = 0; i < ledger.busy_ns.size(); ++i) {
-      if (ledger.busy_ns[i] == 0) {
-        continue;  // Never-used categories don't grow the registry.
-      }
-      metrics_
-          ->counter(actor.domain, device,
-                    StrFormat("cpu_%s_ns", MetricSuffix(i).c_str()))
-          ->Set(ledger.busy_ns[i]);
-    }
-  }
 }
 
 }  // namespace kite

@@ -130,11 +130,9 @@ void HealthMonitor::ProbeInstance(Instance& inst) {
     if (next == HealthState::kStalled) {
       stalled_transitions_counter_->Inc();
     }
-    if (recorder_ != nullptr) {
-      recorder_->Record(inst.dom, FlightKind::kHealthTransition, inst.devid,
-                        static_cast<uint64_t>(static_cast<int>(inst.state)),
-                        static_cast<uint64_t>(static_cast<int>(next)));
-    }
+    recorder_->Record(inst.dom, FlightKind::kHealthTransition, inst.devid,
+                      static_cast<uint64_t>(static_cast<int>(inst.state)),
+                      static_cast<uint64_t>(static_cast<int>(next)));
     const HealthState old = inst.state;
     inst.state = next;
     if (!subscribers_.empty()) {

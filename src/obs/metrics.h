@@ -28,8 +28,9 @@
 
 namespace kite {
 
-// Monotonic event count. `Set` exists only for counter migration shims
-// (FaultInjector::ResetCounters); new code should stick to Inc/Add.
+// Monotonic event count. `Set` exists only to sync a count kept outside the
+// registry (KiteSystem::FormatMetrics copies the tracer's drop count with
+// it); new code should stick to Inc/Add.
 class Counter {
  public:
   void Inc() { ++value_; }

@@ -17,9 +17,6 @@ void MetricSampler::Start() {
   }
   running_ = true;
   alive_ = std::make_shared<bool>(true);
-  if (pre_tick_) {
-    pre_tick_();  // Derived counters get a baseline too.
-  }
   // Baseline pass: record the current counter values without emitting
   // points, so the first tick's deltas cover exactly one period and warm-up
   // traffic never leaks into the series.
@@ -74,9 +71,6 @@ bool MetricSampler::KeepLabel(const MetricKey& key) const {
 }
 
 void MetricSampler::Tick() {
-  if (pre_tick_) {
-    pre_tick_();
-  }
   ++ticks_;
   const int64_t t_ns = executor_->Now().ns();
   for (const auto& s : metrics_->Snapshot(/*skip_zero=*/false)) {

@@ -24,7 +24,6 @@
 #define SRC_OBS_SAMPLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,10 +36,9 @@
 
 namespace kite {
 
+// Nothing runs until Start(): a sampler that is never started arms no
+// daemon event.
 struct SamplerParams {
-  // Off by default: constructing a KiteSystem with an unconfigured sampler
-  // costs nothing at runtime (no daemon event is ever armed).
-  bool enabled = false;
   // Sampling interval; also the bin width of every derived rate series.
   SimDuration period = Millis(10);
   // Ring capacity per timeline. Older points are overwritten (and counted in
@@ -71,14 +69,6 @@ class MetricSampler {
   const SamplerParams& params() const { return params_; }
   // Ticks recorded since Start() (baseline not included).
   uint64_t ticks() const { return ticks_; }
-
-  // Invoked at the start of every tick, and once before the Start() baseline
-  // snapshot: lets owners refresh *derived* metrics (e.g. the CPU-attribution
-  // pump setting per-category counters and utilization gauges) so the sampler
-  // records current levels instead of stale ones. Runs inside the daemon tick:
-  // it must be deterministic and must only read simulation state — posting
-  // non-daemon events from here would perturb the schedule.
-  void set_pre_tick(std::function<void()> hook) { pre_tick_ = std::move(hook); }
 
   // One recorded series. Points are (tick time, value) pairs, oldest first
   // (ring unwrapped); counter points are per-period deltas.
@@ -113,7 +103,6 @@ class MetricSampler {
   Executor* executor_;
   MetricRegistry* metrics_;
   SamplerParams params_;
-  std::function<void()> pre_tick_;
   bool running_ = false;
   uint64_t ticks_ = 0;
   std::map<MetricKey, Series> series_;

@@ -1,4 +1,4 @@
-// Observability: an optional event tracer producing Chrome trace_event JSON.
+// Observability: the event tracer, producing Chrome trace_event JSON.
 //
 // The tracer records simulator events — hypercalls with their cost,
 // event-channel sends/suppressions/deliveries, ring push/notify decisions,
@@ -6,10 +6,11 @@
 // dumps them in the Chrome trace_event format so a run can be opened in
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
-// Compiled in but off by default. Every instrumentation site is guarded as
-//   if (tracer_ != nullptr && tracer_->enabled()) { tracer_->...; }
-// so the disabled cost is one pointer test plus one byte load — measurably
-// zero against even the cheapest simulated hypercall.
+// Compiled in but off by default. The hypervisor owns the one tracer, and
+// every instrumentation site is guarded as
+//   if (tracer_.enabled()) { tracer_....; }
+// so the disabled cost is one byte load — measurably zero against even the
+// cheapest simulated hypercall.
 //
 // Mapping: pid = domain id (with a process_name metadata record carrying the
 // domain name), tid = a small per-domain track id chosen by the caller,

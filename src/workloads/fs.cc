@@ -99,15 +99,6 @@ bool SimpleFs::Delete(const std::string& path) {
   return true;
 }
 
-std::vector<std::string> SimpleFs::List() const {
-  std::vector<std::string> names;
-  names.reserve(files_.size());
-  for (const auto& [name, f] : files_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 bool SimpleFs::Stat(const std::string& path) { return files_.count(path) != 0; }
 
 std::vector<SimpleFs::Extent> SimpleFs::Resolve(const File& file, int64_t offset,

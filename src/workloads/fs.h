@@ -35,7 +35,6 @@ class SimpleFs {
   bool Exists(const std::string& path) const;
   int64_t FileSize(const std::string& path) const;
   bool Delete(const std::string& path);
-  std::vector<std::string> List() const;
   // stat(): pure metadata, costs a little CPU but no I/O.
   bool Stat(const std::string& path);
 

@@ -149,7 +149,7 @@ TEST(AllocBudgetTest, FlagSignalToWakeAllocatesNothing) {
   BmkSched sched(&ex, &cpu);
   WakeFlag flag(&sched);
   int wakes = 0;
-  sched.Spawn("waiter", [&] { return FlagWaiter(&flag, &wakes); });
+  sched.Spawn([&] { return FlagWaiter(&flag, &wakes); });
   flag.Signal();  // Warm-up: the executor's first event chunk.
   ex.RunUntilIdle();
 

@@ -25,7 +25,7 @@ TEST(BmkSchedTest, SleepLoopRuns) {
   Vcpu cpu(&ex);
   BmkSched sched(&ex, &cpu);
   int wakes = 0;
-  sched.Spawn("sleeper", [&] { return SleeperThread(&sched, &wakes); });
+  sched.Spawn([&] { return SleeperThread(&sched, &wakes); });
   ex.RunFor(Millis(10));
   EXPECT_GE(wakes, 9);
   EXPECT_EQ(sched.thread_count(), 1);
@@ -37,7 +37,7 @@ TEST(BmkSchedTest, DestructionCancelsParkedTimers) {
   int wakes = 0;
   {
     BmkSched sched(&ex, &cpu);
-    sched.Spawn("sleeper", [&] { return SleeperThread(&sched, &wakes); });
+    sched.Spawn([&] { return SleeperThread(&sched, &wakes); });
     ex.RunFor(Millis(3));
     EXPECT_GT(sched.parked_threads(), 0u);
   }  // Scheduler destroyed with a thread parked on a timer.
@@ -63,9 +63,9 @@ TEST(BmkSchedTest, DestructionCancelsThreadsParkedOutOfOrder) {
   {
     BmkSched sched(&ex, &cpu);
     // The newest park heads the list: c (3 ms), b (1 ms), a (2 ms).
-    sched.Spawn("a", [&] { return Napper(&sched, {Millis(2)}, &wakes); });
-    sched.Spawn("b", [&] { return Napper(&sched, {Millis(1), Micros(500)}, &wakes); });
-    sched.Spawn("c", [&] { return Napper(&sched, {Millis(3)}, &wakes); });
+    sched.Spawn([&] { return Napper(&sched, {Millis(2)}, &wakes); });
+    sched.Spawn([&] { return Napper(&sched, {Millis(1), Micros(500)}, &wakes); });
+    sched.Spawn([&] { return Napper(&sched, {Millis(3)}, &wakes); });
     EXPECT_EQ(sched.parked_threads(), 3u);
     // b wakes first, from the middle of the list, and parks again at its
     // head; its second wake takes it off the head.
@@ -98,8 +98,8 @@ TEST(BmkSchedTest, RunSerializesOnVcpu) {
   BmkSched sched(&ex, &cpu);
   int a = 0;
   int b = 0;
-  sched.Spawn("hog-a", [&] { return CpuHog(&sched, &a, 10); });
-  sched.Spawn("hog-b", [&] { return CpuHog(&sched, &b, 10); });
+  sched.Spawn([&] { return CpuHog(&sched, &a, 10); });
+  sched.Spawn([&] { return CpuHog(&sched, &b, 10); });
   ex.RunUntilIdle();
   EXPECT_EQ(a, 10);
   EXPECT_EQ(b, 10);
@@ -120,8 +120,8 @@ TEST(BmkSchedTest, YieldInterleavesCooperatively) {
   Vcpu cpu(&ex);
   BmkSched sched(&ex, &cpu);
   std::vector<int> order;
-  sched.Spawn("y1", [&] { return Yielder(&sched, &order, 1, 3); });
-  sched.Spawn("y2", [&] { return Yielder(&sched, &order, 2, 3); });
+  sched.Spawn([&] { return Yielder(&sched, &order, 1, 3); });
+  sched.Spawn([&] { return Yielder(&sched, &order, 2, 3); });
   ex.RunUntilIdle();
   ASSERT_EQ(order.size(), 6u);
   // Eager starts: 1, 2, then strict alternation.

@@ -78,8 +78,8 @@ TEST(CpuAttributionTest, ExactPerCategorySumsUnderContention) {
 
   const CpuCategory* cat_a = KITE_CPU_CATEGORY("test/contend-a");
   const CpuCategory* cat_b = KITE_CPU_CATEGORY("test/contend-b");
-  sched.Spawn("a", [&] { return Worker(&sched, cat_a, Nanos(100), 3); });
-  sched.Spawn("b", [&] { return Worker(&sched, cat_b, Nanos(250), 2); });
+  sched.Spawn([&] { return Worker(&sched, cat_a, Nanos(100), 3); });
+  sched.Spawn([&] { return Worker(&sched, cat_b, Nanos(250), 2); });
   ex.RunUntilIdle();
 
   EXPECT_EQ(cpu.attributed_busy(cat_a->index), Nanos(300));
@@ -122,9 +122,9 @@ TEST(CpuAttributionTest, YieldChargesNothingButRecordsWait) {
 
   const CpuCategory* busy_cat = KITE_CPU_CATEGORY("test/yield-busy");
   SimTime resumed_at;
-  sched.Spawn("worker", [&] { return Worker(&sched, busy_cat, Nanos(100), 1); });
+  sched.Spawn([&] { return Worker(&sched, busy_cat, Nanos(100), 1); });
   // The yield queues behind the worker's 100ns charged at t=0.
-  sched.Spawn("yielder", [&] { return Yielder(&sched, &resumed_at); });
+  sched.Spawn([&] { return Yielder(&sched, &resumed_at); });
   ex.RunUntilIdle();
 
   EXPECT_EQ(sched.yield_count(), 1u);
@@ -182,9 +182,10 @@ struct AttributedRun {
 };
 
 AttributedRun RunShuffledPings(bool attribution, uint64_t seed) {
-  KiteSystem::Params params;
-  params.cpu_attribution = attribution;
-  KiteSystem sys(params);
+  KiteSystem sys;
+  if (attribution) {
+    sys.EnableCpuAttribution();
+  }
   sys.EnableScheduleShuffle(seed);
   NetworkDomain* netdom = sys.CreateNetworkDomain();
   GuestVm* guest = sys.CreateGuest("cpuattr-guest");

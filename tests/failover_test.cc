@@ -5,6 +5,7 @@
 // shard and evacuate a stalled one without operator intervention.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -438,6 +439,117 @@ TEST(FailoverTest, RebalancerEvacuatesStalledStorageShard) {
   EXPECT_EQ(pool.Shards(DeviceKind::kVbd).size(), 2u);
   ExpectReadBack(&sys, guest, 0, 0x44);
   ExpectCoherent(&sys);
+}
+
+// A one-shard storage pool under tight thresholds: an evacuation restarts
+// the shard and relinks its guest to the replacement, so the same guest can
+// wedge the same slot again and again.
+struct OneStorageShard {
+  OneStorageShard() : sys(Tuned()), pool(&sys) {
+    shard = sys.CreateStorageDomain();
+    pool.AddShard(shard);
+    RebalancerParams rp;
+    rp.degraded_hysteresis = Seconds(1);  // A degraded blip never drains.
+    reb = std::make_unique<Rebalancer>(&sys, &pool, rp);
+    guest = sys.CreateGuest("db-vm");
+    EXPECT_EQ(pool.AttachVbd(guest), shard);
+    EXPECT_TRUE(sys.WaitConnected(guest));
+  }
+  static KiteSystem::Params Tuned() {
+    KiteSystem::Params params;
+    params.disk_store_data = true;
+    params.health.probe_period = Millis(1);
+    params.health.degraded_after = Millis(5);
+    params.health.stalled_after = Millis(20);
+    return params;
+  }
+  HealthState ShardState() {
+    HealthState worst = HealthState::kHealthy;
+    for (const auto& inst : sys.health().Instances()) {
+      if (inst.dom == shard->domain()->id() && inst.state > worst) {
+        worst = inst.state;
+      }
+    }
+    return worst;
+  }
+  void RunUntil(SimTime t) {
+    ASSERT_LT(sys.Now(), t);
+    sys.RunFor(t - sys.Now());
+  }
+  uint64_t backoff_defers() {
+    return sys.metric_registry().counter("core", "rebalance", "backoff_defers")->value();
+  }
+  // Hangs one write and waits for the evacuation it causes; the write is
+  // requeued through the replacement and acked there.
+  SimTime StallUntilEvacuated(uint8_t pattern) {
+    const uint64_t before = reb->evacuations();
+    bool acked = false;
+    HangOneWrite(&sys, guest, shard, 0, pattern, &acked);
+    EXPECT_TRUE(sys.WaitUntil([&] { return reb->evacuations() > before; }, Seconds(10)));
+    const SimTime at = sys.Now();
+    EXPECT_TRUE(sys.WaitUntil([&] { return acked && guest->blkfront()->connected(); }));
+    return at;
+  }
+
+  KiteSystem sys;
+  DomainPool pool;
+  StorageDomain* shard = nullptr;
+  std::unique_ptr<Rebalancer> reb;
+  GuestVm* guest = nullptr;
+};
+
+TEST(FailoverTest, HealthyShardRestartsItsEvacuationBackoff) {
+  OneStorageShard t;
+  const SimTime first = t.StallUntilEvacuated(0x51);
+
+  // Degraded, then healthy again before it stalls: the streak resets.
+  bool acked = false;
+  HangOneWrite(&t.sys, t.guest, t.shard, 0, 0x52, &acked);
+  ASSERT_TRUE(t.sys.WaitUntil([&] { return t.ShardState() == HealthState::kDegraded; }));
+  t.shard->disk()->ReleaseHungIo();
+  ASSERT_TRUE(t.sys.WaitUntil([&] { return acked && t.ShardState() == HealthState::kHealthy; }));
+  t.RunUntil(first + Millis(100));  // The first backoff window is over.
+
+  // With the streak reset this evacuation is the first again, so the next
+  // one waits only the base backoff; without it, 200 ms.
+  const SimTime second = t.StallUntilEvacuated(0x53);
+  t.RunUntil(second + Millis(85));
+  t.StallUntilEvacuated(0x54);
+  EXPECT_EQ(t.reb->evacuations(), 3u);
+  EXPECT_EQ(t.backoff_defers(), 0u);
+  ExpectReadBack(&t.sys, t.guest, 0, 0x54);
+  ExpectCoherent(&t.sys);
+}
+
+TEST(FailoverTest, StallInsideBackoffWindowEvacuatesWhenItEndsIfStillStalled) {
+  OneStorageShard t;
+  const SimTime first = t.StallUntilEvacuated(0x61);
+
+  // Wedged again inside the 100 ms window: deferred, then evacuated the
+  // moment the window ends.
+  bool acked = false;
+  HangOneWrite(&t.sys, t.guest, t.shard, 0, 0x62, &acked);
+  ASSERT_TRUE(t.sys.WaitUntil([&] { return t.backoff_defers() == 1; }));
+  EXPECT_LT(t.sys.Now(), first + Millis(100));
+  EXPECT_EQ(t.reb->evacuations(), 1u);
+  ASSERT_TRUE(t.sys.WaitUntil([&] { return t.reb->evacuations() == 2; }));
+  const SimTime second = t.sys.Now();
+  EXPECT_EQ(second, first + Millis(100));
+  ASSERT_TRUE(t.sys.WaitUntil([&] { return acked && t.guest->blkfront()->connected(); }));
+
+  // Wedged inside the next (200 ms) window but answering again before it
+  // ends: the deferred retry finds the shard healthy and leaves it alone.
+  acked = false;
+  HangOneWrite(&t.sys, t.guest, t.shard, 0, 0x63, &acked);
+  ASSERT_TRUE(t.sys.WaitUntil([&] { return t.backoff_defers() == 2; }));
+  EXPECT_LT(t.sys.Now(), second + Millis(200));
+  t.shard->disk()->ReleaseHungIo();
+  ASSERT_TRUE(t.sys.WaitUntil([&] { return acked && t.ShardState() == HealthState::kHealthy; }));
+  t.RunUntil(second + Millis(300));
+  EXPECT_EQ(t.reb->evacuations(), 2u);
+  EXPECT_EQ(t.backoff_defers(), 2u);
+  ExpectReadBack(&t.sys, t.guest, 0, 0x63);
+  ExpectCoherent(&t.sys);
 }
 
 TEST(FailoverTest, MixedPoolKeepsDeviceKindsApart) {

@@ -458,7 +458,7 @@ TEST(XenbusNamesTest, AllStatesNamed) {
   EXPECT_STREQ(XenbusStateName(XenbusState::kClosed), "Closed");
 }
 
-// --- PCI / IOMMU. ---
+// --- PCI passthrough. ---
 
 class TestPciDevice : public PciDevice {
  public:
@@ -468,40 +468,8 @@ class TestPciDevice : public PciDevice {
 TEST_F(HvTest, PciAssignmentAndIrq) {
   Domain* dd = hv_.CreateDomain("driver", 1, 512);
   TestPciDevice dev;
-  EXPECT_TRUE(hv_.AssignPci(&dev, dd, true));
-  EXPECT_FALSE(hv_.AssignPci(&dev, hv_.dom0(), true));  // Already assigned.
-  int irqs = 0;
-  dev.SetIrqHandler([&] { ++irqs; });
-  dev.RaiseIrq();
-  ex_.RunUntilIdle();
-  EXPECT_EQ(irqs, 1);
-}
-
-TEST_F(HvTest, IommuRestrictsDma) {
-  Domain* dd = hv_.CreateDomain("driver", 1, 512);
-  Domain* victim = hv_.CreateDomain("victim", 1, 512);
-  TestPciDevice dev;
-  hv_.AssignPci(&dev, dd, /*iommu=*/true);
-  EXPECT_TRUE(dev.DmaAllowed(dd));
-  EXPECT_FALSE(dev.DmaAllowed(victim));
-
-  TestPciDevice unprotected;
-  Domain* dd2 = hv_.CreateDomain("driver2", 1, 512);
-  hv_.AssignPci(&unprotected, dd2, /*iommu=*/false);
-  // Without IOMMU a malicious device can DMA anywhere — the paper's threat.
-  EXPECT_TRUE(unprotected.DmaAllowed(victim));
-}
-
-TEST_F(HvTest, IrqAfterUnassignIsDropped) {
-  Domain* dd = hv_.CreateDomain("driver", 1, 512);
-  TestPciDevice dev;
-  hv_.AssignPci(&dev, dd, true);
-  int irqs = 0;
-  dev.SetIrqHandler([&] { ++irqs; });
-  hv_.UnassignPci(&dev);
-  dev.RaiseIrq();
-  ex_.RunUntilIdle();
-  EXPECT_EQ(irqs, 0);
+  EXPECT_TRUE(hv_.AssignPci(&dev, dd));
+  EXPECT_FALSE(hv_.AssignPci(&dev, hv_.dom0()));  // Already assigned.
 }
 
 }  // namespace

@@ -22,7 +22,8 @@ TEST(FrameCodecTest, UdpRoundTripWithChecksum) {
   udp.src_port = 6000;
   udp.dst_port = 53;
   udp.payload = {1, 2, 3, 4, 5};
-  Buffer bytes = SerializeUdp(udp, kIpA, kIpB);
+  Buffer bytes;
+  SerializeUdpInto(udp, kIpA, kIpB, &bytes);
   auto parsed = ParseUdp(bytes, kIpA, kIpB);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->src_port, 6000);
@@ -35,7 +36,8 @@ TEST(FrameCodecTest, UdpChecksumDetectsCorruption) {
   udp.src_port = 1;
   udp.dst_port = 2;
   udp.payload = {9, 9, 9};
-  Buffer bytes = SerializeUdp(udp, kIpA, kIpB);
+  Buffer bytes;
+  SerializeUdpInto(udp, kIpA, kIpB, &bytes);
   bytes[9] ^= 0xff;  // Corrupt payload.
   EXPECT_FALSE(ParseUdp(bytes, kIpA, kIpB).has_value());
 }
@@ -46,7 +48,8 @@ TEST(FrameCodecTest, IcmpRoundTrip) {
   icmp.ident = 0x1234;
   icmp.sequence = 7;
   icmp.payload.assign(56, 0xa5);
-  Buffer bytes = SerializeIcmp(icmp);
+  Buffer bytes;
+  SerializeIcmpInto(icmp, &bytes);
   auto parsed = ParseIcmp(bytes);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->is_echo_request);
@@ -64,7 +67,8 @@ TEST(FrameCodecTest, TcpRoundTripFlags) {
   seg.syn = true;
   seg.ack_flag = true;
   seg.window = 4000;
-  Buffer bytes = SerializeTcp(seg, kIpA, kIpB);
+  Buffer bytes;
+  SerializeTcpInto(seg, kIpA, kIpB, &bytes);
   auto parsed = ParseTcp(bytes, kIpA, kIpB);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->syn);
@@ -98,7 +102,8 @@ TEST(FrameCodecTest, Ipv4RoundTripAllProtocols) {
       m.payload = {5};
       p.l4 = m;
     }
-    Buffer bytes = SerializeIpv4(p);
+    Buffer bytes;
+    SerializeIpv4Into(p, &bytes);
     auto parsed = ParseIpv4(bytes);
     ASSERT_TRUE(parsed.has_value()) << "proto " << int(proto);
     EXPECT_EQ(parsed->src, kIpA);
@@ -115,7 +120,8 @@ TEST(FrameCodecTest, Ipv4HeaderChecksumDetectsCorruption) {
   UdpDatagram u;
   u.payload = {1};
   p.l4 = u;
-  Buffer bytes = SerializeIpv4(p);
+  Buffer bytes;
+  SerializeIpv4Into(p, &bytes);
   bytes[12] ^= 0x01;  // Corrupt source address.
   EXPECT_FALSE(ParseIpv4(bytes).has_value());
 }
@@ -131,7 +137,8 @@ TEST(FrameCodecTest, ArpAndEthernetRoundTrip) {
   frame.src = arp.sender_mac;
   frame.ethertype = kEtherTypeArp;
   frame.payload = arp;
-  Buffer bytes = SerializeEthernet(frame);
+  Buffer bytes;
+  SerializeEthernetInto(frame, &bytes);
   auto parsed = ParseEthernet(bytes);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_NE(parsed->arp(), nullptr);
@@ -344,7 +351,8 @@ TEST_P(ReassemblyRules, Outcome) {
   for (size_t i = 0; i < udp.payload.size(); ++i) {
     udp.payload[i] = static_cast<uint8_t>(i * 131 + 17);
   }
-  const Buffer l4 = SerializeUdp(udp, kIpA, kIpB);
+  Buffer l4;
+  SerializeUdpInto(udp, kIpA, kIpB, &l4);
 
   Ipv4Reassembler reasm;
   reasm.set_max_pending(c.max_pending);

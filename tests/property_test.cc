@@ -105,7 +105,8 @@ class WatchIndexFuzz : public ::testing::TestWithParam<int> {};
 // empty components and trailing '/' exercise the normalization.
 TEST_P(WatchIndexFuzz, FiresWhatAPathIsUnderScanFires) {
   Executor ex;
-  XenStore store(&ex);
+  FlightRecorder recorder(&ex);
+  XenStore store(&ex, &recorder);
   Rng rng(GetParam() * 7919 + 1);
   const char* const kParts[] = {"a", "ab", "b", ""};
   auto random_path = [&] {
@@ -249,7 +250,8 @@ TEST_P(CodecFuzz, EthernetRoundTripRandomPackets) {
     }
     frame.payload = std::move(p);
 
-    Buffer bytes = SerializeEthernet(frame);
+    Buffer bytes;
+    SerializeEthernetInto(frame, &bytes);
     auto parsed = ParseEthernet(bytes);
     ASSERT_TRUE(parsed.has_value()) << "iteration " << i;
     ASSERT_NE(parsed->ip(), nullptr);
@@ -258,7 +260,9 @@ TEST_P(CodecFuzz, EthernetRoundTripRandomPackets) {
     EXPECT_EQ(parsed->ip()->proto, frame.ip()->proto);
     EXPECT_EQ(parsed->ip()->L4Bytes(), frame.ip()->L4Bytes());
     // Re-serialization is byte-identical (canonical encoding).
-    EXPECT_EQ(SerializeEthernet(*parsed), bytes);
+    Buffer again;
+    SerializeEthernetInto(*parsed, &again);
+    EXPECT_EQ(again, bytes);
   }
 }
 

@@ -248,11 +248,11 @@ struct PingRun {
 
 PingRun RunShuffledPings(bool telemetry) {
   KiteSystem::Params params;
-  params.sampler.enabled = telemetry;
   params.sampler.period = Millis(1);
   KiteSystem sys(params);
   sys.EnableScheduleShuffle(7);
   if (telemetry) {
+    sys.sampler().Start();
     sys.executor().EnableDispatchProfiler();
   }
   NetworkDomain* netdom = sys.CreateNetworkDomain();
