@@ -30,6 +30,7 @@
 //
 // Flags: --events=N (per micro workload), --parked=N (scale workload),
 //        --guests=N --pings=N (macro), --skip-macro.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <coroutine>
@@ -37,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench/common.h"
 #include "bench/legacy_executor.h"
@@ -404,6 +406,42 @@ Measured MedianRound(double (*legacy)(const BenchConfig&),
   return r[1];
 }
 
+// What turning an instrument on costs a workload, in percent of its
+// disabled throughput, with the throughputs of the pair that measured it.
+struct Overhead {
+  double off;
+  double on;
+  double percent;
+};
+
+// The median of the per-pair overheads over interleaved off/on pairs, the
+// side that runs first alternating from pair to pair. Pairing makes load
+// drift hit both sides alike, alternation cancels any edge of running
+// second, and the median drops the pairs a load spike or a descheduling
+// split; both CI guards (10%) read this estimator.
+Overhead MedianPairedOverhead(double (*run)(const BenchConfig&, bool), const BenchConfig& cfg) {
+  constexpr int kPairs = 15;
+  BenchConfig warm = cfg;
+  warm.events = cfg.events / 10;
+  (void)run(warm, false);
+  (void)run(warm, true);
+  std::vector<Overhead> pairs(kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    Overhead& p = pairs[i];
+    if (i % 2 == 0) {
+      p.off = run(cfg, false);
+      p.on = run(cfg, true);
+    } else {
+      p.on = run(cfg, true);
+      p.off = run(cfg, false);
+    }
+    p.percent = (p.off / p.on - 1.0) * 100.0;
+  }
+  std::nth_element(pairs.begin(), pairs.begin() + kPairs / 2, pairs.end(),
+                   [](const Overhead& a, const Overhead& b) { return a.percent < b.percent; });
+  return pairs[kPairs / 2];
+}
+
 int64_t FlagValue(int argc, char** argv, const char* name, int64_t def) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
@@ -478,55 +516,25 @@ int Main(int argc, char** argv) {
   report.Value("speedup", "geomean", geo);
 
   // Telemetry overhead: the timer workload with the sampling profiler and a
-  // 1 ms MetricSampler on vs off, paired median-of-3 like the engine rounds.
+  // 1 ms MetricSampler on vs off.
   {
-    BenchConfig warm = cfg;
-    warm.events = cfg.events / 10;
-    (void)RunTelemetry(warm, false);
-    (void)RunTelemetry(warm, true);
-    struct Pair {
-      double off, on;
-      double overhead() const { return (off / on - 1.0) * 100.0; }
-    };
-    Pair r[3];
-    for (Pair& p : r) {
-      p.off = RunTelemetry(cfg, false);
-      p.on = RunTelemetry(cfg, true);
-    }
-    if (r[0].overhead() > r[1].overhead()) std::swap(r[0], r[1]);
-    if (r[1].overhead() > r[2].overhead()) std::swap(r[1], r[2]);
-    if (r[0].overhead() > r[1].overhead()) std::swap(r[0], r[1]);
-    const Pair m = r[1];
-    std::printf("telemetry on/off: %15.0f %15.0f ev/s — overhead %+.1f%%\n", m.on,
-                m.off, m.overhead());
-    report.Value("events_per_sec", "telemetry:off", m.off);
-    report.Value("events_per_sec", "telemetry:on", m.on);
-    report.Value("telemetry_overhead_percent", "timers", m.overhead());
+    const Overhead o = MedianPairedOverhead(RunTelemetry, cfg);
+    std::printf("telemetry on/off: %15.0f %15.0f ev/s — overhead %+.1f%%\n", o.on, o.off,
+                o.percent);
+    report.Value("events_per_sec", "telemetry:off", o.off);
+    report.Value("events_per_sec", "telemetry:on", o.on);
+    report.Value("telemetry_overhead_percent", "timers", o.percent);
   }
 
   // CPU-attribution overhead: the vCPU-charging timer workload with the
-  // per-category ledgers on vs off. Best-of-5 paired passes per side: the
-  // fastest pass of each is the least load-perturbed estimate of the true
-  // cost, which is what the CI bound (10%) is about — median pairing still
-  // inherits whole-process cache-layout luck at this granularity.
+  // per-category ledgers on vs off.
   {
-    BenchConfig warm = cfg;
-    warm.events = cfg.events / 10;
-    (void)RunAttribution(warm, false);
-    (void)RunAttribution(warm, true);
-    double best_off = 0, best_on = 0;
-    for (int i = 0; i < 5; ++i) {
-      const double off = RunAttribution(cfg, false);
-      const double on = RunAttribution(cfg, true);
-      if (off > best_off) best_off = off;
-      if (on > best_on) best_on = on;
-    }
-    const double overhead = (best_off / best_on - 1.0) * 100.0;
-    std::printf("attribution on/off: %13.0f %15.0f ev/s — overhead %+.1f%%\n",
-                best_on, best_off, overhead);
-    report.Value("events_per_sec", "attribution:off", best_off);
-    report.Value("events_per_sec", "attribution:on", best_on);
-    report.Value("attribution_overhead_percent", "charge", overhead);
+    const Overhead o = MedianPairedOverhead(RunAttribution, cfg);
+    std::printf("attribution on/off: %13.0f %15.0f ev/s — overhead %+.1f%%\n", o.on, o.off,
+                o.percent);
+    report.Value("events_per_sec", "attribution:off", o.off);
+    report.Value("events_per_sec", "attribution:on", o.on);
+    report.Value("attribution_overhead_percent", "charge", o.percent);
   }
 
   if (!skip_macro) {

@@ -17,18 +17,8 @@ RawNetFrontend::RawNetFrontend(KiteSystem* sys, NetworkDomain* netdom, GuestVm* 
       fe_(FrontendPath(gid_, "vif", devid)) {}
 
 bool RawNetFrontend::Connect() {
-  XenStore& store = sys_->hv().store();
-  const std::string be = BackendPath(bid_, "vif", gid_, devid_);
-
   // Toolstack half of AttachVif (no Netfront).
-  store.Write(kDom0, fe_ + "/backend", be);
-  store.WriteInt(kDom0, fe_ + "/backend-id", bid_);
-  store.WriteInt(kDom0, fe_ + "/state", static_cast<int>(XenbusState::kInitialising));
-  store.Write(kDom0, be + "/frontend", fe_);
-  store.WriteInt(kDom0, be + "/frontend-id", gid_);
-  store.WriteInt(kDom0, be + "/state", static_cast<int>(XenbusState::kInitialising));
-  store.SetPermission(kDom0, fe_, bid_);
-  store.SetPermission(kDom0, be, gid_);
+  sys_->WriteDeviceLink(gid_, DeviceKind::kVif, devid_, bid_);
 
   // Frontend half, by hand: rings, grants, event channel, publication.
   Domain* gd = guest_->domain();
@@ -49,7 +39,7 @@ bool RawNetFrontend::Connect() {
   gd->StoreWriteInt(fe_ + "/rx-ring-ref", rx_gref_);
   gd->StoreWriteInt(fe_ + "/event-channel", port_);
   gd->StoreWriteInt(fe_ + "/request-rx-copy", 1);
-  XenbusClient bus(&store, gid_);
+  XenbusClient bus(&sys_->hv().store(), gid_);
   bus.SwitchState(fe_, XenbusState::kInitialised);
 
   return sys_->WaitUntil([this] { return vif() != nullptr && vif()->connected(); });
@@ -103,16 +93,8 @@ RawBlkFrontend::RawBlkFrontend(KiteSystem* sys, StorageDomain* stordom, GuestVm*
       fe_(FrontendPath(gid_, "vbd", devid)) {}
 
 bool RawBlkFrontend::Connect() {
-  XenStore& store = sys_->hv().store();
-  const std::string be = BackendPath(bid_, "vbd", gid_, devid_);
-
   // Toolstack half of AttachVbd (no Blkfront).
-  store.Write(kDom0, fe_ + "/backend", be);
-  store.WriteInt(kDom0, fe_ + "/backend-id", bid_);
-  store.Write(kDom0, be + "/frontend", fe_);
-  store.WriteInt(kDom0, be + "/frontend-id", gid_);
-  store.SetPermission(kDom0, fe_, bid_);
-  store.SetPermission(kDom0, be, gid_);
+  sys_->WriteDeviceLink(gid_, DeviceKind::kVbd, devid_, bid_);
   sys_->RunFor(Millis(5));  // Let blkback advertise.
 
   // Frontend half, by hand.
@@ -128,7 +110,7 @@ bool RawBlkFrontend::Connect() {
   gd->StoreWriteInt(fe_ + "/ring-ref", ring_gref_);
   gd->StoreWriteInt(fe_ + "/event-channel", port_);
   gd->StoreWriteInt(fe_ + "/feature-persistent", 0);
-  XenbusClient bus(&store, gid_);
+  XenbusClient bus(&sys_->hv().store(), gid_);
   bus.SwitchState(fe_, XenbusState::kInitialised);
 
   return sys_->WaitUntil([this] { return vbd() != nullptr && vbd()->connected(); });

@@ -1,11 +1,11 @@
 // Hand-rolled PV frontends for protocol fuzzing.
 //
-// These impersonate netfront/blkfront from a guest domain: they run the
-// toolstack xenstore writes AttachVif/AttachVbd would do, allocate and grant
-// the shared rings themselves, and publish Initialised — but never construct
-// a Netfront or Blkfront. That leaves the caller in full control of every
-// ring field, so it can push the exact malformed requests a compromised
-// guest could. Extracted from the Misbehaving*Frontend test fixtures so the
+// These impersonate netfront/blkfront from a guest domain: they write the
+// toolstack's device link as AttachVif/AttachVbd do (WriteDeviceLink),
+// allocate and grant the shared rings themselves, and publish Initialised —
+// but never construct a Netfront or Blkfront. That leaves the caller in full
+// control of every ring field, so it can push the exact malformed requests a
+// compromised guest could. Extracted from the Misbehaving*Frontend test fixtures so the
 // explore harness and the fuzz tests drive one implementation.
 //
 // Neither class advances simulated time: callers interleave Send*/Drain*

@@ -122,7 +122,7 @@ void InvariantChecker::CheckXenstoreDomains() {
 void InvariantChecker::CheckBackendOrphans() {
   // A backend reaps every device whose frontend domain was destroyed and
   // removes its node, then the backend/<type>/<fe> directory once it is
-  // empty. Either left behind is listed again by every scan.
+  // empty. Either left behind outlives its guest in xenstore.
   Hypervisor& hv = sys_->hv();
   const std::vector<std::string> none;
   for (DomId id : hv.live_domains()) {

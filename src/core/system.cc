@@ -341,7 +341,7 @@ void KiteSystem::DestroyGuest(GuestVm* guest) {
   // Frontend objects first (they hold watches and the Domain pointer), then
   // the domain itself. DestroyDomain removes the guest's xenstore subtree,
   // which fires the backends' frontend-death watches; the drivers reap the
-  // orphaned instances on their next scan.
+  // orphaned instances on their next wake.
   guest->stack_.reset();
   guest->netfront_.reset();
   guest->blkfront_.reset();

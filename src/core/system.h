@@ -294,7 +294,7 @@ class KiteSystem {
   GuestVm* CreateGuest(const std::string& name, int vcpus = 22, int memory_mb = 5120);
   // Destroys a guest VM (`xl destroy`): tears down its frontends, destroys
   // the domain, and lets the backend drivers reap the paired instances on
-  // their next scan. The pointer is invalid afterwards.
+  // their next wake. The pointer is invalid afterwards.
   void DestroyGuest(GuestVm* guest);
 
   // Toolstack operations (what `xl` does in the artifact, §A.4).
@@ -303,6 +303,11 @@ class KiteSystem {
   void AttachVif(GuestVm* guest, NetworkDomain* netdom, Ipv4Addr ip);
   // Attaches a VBD and instantiates blkfront.
   void AttachVbd(GuestVm* guest, StorageDomain* stordom);
+  // The toolstack keys that link a guest's device to backend `bid`, written
+  // by Dom0 for an attach and a relink alike: the backend's node, the
+  // frontend's link to it, both cross-domain grants, then backend-id. The
+  // fuzz frontends (src/check) write these and nothing else of an attach.
+  void WriteDeviceLink(DomId gid, DeviceKind kind, int devid, DomId bid);
 
   // --- Topology introspection (invariant checker, src/check). ---
   const std::vector<std::unique_ptr<NetworkDomain>>& network_domains() const {
@@ -427,10 +432,6 @@ class KiteSystem {
   // False, with nothing written, when `bid` is no live driver domain of the
   // device's kind.
   bool Relink(DomId gid, DeviceKind kind, int devid, DomId bid);
-  // The toolstack keys that link a guest's device to backend `bid`, written
-  // by Dom0 for an attach and a relink alike: the backend's node, the
-  // frontend's link to it, both cross-domain grants, then backend-id.
-  void WriteDeviceLink(DomId gid, DeviceKind kind, int devid, DomId bid);
 
   Params params_;
   Executor executor_;

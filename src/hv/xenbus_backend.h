@@ -1,13 +1,15 @@
 // XenbusBackend: backend invocation (paper §4.1), shared by netback (vifs)
 // and blkback (vbds). A root watch on the driver domain's backend/<type>
-// directory only wakes a xenwatch thread, which scans the directory. An
-// instance exists from the moment its backend node appears (Advertise()
-// publishes InitWait and any features) and connects once its frontend is
-// Initialised; a failed connect keeps it and rescans on a 1 ms timer. It is
-// reaped when its frontend's domain is destroyed or, once paired, when its
-// frontend reaches Closing/Closed, and retired through the online = 0 drain
-// handshake (migration). Shut-down instances wait in a graveyard until their
-// parked worker threads exit.
+// directory records the device its event names and wakes a xenwatch thread,
+// which visits only the named devices, as Linux's xenbus_dev_changed does;
+// only the watch's registration fire lists the whole directory. An instance
+// exists from the moment its backend node appears (Advertise() publishes
+// InitWait and any features) and connects once its frontend is Initialised;
+// a failed connect keeps it and revisits it on a 1 ms timer. It is reaped
+// when its frontend's domain is destroyed or, once paired, when its frontend
+// reaches Closing/Closed, and retired through the online = 0 drain handshake
+// (migration). Shut-down instances wait in a graveyard until their parked
+// worker threads exit.
 //
 // Each device is one Instance, a XenbusBackendInstance below that owns the
 // lifecycle both kinds share: identity and paths, the event channel, the
@@ -21,12 +23,14 @@
 #define SRC_HV_XENBUS_BACKEND_H_
 
 #include <algorithm>
+#include <charconv>
 #include <coroutine>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -272,8 +276,7 @@ class XenbusBackend {
     instances_retired_ = reg->counter(backend->name(), type + "-driver", "instances_retired");
     watch_ = backend_->StoreWatch(root_, type + "-backend",
                                   [this](const std::string& path, const std::string&) {
-                                    NoteOnlineTouched(path);
-                                    watch_wake_.Signal();
+                                    OnRootEvent(path);
                                   });
     scheds_.front()->Spawn([this] { return WatchThread(); });
   }
@@ -325,11 +328,30 @@ class XenbusBackend {
 
  private:
   using Key = std::pair<DomId, int>;  // (frontend domain, devid).
+  // xenstore lists children in byte order ("10" before "9"); the keys one
+  // wake visits follow it, so instances are created, and sharded across the
+  // vCPUs, in the order a listing of backend/<type> would find them.
+  struct ListingOrder {
+    bool operator()(const Key& a, const Key& b) const {
+      const int fe = CompareDecimal(a.first, b.first);
+      return fe != 0 ? fe < 0 : CompareDecimal(a.second, b.second) < 0;
+    }
+    static int CompareDecimal(int64_t a, int64_t b) {
+      char x[24];
+      char y[24];
+      const char* x_end = std::to_chars(x, x + sizeof(x), a).ptr;
+      const char* y_end = std::to_chars(y, y + sizeof(y), b).ptr;
+      return std::string_view(x, x_end - x).compare(std::string_view(y, y_end - y));
+    }
+  };
+  // The devices one wake visits. True: the key came from the root listing,
+  // so its node is known to exist; false: an event named it.
+  using Visits = std::map<Key, bool, ListingOrder>;
   struct Device {
     std::unique_ptr<Instance> inst;
-    // Watch on the frontend's state node: before pairing it reruns the scan
-    // when the frontend publishes, after pairing when the frontend closes or
-    // its domain is destroyed.
+    // Watch on the frontend's state node, naming this device: before pairing
+    // it fires when the frontend publishes, after pairing when the frontend
+    // closes or its domain is destroyed.
     WatchId fe_watch = 0;
   };
 
@@ -341,97 +363,154 @@ class XenbusBackend {
     }
   }
 
+  // One wake: sweeps the graveyard, reaps, drives drains, then visits the
+  // devices the wake's events named (all of backend/<type> after the root
+  // watch's registration fire).
   void Scan() {
     scans_->Inc();
     std::erase_if(dying_, [](const std::unique_ptr<Instance>& inst) { return inst->drained(); });
-    ReapDeadInstances();
+    Visits visits;
+    visits.swap(named_);
+    ReapDeadInstances(visits);
     ProcessDrains();
-    auto fdoms = backend_->StoreList(root_);
-    if (!fdoms.has_value()) {
-      return;
+    if (list_root_ && ListRoot(&visits)) {
+      list_root_ = false;
     }
     XenbusClient bus(&hv_->store(), backend_->id());
+    for (const auto& [key, listed] : visits) {
+      Visit(key, listed, bus);
+    }
+  }
+
+  // Advertises a named device's new instance and pairs it once its frontend
+  // is Initialised.
+  void Visit(const Key& key, bool listed, const XenbusClient& bus) {
+    // A node marked offline is mid-drain/retire: never advertise or pair
+    // against it — the frontend republishing now is relinking elsewhere.
+    // (offline_ was refreshed by ProcessDrains; no xenstore read.)
+    if (offline_.count(key) != 0) {
+      return;
+    }
+    auto it = devices_.find(key);
+    if (it == devices_.end()) {
+      if (!listed && !Probe(key)) {
+        return;
+      }
+      BmkSched* sched = scheds_[next_sched_++ % scheds_.size()];
+      it = devices_.emplace(key, Device{factory_(sched, key.first, key.second)}).first;
+      it->second.inst->Advertise();
+    }
+    Device& dev = it->second;
+    if (dev.inst->connected()) {
+      return;
+    }
+    const std::string fe_path = FrontendPath(key.first, Instance::kType, key.second);
+    if (bus.ReadState(fe_path) != XenbusState::kInitialised) {
+      if (dev.fe_watch == 0) {
+        dev.fe_watch = WatchFrontend(key, fe_path, "fe-state");
+      }
+      return;
+    }
+    if (!dev.inst->Connect()) {
+      // Transient by assumption (e.g. an injected grant-map failure): stay
+      // in InitWait and revisit shortly; the frontend watch alone won't fire
+      // again.
+      connect_retries_->Inc();
+      KITE_LOG(Warning) << Instance::kName << ": failed to connect " << fe_path
+                        << ", retrying";
+      Retry(KeyWaker(key));
+      return;
+    }
+    if (dev.fe_watch != 0) {
+      hv_->store().RemoveWatch(dev.fe_watch);
+    }
+    dev.fe_watch = WatchFrontend(key, fe_path, "fe-gone");
+    if (on_new_) {
+      on_new_(dev.inst.get());
+    }
+  }
+
+  // The one charged op a named device without an instance costs: does its
+  // node exist? A read that fails on a node that is there (an injected
+  // fault) keeps the key for the 1 ms retry; a missing node (a removed
+  // device) drops it.
+  bool Probe(const Key& key) {
+    const std::string node = NodePath(key);
+    if (backend_->StoreRead(node).has_value()) {
+      return true;
+    }
+    if (hv_->store().Exists(node)) {
+      Retry(KeyWaker(key));
+    }
+    return false;
+  }
+
+  // Adds every device under backend/<type> to `visits`: how a booted or
+  // restarted driver domain finds the devices that already exist. False when
+  // a listing failed on a directory that is there; the whole listing then
+  // reruns on the 1 ms retry.
+  bool ListRoot(Visits* visits) {
+    auto fdoms = backend_->StoreList(root_);
+    if (!fdoms.has_value()) {
+      return FailedOnMissing(root_);
+    }
+    bool complete = true;
     for (const std::string& fdom_str : *fdoms) {
       const int64_t fdom = ParseDecimal(fdom_str);
       if (fdom < 0) {
         continue;
       }
-      auto devids = backend_->StoreList(root_ + "/" + fdom_str);
+      const std::string fe_dir = root_ + "/" + fdom_str;
+      auto devids = backend_->StoreList(fe_dir);
       if (!devids.has_value()) {
+        complete = FailedOnMissing(fe_dir) && complete;
         continue;
       }
       for (const std::string& devid_str : *devids) {
         const int64_t devid = ParseDecimal(devid_str);
-        if (devid < 0) {
-          continue;
-        }
-        const Key key{static_cast<DomId>(fdom), static_cast<int>(devid)};
-        // A node marked offline is mid-drain/retire: never advertise or pair
-        // against it — the frontend republishing now is relinking elsewhere.
-        // (offline_ was refreshed by ProcessDrains above; no xenstore read.)
-        if (offline_.count(key) != 0) {
-          continue;
-        }
-        auto it = devices_.find(key);
-        if (it == devices_.end()) {
-          BmkSched* sched = scheds_[next_sched_++ % scheds_.size()];
-          it = devices_.emplace(key, Device{factory_(sched, key.first, key.second)}).first;
-          it->second.inst->Advertise();
-        }
-        Device& dev = it->second;
-        if (dev.inst->connected()) {
-          continue;
-        }
-        const std::string fe_path = FrontendPath(key.first, Instance::kType, key.second);
-        if (bus.ReadState(fe_path) != XenbusState::kInitialised) {
-          if (dev.fe_watch == 0) {
-            dev.fe_watch = WatchFrontend(fe_path, "fe-state");
-          }
-          continue;
-        }
-        if (!dev.inst->Connect()) {
-          // Transient by assumption (e.g. an injected grant-map failure):
-          // stay in InitWait and rescan shortly; the frontend watch alone
-          // won't fire again.
-          connect_retries_->Inc();
-          KITE_LOG(Warning) << Instance::kName << ": failed to connect " << fe_path
-                            << ", retrying";
-          hv_->executor()->PostAfter(Millis(1), KITE_POST_SITE("xenbus/connect-retry"),
-                                     Waker());
-          continue;
-        }
-        if (dev.fe_watch != 0) {
-          hv_->store().RemoveWatch(dev.fe_watch);
-        }
-        dev.fe_watch = WatchFrontend(fe_path, "fe-gone");
-        if (on_new_) {
-          on_new_(dev.inst.get());
+        if (devid >= 0) {
+          (*visits)[{static_cast<DomId>(fdom), static_cast<int>(devid)}] = true;
         }
       }
     }
+    return complete;
+  }
+
+  // After a failed listing: true when `path` is simply gone; otherwise the
+  // read failed (an injected fault) and a retry is posted.
+  bool FailedOnMissing(const std::string& path) {
+    if (!hv_->store().Exists(path)) {
+      return true;
+    }
+    Retry(Waker());
+    return false;
   }
 
   // Tears down paired instances whose frontend reached Closing/Closed, and
-  // any instance whose frontend domain was destroyed. An unpaired instance
-  // outlives a Closed frontend: a relinking frontend shows the Closed its
-  // dead backend left until its relink watch fires (Linux netback likewise
-  // keeps an online device when its frontend closes). A missing state node
-  // alone is not death: instances exist before their frontend publishes.
-  void ReapDeadInstances() {
+  // any instance whose frontend domain was destroyed. Only a device the wake
+  // named can have a new frontend state, so only those are read (uncharged,
+  // and only when paired); for every other instance the uncharged liveness
+  // test of its frontend domain is the whole check, which also covers a
+  // frontend that never wrote a state node for its watch to see removed. An
+  // unpaired instance outlives a Closed frontend: a relinking frontend shows
+  // the Closed its dead backend left until its relink watch fires (Linux
+  // netback likewise keeps an online device when its frontend closes).
+  void ReapDeadInstances(const Visits& visits) {
     XenbusClient bus(&hv_->store(), backend_->id());
     for (auto it = devices_.begin(); it != devices_.end();) {
       const Key key = it->first;
-      const XenbusState state =
-          bus.ReadState(FrontendPath(key.first, Instance::kType, key.second));
-      const bool closed = state == XenbusState::kClosing || state == XenbusState::kClosed;
-      const bool vanished =
-          state == XenbusState::kUnknown && hv_->domain(key.first) == nullptr;
-      if (!(closed && it->second.inst->connected()) && !vanished) {
+      bool dead = hv_->domain(key.first) == nullptr;
+      if (!dead && it->second.inst->connected() && visits.count(key) != 0) {
+        const XenbusState state =
+            bus.ReadState(FrontendPath(key.first, Instance::kType, key.second));
+        dead = state == XenbusState::kClosing || state == XenbusState::kClosed;
+      }
+      if (!dead) {
         ++it;
         continue;
       }
       std::unique_ptr<Instance> inst = Detach(it++);
-      // Drop the backend's device node so rescans don't see the corpse.
+      // Drop the backend's device node so no later listing finds the corpse.
       RemoveNode(key);
       inst->BeginShutdown();
       Bury(std::move(inst), FlightKind::kInstanceReaped, key);
@@ -483,24 +562,49 @@ class XenbusBackend {
     }
   }
 
-  // Root-watch helper: records nodes whose online key changed so the next
-  // scan reads only those. Event-carried state keeps the no-migration path
-  // free of xenstore ops (polling every node showed up as a fig11 tax).
-  void NoteOnlineTouched(const std::string& path) {
-    if (path.size() <= root_.size() + 1 || path.compare(0, root_.size(), root_) != 0) {
+  // The root watch: its registration fire (the root itself) asks for a full
+  // listing; a path under a device's node names that device, and a write to
+  // its online key also marks it for ProcessDrains, so the no-migration path
+  // reads no online key (polling every node showed up as a fig11 tax). An
+  // event naming only backend/<type>/<fe> (the directory cleanup after a
+  // reap) names no device and wakes nothing.
+  void OnRootEvent(const std::string& path) {
+    Key key;
+    std::string_view leaf;
+    if (path == root_) {
+      list_root_ = true;
+    } else if (ParseDevicePath(path, &key, &leaf)) {
+      named_.emplace(key, false);
+      if (leaf == "online") {
+        online_dirty_.insert(key);
+      }
+    } else {
       return;
     }
-    const std::string rest = path.substr(root_.size() + 1);  // <fdom>/<devid>/online
+    watch_wake_.Signal();
+  }
+
+  // Splits root_/<fe>/<devid>[/<leaf>] into the device's key and the rest
+  // of the path below its node ("" for the node itself).
+  bool ParseDevicePath(std::string_view path, Key* key, std::string_view* leaf) const {
+    if (path.size() <= root_.size() + 1 || path.substr(0, root_.size()) != root_ ||
+        path[root_.size()] != '/') {
+      return false;
+    }
+    const std::string_view rest = path.substr(root_.size() + 1);
     const size_t a = rest.find('/');
-    const size_t b = a == std::string::npos ? std::string::npos : rest.find('/', a + 1);
-    if (b == std::string::npos || rest.substr(b + 1) != "online") {
-      return;
+    if (a == std::string_view::npos) {
+      return false;  // backend/<type>/<fe> alone.
     }
+    const size_t b = std::min(rest.find('/', a + 1), rest.size());
     const int64_t fdom = ParseDecimal(rest.substr(0, a));
     const int64_t devid = ParseDecimal(rest.substr(a + 1, b - a - 1));
-    if (fdom >= 0 && devid >= 0) {
-      online_dirty_.insert({static_cast<DomId>(fdom), static_cast<int>(devid)});
+    if (fdom < 0 || devid < 0) {
+      return false;
     }
+    *key = {static_cast<DomId>(fdom), static_cast<int>(devid)};
+    *leaf = b < rest.size() ? rest.substr(b + 1) : std::string_view();
+    return true;
   }
 
   // Removes a device's instance from the live set: drops its frontend watch,
@@ -532,9 +636,9 @@ class XenbusBackend {
 
   // Removes a device's node, uncharged like the toolstack's own cleanup,
   // then its frontend's backend/<type>/<fe> directory once no device is left
-  // in it, as libxl's libxl__xs_path_cleanup does: otherwise every later
-  // scan lists the empty directory. backend/<type> stays: it is the root
-  // this driver watches.
+  // in it, as libxl's libxl__xs_path_cleanup does: otherwise the empty
+  // directory outlives its guest. backend/<type> stays: it is the root this
+  // driver watches.
   void RemoveNode(const Key& key) {
     XenStore& store = hv_->store();
     store.RemoveSubtree(kDom0, NodePath(key));
@@ -544,20 +648,39 @@ class XenbusBackend {
     }
   }
 
-  WatchId WatchFrontend(const std::string& fe_path, const char* token) {
+  WatchId WatchFrontend(const Key& key, const std::string& fe_path, const char* token) {
     return backend_->StoreWatch(fe_path + "/state", token,
-                                [this](const std::string&, const std::string&) {
+                                [this, key](const std::string&, const std::string&) {
+                                  named_.emplace(key, false);
                                   watch_wake_.Signal();
                                 });
   }
 
-  // A deferred rescan; a no-op once this driver is gone.
+  // A deferred wake that names no device (graveyard sweeps, drain polls); a
+  // no-op once this driver is gone.
   auto Waker() {
     return [this, alive = alive_] {
       if (*alive) {
         watch_wake_.Signal();
       }
     };
+  }
+
+  // A deferred wake that visits `key` again.
+  auto KeyWaker(const Key& key) {
+    return [this, alive = alive_, key] {
+      if (*alive) {
+        named_.emplace(key, false);
+        watch_wake_.Signal();
+      }
+    };
+  }
+
+  // The 1 ms retry of a failed connect, probe or listing.
+  template <typename Fn>
+  void Retry(Fn wake) {
+    hv_->executor()->PostAfter(Millis(1), KITE_POST_SITE("xenbus/connect-retry"),
+                               std::move(wake));
   }
 
   int CountFeWatches(bool connected) const {
@@ -583,6 +706,12 @@ class XenbusBackend {
   WatchId watch_ = 0;
   WakeFlag watch_wake_;
   std::map<Key, Device> devices_;
+  // Devices the watch events, retries and frontend watches named since the
+  // last wake; the next wake visits only these.
+  Visits named_;
+  // The root watch's registration fire, or a listing that failed: the next
+  // wake also visits every device under backend/<type>.
+  bool list_root_ = false;
   // Nodes whose online key the toolstack touched since the last scan
   // (paths carried by the root watch); read — and charged — only for these.
   std::set<Key> online_dirty_;
@@ -595,7 +724,7 @@ class XenbusBackend {
   Counter* connect_retries_;
   Counter* instances_reaped_;
   Counter* instances_retired_;
-  // Outlives `this` so posted rescans can detect destruction.
+  // Outlives `this` so posted wakes can detect destruction.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -36,6 +36,7 @@ std::string_view WatchKey(std::string_view prefix) {
 }  // namespace
 
 const XenStore::Node* XenStore::FindNode(std::string_view path) const {
+  ++node_lookups_;
   const Node* node = &root_;
   std::string_view part;
   while (NextComponent(&path, &part)) {

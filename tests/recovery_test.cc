@@ -684,6 +684,100 @@ TEST_P(RecoveryTest, StorageRestartBeforePublishLeavesOneBackendWatch) {
   EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
 }
 
+// Driver-domain xenstore ops (15 us each) charged by one guest lifecycle of
+// `kind` beside a standing fleet of `fleet` guests: create, attach,
+// connect, destroy, reap.
+uint64_t LifecycleXenstoreOps(OsKind os, DeviceKind kind, int fleet) {
+  KiteSystem sys;
+  sys.EnableCpuAttribution();
+  DriverDomainConfig config;
+  config.os = os;
+  NetworkDomain* netdom = nullptr;
+  StorageDomain* stordom = nullptr;
+  DriverDomain* dd = nullptr;
+  if (kind == DeviceKind::kVif) {
+    dd = netdom = sys.CreateNetworkDomain(config);
+  } else {
+    dd = stordom = sys.CreateStorageDomain(config);
+  }
+  auto attach = [&](GuestVm* g, int host) {
+    if (netdom != nullptr) {
+      sys.AttachVif(g, netdom, Ipv4Addr::FromOctets(10, 0, 0, static_cast<uint8_t>(host)));
+    } else {
+      sys.AttachVbd(g, stordom);
+    }
+    EXPECT_TRUE(sys.WaitConnected(g));
+  };
+  for (int i = 0; i < fleet; ++i) {
+    attach(sys.CreateGuest("fleet-" + std::to_string(i)), 20 + i);
+  }
+  sys.RunFor(Millis(10));
+  const CpuCategory* xenstore_op = KITE_CPU_CATEGORY("hv/xenstore_op");
+  Vcpu* vcpu = dd->domain()->vcpu(0);
+  const SimDuration before = vcpu->attributed_busy(xenstore_op->index);
+  auto reaped = [&] {
+    return netdom != nullptr ? netdom->driver()->instances_reaped()
+                             : stordom->driver()->instances_reaped();
+  };
+  GuestVm* guest = sys.CreateGuest("churn");
+  attach(guest, 200);
+  const uint64_t reaped_before = reaped();
+  sys.DestroyGuest(guest);
+  EXPECT_TRUE(sys.WaitUntil([&] { return reaped() > reaped_before; }));
+  return static_cast<uint64_t>((vcpu->attributed_busy(xenstore_op->index) - before).ns() /
+                               XenStore::kOpLatency.ns());
+}
+
+// A watch event names one device, and the backend's wake visits only that
+// device: what a guest lifecycle costs the driver domain in xenstore ops
+// does not grow with the guests already attached.
+TEST_P(RecoveryTest, LifecycleXenstoreOpsDoNotGrowWithTheFleet) {
+  for (const DeviceKind kind : {DeviceKind::kVif, DeviceKind::kVbd}) {
+    SCOPED_TRACE(DeviceTypeName(kind));
+    const uint64_t beside_two = LifecycleXenstoreOps(GetParam(), kind, 2);
+    const uint64_t beside_sixteen = LifecycleXenstoreOps(GetParam(), kind, 16);
+    EXPECT_GT(beside_two, 0u);
+    EXPECT_EQ(beside_sixteen, beside_two);
+  }
+}
+
+// Attach both kinds while every xenstore read fails: each backend's probe of
+// the device its watch named fails on a node that exists, so the device must
+// stay named and be probed again on the 1 ms retry until the fault clears.
+TEST_P(RecoveryTest, DevicesPairOnceFailedProbesClear) {
+  KiteSystem::Params params;
+  sys_ = std::make_unique<KiteSystem>(params);
+  DriverDomainConfig config;
+  config.os = GetParam();
+  netdom_ = sys_->CreateNetworkDomain(config);
+  stordom_ = sys_->CreateStorageDomain(config);
+  sys_->RunFor(Millis(1));  // The root watches' registration fires list empty roots.
+  guest_ = sys_->CreateGuest("app-vm");
+  sys_->faults().set_rate(FaultSite::kXenstoreRead, 1.0);
+  sys_->AttachVif(guest_, netdom_, kGuestIp);
+  sys_->AttachVbd(guest_, stordom_);
+  sys_->RunFor(Millis(5));
+  EXPECT_EQ(netdom_->driver()->instance_count(), 0);
+  EXPECT_EQ(stordom_->driver()->instance_count(), 0);
+  EXPECT_GE(sys_->faults().trips(FaultSite::kXenstoreRead), 4u);
+
+  sys_->faults().set_rate(FaultSite::kXenstoreRead, 0.0);
+  ASSERT_TRUE(sys_->WaitConnected(guest_));
+  EXPECT_EQ(netdom_->driver()->instance_count(), 1);
+  EXPECT_EQ(stordom_->driver()->instance_count(), 1);
+  EXPECT_EQ(netdom_->driver()->pending_fe_watch_count(), 0);
+  EXPECT_EQ(netdom_->driver()->paired_fe_watch_count(), 1);
+  EXPECT_EQ(stordom_->driver()->pending_fe_watch_count(), 0);
+  EXPECT_EQ(stordom_->driver()->paired_fe_watch_count(), 1);
+  EXPECT_TRUE(PingGuest());
+  bool read_ok = false;
+  guest_->blkfront()->Read(0, 4096, nullptr, [&](bool ok) { read_ok = ok; });
+  EXPECT_TRUE(sys_->WaitUntil([&] { return read_ok; }));
+  sys_->RunUntilIdle();
+  const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
+  EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+}
+
 INSTANTIATE_TEST_SUITE_P(Personalities, RecoveryTest,
                          ::testing::Values(OsKind::kKiteRumprun, OsKind::kUbuntuLinux),
                          [](const ::testing::TestParamInfo<OsKind>& info) {
