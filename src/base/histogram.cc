@@ -1,5 +1,6 @@
 #include "src/base/histogram.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace kite {
@@ -30,6 +31,21 @@ uint64_t LatencyHistogram::Percentile(double p) const {
     }
   }
   return max_;  // Unreachable: cumulative reaches count_.
+}
+
+void LatencyHistogram::Merge(const LatencyHistogram& other) {
+  if (other.count_ == 0) {
+    return;
+  }
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+  count_ += other.count_;
+  sum_ += other.sum_;
+  // Only the buckets from other's min to its max can hold observations.
+  const int last = BucketIndex(other.max_);
+  for (int i = BucketIndex(other.min_); i <= last; ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
 }
 
 void LatencyHistogram::Reset() {

@@ -79,6 +79,11 @@ class LatencyHistogram {
   uint64_t p99() const { return Percentile(99); }
   uint64_t p999() const { return Percentile(99.9); }
 
+  // Adds every observation of `other`, bucket by bucket: the result is
+  // exactly the histogram that recorded both sample sets (same count, sum,
+  // min, max and percentiles). Merging an empty histogram changes nothing.
+  void Merge(const LatencyHistogram& other);
+
   void Reset();
 
  private:

@@ -72,6 +72,38 @@ int64_t ParseDecimal(std::string_view s) {
   return value;
 }
 
+namespace {
+
+int DecimalDigits(uint32_t v) {
+  int digits = 1;
+  for (; v >= 10; v /= 10) {
+    ++digits;
+  }
+  return digits;
+}
+
+}  // namespace
+
+int CompareDecimalText(uint32_t a, uint32_t b) {
+  // With the shorter number scaled to the longer one's digit count the two
+  // compare as their texts do, except that a text that is a prefix of the
+  // other ("5" of "51712", "10" of "100") ties, and sorts first.
+  const int a_digits = DecimalDigits(a);
+  const int b_digits = DecimalDigits(b);
+  uint64_t x = a;
+  uint64_t y = b;
+  for (int i = a_digits; i < b_digits; ++i) {
+    x *= 10;
+  }
+  for (int i = b_digits; i < a_digits; ++i) {
+    y *= 10;
+  }
+  if (x != y) {
+    return x < y ? -1 : 1;
+  }
+  return a_digits - b_digits;
+}
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -29,6 +29,11 @@ bool PathIsUnder(std::string_view path, std::string_view prefix);
 // when the value does not fit in an int64_t.
 int64_t ParseDecimal(std::string_view s);
 
+// Compares the decimal forms of `a` and `b` in byte order ("10" < "9"),
+// as std::to_string(a).compare(std::to_string(b)) would, without formatting
+// either: <0, 0 or >0.
+int CompareDecimalText(uint32_t a, uint32_t b);
+
 // Escapes `s` for use inside a JSON string literal: quote, backslash, \n and
 // \t get their short escapes, other control bytes become \u00XX.
 std::string JsonEscape(const std::string& s);

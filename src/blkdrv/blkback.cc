@@ -26,18 +26,16 @@ BlkbackInstance::BlkbackInstance(Domain* backend, BmkSched* sched,
       params_(params),
       disk_(disk),
       wake_(sched) {
-  MetricRegistry* reg = &hv_->metrics();
-  const std::string& dev = name_;
-  requests_handled_ = reg->counter(backend->name(), dev, "requests_handled");
-  device_ops_ = reg->counter(backend->name(), dev, "device_ops");
-  segments_handled_ = reg->counter(backend->name(), dev, "segments_handled");
-  persistent_hits_ = reg->counter(backend->name(), dev, "persistent_hits");
-  indirect_requests_ = reg->counter(backend->name(), dev, "indirect_requests");
-  bad_requests_ = reg->counter(backend->name(), dev, "bad_request");
-  indirect_map_fails_ = reg->counter(backend->name(), dev, "indirect_map_fail");
-  req_queue_ns_ = reg->latency(backend->name(), dev, "req_queue_ns");
-  req_service_ns_ = reg->latency(backend->name(), dev, "req_service_ns");
-  device_ns_ = reg->latency(backend->name(), dev, "device_ns");
+  requests_handled_ = rows_.counter("requests_handled");
+  device_ops_ = rows_.counter("device_ops");
+  segments_handled_ = rows_.counter("segments_handled");
+  persistent_hits_ = rows_.counter("persistent_hits");
+  indirect_requests_ = rows_.counter("indirect_requests");
+  bad_requests_ = rows_.counter("bad_request");
+  indirect_map_fails_ = rows_.counter("indirect_map_fail");
+  req_queue_ns_ = rows_.latency("req_queue_ns");
+  req_service_ns_ = rows_.latency("req_service_ns");
+  device_ns_ = rows_.latency("device_ns");
 }
 
 BlkbackInstance::~BlkbackInstance() { *alive_ = false; }

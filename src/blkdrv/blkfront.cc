@@ -18,10 +18,8 @@ constexpr size_t kIndirectPoolPages = kBlkRingSize;
 
 Blkfront::Blkfront(Domain* guest, DomId backend_dom, int devid)
     : XenbusFrontend(guest, backend_dom, DeviceKind::kVbd, devid) {
-  MetricRegistry* reg = &hv_->metrics();
-  const std::string dev = StrFormat("xvd%d", devid);
-  req_ring_ns_ = reg->latency(guest->name(), dev, "req_ring_ns");
-  op_complete_ns_ = reg->latency(guest->name(), dev, "op_complete_ns");
+  req_ring_ns_ = rows_.latency("req_ring_ns");
+  op_complete_ns_ = rows_.latency("op_complete_ns");
   Start();
 }
 

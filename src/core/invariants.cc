@@ -1,6 +1,9 @@
 #include "src/core/invariants.h"
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string_view>
 
 #include "src/base/strings.h"
 
@@ -26,6 +29,8 @@ std::vector<Violation> InvariantChecker::Check() {
   CheckTcpLedger();
   CheckInstanceHealth();
   CheckMigrationsQuiesced();
+  CheckRegistryOwners();
+  CheckRecorderRings();
   return std::move(violations_);
 }
 
@@ -193,8 +198,8 @@ void InvariantChecker::CheckBlkInstances() {
 
 void InvariantChecker::CheckDiskLedger() {
   // Every device op any blkback instance ever submitted completed on some
-  // disk, as a success or an accounted I/O error. Registry device_ops
-  // counters survive instance and driver-domain lifetimes, and disks are
+  // disk, as a success or an accounted I/O error. A dead instance's
+  // device_ops fold into its driver domain's vbd-retired row, and disks are
   // handed over (never destroyed) across restarts, so both sides of the
   // ledger are cumulative.
   uint64_t submitted = 0;
@@ -303,6 +308,97 @@ void InvariantChecker::CheckMigrationsQuiesced() {
   if (in_flight != 0) {
     Fail("migrations-quiesced",
          StrFormat("%d VIF/VBD migration(s) still in flight at quiesce", in_flight));
+  }
+}
+
+namespace {
+
+// "vif3.0" / "vbd3.51712": a backend instance's registry device.
+bool ParseBackendDevice(const std::string& device, DeviceKind* kind, DomId* fe, int* devid) {
+  const std::string_view dev(device);
+  if (dev.starts_with("vif")) {
+    *kind = DeviceKind::kVif;
+  } else if (dev.starts_with("vbd")) {
+    *kind = DeviceKind::kVbd;
+  } else {
+    return false;
+  }
+  const size_t dot = dev.find('.');
+  if (dot == std::string_view::npos) {
+    return false;
+  }
+  const int64_t f = ParseDecimal(dev.substr(3, dot - 3));
+  const int64_t d = ParseDecimal(dev.substr(dot + 1));
+  if (f < 0 || d < 0 || f > INT32_MAX || d > INT32_MAX) {
+    return false;
+  }
+  *fe = static_cast<DomId>(f);
+  *devid = static_cast<int>(d);
+  return true;
+}
+
+}  // namespace
+
+void InvariantChecker::CheckRegistryOwners() {
+  // A destroyed guest's frontends and stack, and a reaped instance, fold
+  // their rows into retired rows as they die. What may still name a dead
+  // domain is its driver-level and retired rows (a driver domain destroyed
+  // for good); its names are the tracer's, which keeps every domain's.
+  Hypervisor& hv = sys_->hv();
+  std::set<std::string> live;
+  for (DomId id : hv.live_domains()) {
+    live.insert(hv.domain(id)->name());
+  }
+  std::set<std::string> dead;
+  for (const auto& [id, name] : hv.tracer().process_names()) {
+    if (live.count(name) == 0) {
+      dead.insert(name);
+    }
+  }
+  // Two live driver domains may share a name, so any of them may hold it.
+  auto held_by = [](const auto& domains, const std::string& name, DomId fe, int devid) {
+    return std::any_of(domains.begin(), domains.end(), [&](const auto& dd) {
+      return dd->domain()->name() == name && dd->driver() != nullptr &&
+             dd->driver()->has_instance(fe, devid);
+    });
+  };
+  auto has_instance = [&](const std::string& name, DeviceKind kind, DomId fe, int devid) {
+    return kind == DeviceKind::kVif ? held_by(sys_->network_domains(), name, fe, devid)
+                                    : held_by(sys_->storage_domains(), name, fe, devid);
+  };
+  std::set<std::string> reported;
+  for (const MetricRegistry::Sample& s : sys_->metrics()) {
+    const std::string label = s.key.domain + "/" + s.key.device;
+    if (reported.count(label) != 0) {
+      continue;
+    }
+    DeviceKind kind = DeviceKind::kVif;
+    DomId fe = 0;
+    int devid = 0;
+    if (dead.count(s.key.domain) != 0 && !s.key.device.ends_with("-driver") &&
+        !s.key.device.ends_with("-retired")) {
+      Fail("registry-orphan", StrFormat("%s/* names destroyed domain %s", label.c_str(),
+                                        s.key.domain.c_str()));
+      reported.insert(label);
+    } else if (live.count(s.key.domain) != 0 &&
+               ParseBackendDevice(s.key.device, &kind, &fe, &devid) &&
+               !has_instance(s.key.domain, kind, fe, devid)) {
+      Fail("registry-orphan",
+           StrFormat("%s/* names a %s with no live or draining instance", label.c_str(),
+                     DeviceTypeName(kind)));
+      reported.insert(label);
+    }
+  }
+}
+
+void InvariantChecker::CheckRecorderRings() {
+  Hypervisor& hv = sys_->hv();
+  const size_t live = hv.live_domains().size();
+  const size_t rings = hv.recorder().ring_count();
+  if (rings > live + FlightRecorder::kDeadRings) {
+    Fail("recorder-rings",
+         StrFormat("%zu flight-recorder ring(s) > %zu live domain(s) + %zu dead", rings, live,
+                   FlightRecorder::kDeadRings));
   }
 }
 

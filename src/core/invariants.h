@@ -66,6 +66,12 @@ class InvariantChecker {
   // Live migration: at quiesce no VIF/VBD move may still be in flight — a
   // stuck move means a drain or reconnect never completed.
   void CheckMigrationsQuiesced();
+  // Nothing outlives its guest: no registry row names a destroyed domain
+  // (beyond its driver-level and retired rows) or a backend device without
+  // an instance, and the flight recorder holds no more than the live
+  // domains' rings plus its dead-ring allowance.
+  void CheckRegistryOwners();
+  void CheckRecorderRings();
 
   KiteSystem* sys_;
   std::vector<Violation> violations_;

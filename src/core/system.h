@@ -292,9 +292,10 @@ class KiteSystem {
   StorageDomain* CreateStorageDomain(DriverDomainConfig config = DriverDomainConfig{},
                                      BlkbackParams blkback = BlkbackParams{});
   GuestVm* CreateGuest(const std::string& name, int vcpus = 22, int memory_mb = 5120);
-  // Destroys a guest VM (`xl destroy`): tears down its frontends, destroys
-  // the domain, and lets the backend drivers reap the paired instances on
-  // their next wake. The pointer is invalid afterwards.
+  // Destroys a guest VM (`xl destroy`): tears down its frontends and stack,
+  // whose registry rows fold into the machine-wide (guests, <type>-retired)
+  // rows, destroys the domain, and lets the backend drivers reap the paired
+  // instances on their next wake. The pointer is invalid afterwards.
   void DestroyGuest(GuestVm* guest);
 
   // Toolstack operations (what `xl` does in the artifact, §A.4).

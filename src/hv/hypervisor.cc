@@ -131,6 +131,7 @@ void Hypervisor::DestroyDomain(DomId id) {
     tracer_.Instant(id, 0, "lifecycle", "domain_destroy", executor_->Now());
   }
   recorder_.Record(id, FlightKind::kDomainDestroyed);
+  recorder_.DomainDestroyed(id);
   live_.erase(std::lower_bound(live_.begin(), live_.end(), id,
                                [](const Domain* d, DomId v) { return d->id() < v; }));
   domains_[id].reset();

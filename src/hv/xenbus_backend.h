@@ -23,7 +23,6 @@
 #define SRC_HV_XENBUS_BACKEND_H_
 
 #include <algorithm>
-#include <charconv>
 #include <coroutine>
 #include <functional>
 #include <map>
@@ -101,6 +100,8 @@ class XenbusBackendInstance {
         frontend_dom_(frontend_dom),
         devid_(devid),
         name_(StrFormat("%s%d.%d", type, frontend_dom, devid)),
+        rows_(hv_->metrics().Own(backend->name(), name_, backend->name(),
+                                 StrFormat("%s-retired", type))),
         backend_path_(BackendPath(backend->id(), type, frontend_dom, devid)),
         frontend_path_(FrontendPath(frontend_dom, type, devid)) {}
 
@@ -227,6 +228,10 @@ class XenbusBackendInstance {
   // <type><frontend>.<devid> ("vif3.0", "vbd3.51712"): the registry device
   // and the watchdog row.
   const std::string name_;
+  // The instance's registry rows, watchdog gauges included. They fold into
+  // (driver domain, "<type>-retired") once no instance of this device is
+  // left, so a successor created while this one drains shares them.
+  const MetricRegistry::Owner rows_;
   const std::string backend_path_;
   const std::string frontend_path_;
   bool connected_ = false;
@@ -308,6 +313,13 @@ class XenbusBackend {
     auto it = devices_.find({frontend_dom, devid});
     return it == devices_.end() ? nullptr : it->second.inst.get();
   }
+  // A live or a reaped-but-draining instance of the device exists.
+  bool has_instance(DomId frontend_dom, int devid) const {
+    return instance(frontend_dom, devid) != nullptr ||
+           std::any_of(dying_.begin(), dying_.end(), [&](const auto& inst) {
+             return inst->frontend_dom() == frontend_dom && inst->devid() == devid;
+           });
+  }
   // Live instances in deterministic (frontend, devid) order (checker).
   std::vector<Instance*> live_instances() const {
     std::vector<Instance*> out;
@@ -331,17 +343,14 @@ class XenbusBackend {
   // xenstore lists children in byte order ("10" before "9"); the keys one
   // wake visits follow it, so instances are created, and sharded across the
   // vCPUs, in the order a listing of backend/<type> would find them.
+  // Keys are never negative: both halves come from parsed decimal paths.
   struct ListingOrder {
     bool operator()(const Key& a, const Key& b) const {
-      const int fe = CompareDecimal(a.first, b.first);
-      return fe != 0 ? fe < 0 : CompareDecimal(a.second, b.second) < 0;
-    }
-    static int CompareDecimal(int64_t a, int64_t b) {
-      char x[24];
-      char y[24];
-      const char* x_end = std::to_chars(x, x + sizeof(x), a).ptr;
-      const char* y_end = std::to_chars(y, y + sizeof(y), b).ptr;
-      return std::string_view(x, x_end - x).compare(std::string_view(y, y_end - y));
+      const int fe = CompareDecimalText(static_cast<uint32_t>(a.first),
+                                        static_cast<uint32_t>(b.first));
+      return fe != 0 ? fe < 0
+                     : CompareDecimalText(static_cast<uint32_t>(a.second),
+                                          static_cast<uint32_t>(b.second)) < 0;
     }
   };
   // The devices one wake visits. True: the key came from the root listing,

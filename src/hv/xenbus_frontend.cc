@@ -11,10 +11,12 @@ XenbusFrontend::XenbusFrontend(Domain* guest, DomId backend_dom, DeviceKind kind
       backend_dom_(backend_dom),
       frontend_path_(FrontendPath(guest->id(), DeviceTypeName(kind), devid)),
       backend_path_(BackendPath(backend_dom, DeviceTypeName(kind), guest->id(), devid)),
+      rows_(hv_->metrics().Own(guest->name(),
+                               StrFormat(kind == DeviceKind::kVif ? "xn%d" : "xvd%d", devid),
+                               MetricRegistry::kGuestsRetired,
+                               StrFormat("%s-retired", DeviceTypeName(kind)))),
       kind_(kind),
-      recoveries_(hv_->metrics().counter(
-          guest->name(), StrFormat(kind == DeviceKind::kVif ? "xn%d" : "xvd%d", devid),
-          "recoveries")) {}
+      recoveries_(rows_.counter("recoveries")) {}
 
 XenbusFrontend::~XenbusFrontend() {
   *alive_ = false;

@@ -58,6 +58,10 @@ class XenbusFrontend {
   std::string backend_path_;
   EvtPort port_ = kInvalidPort;
   bool connected_ = false;
+  // The device's registry rows under (guest domain, xnN / xvdN). They fold
+  // into the machine-wide (guests, "<type>-retired") rows when the device
+  // is destroyed with its guest.
+  const MetricRegistry::Owner rows_;
 
  private:
   // What differs by device kind. Publish grants the rings and pages, calls
@@ -87,7 +91,6 @@ class XenbusFrontend {
   bool backend_was_live_ = false;
   // Outlives `this` so posted retries can detect destruction.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  // Registry-backed under (guest domain, xnN / xvdN, recoveries).
   Counter* recoveries_;
 };
 

@@ -56,15 +56,15 @@ EtherStack::EtherStack(Executor* executor, Vcpu* vcpu, NetIf* netif, StackParams
   netif_->SetInputHandler([this](const EthernetFrame& frame) { Input(frame); });
   netif_->SetUp(true);
   if (params_.metrics != nullptr) {
-    MetricRegistry* reg = params_.metrics;
-    const std::string& dom = params_.metrics_domain;
-    tcp_counters_.segs_out = reg->counter(dom, "tcp", "segs_out");
-    tcp_counters_.segs_in = reg->counter(dom, "tcp", "segs_in");
-    tcp_counters_.retransmits = reg->counter(dom, "tcp", "retransmits");
-    tcp_counters_.fast_retransmits = reg->counter(dom, "tcp", "fast_retransmits");
-    tcp_counters_.rto_fires = reg->counter(dom, "tcp", "rto_fires");
-    tcp_counters_.bytes_acked = reg->counter(dom, "tcp", "bytes_acked");
-    tcp_counters_.bytes_delivered = reg->counter(dom, "tcp", "bytes_delivered");
+    tcp_rows_ = params_.metrics->Own(params_.metrics_domain, "tcp",
+                                     MetricRegistry::kGuestsRetired, "tcp-retired");
+    tcp_counters_.segs_out = tcp_rows_.counter("segs_out");
+    tcp_counters_.segs_in = tcp_rows_.counter("segs_in");
+    tcp_counters_.retransmits = tcp_rows_.counter("retransmits");
+    tcp_counters_.fast_retransmits = tcp_rows_.counter("fast_retransmits");
+    tcp_counters_.rto_fires = tcp_rows_.counter("rto_fires");
+    tcp_counters_.bytes_acked = tcp_rows_.counter("bytes_acked");
+    tcp_counters_.bytes_delivered = tcp_rows_.counter("bytes_delivered");
   }
 }
 

@@ -142,7 +142,8 @@ class EtherStack {
   TcpFlowLedger* LedgerFor(Ipv4Addr peer_ip, uint16_t peer_port, uint16_t local_port);
 
   // Aggregate TCP counters under (metrics_domain, "tcp", <name>); all null
-  // when StackParams::metrics is unset.
+  // when StackParams::metrics is unset. The stack owns their group, which
+  // folds into the machine-wide (guests, "tcp-retired") rows when it dies.
   struct TcpStackCounters {
     Counter* segs_out = nullptr;
     Counter* segs_in = nullptr;
@@ -188,6 +189,7 @@ class EtherStack {
   std::map<ConnKey, std::unique_ptr<TcpConn>> conns_;
   std::map<uint16_t, std::unique_ptr<TcpListener>> listeners_;
   std::map<TcpFlowKey, TcpFlowLedger> tcp_ledgers_;
+  MetricRegistry::Owner tcp_rows_;
   TcpStackCounters tcp_counters_;
 
   uint64_t arp_requests_ = 0;

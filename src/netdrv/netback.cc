@@ -27,21 +27,22 @@ NetbackInstance::NetbackInstance(Domain* backend, BmkSched* sched,
       params_(params),
       tx_wake_(sched),
       rx_wake_(sched) {
-  MetricRegistry* reg = &hv_->metrics();
-  guest_tx_frames_ = reg->counter(backend->name(), ifname(), "guest_tx_frames");
-  guest_rx_frames_ = reg->counter(backend->name(), ifname(), "guest_rx_frames");
-  rx_queue_drops_ = reg->counter(backend->name(), ifname(), "rx_queue_drops");
-  tx_bad_requests_ = reg->counter(backend->name(), ifname(), "tx_bad_request");
-  rx_copy_fails_ = reg->counter(backend->name(), ifname(), "rx_copy_fail");
-  tx_copy_fails_ = reg->counter(backend->name(), ifname(), "tx_copy_fail");
-  tx_unparseable_ = reg->counter(backend->name(), ifname(), "tx_unparseable");
-  tx_queue_ns_ = reg->latency(backend->name(), ifname(), "tx_queue_ns");
-  tx_service_ns_ = reg->latency(backend->name(), ifname(), "tx_service_ns");
-  rx_queue_ns_ = reg->latency(backend->name(), ifname(), "rx_queue_ns");
-  rx_service_ns_ = reg->latency(backend->name(), ifname(), "rx_service_ns");
-  // Registry counters outlive instances (same key after a driver-domain
-  // restart); ring indices do not. Baselines make the per-instance
-  // conservation audit exact across restarts.
+  guest_tx_frames_ = rows_.counter("guest_tx_frames");
+  guest_rx_frames_ = rows_.counter("guest_rx_frames");
+  rx_queue_drops_ = rows_.counter("rx_queue_drops");
+  tx_bad_requests_ = rows_.counter("tx_bad_request");
+  rx_copy_fails_ = rows_.counter("rx_copy_fail");
+  tx_copy_fails_ = rows_.counter("tx_copy_fail");
+  tx_unparseable_ = rows_.counter("tx_unparseable");
+  tx_queue_ns_ = rows_.latency("tx_queue_ns");
+  tx_service_ns_ = rows_.latency("tx_service_ns");
+  rx_queue_ns_ = rows_.latency("rx_queue_ns");
+  rx_service_ns_ = rows_.latency("rx_service_ns");
+  // A device's rows outlive this instance while another instance of it
+  // still holds them (a successor created while a reaped or retired one
+  // drains); ring indices do not. Baselines make the per-instance
+  // conservation audit exact then. A driver-domain restart destroys every
+  // instance first, so the replacement's rows start from zero.
   tx_frames_base_ = guest_tx_frames_->value();
   tx_bad_base_ = tx_bad_requests_->value();
   tx_copy_fail_base_ = tx_copy_fails_->value();

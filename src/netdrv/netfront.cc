@@ -16,12 +16,11 @@ constexpr SimDuration kFrameCost = Nanos(400);
 Netfront::Netfront(Domain* guest, DomId backend_dom, int devid, MacAddr mac)
     : NetIf(StrFormat("xn%d", devid), mac),
       XenbusFrontend(guest, backend_dom, DeviceKind::kVif, devid) {
-  MetricRegistry* reg = &hv_->metrics();
-  tx_dropped_ = reg->counter(guest->name(), ifname(), "tx_dropped");
-  rx_errors_ = reg->counter(guest->name(), ifname(), "rx_errors");
-  recovery_drops_ = reg->counter(guest->name(), ifname(), "recovery_drops");
-  rx_bad_responses_ = reg->counter(guest->name(), ifname(), "rx_bad_response");
-  tx_complete_ns_ = reg->latency(guest->name(), ifname(), "tx_complete_ns");
+  tx_dropped_ = rows_.counter("tx_dropped");
+  rx_errors_ = rows_.counter("rx_errors");
+  recovery_drops_ = rows_.counter("recovery_drops");
+  rx_bad_responses_ = rows_.counter("rx_bad_response");
+  tx_complete_ns_ = rows_.latency("tx_complete_ns");
   Start();
 }
 

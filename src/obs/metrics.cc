@@ -45,6 +45,57 @@ LatencyHistogram* MetricRegistry::latency(const std::string& domain,
   return GetOrCreate({domain, device, name}, Kind::kLatency)->latency.get();
 }
 
+MetricRegistry::Owner MetricRegistry::Own(const std::string& domain, const std::string& device,
+                                          const std::string& retired_domain,
+                                          const std::string& retired_device) {
+  auto [it, inserted] = groups_.try_emplace({domain, device});
+  if (inserted) {
+    it->second.retired_domain = retired_domain;
+    it->second.retired_device = retired_device;
+  }
+  ++it->second.owners;
+  return Owner(this, it);
+}
+
+void MetricRegistry::Release(GroupMap::iterator group) {
+  if (--group->second.owners > 0) {
+    return;
+  }
+  const auto& [domain, device] = group->first;
+  const Group& to = group->second;
+  auto it = metrics_.lower_bound(MetricKey{domain, device, ""});
+  while (it != metrics_.end() && it->first.domain == domain && it->first.device == device) {
+    const Cell& cell = it->second;
+    switch (cell.kind) {
+      case Kind::kCounter:
+        counter(to.retired_domain, to.retired_device, it->first.name)
+            ->Add(cell.counter->value());
+        break;
+      case Kind::kLatency:
+        latency(to.retired_domain, to.retired_device, it->first.name)->Merge(*cell.latency);
+        break;
+      case Kind::kGauge:
+        break;  // A level means nothing once its owner is gone.
+    }
+    it = metrics_.erase(it);
+  }
+  groups_.erase(group);
+}
+
+void MetricRegistry::Owner::Release() {
+  if (registry_ != nullptr) {
+    std::exchange(registry_, nullptr)->Release(group_);
+  }
+}
+
+Counter* MetricRegistry::Owner::counter(const std::string& name) const {
+  return registry_->counter(group_->first.first, group_->first.second, name);
+}
+
+LatencyHistogram* MetricRegistry::Owner::latency(const std::string& name) const {
+  return registry_->latency(group_->first.first, group_->first.second, name);
+}
+
 std::vector<MetricRegistry::Sample> MetricRegistry::Snapshot(bool skip_zero) const {
   std::vector<Sample> out;
   out.reserve(metrics_.size());

@@ -9,6 +9,12 @@
 // member increments. The latency kind is the shared log-bucket histogram of
 // src/base/histogram.h.
 //
+// Rows of one (domain, device) form a group. A component that lives and dies
+// with a device (a backend instance, a frontend, a guest's stack) holds an
+// Owner on its group; when the group's last owner goes, its counters are
+// added and its histograms merged into a retired row and its cells freed, so
+// nothing a dead device registered outlives it while every total survives.
+//
 // Conventions (DESIGN.md §8):
 //   domain  — who owns the number ("hv", "fault", or a domain name such as
 //             "kite-netdom" / "ubuntu-guest0").
@@ -22,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/histogram.h"
@@ -67,8 +74,14 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  // Get-or-create: the same key always returns the same handle, and handles
-  // stay valid for the registry's lifetime. A key may not change kind
+  // Machine-wide domain of the retired rows of destroyed guests' devices
+  // ("guests/vif-retired/tx_dropped").
+  static constexpr const char* kGuestsRetired = "guests";
+
+  // Get-or-create: the same key always returns the same handle. A handle
+  // stays valid while its (domain, device) group has an owner, and for the
+  // registry's lifetime when the group never had one. A lookup takes no
+  // ownership, so readers never pin a row. A key may not change kind
   // (counter vs gauge vs latency); doing so aborts.
   Counter* counter(const std::string& domain, const std::string& device,
                    const std::string& name);
@@ -108,6 +121,59 @@ class MetricRegistry {
   size_t size() const { return metrics_.size(); }
 
  private:
+  struct Group {
+    int owners = 0;
+    std::string retired_domain;
+    std::string retired_device;
+  };
+  using GroupMap = std::map<std::pair<std::string, std::string>, Group>;
+
+ public:
+  // One owner's reference on a (domain, device) group, released at
+  // destruction. Several owners may hold one group at once (a draining
+  // instance and its successor for the same device); the last release folds
+  // the group: each counter is added to, and each histogram merged into,
+  // the same-named row under (retired_domain, retired_device), each gauge
+  // is dropped, and every cell is freed. An Owner must not outlive its
+  // registry.
+  class Owner {
+   public:
+    Owner() = default;
+    Owner(Owner&& other) noexcept
+        : registry_(std::exchange(other.registry_, nullptr)), group_(other.group_) {}
+    Owner& operator=(Owner&& other) noexcept {
+      if (this != &other) {
+        Release();
+        registry_ = std::exchange(other.registry_, nullptr);
+        group_ = other.group_;
+      }
+      return *this;
+    }
+    ~Owner() { Release(); }
+
+    // The group's rows by name (get-or-create, as the registry's own).
+    Counter* counter(const std::string& name) const;
+    LatencyHistogram* latency(const std::string& name) const;
+
+   private:
+    friend class MetricRegistry;
+    Owner(MetricRegistry* registry, GroupMap::iterator group)
+        : registry_(registry), group_(group) {}
+    void Release();
+
+    MetricRegistry* registry_ = nullptr;
+    GroupMap::iterator group_;
+  };
+
+  // Takes one ownership of (domain, device). The first owner names where
+  // the group retires to; later owners share it.
+  Owner Own(const std::string& domain, const std::string& device,
+            const std::string& retired_domain, const std::string& retired_device);
+
+  // Groups with at least one owner.
+  size_t owned_group_count() const { return groups_.size(); }
+
+ private:
   struct Cell {
     Kind kind;
     std::unique_ptr<Counter> counter;
@@ -116,8 +182,11 @@ class MetricRegistry {
   };
 
   Cell* GetOrCreate(const MetricKey& key, Kind kind);
+  // Drops one owner; the last one folds the group into its retired rows.
+  void Release(GroupMap::iterator group);
 
   std::map<MetricKey, Cell> metrics_;
+  GroupMap groups_;
 };
 
 }  // namespace kite

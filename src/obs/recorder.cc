@@ -58,10 +58,29 @@ FlightRecorder::FlightRecorder(Executor* executor, size_t capacity)
 FlightRecorder::DomainRing* FlightRecorder::ring(int32_t dom) {
   auto it = rings_.find(dom);
   if (it == rings_.end()) {
+    if (dom >= 0 && static_cast<size_t>(dom) < destroyed_.size() && destroyed_[dom]) {
+      return nullptr;
+    }
     it = rings_.emplace(dom, std::make_unique<DomainRing>(executor_, dom, capacity_))
              .first;
   }
   return it->second.get();
+}
+
+void FlightRecorder::DomainDestroyed(int32_t dom) {
+  if (dom >= 0) {
+    if (static_cast<size_t>(dom) >= destroyed_.size()) {
+      destroyed_.resize(static_cast<size_t>(dom) + 1);
+    }
+    destroyed_[dom] = true;
+  }
+  if (rings_.count(dom) != 0) {
+    dead_rings_.push_back(dom);
+  }
+  while (dead_rings_.size() > kDeadRings) {
+    rings_.erase(dead_rings_.front());
+    dead_rings_.pop_front();
+  }
 }
 
 uint64_t FlightRecorder::recorded(int32_t dom) const {

@@ -9,6 +9,10 @@
 // the last ~256 things each domain did, which is exactly the context the
 // one-line check message discards.
 //
+// A destroyed domain's ring stays readable until kDeadRings later deaths
+// evict it, so the recorder holds the live domains' rings plus the last
+// kDeadRings dead ones however many guests come and go.
+//
 // Records are PODs of (time, kind, dom, dev, a, b); the meaning of a/b is
 // per-kind (DESIGN.md §11). Strings are deliberately excluded so a record
 // is 32 bytes and the ring never allocates after construction. Dump output
@@ -19,6 +23,7 @@
 #define SRC_OBS_RECORDER_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -60,6 +65,8 @@ struct FlightRecord {
 class FlightRecorder {
  public:
   static constexpr size_t kDefaultCapacity = 256;  // Per-domain; power of two.
+  // How many destroyed domains' rings are kept: those of the latest deaths.
+  static constexpr size_t kDeadRings = 16;
 
   // `capacity` is rounded up to a power of two so the hot path masks
   // instead of dividing.
@@ -100,18 +107,29 @@ class FlightRecorder {
     std::vector<FlightRecord> slots_;
   };
 
-  // Get-or-create; rings persist after the domain dies (that is the point —
-  // the black box of a destroyed domain is still readable).
+  // Get-or-create. A ring persists after its domain dies (that is the point
+  // — the black box of a destroyed domain is still readable) until
+  // kDeadRings later deaths evict it; a destroyed domain without a ring gets
+  // none, so this is null for it.
   DomainRing* ring(int32_t dom);
 
-  // Hot-path convenience when the caller has no cached ring.
+  // Hot-path convenience when the caller has no cached ring. A late record
+  // for a destroyed domain whose ring was evicted is dropped.
   void Record(int32_t dom, FlightKind kind, int32_t dev = 0, uint64_t a = 0,
               uint64_t b = 0) {
-    ring(dom)->Record(kind, dev, a, b);
+    if (DomainRing* r = ring(dom)) {
+      r->Record(kind, dev, a, b);
+    }
   }
+
+  // Domain `dom` was destroyed: its ring joins the dead ones kept, and the
+  // oldest dead ring beyond kDeadRings is freed.
+  void DomainDestroyed(int32_t dom);
 
   uint64_t recorded(int32_t dom) const;
   uint64_t total_recorded() const;
+  // Rings held: the live domains' plus at most kDeadRings dead ones.
+  size_t ring_count() const { return rings_.size(); }
 
   // Human-readable tail of one domain's ring, oldest first.
   std::string FormatTail(int32_t dom, size_t max = 32) const;
@@ -122,6 +140,10 @@ class FlightRecorder {
   Executor* executor_;
   size_t capacity_;
   std::map<int32_t, std::unique_ptr<DomainRing>> rings_;
+  // Dead domains whose rings are kept, oldest death first.
+  std::deque<int32_t> dead_rings_;
+  // Indexed by domain id (ids are never reused): destroyed.
+  std::vector<bool> destroyed_;
 };
 
 }  // namespace kite

@@ -62,6 +62,8 @@ class EventTracer {
 
   // Metadata: names the pid track ("process_name") in the viewer.
   void SetProcessName(int pid, const std::string& name);
+  // Every pid named so far, destroyed domains included.
+  const std::map<int, std::string>& process_names() const { return process_names_; }
 
   size_t size() const { return events_.size(); }
   uint64_t dropped() const { return dropped_; }

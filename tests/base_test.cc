@@ -1,4 +1,5 @@
-// Unit tests for src/base: rng, stats, strings, bytes, the artifact layout.
+// Unit tests for src/base: rng, stats, strings, bytes, the latency histogram,
+// the artifact layout.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -6,6 +7,7 @@
 
 #include "src/base/artifact.h"
 #include "src/base/bytes.h"
+#include "src/base/histogram.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 #include "src/base/strings.h"
@@ -162,6 +164,60 @@ TEST(StringsTest, ParseDecimal) {
   EXPECT_EQ(ParseDecimal("9223372036854775808"), -1);
   EXPECT_EQ(ParseDecimal("18446744073709551626"), -1);
   EXPECT_EQ(ParseDecimal("99999999999999999999"), -1);
+}
+
+// --- LatencyHistogram. ---
+
+void ExpectSameHistogram(const LatencyHistogram& got, const LatencyHistogram& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.sum(), want.sum());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  EXPECT_EQ(got.p50(), want.p50());
+  EXPECT_EQ(got.p90(), want.p90());
+  EXPECT_EQ(got.p99(), want.p99());
+  EXPECT_EQ(got.p999(), want.p999());
+  for (double p : {0.0, 1.0, 25.0, 75.0, 100.0}) {
+    EXPECT_EQ(got.Percentile(p), want.Percentile(p)) << "p" << p;
+  }
+}
+
+TEST(LatencyHistogramTest, MergeEqualsOneHistogramFedBothSampleSets) {
+  Rng rng(7);
+  LatencyHistogram a;
+  LatencyHistogram b;
+  LatencyHistogram both;
+  for (int i = 0; i < 5000; ++i) {
+    // From the exact low buckets up to ~16 ms, across many octaves.
+    const uint64_t v = rng.NextBelow(uint64_t{1} << (1 + rng.NextBelow(24)));
+    (i % 3 == 0 ? a : b).Record(v);
+    both.Record(v);
+  }
+  ASSERT_GT(a.count(), 0u);
+  ASSERT_GT(b.count(), 0u);
+  a.Merge(b);
+  ExpectSameHistogram(a, both);
+}
+
+TEST(LatencyHistogramTest, MergingAnEmptyHistogramChangesNothing) {
+  LatencyHistogram h;
+  for (uint64_t v : {3u, 64u, 1000u, 250000u}) {
+    h.Record(v);
+  }
+  const LatencyHistogram before = h;
+  h.Merge(LatencyHistogram());
+  ExpectSameHistogram(h, before);
+
+  // Into an empty one, a merge is a copy, and empty into empty stays empty.
+  LatencyHistogram copy;
+  copy.Merge(before);
+  ExpectSameHistogram(copy, before);
+  LatencyHistogram empty;
+  empty.Merge(LatencyHistogram());
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.min(), 0u);
+  EXPECT_EQ(empty.max(), 0u);
+  EXPECT_EQ(empty.p50(), 0u);
 }
 
 TEST(BytesTest, WriterReaderRoundTrip) {

@@ -130,6 +130,27 @@ TEST(InvariantCheckerTest, HoldsAfterGuestDeath) {
   EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
 }
 
+// More guests die than the flight recorder keeps dead rings for: their
+// registry rows fold away and their oldest rings are evicted, so neither
+// the registry-orphan nor the recorder-rings audit fires.
+TEST(InvariantCheckerTest, HoldsAfterManyGuestDeaths) {
+  KiteSystem sys;
+  NetworkDomain* netdom = sys.CreateNetworkDomain();
+  StorageDomain* stordom = sys.CreateStorageDomain();
+  for (size_t i = 0; i < FlightRecorder::kDeadRings + 4; ++i) {
+    GuestVm* guest = sys.CreateGuest("doomed-" + std::to_string(i));
+    sys.AttachVif(guest, netdom, Ipv4Addr::FromOctets(10, 0, 0, 10));
+    sys.AttachVbd(guest, stordom);
+    ASSERT_TRUE(sys.WaitConnected(guest));
+    guest->blkfront()->Write(0, Buffer(4096, 0x5a), [](bool) {});
+    sys.RunFor(Millis(1));
+    sys.DestroyGuest(guest);
+  }
+  sys.RunUntilIdle();
+  const auto violations = InvariantChecker(&sys).Check();
+  EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+}
+
 TEST(InvariantCheckerTest, HoldsAfterDriverDomainRestarts) {
   KiteSystem sys;
   NetworkDomain* netdom = sys.CreateNetworkDomain();

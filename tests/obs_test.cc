@@ -492,6 +492,77 @@ TEST(EventTracerTest, DumpTraceWritesFile) {
   EXPECT_TRUE(JsonBalanced(contents));
 }
 
+// --- Row ownership. ---
+
+TEST(MetricRegistryTest, LastReleaseFoldsIntoRetiredRowsAndFreesTheGroup) {
+  MetricRegistry reg;
+  reg.counter("drv", "vif-retired", "frames")->Add(5);  // An earlier fold.
+  {
+    const MetricRegistry::Owner owner = reg.Own("drv", "vif3.0", "drv", "vif-retired");
+    owner.counter("frames")->Add(7);
+    reg.gauge("drv", "vif3.0", "depth")->Set(3);  // A watchdog gauge, say.
+    owner.latency("wait_ns")->Record(100);
+    owner.latency("wait_ns")->Record(2000);
+    // A lookup reaches the owned row and takes no ownership of its own.
+    EXPECT_EQ(reg.counter("drv", "vif3.0", "frames"), owner.counter("frames"));
+    EXPECT_EQ(reg.owned_group_count(), 1u);
+    EXPECT_EQ(reg.size(), 4u);
+  }
+  EXPECT_EQ(reg.owned_group_count(), 0u);
+  // Counters added, histograms merged, the gauge dropped, the cells freed.
+  const std::vector<MetricRegistry::Sample> samples = reg.Snapshot();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].key, (MetricKey{"drv", "vif-retired", "frames"}));
+  EXPECT_EQ(samples[0].value, 12.0);
+  EXPECT_EQ(samples[1].key, (MetricKey{"drv", "vif-retired", "wait_ns"}));
+  EXPECT_EQ(samples[1].count, 2u);
+  EXPECT_EQ(samples[1].min, 100.0);
+  EXPECT_EQ(samples[1].max, 2000.0);
+
+  // A later owner of the same device starts from zero beside the retired row.
+  const MetricRegistry::Owner next = reg.Own("drv", "vif3.0", "drv", "vif-retired");
+  EXPECT_EQ(next.counter("frames")->value(), 0u);
+  EXPECT_EQ(reg.counter("drv", "vif-retired", "frames")->value(), 12u);
+}
+
+TEST(MetricRegistryTest, GroupWithTwoOwnersSurvivesTheFirstRelease) {
+  MetricRegistry reg;
+  auto draining = std::make_unique<MetricRegistry::Owner>(
+      reg.Own("drv", "vbd3.51712", "drv", "vbd-retired"));
+  Counter* ops = draining->counter("device_ops");
+  LatencyHistogram* device_ns = draining->latency("device_ns");
+  ops->Add(2);
+  // The successor for the same device shares the rows.
+  MetricRegistry::Owner successor = reg.Own("drv", "vbd3.51712", "drv", "vbd-retired");
+  EXPECT_EQ(successor.counter("device_ops"), ops);
+  draining.reset();
+  // The survivor's handles stay valid (a free at the first release is a
+  // use-after-free here under ASan), and nothing is retired yet.
+  ops->Add(3);
+  device_ns->Record(50);
+  EXPECT_EQ(ops->value(), 5u);
+  EXPECT_EQ(reg.owned_group_count(), 1u);
+  for (const MetricRegistry::Sample& s : reg.Snapshot()) {
+    EXPECT_EQ(s.key.device, "vbd3.51712");
+  }
+  successor = MetricRegistry::Owner();  // The last release.
+  EXPECT_EQ(reg.owned_group_count(), 0u);
+  EXPECT_EQ(reg.counter("drv", "vbd-retired", "device_ops")->value(), 5u);
+  EXPECT_EQ(reg.latency("drv", "vbd-retired", "device_ns")->count(), 1u);
+}
+
+TEST(MetricRegistryTest, RowsWithoutAnOwnerStay) {
+  MetricRegistry reg;
+  reg.counter("hv", "grant", "maps")->Add(4);
+  {
+    const MetricRegistry::Owner owner = reg.Own("g", "xn0", "guests", "vif-retired");
+    owner.counter("tx_dropped")->Inc();
+  }
+  EXPECT_EQ(reg.counter("hv", "grant", "maps")->value(), 4u);
+  EXPECT_EQ(reg.counter("guests", "vif-retired", "tx_dropped")->value(), 1u);
+  EXPECT_EQ(reg.size(), 2u);
+}
+
 // --- FlightRecorder. ---
 
 TEST(FlightRecorderTest, TailIsOldestFirstAndWrapsAtCapacity) {
@@ -515,6 +586,37 @@ TEST(FlightRecorderTest, TailIsOldestFirstAndWrapsAtCapacity) {
   ASSERT_EQ(last3.size(), 3u);
   EXPECT_EQ(last3.front().a, 17u);
   EXPECT_EQ(last3.back().a, 19u);
+}
+
+TEST(FlightRecorderTest, KeepsLiveRingsAndTheLastDeadOnes) {
+  Executor ex;
+  FlightRecorder rec(&ex, /*capacity=*/8);
+  rec.Record(1, FlightKind::kDomainCreated);  // Stays alive throughout.
+  constexpr int32_t kFirstDead = 2;
+  constexpr int32_t kDead = static_cast<int32_t>(FlightRecorder::kDeadRings) + 4;
+  for (int32_t dom = kFirstDead; dom < kFirstDead + kDead; ++dom) {
+    rec.Record(dom, FlightKind::kDomainCreated);
+    rec.Record(dom, FlightKind::kDomainDestroyed);
+    rec.DomainDestroyed(dom);
+  }
+  EXPECT_EQ(rec.ring_count(), 1 + FlightRecorder::kDeadRings);
+  // The four oldest dead rings are gone; the newest kDeadRings stay readable.
+  for (int32_t dom = kFirstDead; dom < kFirstDead + 4; ++dom) {
+    EXPECT_EQ(rec.recorded(dom), 0u) << dom;
+    EXPECT_EQ(rec.ring(dom), nullptr) << dom;
+  }
+  const int32_t newest = kFirstDead + kDead - 1;
+  EXPECT_EQ(rec.recorded(kFirstDead + 4), 2u);
+  EXPECT_EQ(rec.recorded(newest), 2u);
+  EXPECT_EQ(rec.recorded(1), 1u);
+  // A late record for an evicted domain does not bring its ring back; one
+  // for a dead domain still kept lands in its ring.
+  rec.Record(kFirstDead, FlightKind::kEventVanished, /*dev=*/7);
+  rec.Record(newest, FlightKind::kEventVanished, /*dev=*/7);
+  EXPECT_EQ(rec.ring_count(), 1 + FlightRecorder::kDeadRings);
+  EXPECT_EQ(rec.recorded(kFirstDead), 0u);
+  EXPECT_EQ(rec.recorded(newest), 3u);
+  EXPECT_EQ(rec.FormatAll().find("dom 2:"), std::string::npos);
 }
 
 TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {

@@ -1,13 +1,18 @@
 // Randomized property tests: xenstore tree consistency under random
 // operation sequences, the watch index against a scan of every watch, codec
 // round-trips over random packets, ROP scanner determinism, and grant-table
-// invariants under random grant/map/copy schedules.
+// invariants under random grant/map/copy schedules, and the decimal text
+// order xenbus listings follow.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/hv/hypervisor.h"
 #include "src/net/frame.h"
 #include "src/security/rop.h"
@@ -536,6 +541,41 @@ TEST_P(GrantFuzz, MapCountsNeverLeakOrUnderflow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GrantFuzz, ::testing::Range(1, FuzzSeedEnd(6)));
+
+// --- Decimal text order. ---
+
+int Sign(int v) { return (v > 0) - (v < 0); }
+
+// CompareDecimalText orders numbers as their decimal texts compare, which is
+// xenstore's child order, without formatting them.
+TEST(DecimalTextOrderTest, MatchesToStringComparison) {
+  const std::vector<uint32_t> edges = {0,     1,     5,      9,      10,        11,
+                                       19,    99,    100,    101,    999,       1000,
+                                       5171,  51712, 51713,  65535,  99999,     100000,
+                                       20000, 2000,  200000, INT32_MAX - 1, INT32_MAX,
+                                       UINT32_MAX};
+  auto check = [](uint32_t a, uint32_t b) {
+    const int want = Sign(std::to_string(a).compare(std::to_string(b)));
+    ASSERT_EQ(Sign(CompareDecimalText(a, b)), want) << a << " vs " << b;
+  };
+  for (uint32_t a = 0; a <= 20000; ++a) {
+    for (uint32_t b : edges) {
+      check(a, b);
+      check(b, a);
+    }
+    for (uint32_t b : {a + 1, a * 10, a * 10 + 9, a / 10, a * 100 + 1}) {
+      check(a, b);
+      check(b, a);
+    }
+  }
+  Rng rng(20261021);
+  for (int i = 0; i < 200000; ++i) {
+    const auto a = static_cast<uint32_t>(rng.NextU64());
+    const auto b = static_cast<uint32_t>(rng.NextBelow(i % 2 == 0 ? 20001 : 1ULL << 32));
+    check(a, b);
+    check(b, a);
+  }
+}
 
 }  // namespace
 }  // namespace kite

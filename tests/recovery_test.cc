@@ -5,6 +5,10 @@
 // under injected faults.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "src/base/bytes.h"
 #include "src/core/invariants.h"
 #include "src/core/kite.h"
@@ -773,6 +777,139 @@ TEST_P(RecoveryTest, DevicesPairOnceFailedProbesClear) {
   bool read_ok = false;
   guest_->blkfront()->Read(0, 4096, nullptr, [&](bool ok) { read_ok = ok; });
   EXPECT_TRUE(sys_->WaitUntil([&] { return read_ok; }));
+  sys_->RunUntilIdle();
+  const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
+  EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+}
+
+// A system with one driver domain of `kind` that runs guest lifecycles one
+// at a time: create a guest, attach a device, connect, destroy the guest,
+// wait for the reap, and settle.
+class LifecycleRig {
+ public:
+  LifecycleRig(OsKind os, DeviceKind kind) {
+    DriverDomainConfig config;
+    config.os = os;
+    if (kind == DeviceKind::kVif) {
+      netdom_ = sys_.CreateNetworkDomain(config);
+    } else {
+      stordom_ = sys_.CreateStorageDomain(config);
+    }
+  }
+
+  KiteSystem& sys() { return sys_; }
+
+  void Run(int lifecycles) {
+    for (int i = 0; i < lifecycles; ++i) {
+      GuestVm* guest = sys_.CreateGuest("churn-" + std::to_string(serial_++));
+      if (netdom_ != nullptr) {
+        sys_.AttachVif(guest, netdom_, Ipv4Addr::FromOctets(10, 0, 0, 200));
+      } else {
+        sys_.AttachVbd(guest, stordom_);
+      }
+      ASSERT_TRUE(sys_.WaitConnected(guest));
+      const uint64_t before = reaped();
+      sys_.DestroyGuest(guest);
+      ASSERT_TRUE(sys_.WaitUntil([&] { return reaped() > before; }));
+    }
+    sys_.RunUntilIdle();
+  }
+
+ private:
+  uint64_t reaped() const {
+    return netdom_ != nullptr ? netdom_->driver()->instances_reaped()
+                              : stordom_->driver()->instances_reaped();
+  }
+
+  KiteSystem sys_;
+  NetworkDomain* netdom_ = nullptr;
+  StorageDomain* stordom_ = nullptr;
+  int serial_ = 0;
+};
+
+// Nothing a lifecycle registers outlives it: the frontend's rows and the
+// reaped instance's rows fold into retired rows as they die, so the
+// registry holds after 40 lifecycles what it held after one.
+TEST_P(RecoveryTest, RegistryDoesNotGrowWithLifecycles) {
+  for (const DeviceKind kind : {DeviceKind::kVif, DeviceKind::kVbd}) {
+    SCOPED_TRACE(DeviceTypeName(kind));
+    LifecycleRig rig(GetParam(), kind);
+    rig.Run(1);
+    const size_t after_one = rig.sys().metric_registry().size();
+    rig.Run(39);
+    EXPECT_EQ(rig.sys().metric_registry().size(), after_one);
+    EXPECT_EQ(rig.sys().metric_registry().counter(
+                  MetricRegistry::kGuestsRetired,
+                  StrFormat("%s-retired", DeviceTypeName(kind)), "recoveries")->value(),
+              0u);
+    const std::vector<Violation> violations = InvariantChecker(&rig.sys()).Check();
+    EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
+  }
+}
+
+// The flight recorder keeps the live domains' rings and the last
+// kDeadRings dead ones: past that many deaths its ring count stops growing.
+TEST_P(RecoveryTest, RecorderRingsStopGrowingPastTheDeadRingAllowance) {
+  for (const DeviceKind kind : {DeviceKind::kVif, DeviceKind::kVbd}) {
+    SCOPED_TRACE(DeviceTypeName(kind));
+    LifecycleRig rig(GetParam(), kind);
+    rig.Run(20);
+    const size_t after_twenty = rig.sys().recorder().ring_count();
+    EXPECT_LE(after_twenty, rig.sys().hv().live_domains().size() + FlightRecorder::kDeadRings);
+    rig.Run(20);
+    EXPECT_EQ(rig.sys().recorder().ring_count(), after_twenty);
+  }
+}
+
+// A restart destroys the old driver with its instances, folding their rows
+// into the driver domain's vbd-retired rows: with writes in flight, every
+// counter's total and every stage histogram's count and sum under the
+// storage domain are the same just after the restart as just before, and
+// the replacement instance counts from zero.
+TEST_P(RecoveryTest, StorageRestartUnderLoadKeepsEveryCounterTotal) {
+  BuildStorage();
+  constexpr int kWrites = 64;
+  int done = 0;
+  for (int i = 0; i < kWrites; ++i) {
+    guest_->blkfront()->Write(int64_t{i} * 4096, Buffer(4096, static_cast<uint8_t>(i)),
+                              [&](bool) { ++done; });
+  }
+  ASSERT_TRUE(sys_->WaitUntil([&] { return done >= kWrites / 4; }));
+  ASSERT_LT(done, kWrites);
+  const std::string name = stordom_->domain()->name();
+  MetricRegistry& reg = sys_->metric_registry();
+  // Per metric name: counter totals, and histogram counts and sums.
+  auto totals = [&] {
+    std::map<std::string, std::pair<uint64_t, uint64_t>> out;
+    for (const MetricRegistry::Sample& s : reg.Snapshot()) {
+      if (s.key.domain != name) {
+        continue;
+      }
+      if (s.kind == MetricRegistry::Kind::kCounter) {
+        out[s.key.name].first += static_cast<uint64_t>(s.value);
+      } else if (s.kind == MetricRegistry::Kind::kLatency) {
+        out[s.key.name].first += s.count;
+        out[s.key.name].second += reg.latency(s.key.domain, s.key.device, s.key.name)->sum();
+      }
+    }
+    return out;
+  };
+  const auto before = totals();
+  ASSERT_GT(before.at("requests_handled").first, 0u);
+  ASSERT_GT(before.at("device_ns").first, 0u);
+  const uint64_t handled = before.at("requests_handled").first;
+  stordom_ = sys_->RestartStorageDomain(stordom_);
+  EXPECT_EQ(totals(), before);
+  EXPECT_EQ(reg.counter(name, "vbd-retired", "requests_handled")->value(), handled);
+
+  ASSERT_TRUE(WaitBlkRecovered(1));
+  ASSERT_TRUE(sys_->WaitUntil([&] { return done == kWrites; }, Seconds(10)));
+  const BlkbackInstance* vbd =
+      stordom_->driver()->instance(guest_->domain()->id(), guest_->blkfront()->devid());
+  ASSERT_NE(vbd, nullptr);
+  EXPECT_GT(vbd->requests_handled(), 0u);
+  EXPECT_LT(vbd->requests_handled(), handled + kWrites);
+  EXPECT_EQ(totals().at("requests_handled").first, handled + vbd->requests_handled());
   sys_->RunUntilIdle();
   const std::vector<Violation> violations = InvariantChecker(sys_.get()).Check();
   EXPECT_TRUE(violations.empty()) << InvariantChecker::Format(violations);
